@@ -153,6 +153,17 @@ void Daemon::Submit(std::string line, std::function<void(const std::string&)> si
   });
 }
 
+void Daemon::RejectOverlongLine(const std::function<void(const std::string&)>& sink) {
+  obs::Registry::Global().GetCounter("svc.requests").Add();
+  obs::Registry::Global().GetCounter("svc.errors").Add();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    served_++;
+  }
+  sink(ErrorResponse("", "request line longer than " + std::to_string(kMaxRequestLineBytes) +
+                             " bytes"));
+}
+
 void Daemon::Process(const std::string& line,
                      std::chrono::steady_clock::time_point admitted,
                      const std::function<void(const std::string&)>& sink) {
@@ -268,19 +279,59 @@ std::uint64_t Daemon::served() const {
   return served_;
 }
 
+namespace {
+
+enum class LineRead { kLine, kOverlong, kEnd };
+
+/// std::getline for request lines, bounded by kMaxRequestLineBytes: an
+/// overlong line is consumed through its newline without being kept.
+LineRead ReadRequestLine(std::istream& in, std::string& line) {
+  line.clear();
+  std::streambuf* buffer = in.rdbuf();
+  bool any = false;
+  bool overlong = false;
+  while (true) {
+    const int c = buffer->sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      in.setstate(std::ios::eofbit);
+      break;  // serve an unterminated trailing line, like std::getline
+    }
+    any = true;
+    if (c == '\n') break;
+    if (overlong) continue;
+    if (line.size() == kMaxRequestLineBytes) {
+      overlong = true;
+      std::string().swap(line);
+      continue;
+    }
+    line.push_back(static_cast<char>(c));
+  }
+  if (!any) return LineRead::kEnd;
+  return overlong ? LineRead::kOverlong : LineRead::kLine;
+}
+
+}  // namespace
+
 int RunStdioServer(SchedulingService& service, const DaemonOptions& options, std::istream& in,
                    std::ostream& out) {
   InstallDrainSignalHandlers();
   Daemon daemon(service, options);
   std::mutex out_mutex;
+  const auto respond = [&out, &out_mutex](const std::string& response) {
+    std::lock_guard<std::mutex> lock(out_mutex);
+    out << response << "\n";
+    out.flush();
+  };
   std::string line;
-  while (!DrainSignalled() && std::getline(in, line)) {
+  while (!DrainSignalled()) {
+    const LineRead read = ReadRequestLine(in, line);
+    if (read == LineRead::kEnd) break;
+    if (read == LineRead::kOverlong) {
+      daemon.RejectOverlongLine(respond);
+      continue;
+    }
     if (Trim(line).empty()) continue;
-    daemon.Submit(line, [&out, &out_mutex](const std::string& response) {
-      std::lock_guard<std::mutex> lock(out_mutex);
-      out << response << "\n";
-      out.flush();
-    });
+    daemon.Submit(line, respond);
   }
   daemon.Drain();
   if (obs::Tracer* t = obs::ActiveTracer()) {
@@ -301,15 +352,25 @@ class FdLineReader {
  public:
   explicit FdLineReader(int fd) : fd_(fd) {}
 
-  bool NextLine(std::string& line) {
+  /// Next line, bounded by kMaxRequestLineBytes like ReadRequestLine: the
+  /// buffer never holds more than one limit plus one read chunk.
+  LineRead NextLine(std::string& line) {
     line.clear();
+    bool overlong = false;
+    std::size_t scanned = 0;  // bytes of buffer_ known to hold no newline
     while (true) {
-      const std::size_t newline = buffer_.find('\n');
+      const std::size_t newline = buffer_.find('\n', scanned);
       if (newline != std::string::npos) {
-        line = buffer_.substr(0, newline);
+        overlong = overlong || newline > kMaxRequestLineBytes;
+        if (!overlong) line = buffer_.substr(0, newline);
         buffer_.erase(0, newline + 1);
-        return true;
+        return overlong ? LineRead::kOverlong : LineRead::kLine;
       }
+      if (buffer_.size() > kMaxRequestLineBytes) {
+        overlong = true;
+        buffer_.clear();
+      }
+      scanned = buffer_.size();
       char chunk[4096];
       const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
       if (got > 0) {
@@ -318,11 +379,15 @@ class FdLineReader {
       }
       if (got < 0 && errno == EINTR && !DrainSignalled()) continue;
       // EOF (or drain): serve any unterminated trailing line.
+      if (overlong) {
+        buffer_.clear();
+        return LineRead::kOverlong;
+      }
       if (!buffer_.empty()) {
         line.swap(buffer_);
-        return true;
+        return LineRead::kLine;
       }
-      return false;
+      return LineRead::kEnd;
     }
   }
 
@@ -360,7 +425,14 @@ class TcpSession {
   void Run() {
     FdLineReader reader(fd_);
     std::string line;
-    while (reader.NextLine(line)) {
+    for (LineRead read; (read = reader.NextLine(line)) != LineRead::kEnd;) {
+      if (read == LineRead::kOverlong) {
+        daemon_->RejectOverlongLine([this](const std::string& response) {
+          std::lock_guard<std::mutex> lock(write_mutex_);
+          WriteAll(fd_, response + "\n");
+        });
+        continue;
+      }
       if (Trim(line).empty()) continue;
       if (StartsWith(line, "GET ")) {
         ServeHttp(Trim(line), reader);
@@ -394,7 +466,7 @@ class TcpSession {
   /// and ignored) and leaves the connection ready to close.
   void ServeHttp(const std::string& request_line, FdLineReader& reader) {
     std::string header;
-    while (reader.NextLine(header) && !Trim(header).empty()) {
+    while (reader.NextLine(header) == LineRead::kLine && !Trim(header).empty()) {
     }
     const std::vector<std::string> parts = Split(request_line, ' ');
     const std::string path = parts.size() > 1 ? parts[1] : "/";

@@ -39,6 +39,11 @@
 
 namespace commsched::svc {
 
+/// Longest request line the stdio and TCP transports accept. A longer line
+/// is read to its newline without being kept and answered with an error, so
+/// one client cannot make the daemon buffer unbounded input.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 struct DaemonOptions {
   /// Worker threads; 0 = hardware concurrency.
   std::size_t workers = 0;
@@ -73,6 +78,11 @@ class Daemon {
   /// with the response line (no trailing newline). After RequestDrain the
   /// request is rejected immediately with an error response.
   void Submit(std::string line, std::function<void(const std::string&)> sink);
+
+  /// Answers a line the transport refused to buffer (longer than
+  /// kMaxRequestLineBytes) with an error response, on the caller's thread,
+  /// without admitting it; counted as a served, failed request.
+  void RejectOverlongLine(const std::function<void(const std::string&)>& sink);
 
   /// Stops admitting new requests (idempotent, signal-safe callers should
   /// use InstallDrainSignalHandlers instead).

@@ -75,30 +75,41 @@ class Parser {
     }
   }
 
-  JsonValue ParseObject() {
-    Expect('{');
-    std::map<std::string, JsonValue> members;
-    if (Consume('}')) return JsonValue::MakeObject(std::move(members));
-    while (true) {
-      std::string key = ParseString();
-      Expect(':');
-      members[std::move(key)] = ParseValue();
-      if (Consume(',')) continue;
-      Expect('}');
-      return JsonValue::MakeObject(std::move(members));
+  /// Opens one array/object level. A failed parse discards the parser, so
+  /// levels are closed (--depth_) only on the success paths.
+  void Enter(char open) {
+    Expect(open);
+    if (++depth_ > kMaxJsonDepth) {
+      Fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
     }
   }
 
-  JsonValue ParseArray() {
-    Expect('[');
-    std::vector<JsonValue> items;
-    if (Consume(']')) return JsonValue::MakeArray(std::move(items));
-    while (true) {
-      items.push_back(ParseValue());
-      if (Consume(',')) continue;
-      Expect(']');
-      return JsonValue::MakeArray(std::move(items));
+  JsonValue ParseObject() {
+    Enter('{');
+    std::map<std::string, JsonValue> members;
+    if (!Consume('}')) {
+      do {
+        std::string key = ParseString();
+        Expect(':');
+        members[std::move(key)] = ParseValue();
+      } while (Consume(','));
+      Expect('}');
     }
+    --depth_;
+    return JsonValue::MakeObject(std::move(members));
+  }
+
+  JsonValue ParseArray() {
+    Enter('[');
+    std::vector<JsonValue> items;
+    if (!Consume(']')) {
+      do {
+        items.push_back(ParseValue());
+      } while (Consume(','));
+      Expect(']');
+    }
+    --depth_;
+    return JsonValue::MakeArray(std::move(items));
   }
 
   std::string ParseString() {
@@ -186,6 +197,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 [[noreturn]] void KindError(const std::string& context, const char* wanted) {

@@ -63,8 +63,14 @@ class JsonValue {
   std::map<std::string, JsonValue> object_;
 };
 
+/// Deepest array/object nesting ParseJson accepts. Protocol requests nest a
+/// handful of levels; the bound keeps the recursive-descent parser (and the
+/// recursive JsonValue destructor) off the end of the stack on hostile input.
+inline constexpr std::size_t kMaxJsonDepth = 128;
+
 /// Parses one complete JSON document; trailing garbage is an error.
-/// Throws ConfigError ("json: ... (at byte N)") on malformed input.
+/// Throws ConfigError ("json: ... (at byte N)") on malformed input,
+/// including nesting deeper than kMaxJsonDepth.
 [[nodiscard]] JsonValue ParseJson(const std::string& text);
 
 /// Escapes a string for embedding between double quotes in JSON output

@@ -101,12 +101,20 @@ topo::SwitchGraph BuildTopology(const TopologyRequest& request) {
   }
   if (kind == "rings") return topo::MakeFourRingsOfSix(request.hosts);
   if (kind == "mixed") return topo::MakeMixedDensity16(request.hosts);
-  if (kind == "mesh") return topo::MakeMesh2D(request.rows, request.cols, request.hosts);
-  if (kind == "torus") return topo::MakeTorus2D(request.rows, request.cols, request.hosts);
+  if (kind == "mesh") {
+    topo::RequireDimension("mesh rows", request.rows, 1);
+    topo::RequireDimension("mesh cols", request.cols, 1);
+    return topo::MakeMesh2D(request.rows, request.cols, request.hosts);
+  }
+  if (kind == "torus") {
+    topo::RequireDimension("torus rows", request.rows, 3);
+    topo::RequireDimension("torus cols", request.cols, 3);
+    return topo::MakeTorus2D(request.rows, request.cols, request.hosts);
+  }
   if (kind == "torus3d") {
-    if (request.x < 3 || request.y < 3 || request.z < 3) {
-      throw ConfigError("torus3d dimensions must all be >= 3");
-    }
+    topo::RequireDimension("torus3d x", request.x, 3);
+    topo::RequireDimension("torus3d y", request.y, 3);
+    topo::RequireDimension("torus3d z", request.z, 3);
     return topo::MakeTorus3D(request.x, request.y, request.z, request.hosts);
   }
   if (kind == "fattree") {
@@ -115,7 +123,10 @@ topo::SwitchGraph BuildTopology(const TopologyRequest& request) {
     }
     return topo::MakeFatTree(request.k, request.hosts);
   }
-  if (kind == "hypercube") return topo::MakeHypercube(request.dim, request.hosts);
+  if (kind == "hypercube") {
+    topo::RequireDimension("hypercube dim", request.dim, 1, 20);
+    return topo::MakeHypercube(request.dim, request.hosts);
+  }
   if (kind == "text") {
     if (request.text.empty()) throw ConfigError("topology kind 'text' requires \"text\"");
     return topo::FromText(request.text);

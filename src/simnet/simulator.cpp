@@ -20,14 +20,14 @@ NetworkSimulator::NetworkSimulator(const SwitchGraph& graph, const Routing& rout
       config_(config),
       owned_policy_(std::make_unique<SingleClassVcPolicy>(routing, config.virtual_channels,
                                                           config.adaptive_routing)),
-      policy_(owned_policy_.get()) {
+      base_routes_(*owned_policy_) {
   CS_CHECK(&routing.graph() == &graph, "routing built for a different graph");
   Init();
 }
 
 NetworkSimulator::NetworkSimulator(const SwitchGraph& graph, const VcRoutingPolicy& policy,
                                    const TrafficPattern& pattern, const SimConfig& config)
-    : graph_(&graph), pattern_(&pattern), config_(config), policy_(&policy) {
+    : graph_(&graph), pattern_(&pattern), config_(config), base_routes_(policy) {
   CS_CHECK(&policy.graph() == &graph, "policy built for a different graph");
   CS_CHECK(policy.vc_count() == config.virtual_channels,
            "policy has ", policy.vc_count(), " VCs but config asks for ",
@@ -42,7 +42,6 @@ void NetworkSimulator::Init() {
   CS_CHECK(config_.virtual_channels >= 1, "need at least one virtual channel");
   vc_count_ = config_.virtual_channels;
   event_mode_ = config_.exec_mode == ExecMode::kEvent;
-  base_policy_ = policy_;
   if (config_.fault_plan != nullptr) {
     config_.fault_plan->ValidateFor(*graph_);
     plan_events_ = config_.fault_plan->events();
@@ -124,7 +123,7 @@ void NetworkSimulator::ResetState() {
   total_latency_sum_ = 0.0;
   latency_samples_.clear();
   deadlock_ = false;
-  policy_ = base_policy_;
+  degraded_routes_.reset();  // back to the base table, compiled runs kept
   next_fault_ = 0;
   reconfiguring_ = false;
   reconfig_until_ = 0;
@@ -251,10 +250,13 @@ bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
   const auto& inputs = inputs_at_switch_[s];
   if (inputs.empty()) return false;
   // Rotate the input scan start each visit for fairness.
-  const std::size_t start = switch_rr_[s]++ % inputs.size();
+  std::size_t next = switch_rr_[s];
+  switch_rr_[s] = next + 1 == inputs.size() ? 0 : next + 1;
+  CompiledVcRoutes& routes = degraded_routes_ ? *degraded_routes_ : base_routes_;
   bool pending = false;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const std::size_t b = inputs[(start + i) % inputs.size()];
+    const std::size_t b = inputs[next];
+    if (++next == inputs.size()) next = 0;
     Buffer& buffer = buffers_[b];
     if (!buffer.FrontReady() || buffer.granted_output != Buffer::kNone) continue;
     const std::uint32_t front = buffer.head;
@@ -278,22 +280,17 @@ bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
     }
 
     bool claimed = false;
-    const std::vector<VcCandidate> candidates =
-        policy_->Candidates(m.current_switch, m.dst_switch, m.phase, m.on_escape);
-    for (const VcCandidate& cand : candidates) {
-      const topo::Link& link = graph_->link(cand.link);
-      const std::size_t channel = 2 * cand.link + (link.a == m.current_switch ? 0 : 1);
-      CS_DCHECK(ChannelFrom(channel) == m.current_switch, "candidate not incident");
-      const std::size_t o = channel * vc_count_ + cand.vc;
-      OutputPort& port = outputs_[o];
+    for (const CompiledCandidate& cand :
+         routes.Lookup(m.current_switch, m.dst_switch, m.phase, m.on_escape)) {
+      OutputPort& port = outputs_[cand.port];
       if (port.owner != OutputPort::kFree) continue;
       port.owner = msg_id;
       port.source_buffer = b;
       port.next_phase = cand.phase;
       port.next_escape = cand.escape;
-      buffer.granted_output = o;
+      buffer.granted_output = cand.port;
       claimed = true;
-      if (event_mode_) channel_active_.Add(channel);
+      if (event_mode_) channel_active_.Add(cand.port / vc_count_);
       break;
     }
     if (!claimed) pending = true;
@@ -388,11 +385,12 @@ bool NetworkSimulator::TryMoveThroughOutput(std::size_t o) {
 
 bool NetworkSimulator::TransferChannel(std::size_t c) {
   // Physical link: one flit per cycle, round-robin among the VCs.
-  const std::size_t start = channel_rr_[c];
+  std::size_t vc = channel_rr_[c];
   for (std::size_t k = 0; k < vc_count_; ++k) {
-    const std::size_t vc = (start + k) % vc_count_;
-    if (TryMoveThroughOutput(c * vc_count_ + vc)) {
-      channel_rr_[c] = (vc + 1) % vc_count_;
+    const std::size_t o = c * vc_count_ + vc;
+    if (++vc == vc_count_) vc = 0;
+    if (TryMoveThroughOutput(o)) {
+      channel_rr_[c] = vc;
       return true;
     }
   }
@@ -809,11 +807,12 @@ void NetworkSimulator::CompleteReconfiguration() {
   active_sets_stale_ = true;
 
   // Atomic swap: from the next arbitration on, every routing decision uses
-  // the degraded function. The old policy is destroyed only after policy_
-  // points at the new one.
-  policy_ = policy.get();
-  degraded_routing_ = std::move(routing);
+  // a fresh table compiled from the degraded function. The outgoing table
+  // goes first: it points at the outgoing policy.
+  degraded_routes_.reset();
   degraded_policy_ = std::move(policy);
+  degraded_routing_ = std::move(routing);
+  degraded_routes_.emplace(*degraded_policy_);
 
   obs::Registry::Global().GetCounter("fault.reconfigs").Add(1);
   if (obs::Tracer* tracer = obs::ActiveTracer()) {

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "faults/degraded.h"
@@ -226,7 +227,8 @@ class NetworkSimulator {
   const TrafficPattern* pattern_;
   SimConfig config_;
   std::unique_ptr<VcRoutingPolicy> owned_policy_;  // set by the Routing ctor
-  const VcRoutingPolicy* policy_;
+  /// The base policy compiled for arbitration; survives across Run() calls.
+  CompiledVcRoutes base_routes_;
   std::size_t vc_count_ = 1;
   bool event_mode_ = false;
 
@@ -264,12 +266,14 @@ class NetworkSimulator {
   std::size_t skip_spans_ = 0;      // SkipIdleSpan jumps taken
 
   // ---- fault state (all inert without a config.fault_plan) ----------------
-  const VcRoutingPolicy* base_policy_ = nullptr;  // policy_ before any fault
   std::vector<faults::FaultEvent> plan_events_;   // cycle-sorted
   std::size_t next_fault_ = 0;
   std::unique_ptr<faults::DegradedView> view_;    // non-null only with a plan
   std::unique_ptr<faults::DegradedRouting> degraded_routing_;
   std::unique_ptr<SingleClassVcPolicy> degraded_policy_;
+  /// Set after a reconfiguration swap: arbitration uses it instead of
+  /// base_routes_ until the next Run() resets the network.
+  std::optional<CompiledVcRoutes> degraded_routes_;
   bool reconfiguring_ = false;
   std::size_t reconfig_until_ = 0;
   std::vector<bool> covered_;  // base switch inside the routed component

@@ -70,6 +70,33 @@ std::vector<VcCandidate> DuatoFullyAdaptivePolicy::Candidates(SwitchId current, 
   return candidates;
 }
 
+CompiledVcRoutes::CompiledVcRoutes(const VcRoutingPolicy& policy)
+    : policy_(&policy),
+      switch_count_(policy.graph().switch_count()),
+      runs_(switch_count_ * switch_count_ * 4, Run{kUncompiled, 0}) {
+  CS_CHECK(2 * policy.graph().link_count() * policy.vc_count() < kUncompiled,
+           "too many link VCs for 32-bit output ports");
+}
+
+void CompiledVcRoutes::Compile(std::size_t state, SwitchId current, SwitchId dest, Phase phase,
+                               bool on_escape) {
+  const SwitchGraph& graph = policy_->graph();
+  const std::size_t vc_count = policy_->vc_count();
+  const std::vector<VcCandidate> candidates =
+      policy_->Candidates(current, dest, phase, on_escape);
+  const std::size_t begin = arena_.size();
+  CS_CHECK(begin + candidates.size() < kUncompiled, "compiled route table overflow");
+  for (const VcCandidate& cand : candidates) {
+    const topo::Link& link = graph.link(cand.link);
+    CS_DCHECK(link.a == current || link.b == current, "candidate not incident");
+    const std::size_t channel = 2 * cand.link + (link.a == current ? 0 : 1);
+    arena_.push_back({static_cast<std::uint32_t>(channel * vc_count + cand.vc), cand.phase,
+                      cand.escape});
+  }
+  runs_[state] = {static_cast<std::uint32_t>(begin),
+                  static_cast<std::uint32_t>(candidates.size())};
+}
+
 bool VerifyDuatoSafety(const DuatoFullyAdaptivePolicy& policy) {
   // Obligation 1: acyclic escape CDG.
   if (!route::IsDeadlockFree(policy.escape_routing())) {

@@ -16,7 +16,9 @@
 //     has an acyclic CDG and every adaptive channel can drain into it).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,6 +103,58 @@ class DuatoFullyAdaptivePolicy final : public VcRoutingPolicy {
   std::size_t vc_count_;
   route::UpDownRouting escape_;
   route::ShortestPathRouting adaptive_;
+};
+
+/// One ready-to-claim output of a compiled routing state: the simulator's
+/// output-port index of a link VC (`channel * V + vc`, channel = 2*link +
+/// dir, dir 0 when leaving through the link's `a` end) plus the routing
+/// state the message carries across.
+struct CompiledCandidate {
+  std::uint32_t port = 0;
+  Phase phase = Phase::kUp;  // message phase after the traversal
+  bool escape = false;       // message commits to the escape network
+
+  friend bool operator==(const CompiledCandidate&, const CompiledCandidate&) = default;
+};
+
+/// A VcRoutingPolicy compiled into flat per-state runs of output ports,
+/// keyed by (switch, destination, phase, on_escape). Each run holds
+/// exactly the policy's Candidates() in the same preference order, so
+/// arbitration over it is interchangeable with arbitration over the policy.
+/// Runs live in one CSR-style arena and are compiled on first lookup: a
+/// large network pays only for the states its traffic reaches. Not
+/// thread-safe (lookups fill the table); each simulator owns its own, while
+/// the policy itself may be shared.
+class CompiledVcRoutes {
+ public:
+  /// `policy` must outlive the table.
+  explicit CompiledVcRoutes(const VcRoutingPolicy& policy);
+
+  /// Candidates of a header at `current` heading to `dest` (current !=
+  /// dest), compiled on first use. The span is valid until the next lookup.
+  [[nodiscard]] std::span<const CompiledCandidate> Lookup(SwitchId current, SwitchId dest,
+                                                          Phase phase, bool on_escape) {
+    const std::size_t state =
+        ((current * switch_count_ + dest) * 2 + static_cast<std::size_t>(phase)) * 2 +
+        (on_escape ? 1 : 0);
+    if (runs_[state].begin == kUncompiled) Compile(state, current, dest, phase, on_escape);
+    const Run run = runs_[state];
+    return {arena_.data() + run.begin, run.size};
+  }
+
+ private:
+  struct Run {
+    std::uint32_t begin;
+    std::uint32_t size;
+  };
+  static constexpr std::uint32_t kUncompiled = static_cast<std::uint32_t>(-1);
+
+  void Compile(std::size_t state, SwitchId current, SwitchId dest, Phase phase, bool on_escape);
+
+  const VcRoutingPolicy* policy_;
+  std::size_t switch_count_;
+  std::vector<Run> runs_;                 // per state; begin == kUncompiled until used
+  std::vector<CompiledCandidate> arena_;  // every compiled run, back to back
 };
 
 /// Structural safety check for the Duato policy, following the design

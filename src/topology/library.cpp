@@ -1,9 +1,21 @@
 #include "topology/library.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "common/check.h"
+
 namespace commsched::topo {
+
+void RequireDimension(std::string_view field, std::size_t value, std::size_t min,
+                      std::size_t max) {
+  if (value >= min && value <= max) return;
+  const std::string bound = max == std::numeric_limits<std::size_t>::max()
+                                ? ">= " + std::to_string(min)
+                                : "in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
+  throw ConfigError(std::string(field) + " must be " + bound + ", got " + std::to_string(value));
+}
 
 SwitchGraph MakeRing(std::size_t n, std::size_t hosts_per_switch) {
   CS_CHECK(n >= 3, "ring needs at least 3 switches");

@@ -3,10 +3,20 @@
 // 24-switch network of §5.2 — four interconnected rings of six switches.
 #pragma once
 
+#include <limits>
+#include <string_view>
+
 #include "common/rng.h"
 #include "topology/graph.h"
 
 namespace commsched::topo {
+
+/// Input-boundary check for a builder dimension taken from a CLI flag or a
+/// service request: throws ConfigError naming `field` (e.g. "mesh rows must
+/// be >= 1, got 0") for a value the Make* builders below would reject with
+/// a contract violation.
+void RequireDimension(std::string_view field, std::size_t value, std::size_t min,
+                      std::size_t max = std::numeric_limits<std::size_t>::max());
 
 /// Cycle of n switches (n >= 3).
 [[nodiscard]] SwitchGraph MakeRing(std::size_t n, std::size_t hosts_per_switch = 4);

@@ -207,5 +207,33 @@ TEST(CliTrace, MetricsWithoutTrace) {
   EXPECT_GT(testutil::JsonUint(counters, "search.tabu.evaluations"), 0u);
 }
 
+// Degenerate builder dimensions are clean `error:` exits naming the flag,
+// never a leaked contract violation from the topology library.
+TEST(CliTopology, DegenerateDimensionsAreConfigErrors) {
+  const std::string out_path = ::testing::TempDir() + "cli_topo_error.txt";
+  const auto run = [&out_path](const std::string& args) {
+    const std::string command =
+        std::string(COMMSCHED_CLI_PATH) + " topo " + args + " > " + out_path + " 2>&1";
+    const int rc = std::system(command.c_str());
+    return std::make_pair(rc, ReadFile(out_path));
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {"--kind mesh --rows 0 --cols 0", "error: mesh --rows must be >= 1, got 0"},
+      {"--kind mesh --rows 2 --cols 0", "error: mesh --cols must be >= 1, got 0"},
+      {"--kind torus --rows 2 --cols 4", "error: torus --rows must be >= 3, got 2"},
+      {"--kind torus3d --x 3 --y 3 --z 2", "error: torus3d --z must be >= 3, got 2"},
+      {"--kind fattree --k 3", "error: fattree --k must be even and >= 2, got 3"},
+      {"--kind hypercube --dim 0", "error: hypercube --dim must be in [1, 20], got 0"},
+      {"--kind hypercube --dim 21", "error: hypercube --dim must be in [1, 20], got 21"},
+  };
+  for (const auto& [args, message] : cases) {
+    const auto [rc, output] = run(args);
+    EXPECT_NE(rc, 0) << args;
+    EXPECT_NE(output.find(message), std::string::npos) << args << ": " << output;
+    EXPECT_EQ(output.find("contract violation"), std::string::npos) << args << ": " << output;
+  }
+  EXPECT_EQ(run("--kind mesh --rows 1 --cols 1").first, 0);
+}
+
 }  // namespace
 }  // namespace commsched

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -54,6 +55,26 @@ TEST(ServiceJson, RejectsMalformedInput) {
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("at byte"), std::string::npos) << e.what();
   }
+}
+
+TEST(ServiceJson, RejectsNestingBeyondDepthLimit) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(svc::ParseJson(nested(svc::kMaxJsonDepth)).is_array());
+  EXPECT_TRUE(svc::ParseJson(R"({"a":[{"b":[]}],"c":{}})").is_object());
+  try {
+    (void)svc::ParseJson(nested(svc::kMaxJsonDepth + 1));
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"), std::string::npos) << e.what();
+  }
+  std::string objects;
+  for (std::size_t k = 0; k <= svc::kMaxJsonDepth; ++k) objects += "{\"k\":";
+  EXPECT_THROW((void)svc::ParseJson(objects + "1"), ConfigError);
+  // The hostile-input reproduction: 100k unclosed brackets used to recurse
+  // off the end of the stack.
+  EXPECT_THROW((void)svc::ParseJson(std::string(100000, '[')), ConfigError);
 }
 
 TEST(ServiceJson, UintRejectsNegativeAndFractional) {
@@ -224,6 +245,33 @@ TEST(ServiceProtocol, BuildsEveryTopologyKind) {
   svc::TopologyRequest bad;
   bad.kind = "klein-bottle";
   EXPECT_THROW(svc::BuildTopology(bad), ConfigError);
+}
+
+/// Dimensions the topology builders would assert on are rejected at the
+/// request boundary with a ConfigError naming the field.
+TEST(ServiceProtocol, RejectsDegenerateTopologyDimensions) {
+  const auto error_of = [](const std::string& topology) -> std::string {
+    try {
+      const svc::Request request =
+          svc::ParseRequest(R"({"op":"schedule","topology":)" + topology + "}");
+      (void)svc::BuildTopology(request.topology);
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of(R"({"kind":"mesh","rows":0,"cols":0})"), "mesh rows must be >= 1, got 0");
+  EXPECT_EQ(error_of(R"({"kind":"mesh","rows":2,"cols":0})"), "mesh cols must be >= 1, got 0");
+  EXPECT_EQ(error_of(R"({"kind":"torus","rows":2,"cols":4})"), "torus rows must be >= 3, got 2");
+  EXPECT_EQ(error_of(R"({"kind":"torus","rows":3,"cols":1})"), "torus cols must be >= 3, got 1");
+  EXPECT_EQ(error_of(R"({"kind":"torus3d","x":3,"y":2,"z":3})"), "torus3d y must be >= 3, got 2");
+  EXPECT_EQ(error_of(R"({"kind":"hypercube","dim":0})"), "hypercube dim must be in [1, 20], got 0");
+  EXPECT_EQ(error_of(R"({"kind":"hypercube","dim":21})"),
+            "hypercube dim must be in [1, 20], got 21");
+  // The boundary values themselves build.
+  EXPECT_EQ(error_of(R"({"kind":"mesh","rows":1,"cols":1})"), "no error");
+  EXPECT_EQ(error_of(R"({"kind":"torus","rows":3,"cols":3})"), "no error");
+  EXPECT_EQ(error_of(R"({"kind":"hypercube","dim":1})"), "no error");
 }
 
 // ------------------------------------------------------------- service --
@@ -558,6 +606,55 @@ TEST(ServiceDaemon, StdioServerAnswersEveryLine) {
   EXPECT_EQ(ids, (std::set<std::string>{"a", "b", "c"}));
 }
 
+/// The hostile-input reproductions through the stdio transport: a 100k-deep
+/// bracket line, a line past the byte limit and a zero-sized mesh each get
+/// an error reply, and the daemon keeps serving the lines after them.
+TEST(ServiceDaemon, StdioServerAnswersHostileLinesAndKeepsServing) {
+  svc::ResetDrainSignalForTesting();
+  svc::SchedulingService service;
+  std::istringstream in(std::string(100000, '[') + "\n" +
+                        std::string(svc::kMaxRequestLineBytes + 1, 'x') + "\n" +
+                        std::string(svc::kMaxRequestLineBytes, ' ') + "\n" +
+                        R"({"id":"m","op":"schedule","topology":{"kind":"mesh","rows":0,"cols":0}})"
+                        "\n"
+                        R"({"id":"p","op":"ping"})"
+                        "\n" +
+                        std::string(svc::kMaxRequestLineBytes + 5, '{'));  // unterminated
+  std::ostringstream out;
+  svc::DaemonOptions options;
+  options.workers = 2;
+  EXPECT_EQ(svc::RunStdioServer(service, options, in, out), 0);
+
+  std::istringstream lines(out.str());
+  std::string line;
+  std::vector<std::string> errors;
+  std::map<std::string, bool> ok_by_id;
+  while (std::getline(lines, line)) {
+    const svc::JsonValue parsed = svc::ParseJson(line);
+    const bool ok = parsed.Find("ok")->AsBool("ok");
+    if (const svc::JsonValue* id = parsed.Find("id")) {
+      ok_by_id[id->AsString("id")] = ok;
+      if (!ok) errors.push_back(parsed.Find("error")->AsString("error"));
+    } else {
+      EXPECT_FALSE(ok) << line;
+      errors.push_back(parsed.Find("error")->AsString("error"));
+    }
+  }
+  EXPECT_EQ(ok_by_id, (std::map<std::string, bool>{{"m", false}, {"p", true}}));
+  // Deep nesting, mesh rows and two overlong lines; the all-blank line at
+  // exactly the limit is skipped like any blank line.
+  ASSERT_EQ(errors.size(), 4u);
+  const auto count = [&errors](const std::string& needle) {
+    return std::count_if(errors.begin(), errors.end(), [&](const std::string& e) {
+      return e.find(needle) != std::string::npos;
+    });
+  };
+  EXPECT_EQ(count("nesting deeper than"), 1);
+  EXPECT_EQ(count("mesh rows must be >= 1"), 1);
+  EXPECT_EQ(count("request line longer than"), 2);
+  EXPECT_EQ(count("contract violation"), 0);
+}
+
 /// Captures the daemon's announce line and lets the test wait for it.
 class AnnounceBuffer : public std::stringbuf {
  public:
@@ -625,6 +722,30 @@ TEST(ServiceDaemon, TcpServerServesAndDrainsOnSignal) {
   ids.insert(svc::ParseJson(ReadLineFromFd(fd)).Find("id")->AsString("id"));
   ids.insert(svc::ParseJson(ReadLineFromFd(fd)).Find("id")->AsString("id"));
   EXPECT_EQ(ids, (std::set<std::string>{"t1", "t2"}));
+
+  // A line past the byte limit is answered with an error and the same
+  // connection keeps serving.
+  const std::string overlong = std::string(svc::kMaxRequestLineBytes + 4096, 'x') + "\n" +
+                               "{\"id\":\"t3\",\"op\":\"ping\"}\n";
+  std::thread writer([fd, &overlong] {
+    std::size_t sent = 0;
+    while (sent < overlong.size()) {
+      const ssize_t wrote = ::write(fd, overlong.data() + sent, overlong.size() - sent);
+      if (wrote <= 0) break;
+      sent += static_cast<std::size_t>(wrote);
+    }
+  });
+  std::map<std::string, std::string> replies;  // id (or "") -> line
+  for (int k = 0; k < 2; ++k) {
+    const std::string line = ReadLineFromFd(fd);
+    const svc::JsonValue reply = svc::ParseJson(line);
+    const svc::JsonValue* id = reply.Find("id");
+    replies[id == nullptr ? "" : id->AsString("id")] = line;
+  }
+  writer.join();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_NE(replies[""].find("request line longer than"), std::string::npos) << replies[""];
+  EXPECT_NE(replies["t3"].find("\"ok\":true"), std::string::npos) << replies["t3"];
   ::close(fd);
 
   // Drain: raise the signal (the handler only sets the flag), then poke the

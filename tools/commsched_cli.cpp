@@ -103,23 +103,36 @@ topo::SwitchGraph BuildTopology(const Args& args) {
   }
   if (kind == "rings") return topo::MakeFourRingsOfSix(args.GetSize("hosts", 4));
   if (kind == "mixed") return topo::MakeMixedDensity16(args.GetSize("hosts", 4));
-  if (kind == "mesh") {
-    return topo::MakeMesh2D(args.GetSize("rows", 4), args.GetSize("cols", 4),
-                            args.GetSize("hosts", 4));
-  }
-  if (kind == "torus") {
-    return topo::MakeTorus2D(args.GetSize("rows", 4), args.GetSize("cols", 4),
-                             args.GetSize("hosts", 4));
+  if (kind == "mesh" || kind == "torus") {
+    // A torus needs every ring of >= 3 switches to stay a simple graph.
+    const std::size_t min = kind == "mesh" ? 1 : 3;
+    const std::size_t rows = args.GetSize("rows", 4);
+    const std::size_t cols = args.GetSize("cols", 4);
+    topo::RequireDimension(kind + " --rows", rows, min);
+    topo::RequireDimension(kind + " --cols", cols, min);
+    return kind == "mesh" ? topo::MakeMesh2D(rows, cols, args.GetSize("hosts", 4))
+                          : topo::MakeTorus2D(rows, cols, args.GetSize("hosts", 4));
   }
   if (kind == "torus3d") {
-    return topo::MakeTorus3D(args.GetSize("x", 4), args.GetSize("y", 4), args.GetSize("z", 4),
-                             args.GetSize("hosts", 4));
+    const std::size_t x = args.GetSize("x", 4);
+    const std::size_t y = args.GetSize("y", 4);
+    const std::size_t z = args.GetSize("z", 4);
+    topo::RequireDimension("torus3d --x", x, 3);
+    topo::RequireDimension("torus3d --y", y, 3);
+    topo::RequireDimension("torus3d --z", z, 3);
+    return topo::MakeTorus3D(x, y, z, args.GetSize("hosts", 4));
   }
   if (kind == "fattree") {
-    return topo::MakeFatTree(args.GetSize("k", 4), args.GetSize("hosts", 4));
+    const std::size_t k = args.GetSize("k", 4);
+    if (k < 2 || k % 2 != 0) {
+      throw ConfigError("fattree --k must be even and >= 2, got " + std::to_string(k));
+    }
+    return topo::MakeFatTree(k, args.GetSize("hosts", 4));
   }
   if (kind == "hypercube") {
-    return topo::MakeHypercube(args.GetSize("dim", 4), args.GetSize("hosts", 4));
+    const std::size_t dim = args.GetSize("dim", 4);
+    topo::RequireDimension("hypercube --dim", dim, 1, 20);
+    return topo::MakeHypercube(dim, args.GetSize("hosts", 4));
   }
   if (kind == "file") {
     const std::string path = args.Get("path", "");
