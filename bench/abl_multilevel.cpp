@@ -3,9 +3,10 @@
 // pipeline costs at the 100k-process scale the paper's dense searchers
 // cannot touch.
 //
-//   * SwapDelta micro: dense O(cluster) scan vs sparse O(deg) edge walk on
-//     comparable instances — the per-move speedup that makes 10^5-vertex
-//     refinement passes affordable.
+//   * SwapDelta micro: dense O(1) gain-table read vs sparse O(deg) edge
+//     walk on comparable instances. Both are flat in N; what the sparse
+//     path buys is O(E) memory and O(deg) swaps instead of the dense
+//     evaluator's N x N table, N x M gain table and O(N) swap update.
 //   * End-to-end: 100k processes (grid stencil) onto a 1000-switch 3-D
 //     torus with hop-count distances, the acceptance scenario (single-digit
 //     seconds wall-clock).
@@ -29,7 +30,8 @@ dist::DistanceTable RandomTable(std::size_t n, std::uint64_t seed) {
   return table;
 }
 
-/// Dense SwapEvaluator delta on a 4-cluster partition: O(cluster size).
+/// Dense SwapEvaluator delta on a 4-cluster partition: O(1), four reads of
+/// the per-switch cluster gain table plus one distance.
 void BM_DenseSwapDelta(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const dist::DistanceTable table = RandomTable(n, 1);

@@ -58,6 +58,32 @@ double ClusteringCoefficient(const DistanceTable& table, const Partition& partit
   return GlobalDissimilarity(table, partition) / fg;
 }
 
+ClusterGainTable::ClusterGainTable(const DistanceTable& table, const Partition& partition)
+    : clusters_(partition.cluster_count()),
+      gains_(partition.switch_count() * partition.cluster_count(), 0.0) {
+  const std::vector<std::size_t>& cluster_of = partition.cluster_of_switch();
+  const std::size_t n = partition.switch_count();
+  for (std::size_t v = 0; v < n; ++v) {
+    double* row = &gains_[v * clusters_];
+    for (std::size_t u = 0; u < n; ++u) {
+      const double d = table(v, u);
+      row[cluster_of[u]] += d * d;
+    }
+  }
+}
+
+void ClusterGainTable::ApplySwap(const DistanceTable& table, std::size_t a, std::size_t ca,
+                                 std::size_t b, std::size_t cb) {
+  const std::size_t n = table.size();
+  for (std::size_t v = 0; v < n; ++v) {
+    const double dva = table(v, a);
+    const double dvb = table(v, b);
+    const double change = dvb * dvb - dva * dva;  // ca trades a for b
+    gains_[v * clusters_ + ca] += change;
+    gains_[v * clusters_ + cb] -= change;
+  }
+}
+
 SwapEvaluator::SwapEvaluator(const DistanceTable& table, Partition partition)
     : table_(&table), partition_(std::move(partition)) {
   CS_CHECK(table.size() == partition_.switch_count(), "table / partition size mismatch");
@@ -65,6 +91,7 @@ SwapEvaluator::SwapEvaluator(const DistanceTable& table, Partition partition)
   CS_CHECK(partition_.cluster_count() >= 2, "evaluator needs at least two clusters");
   sum_all_pairs_sq_ = table.SumSquaredAllPairs();
   mean_sq_distance_ = table.MeanSquaredDistance();
+  gains_ = ClusterGainTable(table, partition_);
   intra_sum_ = ComputeIntraSum();
 }
 
@@ -100,11 +127,21 @@ double SwapEvaluator::Cc() const {
 }
 
 double SwapEvaluator::SwapDelta(std::size_t a, std::size_t b) const {
+  const std::vector<std::size_t>& cluster_of = partition_.cluster_of_switch();
+  CS_CHECK(a < cluster_of.size() && b < cluster_of.size(), "switch out of range");
+  const std::size_t ca = cluster_of[a];
+  const std::size_t cb = cluster_of[b];
+  CS_CHECK(ca != cb, "SwapDelta requires switches in different clusters");
+  // a trades its ca partners for cb's, b the reverse; G[b][ca] and G[a][cb]
+  // each count the (a,b) pair, which stays intercluster on both sides.
+  const double dab = (*table_)(a, b);
+  return gains_(a, cb) - gains_(a, ca) + gains_(b, ca) - gains_(b, cb) - 2.0 * dab * dab;
+}
+
+double SwapEvaluator::SummedSwapDelta(std::size_t a, std::size_t b) const {
   const std::size_t n = partition_.switch_count();
-  CS_CHECK(a < n && b < n, "switch out of range");
   const std::size_t ca = partition_.ClusterOf(a);
   const std::size_t cb = partition_.ClusterOf(b);
-  CS_CHECK(ca != cb, "SwapDelta requires switches in different clusters");
   // a leaves ca (remove its intra terms), b joins ca in its place; likewise
   // for b/cb. The (a,b) pair itself stays intercluster on both sides.
   double delta = 0.0;
@@ -123,7 +160,13 @@ double SwapEvaluator::SwapDelta(std::size_t a, std::size_t b) const {
 }
 
 void SwapEvaluator::ApplySwap(std::size_t a, std::size_t b) {
-  const double delta = SwapDelta(a, b);
+  const std::size_t n = partition_.switch_count();
+  CS_CHECK(a < n && b < n, "switch out of range");
+  const std::size_t ca = partition_.ClusterOf(a);
+  const std::size_t cb = partition_.ClusterOf(b);
+  CS_CHECK(ca != cb, "ApplySwap requires switches in different clusters");
+  const double delta = SummedSwapDelta(a, b);
+  gains_.ApplySwap(*table_, a, ca, b, cb);
   partition_.Swap(a, b);
   intra_sum_ += delta;
 }
@@ -131,6 +174,7 @@ void SwapEvaluator::ApplySwap(std::size_t a, std::size_t b) {
 void SwapEvaluator::Reset(Partition partition) {
   CS_CHECK(partition.switch_count() == table_->size(), "table / partition size mismatch");
   partition_ = std::move(partition);
+  gains_ = ClusterGainTable(*table_, partition_);
   intra_sum_ = ComputeIntraSum();
 }
 

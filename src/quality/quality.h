@@ -10,6 +10,8 @@
 //                 intercluster bandwidth relationship the scheduler maximizes.
 #pragma once
 
+#include <vector>
+
 #include "distance/distance_table.h"
 #include "quality/partition.h"
 
@@ -34,13 +36,43 @@ using dist::DistanceTable;
 /// C_c = D_G / F_G.
 [[nodiscard]] double ClusteringCoefficient(const DistanceTable& table, const Partition& partition);
 
+/// Per-switch cluster gains of the dense swap evaluators:
+///   G[v][c] = sum over u in cluster c of T_vu^2
+/// (N x M, row-major; the table's zero diagonal keeps v out of its own
+/// cluster's sum). A swap delta is then four reads and a swap an O(N)
+/// update of the two affected columns, in the manner of the per-vertex gain
+/// caches of Schulz & Traeff's sparse QAP mapping (quality/sparse.h).
+class ClusterGainTable {
+ public:
+  ClusterGainTable() = default;
+
+  /// Builds the table from scratch in O(N^2).
+  ClusterGainTable(const DistanceTable& table, const Partition& partition);
+
+  [[nodiscard]] double operator()(std::size_t v, std::size_t cluster) const {
+    return gains_[v * clusters_ + cluster];
+  }
+
+  /// Moves a from cluster ca to cb and b from cb to ca: O(N).
+  void ApplySwap(const DistanceTable& table, std::size_t a, std::size_t ca, std::size_t b,
+                 std::size_t cb);
+
+ private:
+  std::size_t clusters_ = 0;
+  std::vector<double> gains_;
+};
+
 /// Incremental evaluator for swap-based search. Maintains the intracluster
-/// quadratic sum so that evaluating a candidate swap is O(cluster size) and
-/// the full F_G / D_G / C_c are O(1) after construction.
+/// quadratic sum and a ClusterGainTable, so that evaluating a candidate swap
+/// is O(1), applying one is O(N), and the full F_G / D_G / C_c are O(1).
 ///
 /// The key identity: the ordered intercluster sum equals
 ///   2 * (sum over all pairs - intracluster sum),
 /// so D_G is derivable from the same running intracluster sum as F_G.
+///
+/// The running sum is advanced by the exact O(N) re-summed delta, not by
+/// the gain-table delta: the two differ in the last bits, and the running
+/// sum decides which mapping wins a tie between seeds and walks.
 class SwapEvaluator {
  public:
   /// Both `table` and an initial partition; the table must outlive this.
@@ -58,13 +90,13 @@ class SwapEvaluator {
 
   /// Change of the intracluster sum if switches a and b (in different
   /// clusters) were exchanged. F_G scales by the same constant, so ordering
-  /// moves by delta orders them by F_G. Requires different clusters.
+  /// moves by delta orders them by F_G. Requires different clusters. O(1).
   [[nodiscard]] double SwapDelta(std::size_t a, std::size_t b) const;
 
-  /// Applies the swap and updates the running sum in O(N).
+  /// Applies the swap and updates the running sum and gain table in O(N).
   void ApplySwap(std::size_t a, std::size_t b);
 
-  /// Replaces the partition (full O(N^2) recompute).
+  /// Replaces the partition (full O(N^2) recompute of sum and gain table).
   void Reset(Partition partition);
 
   /// F_G that would result from applying delta to the current intra sum.
@@ -72,9 +104,12 @@ class SwapEvaluator {
 
  private:
   [[nodiscard]] double ComputeIntraSum() const;
+  /// The swap delta re-summed over all N switches; keeps intra_sum_ exact.
+  [[nodiscard]] double SummedSwapDelta(std::size_t a, std::size_t b) const;
 
   const DistanceTable* table_;
   Partition partition_;
+  ClusterGainTable gains_;
   double intra_sum_ = 0.0;
   double sum_all_pairs_sq_ = 0.0;   // sum_{i<j} T_ij^2
   double mean_sq_distance_ = 0.0;   // normalizer of eqs. (2)/(5)

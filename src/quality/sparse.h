@@ -1,17 +1,19 @@
 // Sparse-QAP objective over a communication graph (the scalable ΔF_G path).
 //
 // The dense SwapEvaluator implicitly assumes every intracluster pair
-// communicates, so its cost is Σ_{i<j intra} T_ij² and a swap delta is an
-// O(N) scan. SparseQapEvaluator keeps the quadratic-distance form of the
-// paper's F_G but sums only over the communication graph's edges:
+// communicates, so its cost is Σ_{i<j intra} T_ij²: it needs the full
+// N x N table plus an N x M cluster gain table, and while a swap delta is
+// O(1), applying a swap is an O(N) update. SparseQapEvaluator keeps the
+// quadratic-distance form of the paper's F_G but sums only over the
+// communication graph's edges:
 //
 //   cost = Σ_{(u,v) ∈ E}  w_uv · T[sw(u)][sw(v)]²
 //
 // where sw(v) is the switch hosting vertex v. With a clique-per-cluster
 // graph of unit weights and one vertex per switch this reduces to the dense
-// intracluster sum exactly (the parity property test), but a swap or move
-// delta is O(deg) instead of O(N) — the enabler of the multilevel pipeline's
-// 10^5-process refinement passes.
+// intracluster sum exactly (the parity property test), but its memory and
+// its swap/move updates are O(E) and O(deg) rather than O(N^2) and O(N) —
+// the enabler of the multilevel pipeline's 10^5-process refinement passes.
 //
 // A per-vertex gain cache (contrib_) holds each vertex's share of the cost
 // (Σ over its incident edges), so refinement heuristics can rank vertices by

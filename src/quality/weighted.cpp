@@ -123,6 +123,7 @@ IntensitySwapEvaluator::IntensitySwapEvaluator(const DistanceTable& table, Parti
   }
   CS_CHECK(weighted_pair_count_ > 0.0, "no weighted intracluster pairs");
   mean_sq_distance_ = table.MeanSquaredDistance();
+  gains_ = ClusterGainTable(table, partition_);
   weighted_intra_sum_ = ComputeWeightedIntraSum();
 }
 
@@ -145,11 +146,23 @@ double IntensitySwapEvaluator::Fg() const {
 }
 
 double IntensitySwapEvaluator::SwapDelta(std::size_t a, std::size_t b) const {
+  const std::vector<std::size_t>& cluster_of = partition_.cluster_of_switch();
+  CS_CHECK(a < cluster_of.size() && b < cluster_of.size(), "switch out of range");
+  const std::size_t ca = cluster_of[a];
+  const std::size_t cb = cluster_of[b];
+  CS_CHECK(ca != cb, "swap requires switches in different clusters");
+  // Cluster ca trades a's partner sum for b's (less the (a,b) pair, which
+  // stays intercluster); cb the reverse. Each side scales by its intensity.
+  const double dab = (*table_)(a, b);
+  const double sq_ab = dab * dab;
+  return intensity_[ca] * (gains_(b, ca) - gains_(a, ca) - sq_ab) +
+         intensity_[cb] * (gains_(a, cb) - gains_(b, cb) - sq_ab);
+}
+
+double IntensitySwapEvaluator::SummedSwapDelta(std::size_t a, std::size_t b) const {
   const std::size_t n = partition_.switch_count();
-  CS_CHECK(a < n && b < n, "switch out of range");
   const std::size_t ca = partition_.ClusterOf(a);
   const std::size_t cb = partition_.ClusterOf(b);
-  CS_CHECK(ca != cb, "swap requires switches in different clusters");
   double delta = 0.0;
   for (std::size_t w = 0; w < n; ++w) {
     if (w == a || w == b) continue;
@@ -170,7 +183,13 @@ double IntensitySwapEvaluator::FgAfterDelta(double delta) const {
 }
 
 void IntensitySwapEvaluator::ApplySwap(std::size_t a, std::size_t b) {
-  const double delta = SwapDelta(a, b);
+  const std::size_t n = partition_.switch_count();
+  CS_CHECK(a < n && b < n, "switch out of range");
+  const std::size_t ca = partition_.ClusterOf(a);
+  const std::size_t cb = partition_.ClusterOf(b);
+  CS_CHECK(ca != cb, "swap requires switches in different clusters");
+  const double delta = SummedSwapDelta(a, b);
+  gains_.ApplySwap(*table_, a, ca, b, cb);
   partition_.Swap(a, b);
   weighted_intra_sum_ += delta;
 }

@@ -13,6 +13,7 @@
 
 #include "distance/distance_table.h"
 #include "quality/partition.h"
+#include "quality/quality.h"
 
 namespace commsched::qual {
 
@@ -82,7 +83,9 @@ class WeightMatrix {
                                                const Partition& partition,
                                                const std::vector<double>& cluster_intensity);
 
-/// Incremental evaluator for swap-based search on F_G^λ.
+/// Incremental evaluator for swap-based search on F_G^λ. Shares
+/// SwapEvaluator's gain table (O(1) SwapDelta, O(N) ApplySwap) and its rule
+/// that the running sum advances by the exact re-summed delta.
 class IntensitySwapEvaluator {
  public:
   IntensitySwapEvaluator(const DistanceTable& table, Partition partition,
@@ -100,9 +103,12 @@ class IntensitySwapEvaluator {
 
  private:
   [[nodiscard]] double ComputeWeightedIntraSum() const;
+  /// The swap delta re-summed over all N switches; keeps the sum exact.
+  [[nodiscard]] double SummedSwapDelta(std::size_t a, std::size_t b) const;
 
   const DistanceTable* table_;
   Partition partition_;
+  ClusterGainTable gains_;
   std::vector<double> intensity_;
   double weighted_intra_sum_ = 0.0;
   double weighted_pair_count_ = 0.0;  // Σ_c λ_c m_c (swap-invariant)

@@ -80,10 +80,11 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
                      .F("fg", objective.TraceFg()));
   }
 
-  // tabu_until[a][b]: iteration before which swapping (a,b) is forbidden.
-  std::vector<std::vector<std::size_t>> tabu_until;
+  // tabu_until[a * n + b]: iteration before which swapping (a,b) is
+  // forbidden.
+  std::vector<std::size_t> tabu_until;
   if (rules_.use_tabu) {
-    tabu_until.assign(n, std::vector<std::size_t>(n, 0));
+    tabu_until.assign(n * n, 0);
   }
 
   // Local-minimum bookkeeping: values quantized to a tolerance so that
@@ -118,15 +119,16 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
     std::pair<std::size_t, std::size_t> up_move{n, n};
     bool any_decrease_exists = false;  // decreasing swap exists, tabu or not
 
+    const std::vector<std::size_t>& cluster_of = objective.partition().cluster_of_switch();
     for (std::size_t a = 0; a < n; ++a) {
       for (std::size_t b = a + 1; b < n; ++b) {
-        if (objective.partition().ClusterOf(a) == objective.partition().ClusterOf(b)) continue;
+        if (cluster_of[a] == cluster_of[b]) continue;
         const double cost = objective.SwapCost(a, b);
         ++run.result.evaluations;
         if (!std::isfinite(cost)) continue;  // inadmissible (e.g. over budget)
         if (cost < reference - kSearchEps) any_decrease_exists = true;
 
-        if (rules_.use_tabu && tabu_until[a][b] > iteration) {
+        if (rules_.use_tabu && tabu_until[a * n + b] > iteration) {
           // Aspiration: a tabu move may still be taken if it would beat the
           // best mapping this seed has seen.
           if (options_.aspiration &&
@@ -137,9 +139,14 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
             continue;
           }
         }
-        const bool replace = rules_.down == ScanRules::Down::kDeltaMargin
-                                 ? cost < best_down - kSearchEps
-                                 : cost < best_down;
+        // In delta space a challenger must beat the held candidate by
+        // kSearchEps: gain-table deltas carry last-bit noise, and an exact
+        // tie keeps the first candidate scanned. Only a strict scan's first
+        // pick is compared to its threshold without the margin.
+        const bool needs_margin =
+            rules_.down == ScanRules::Down::kDeltaMargin ||
+            (rules_.down == ScanRules::Down::kDeltaStrict && down_found);
+        const bool replace = needs_margin ? cost < best_down - kSearchEps : cost < best_down;
         if (replace) {
           best_down = cost;
           down_move = {a, b};
@@ -188,7 +195,7 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
       ++run.escapes;
       iter_span.SetArg("escape_iter", iteration - 1);
       // Forbid the inverse permutation for `tenure` iterations.
-      tabu_until[move.first][move.second] = iteration + options_.tenure;
+      tabu_until[move.first * n + move.second] = iteration + options_.tenure;
     }
     if (options_.record_trace) {
       run.trace.push_back({iteration, objective.TraceFg(), false});

@@ -28,7 +28,9 @@
 // so ported searchers stay bit-identical to the pre-refactor code.
 //
 // To add a new objective: implement Objective over an incremental evaluator
-// (SwapCost must be O(cluster size), not a full recompute), pick the
+// (SwapCost is called for every inter-cluster pair of every iteration, so it
+// must be O(1) or close to it — the dense evaluators read a per-switch
+// cluster gain table — never a full recompute), pick the
 // ScanRules preset whose tie-breaking you want, and drive it either through
 // SearchEngine::RunSeed (one walk) or RunMultiStart (seeded restarts with
 // optional ThreadPool parallelism).
@@ -110,7 +112,8 @@ class Objective {
 struct ScanRules {
   enum class Down {
     kDeltaMargin,  // init 0; replace when cost < best - kEps (tabu, itabu)
-    kDeltaStrict,  // init strict_init; replace when cost < best (sd, repair)
+    kDeltaStrict,  // init strict_init; the first pick needs cost < best,
+                   // later ones cost < best - kEps (sd, repair)
     kValueStrict,  // init current - kEps; replace when cost < best (wtabu)
   };
   Down down = Down::kDeltaMargin;

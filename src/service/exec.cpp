@@ -26,6 +26,12 @@ std::vector<std::size_t> EvenClusterSizes(std::size_t switch_count, std::size_t 
     throw ConfigError("switch count " + std::to_string(switch_count) +
                       " not divisible by " + std::to_string(apps) + " applications");
   }
+  if (switch_count / apps < 2) {
+    // The quality functions need intracluster pairs (eq. 3's x_i(x_i-1)/2).
+    throw ConfigError("each application needs at least two switches (" +
+                      std::to_string(switch_count) + " switches, " + std::to_string(apps) +
+                      " applications)");
+  }
   return std::vector<std::size_t>(apps, switch_count / apps);
 }
 
@@ -70,6 +76,9 @@ sched::SearchResult RunMappingSearch(const dist::DistanceTable& table,
                                      const std::vector<std::size_t>& cluster_sizes,
                                      const SearchKnobs& knobs) {
   ValidateSearchKnobs(knobs);
+  if (cluster_sizes.size() < 2) {
+    throw ConfigError("a mapping search needs at least two applications");
+  }
   if (knobs.algo == "tabu") {
     sched::TabuOptions options;
     options.seeds = knobs.seeds.value_or(10);

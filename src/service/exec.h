@@ -23,7 +23,8 @@
 namespace commsched::svc {
 
 /// Even cluster sizes for `apps` applications over `switch_count` switches;
-/// throws ConfigError when the counts do not divide.
+/// throws ConfigError when `apps` is 0, the counts do not divide, or a
+/// cluster would hold fewer than two switches.
 [[nodiscard]] std::vector<std::size_t> EvenClusterSizes(std::size_t switch_count,
                                                         std::size_t apps);
 
@@ -54,7 +55,8 @@ void ValidateSearchKnobs(const SearchKnobs& knobs);
                                                std::size_t switch_count);
 
 /// Dispatches to the searcher named by knobs.algo with the CLI's defaults.
-/// Throws ConfigError for unknown algorithms.
+/// Throws ConfigError for unknown algorithms and for fewer than two
+/// clusters (there is no swap to search).
 [[nodiscard]] sched::SearchResult RunMappingSearch(const dist::DistanceTable& table,
                                                    const std::vector<std::size_t>& cluster_sizes,
                                                    const SearchKnobs& knobs);

@@ -4,6 +4,8 @@
 // registry with the swap-evaluation and tabu-hit counters populated.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -233,6 +235,34 @@ TEST(CliTopology, DegenerateDimensionsAreConfigErrors) {
     EXPECT_EQ(output.find("contract violation"), std::string::npos) << args << ": " << output;
   }
   EXPECT_EQ(run("--kind mesh --rows 1 --cols 1").first, 0);
+}
+
+// Degenerate application counts exit 1 with a typed `error:` line: no
+// signal (the old `--apps 0` divided by zero) and no leaked contract
+// violation from the quality functions (one-switch clusters).
+TEST(CliSchedule, DegenerateApplicationCountsAreConfigErrors) {
+  const std::string out_path = ::testing::TempDir() + "cli_apps_error.txt";
+  const std::pair<std::string, std::string> cases[] = {
+      {"schedule --kind random --switches 12 --apps 0", "error: application count must be positive"},
+      {"schedule --kind random --switches 12 --apps 12",
+       "error: each application needs at least two switches"},
+      {"schedule --kind random --switches 12 --apps 1",
+       "error: a mapping search needs at least two applications"},
+      {"simulate --kind random --switches 12 --apps 0", "error: application count must be positive"},
+      {"experiment --kind random --switches 12 --apps 0",
+       "error: experiment needs at least two applications"},
+  };
+  for (const auto& [args, message] : cases) {
+    // exec: the shell's status is then the CLI's own (a signal stays visible).
+    const std::string command =
+        "exec " + std::string(COMMSCHED_CLI_PATH) + " " + args + " > " + out_path + " 2>&1";
+    const int status = std::system(command.c_str());
+    const std::string output = ReadFile(out_path);
+    ASSERT_TRUE(WIFEXITED(status)) << args << ": killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 1) << args << ": " << output;
+    EXPECT_NE(output.find(message), std::string::npos) << args << ": " << output;
+    EXPECT_EQ(output.find("contract violation"), std::string::npos) << args << ": " << output;
+  }
 }
 
 }  // namespace

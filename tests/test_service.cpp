@@ -156,6 +156,19 @@ TEST(ServiceExec, EvenClusterSizes) {
   EXPECT_EQ(svc::EvenClusterSizes(16, 4), std::vector<std::size_t>(4, 4));
   EXPECT_THROW(svc::EvenClusterSizes(14, 4), ConfigError);
   EXPECT_THROW(svc::EvenClusterSizes(16, 0), ConfigError);
+  // One-switch clusters have no intracluster pair for F_G to average.
+  EXPECT_EQ(svc::EvenClusterSizes(12, 6), std::vector<std::size_t>(6, 2));
+  EXPECT_THROW(svc::EvenClusterSizes(12, 12), ConfigError);
+}
+
+TEST(ServiceExec, MappingSearchNeedsTwoClusters) {
+  const dist::DistanceTable table(8, 1.0);
+  for (const char* algo : {"tabu", "sd", "random", "sa", "gsa"}) {
+    svc::SearchKnobs knobs;
+    knobs.algo = algo;
+    EXPECT_THROW(static_cast<void>(svc::RunMappingSearch(table, {8}, knobs)), ConfigError)
+        << algo;
+  }
 }
 
 TEST(ServiceExec, CanonicalKnobsResolveDefaultsAndIgnoreParallel) {
@@ -348,6 +361,36 @@ TEST(ServiceExecute, QualityEvaluatesPartition) {
   const JsonValue error = svc::ParseJson(service.Execute(svc::ParseRequest(
       R"({"op":"quality","topology":{"kind":"mixed"},"partition":[0,1]})")));
   EXPECT_FALSE(error.Find("ok")->AsBool("ok"));
+}
+
+// Degenerate application counts answer ok:false with a typed message —
+// never a leaked contract violation or a division by zero.
+TEST(ServiceExecute, DegenerateApplicationCountsAreConfigErrors) {
+  svc::SchedulingService service;
+  const std::pair<std::string, std::string> cases[] = {
+      {R"({"id":"z","op":"schedule","topology":{"kind":"random","switches":12},"apps":0})",
+       "application count must be positive"},
+      {R"({"id":"z","op":"schedule","topology":{"kind":"random","switches":12},"apps":12})",
+       "each application needs at least two switches"},
+      {R"({"id":"z","op":"schedule","topology":{"kind":"random","switches":12},"apps":1})",
+       "at least two applications"},
+      {R"({"id":"z","op":"schedule","topology":{"kind":"random","switches":12},"apps":12,)"
+       R"("algo":"sd"})",
+       "each application needs at least two switches"},
+      {R"({"id":"z","op":"simulate","topology":{"kind":"random","switches":12},"apps":0})",
+       "application count must be positive"},
+      {R"({"id":"z","op":"simulate","topology":{"kind":"random","switches":12},"apps":12,)"
+       R"("mapping":"blocked"})",
+       "each application needs at least two switches"},
+  };
+  for (const auto& [line, message] : cases) {
+    const std::string response = service.Execute(svc::ParseRequest(line));
+    const JsonValue parsed = svc::ParseJson(response);
+    EXPECT_FALSE(parsed.Find("ok")->AsBool("ok")) << line;
+    const std::string error = parsed.Find("error")->AsString("error");
+    EXPECT_NE(error.find(message), std::string::npos) << line << ": " << error;
+    EXPECT_EQ(response.find("contract violation"), std::string::npos) << line << ": " << response;
+  }
 }
 
 TEST(ServiceExecute, SimulateRendersSweepPoints) {

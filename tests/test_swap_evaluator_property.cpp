@@ -1,15 +1,20 @@
 // Property tests for qual::SwapEvaluator's incremental maintenance: across
 // many random (size, seed) instances, the running intracluster sum after a
 // chain of ApplySwap calls must match a from-scratch recompute, and
-// SwapDelta must predict exactly the observed before/after difference.
+// SwapDelta must predict exactly the observed before/after difference. A
+// long-walk case checks that the O(1) gain-table deltas of both dense
+// evaluators (SwapEvaluator, IntensitySwapEvaluator) do not drift.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/rng.h"
 #include "distance/distance_table.h"
 #include "quality/partition.h"
 #include "quality/quality.h"
+#include "quality/weighted.h"
 #include "routing/updown.h"
 #include "topology/generator.h"
 
@@ -117,6 +122,60 @@ TEST(SwapEvaluatorProperty, HoldsOnRealTopologyTables) {
       EXPECT_NEAR(predicted_delta, eval.IntraSum() - before, kTol);
     }
   }
+}
+
+/// Largest |SwapDelta| disagreement, over every inter-cluster pair, between
+/// `walked` and an evaluator built from scratch on the same partition.
+template <typename Evaluator>
+double MaxDeltaDrift(const Evaluator& walked, const Evaluator& fresh) {
+  const qual::Partition& partition = walked.partition();
+  double drift = 0.0;
+  for (std::size_t a = 0; a < partition.switch_count(); ++a) {
+    for (std::size_t b = a + 1; b < partition.switch_count(); ++b) {
+      if (partition.ClusterOf(a) == partition.ClusterOf(b)) continue;
+      drift = std::max(drift, std::abs(walked.SwapDelta(a, b) - fresh.SwapDelta(a, b)));
+    }
+  }
+  return drift;
+}
+
+// Thousands of O(N) gain-table updates on a 128-switch network (the size of
+// the benchmark's schedule workload) must leave every O(1) delta within kTol
+// of a freshly built table, for both dense evaluators and across Reset.
+TEST(SwapEvaluatorProperty, GainTableMatchesFreshAfterLongWalks) {
+  constexpr int kSteps = 2500;
+  topo::IrregularTopologyOptions options;
+  options.switch_count = 128;
+  options.seed = 3;
+  const topo::SwitchGraph graph = topo::GenerateIrregularTopology(options);
+  const route::UpDownRouting routing(graph);
+  const dist::DistanceTable table = dist::DistanceTable::Build(routing);
+  const std::vector<std::size_t> sizes = {32, 32, 32, 32};
+  const std::vector<double> intensity = {1.0, 2.5, 0.5, 4.0};
+
+  Rng rng(11);
+  const qual::Partition start = qual::Partition::Random(sizes, rng);
+  qual::SwapEvaluator eval(table, start);
+  qual::IntensitySwapEvaluator intensity_eval(table, start, intensity);
+  for (int step = 0; step < kSteps; ++step) {
+    const auto [a, b] = RandomInterClusterPair(eval.partition(), rng);
+    eval.ApplySwap(a, b);
+    intensity_eval.ApplySwap(a, b);
+  }
+  ASSERT_EQ(eval.partition(), intensity_eval.partition());
+  EXPECT_LE(MaxDeltaDrift(eval, qual::SwapEvaluator(table, eval.partition())), kTol);
+  EXPECT_LE(MaxDeltaDrift(intensity_eval,
+                          qual::IntensitySwapEvaluator(table, eval.partition(), intensity)),
+            kTol);
+
+  // Reset rebuilds the table; a second long walk must stay just as exact.
+  eval.Reset(qual::Partition::Random(sizes, rng));
+  EXPECT_LE(MaxDeltaDrift(eval, qual::SwapEvaluator(table, eval.partition())), kTol);
+  for (int step = 0; step < kSteps; ++step) {
+    const auto [a, b] = RandomInterClusterPair(eval.partition(), rng);
+    eval.ApplySwap(a, b);
+  }
+  EXPECT_LE(MaxDeltaDrift(eval, qual::SwapEvaluator(table, eval.partition())), kTol);
 }
 
 }  // namespace

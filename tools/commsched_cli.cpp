@@ -169,14 +169,6 @@ int CmdDistance(const Args& args) {
   return 0;
 }
 
-std::vector<std::size_t> ClusterSizes(const topo::SwitchGraph& graph, std::size_t apps) {
-  if (graph.switch_count() % apps != 0) {
-    throw ConfigError("switch count " + std::to_string(graph.switch_count()) +
-                      " not divisible by " + std::to_string(apps) + " applications");
-  }
-  return std::vector<std::size_t>(apps, graph.switch_count() / apps);
-}
-
 /// The CLI's search knobs, exactly as the scheduling service interprets
 /// them — both front ends funnel into svc::RunMappingSearch so a served
 /// request is byte-identical to a one-shot run.
@@ -227,10 +219,10 @@ int CmdScheduleMultilevel(const Args& args, const topo::SwitchGraph& graph) {
 int CmdSchedule(const Args& args) {
   const topo::SwitchGraph graph = BuildTopology(args);
   if (args.Has("multilevel")) return CmdScheduleMultilevel(args, graph);
+  const std::vector<std::size_t> sizes =
+      svc::EvenClusterSizes(graph.switch_count(), args.GetSize("apps", 4));
   const route::UpDownRouting routing(graph);
   const dist::DistanceTable table = dist::DistanceTable::Build(routing);
-  const std::size_t apps = args.GetSize("apps", 4);
-  const std::vector<std::size_t> sizes = ClusterSizes(graph, apps);
   const sched::SearchResult result =
       svc::RunMappingSearch(table, sizes, KnobsFromArgs(args));
   std::cout << sched::FormatSearchResult(result);
@@ -254,13 +246,14 @@ int CmdSimulate(const Args& args) {
   const topo::SwitchGraph graph = BuildTopology(args);
   const route::UpDownRouting routing(graph);
   const std::size_t apps = args.GetSize("apps", 4);
+  const std::vector<std::size_t> sizes = svc::EvenClusterSizes(graph.switch_count(), apps);
   const work::Workload workload = work::Workload::Uniform(apps, graph.host_count() / apps);
 
   const std::string mapping_kind = args.Get("mapping", "op");
   std::optional<dist::DistanceTable> table;  // only the op mapping needs it
   if (mapping_kind == "op") table = dist::DistanceTable::Build(routing);
   const qual::Partition partition = svc::ChooseMappingPartition(
-      mapping_kind, table.has_value() ? &*table : nullptr, ClusterSizes(graph, apps),
+      mapping_kind, table.has_value() ? &*table : nullptr, sizes,
       args.GetSize("mapping-seed", 2000), args.Has("parallel-seeds"));
   const auto mapping = work::ProcessMapping::FromPartition(graph, workload, partition);
   const sim::TrafficPattern pattern(graph, workload, mapping);
@@ -320,6 +313,12 @@ int CmdExperiment(const Args& args) {
   const topo::SwitchGraph graph = BuildTopology(args);
   core::ExperimentOptions options;
   options.applications = args.GetSize("apps", 4);
+  // Typed errors for what the library would reject as contract violations.
+  if (options.applications < 2) {
+    throw ConfigError("experiment needs at least two applications, got " +
+                      std::to_string(options.applications));
+  }
+  static_cast<void>(svc::EvenClusterSizes(graph.switch_count(), options.applications));
   options.random_mappings = args.GetSize("randoms", 9);
   options.sweep.points = args.GetSize("points", 9);
   options.sweep.min_rate = args.GetDouble("min-rate", 0.08);
