@@ -2,8 +2,60 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <memory>
 
 namespace commsched {
+
+namespace {
+
+// True on ThreadPool workers, and on a caller while it runs a ParallelFor:
+// a ParallelFor issued here runs inline.
+thread_local bool t_in_parallel_region = false;
+
+// One ParallelFor call: the index counter its participants claim from, and
+// the latch the caller waits on. Shared with the helper tasks, which may
+// start after the call has returned; such a helper claims no index and
+// never touches `body`.
+class Loop {
+ public:
+  Loop(std::size_t n, const std::function<void(std::size_t)>& body) : n_(n), body_(&body) {}
+
+  // Claims and runs indices until none are left.
+  void Run() {
+    std::size_t ran = 0;
+    for (std::size_t i; (i = next_.fetch_add(1, std::memory_order_relaxed)) < n_; ++ran) {
+      try {
+        (*body_)(i);
+      } catch (...) {
+        std::lock_guard lock(mutex_);
+        if (!first_error_) first_error_ = std::current_exception();
+      }
+    }
+    if (ran == 0) return;
+    std::lock_guard lock(mutex_);
+    done_ += ran;
+    if (done_ == n_) all_done_.notify_all();
+  }
+
+  // Blocks until every index has run; rethrows the first exception.
+  void Wait() {
+    std::unique_lock lock(mutex_);
+    all_done_.wait(lock, [this] { return done_ == n_; });
+    if (first_error_) std::rethrow_exception(first_error_);
+  }
+
+ private:
+  const std::size_t n_;
+  const std::function<void(std::size_t)>* body_;
+  std::atomic<std::size_t> next_{0};
+  std::mutex mutex_;
+  std::condition_variable all_done_;
+  std::size_t done_ = 0;  // guarded by mutex_
+  std::exception_ptr first_error_;
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -31,22 +83,12 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::unique_lock lock(mutex_);
     CS_CHECK(!shutting_down_, "Submit after ThreadPool shutdown");
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   work_available_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-}
-
 void ThreadPool::WorkerLoop() {
+  t_in_parallel_region = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -58,48 +100,26 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    try {
-      task();
-    } catch (...) {
-      std::unique_lock lock(mutex_);
-      if (!first_error_) {
-        first_error_ = std::current_exception();
-      }
-    }
-    {
-      std::unique_lock lock(mutex_);
-      if (--in_flight_ == 0) {
-        all_done_.notify_all();
-      }
-    }
+    task();
   }
-}
-
-void ParallelFor(ThreadPool& pool, std::size_t n, const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  const std::size_t workers = pool.thread_count();
-  const std::size_t blocks = std::min(n, workers * 4);  // a little oversubscription
-  const std::size_t block_size = (n + blocks - 1) / blocks;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * block_size;
-    const std::size_t hi = std::min(n, lo + block_size);
-    if (lo >= hi) break;
-    pool.Submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) {
-        body(i);
-      }
-    });
-  }
-  pool.Wait();
 }
 
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body) {
-  if (n <= 1 || std::thread::hardware_concurrency() <= 1) {
+  const std::size_t cores = std::thread::hardware_concurrency();
+  if (n <= 1 || cores <= 1 || t_in_parallel_region) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  ThreadPool pool(std::min<std::size_t>(n, std::thread::hardware_concurrency()));
-  ParallelFor(pool, n, body);
+  static ThreadPool pool(cores - 1);
+  auto loop = std::make_shared<Loop>(n, body);
+  const std::size_t helpers = std::min(n - 1, pool.thread_count());
+  for (std::size_t h = 0; h < helpers; ++h) {
+    pool.Submit([loop] { loop->Run(); });
+  }
+  t_in_parallel_region = true;
+  loop->Run();
+  t_in_parallel_region = false;
+  loop->Wait();
 }
 
 }  // namespace commsched

@@ -11,10 +11,10 @@
 //     daemon returns in the response's optional "timings" field.
 //
 // The context is thread-local: it covers the synchronous execution chain on
-// the worker thread (service -> exec -> sched -> simnet). Work fanned out to
-// ThreadPool workers (parallel_seeds) is not tagged — stage timing is
-// measured around the fan-out on the owning thread, which is what the
-// latency breakdown needs.
+// the worker thread (service -> exec -> sched -> simnet). A ParallelFor
+// issued on a daemon worker runs inline (common/parallel.h), so a served
+// request's parallel_seeds and distance build stay on its thread and are
+// tagged too.
 //
 // With no context installed (every non-daemon path: the one-shot CLI, unit
 // tests, benches) all hooks are a thread-local pointer load and a branch, and

@@ -33,7 +33,7 @@
 // cluster gain table — never a full recompute), pick the
 // ScanRules preset whose tie-breaking you want, and drive it either through
 // SearchEngine::RunSeed (one walk) or RunMultiStart (seeded restarts with
-// optional ThreadPool parallelism).
+// optional ParallelFor parallelism).
 #pragma once
 
 #include <cstddef>
@@ -64,7 +64,7 @@ struct EngineOptions {
   std::size_t tenure = 4;             // tabu duration of escape moves
   bool aspiration = true;             // tabu override when beating the best
   bool record_trace = false;
-  bool parallel_seeds = false;        // ThreadPool over seeds
+  bool parallel_seeds = false;        // ParallelFor over seeds
 };
 
 /// A search objective over partitions. The engine only ever talks to the

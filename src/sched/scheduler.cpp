@@ -3,8 +3,8 @@
 namespace commsched::sched {
 
 CommAwareScheduler::CommAwareScheduler(const topo::SwitchGraph& graph,
-                                       const route::Routing& routing, bool parallel_table_build)
-    : graph_(&graph), table_(DistanceTable::Build(routing, parallel_table_build)) {
+                                       const route::Routing& routing)
+    : graph_(&graph), table_(DistanceTable::Build(routing)) {
   CS_CHECK(&routing.graph() == &graph, "routing was built for a different graph");
 }
 

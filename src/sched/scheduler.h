@@ -35,8 +35,7 @@ class CommAwareScheduler {
  public:
   /// Builds the distance table from the routing function (the graph and
   /// routing must outlive the scheduler).
-  CommAwareScheduler(const topo::SwitchGraph& graph, const route::Routing& routing,
-                     bool parallel_table_build = true);
+  CommAwareScheduler(const topo::SwitchGraph& graph, const route::Routing& routing);
 
   /// Uses a precomputed table (must match the graph's switch count).
   CommAwareScheduler(const topo::SwitchGraph& graph, DistanceTable table);

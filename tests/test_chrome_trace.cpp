@@ -124,7 +124,6 @@ TEST(SpanTest, ThreadsGetDenseDistinctIds) {
     for (std::size_t t = 0; t < kTasks; ++t) {
       pool.Submit([t] { const Span span("task", "t", t); });
     }
-    pool.Wait();
   }
   const std::vector<SpanRecord> records = collector.Records();
   ASSERT_EQ(records.size(), kTasks);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "linalg/resistance.h"
 #include "routing/shortest_path.h"
 #include "routing/updown.h"
 #include "topology/generator.h"
@@ -50,6 +51,50 @@ TEST(DistanceTable, ParallelEqualsSequential) {
   const DistanceTable par = DistanceTable::Build(routing, true);
   const DistanceTable seq = DistanceTable::Build(routing, false);
   EXPECT_LE(par.MaxAbsDiff(seq), 1e-12);
+}
+
+// Build solves each pair on a network of only the switches its minimal-path
+// links touch. That must reproduce, bit for bit, the definition's solve on a
+// full-size network over every switch.
+double FullSizeReference(const route::Routing& routing, topo::SwitchId i, topo::SwitchId j) {
+  linalg::ResistorNetwork network(routing.graph().switch_count());
+  for (topo::LinkId l : routing.LinksOnMinimalPaths(i, j)) {
+    const topo::Link& link = routing.graph().link(l);
+    network.Add(link.a, link.b, 1.0);
+  }
+  return network.EffectiveResistance(i, j);
+}
+
+void ExpectBuildEqualsFullSizeReference(const topo::SwitchGraph& graph) {
+  const UpDownRouting routing(graph);
+  const DistanceTable serial = DistanceTable::Build(routing, /*parallel=*/false);
+  const DistanceTable parallel = DistanceTable::Build(routing, /*parallel=*/true);
+  EXPECT_EQ(parallel.values(), serial.values());
+  std::size_t mismatches = 0;
+  for (topo::SwitchId i = 0; i < graph.switch_count(); ++i) {
+    for (topo::SwitchId j = i + 1; j < graph.switch_count(); ++j) {
+      if (serial(i, j) != FullSizeReference(routing, i, j)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(DistanceTable, EqualsFullSizeReferenceOnRandomNets) {
+  for (const std::size_t switches : {16, 64}) {
+    for (const std::uint64_t seed : {1, 2}) {
+      SCOPED_TRACE("random " + std::to_string(switches) + " seed " + std::to_string(seed));
+      topo::IrregularTopologyOptions options;
+      options.switch_count = switches;
+      options.seed = seed;
+      ExpectBuildEqualsFullSizeReference(topo::GenerateIrregularTopology(options));
+    }
+  }
+}
+
+TEST(DistanceTable, EqualsFullSizeReferenceOnRegularNets) {
+  ExpectBuildEqualsFullSizeReference(topo::MakeRing(12));
+  ExpectBuildEqualsFullSizeReference(topo::MakeMesh2D(4, 5));
+  ExpectBuildEqualsFullSizeReference(topo::MakeTorus2D(4, 4));
 }
 
 // Property sweep: the equivalent distance never exceeds the legal hop count

@@ -81,26 +81,27 @@ TEST(RegistryTest, ConcurrentCountersAreExact) {
   Registry registry;
   constexpr std::size_t kTasks = 64;
   constexpr std::size_t kIncrementsPerTask = 10000;
-  ThreadPool pool(8);
-  for (std::size_t t = 0; t < kTasks; ++t) {
-    pool.Submit([&registry, t] {
-      // Resolve through the registry every time for half the tasks (lookup
-      // contention) and once for the other half (the hot-loop idiom).
-      if (t % 2 == 0) {
-        for (std::size_t i = 0; i < kIncrementsPerTask; ++i) {
-          registry.GetCounter("shared").Add();
+  {
+    ThreadPool pool(8);
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      pool.Submit([&registry, t] {
+        // Resolve through the registry every time for half the tasks (lookup
+        // contention) and once for the other half (the hot-loop idiom).
+        if (t % 2 == 0) {
+          for (std::size_t i = 0; i < kIncrementsPerTask; ++i) {
+            registry.GetCounter("shared").Add();
+          }
+        } else {
+          Counter& shared = registry.GetCounter("shared");
+          Counter& mine = registry.GetCounter("task." + std::to_string(t));
+          for (std::size_t i = 0; i < kIncrementsPerTask; ++i) {
+            shared.Add();
+            mine.Add();
+          }
         }
-      } else {
-        Counter& shared = registry.GetCounter("shared");
-        Counter& mine = registry.GetCounter("task." + std::to_string(t));
-        for (std::size_t i = 0; i < kIncrementsPerTask; ++i) {
-          shared.Add();
-          mine.Add();
-        }
-      }
-    });
-  }
-  pool.Wait();
+      });
+    }
+  }  // the pool drains every task before joining
   const auto values = registry.CounterValues();
   EXPECT_EQ(values.at("shared"), kTasks * kIncrementsPerTask);
   for (std::size_t t = 1; t < kTasks; t += 2) {
@@ -112,16 +113,17 @@ TEST(RegistryTest, ConcurrentTimersCountEverySample) {
   Registry registry;
   constexpr std::size_t kTasks = 32;
   constexpr std::size_t kSamplesPerTask = 2000;
-  ThreadPool pool(8);
-  for (std::size_t t = 0; t < kTasks; ++t) {
-    pool.Submit([&registry] {
-      obs::Timer& timer = registry.GetTimer("work");
-      for (std::size_t i = 0; i < kSamplesPerTask; ++i) {
-        timer.RecordNanos(3);
-      }
-    });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(8);
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      pool.Submit([&registry] {
+        obs::Timer& timer = registry.GetTimer("work");
+        for (std::size_t i = 0; i < kSamplesPerTask; ++i) {
+          timer.RecordNanos(3);
+        }
+      });
+    }
+  }  // the pool drains every task before joining
   const TimerSnapshot snapshot = registry.TimerValues().at("work");
   EXPECT_EQ(snapshot.count, kTasks * kSamplesPerTask);
   EXPECT_EQ(snapshot.total_ns, 3u * kTasks * kSamplesPerTask);
@@ -205,16 +207,17 @@ TEST(HistogramTest, ConcurrentRecordsAreExact) {
   obs::Registry registry;
   constexpr std::size_t kTasks = 32;
   constexpr std::size_t kSamplesPerTask = 5000;
-  ThreadPool pool(8);
-  for (std::size_t t = 0; t < kTasks; ++t) {
-    pool.Submit([&registry, t] {
-      obs::Histogram& histogram = registry.GetHistogram("latency");
-      for (std::size_t i = 0; i < kSamplesPerTask; ++i) {
-        histogram.Record(t * kSamplesPerTask + i);
-      }
-    });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(8);
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      pool.Submit([&registry, t] {
+        obs::Histogram& histogram = registry.GetHistogram("latency");
+        for (std::size_t i = 0; i < kSamplesPerTask; ++i) {
+          histogram.Record(t * kSamplesPerTask + i);
+        }
+      });
+    }
+  }  // the pool drains every task before joining
   const obs::HistogramSnapshot snap = registry.HistogramValues().at("latency");
   constexpr std::uint64_t kTotal = kTasks * kSamplesPerTask;
   EXPECT_EQ(snap.count, kTotal);
@@ -320,15 +323,16 @@ TEST(TracerTest, ConcurrentEmitsNeverInterleave) {
   Tracer tracer(out);
   constexpr std::size_t kTasks = 16;
   constexpr std::size_t kEventsPerTask = 500;
-  ThreadPool pool(8);
-  for (std::size_t t = 0; t < kTasks; ++t) {
-    pool.Submit([&tracer, t] {
-      for (std::size_t i = 0; i < kEventsPerTask; ++i) {
-        tracer.Emit(TraceEvent("concurrent").F("task", t).F("i", i));
-      }
-    });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(8);
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      pool.Submit([&tracer, t] {
+        for (std::size_t i = 0; i < kEventsPerTask; ++i) {
+          tracer.Emit(TraceEvent("concurrent").F("task", t).F("i", i));
+        }
+      });
+    }
+  }  // the pool drains every task before joining
   std::istringstream lines(out.str());
   std::string line;
   std::vector<bool> seen(kTasks * kEventsPerTask, false);
