@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -76,24 +75,6 @@ inline sim::SweepOptions PaperSweep() {
   sweep.config.warmup_cycles = 5000;
   sweep.config.measure_cycles = 15000;
   return sweep;
-}
-
-/// Figure binaries accept `--sim-mode cycle|event` (or `--sim-mode=...`) so
-/// the event engine can regenerate every curve; anything else is an error.
-inline sim::ExecMode ParseSimMode(int argc, char** argv) {
-  std::string value;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--sim-mode" && i + 1 < argc) {
-      value = argv[++i];
-    } else if (arg.rfind("--sim-mode=", 0) == 0) {
-      value = arg.substr(std::string("--sim-mode=").size());
-    }
-  }
-  if (value.empty() || value == "cycle") return sim::ExecMode::kCycle;
-  if (value == "event") return sim::ExecMode::kEvent;
-  std::cerr << "unknown --sim-mode '" << value << "' (want cycle|event)\n";
-  std::exit(2);
 }
 
 inline void PrintHeader(const std::string& title, const std::string& paper_ref) {

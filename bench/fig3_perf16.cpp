@@ -5,7 +5,7 @@
 // the best random mapping.
 #include "bench_util.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace commsched;
   bench::PrintHeader("Fig. 3 — simulation results, 16-switch network", "paper Figure 3");
 
@@ -13,7 +13,6 @@ int main(int argc, char** argv) {
   core::ExperimentOptions options;
   options.random_mappings = 9;  // the paper generated 9 random mappings
   options.sweep = bench::PaperSweep();
-  options.sweep.config.exec_mode = bench::ParseSimMode(argc, argv);
   const core::ExperimentResult result = core::RunPaperExperiment(network, options);
 
   for (const core::MappingEvaluation& eval : result.mappings) {

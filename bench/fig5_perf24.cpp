@@ -4,7 +4,7 @@
 // coefficient is higher than on the 16-switch network.
 #include "bench_util.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace commsched;
   bench::PrintHeader("Fig. 5 — simulation results, designed 24-switch network",
                      "paper Figure 5");
@@ -13,7 +13,6 @@ int main(int argc, char** argv) {
   core::ExperimentOptions options;
   options.random_mappings = 3;  // the paper uses 3 random mappings here
   options.sweep = bench::PaperSweep();
-  options.sweep.config.exec_mode = bench::ParseSimMode(argc, argv);
   options.tabu.max_iterations_per_seed = 60;
   const core::ExperimentResult result = core::RunPaperExperiment(network, options);
 

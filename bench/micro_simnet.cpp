@@ -79,14 +79,12 @@ void BM_LoadSweepParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadSweepParallel)->Unit(benchmark::kMillisecond);
 
-// Cycle vs event engine at low load — the regime the event engine exists
-// for (fig5's lowest sweep points): long idle spans between arrivals that
-// ExecMode::kEvent skips in O(1). Arg(0) = cycle, Arg(1) = event, at the
-// fig5 sweep's 24-switch scale.
+// Low load (fig5's lowest sweep points, at the fig5 sweep's 24-switch
+// scale): long idle spans between arrivals, which the simulator skips in
+// O(1) instead of stepping through them.
 void BM_SimulateLowLoad(benchmark::State& state) {
   SimFixture f(24);
   sim::SimConfig config;
-  config.exec_mode = state.range(0) == 0 ? sim::ExecMode::kCycle : sim::ExecMode::kEvent;
   config.warmup_cycles = 2000;
   config.measure_cycles = 10000;
   sim::NetworkSimulator simulator(f.graph, f.routing, f.pattern, config);
@@ -95,26 +93,8 @@ void BM_SimulateLowLoad(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<long>(state.iterations()) *
                           static_cast<long>(config.warmup_cycles + config.measure_cycles));
-  state.SetLabel(state.range(0) == 0 ? "cycle" : "event");
 }
-BENCHMARK(BM_SimulateLowLoad)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-// Event engine across the load range: its overhead must stay bounded even
-// when the network is busy and few cycles can be skipped.
-void BM_SimulateEventModerateLoad(benchmark::State& state) {
-  SimFixture f(static_cast<std::size_t>(state.range(0)));
-  sim::SimConfig config;
-  config.exec_mode = sim::ExecMode::kEvent;
-  config.warmup_cycles = 1000;
-  config.measure_cycles = 4000;
-  sim::NetworkSimulator simulator(f.graph, f.routing, f.pattern, config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.Run(0.3));
-  }
-  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
-                          static_cast<long>(config.warmup_cycles + config.measure_cycles));
-}
-BENCHMARK(BM_SimulateEventModerateLoad)->Arg(16)->Arg(24)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulateLowLoad)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -341,9 +341,9 @@ void RenderReport(const TraceSummary& summary, std::ostream& out, std::size_t to
     }
   }
 
-  // Execution engines: simulated vs stepped (wall) cycles, and the event
-  // engine's idle-skip efficiency, from the sim.* counters in the metrics
-  // dump. The skip counters only exist for event-mode runs.
+  // Simulator execution: simulated vs stepped (wall) cycles, and the
+  // idle-skip efficiency, from the sim.* counters in the metrics dump. The
+  // skip line prints only when some run skipped idle cycles.
   {
     const auto counter = [&summary](const char* name) -> std::uint64_t {
       const auto it = summary.counters.find(name);

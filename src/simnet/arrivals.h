@@ -1,15 +1,13 @@
-// Per-host message-arrival streams, shared by both execution modes.
+// Per-host message-arrival streams.
 //
-// The reference cycle engine used to draw one Bernoulli(p) trial per host
-// per cycle. Sampling the geometric inter-arrival gap instead is the same
-// stochastic process (Bernoulli inter-arrival times are geometric) but needs
-// one draw per *message*, so the event engine can schedule the next arrival
-// as a queue entry and skip the idle cycles in between. Each host gets its
-// own splittable stream derived from the run seed; both engines consume the
-// streams identically, so the arrival schedule (cycles and destinations) of
-// a run is bitwise identical across ExecMode — which is what makes the
-// deterministic fault counters differentially testable even though
-// arbitration order is not.
+// A Bernoulli(p) trial per host per cycle and a geometric inter-arrival gap
+// per message are the same stochastic process (Bernoulli inter-arrival
+// times are geometric), but the gap needs one draw per *message*, so the
+// simulator can schedule each host's next arrival as a queue entry and skip
+// the idle cycles in between. Each host gets its own splittable stream
+// derived from the run seed, so a run's arrival schedule (cycles and
+// destinations) depends only on the seed, the offered load and the fault
+// plan, never on arbitration.
 #pragma once
 
 #include <cmath>

@@ -15,23 +15,7 @@ class FaultPlan;
 
 namespace commsched::sim {
 
-/// How the simulator advances time.
-enum class ExecMode {
-  /// Visit every switch, port, and VC on every cycle (the reference model).
-  kCycle,
-  /// Hybrid event-driven: switches/ports/VCs are scheduled only when a
-  /// flit, credit, injection, or fault event is due, and idle spans are
-  /// skipped in O(1). Statistically equivalent to kCycle (same arrival
-  /// schedules, same protocol), but arbitration scan order may differ, so
-  /// results are validated by confidence intervals, not golden bytes (see
-  /// DESIGN.md §11).
-  kEvent,
-};
-
 struct SimConfig {
-  /// Execution engine; both modes implement the identical network protocol.
-  ExecMode exec_mode = ExecMode::kCycle;
-
   /// Flits per message (header + body; the tail is the last flit).
   std::size_t message_length_flits = 16;
 

@@ -8,11 +8,10 @@
 //
 // ActiveSet is a fixed-size bitmap of "things that may do work this cycle"
 // (dirty switches, busy channels, injecting hosts...). Sweep() visits active
-// indices in ascending order, mirroring the cycle engine's ordered scans:
-// indices activated ahead of the cursor are picked up in the same sweep
-// (same-cycle forward visibility, like a later loop iteration seeing state
-// written by an earlier one); activations at or behind the cursor persist to
-// the next sweep.
+// indices in ascending order, exactly as an ascending loop over every index
+// would reach them: indices activated ahead of the cursor are picked up in
+// the same sweep (a later loop iteration sees state an earlier one wrote);
+// activations at or behind the cursor persist to the next sweep.
 #pragma once
 
 #include <algorithm>
@@ -97,19 +96,20 @@ class ActiveSet {
 
   /// Visits active indices in ascending order; `visit(i)` returns true to
   /// keep i active for the next sweep, false to deactivate it. Indices the
-  /// callback activates ahead of the cursor are visited in this sweep; each
-  /// index is visited at most once per sweep.
+  /// callback activates ahead of the cursor are visited in this sweep;
+  /// indices it activates at or behind the cursor wait for the next sweep.
   template <typename Visit>
   void Sweep(Visit&& visit) {
     for (std::size_t wi = 0; wi < words_.size(); ++wi) {
       std::uint64_t done = 0;
       while (true) {
         // Re-read the word each round: visit() may set bits ahead of us.
+        // Bits at or below the cursor stay masked out until the next sweep.
         const std::uint64_t pending = words_[wi] & ~done;
         if (pending == 0) break;
         const int bit = std::countr_zero(pending);
         const std::uint64_t mask = 1ULL << bit;
-        done |= mask;
+        done |= mask | (mask - 1);
         const std::size_t i = (wi << 6) + static_cast<std::size_t>(bit);
         if (!visit(i) && (words_[wi] & mask) != 0) {
           words_[wi] &= ~mask;

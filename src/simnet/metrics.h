@@ -34,8 +34,7 @@ struct SimMetrics {
   std::size_t flits_delivered = 0;
 
   /// Cycle the run terminated at: warmup + measure unless the deadlock
-  /// watchdog stopped it early. Identical across ExecMode for drained runs
-  /// (the event engine's skipped spans count as simulated time).
+  /// watchdog stopped it early (skipped idle spans count as simulated time).
   std::size_t simulated_cycles = 0;
 
   /// Source-queue growth over the measurement window, flits/cycle/switch:

@@ -41,7 +41,6 @@ void NetworkSimulator::Init() {
   CS_CHECK(config_.input_buffer_flits >= 1, "buffers need at least one slot");
   CS_CHECK(config_.virtual_channels >= 1, "need at least one virtual channel");
   vc_count_ = config_.virtual_channels;
-  event_mode_ = config_.exec_mode == ExecMode::kEvent;
   if (config_.fault_plan != nullptr) {
     config_.fault_plan->ValidateFor(*graph_);
     plan_events_ = config_.fault_plan->events();
@@ -92,7 +91,6 @@ void NetworkSimulator::ResetState() {
   messages_.clear();
   source_queue_.assign(graph_->host_count(), {});
   source_flits_pushed_.assign(graph_->host_count(), 0);
-  switch_rr_.assign(graph_->switch_count(), 0);
   channel_rr_.assign(ChannelCount(), 0);
   arb_switches_.Reset(graph_->switch_count());
   channel_active_.Reset(ChannelCount());
@@ -111,6 +109,8 @@ void NetworkSimulator::ResetState() {
   any_movement_this_cycle_ = false;
   idle_cycles_ = 0;
   flits_in_network_ = 0;
+  skipped_cycles_ = 0;
+  skip_spans_ = 0;
   generated_flits_measured_ = 0;
   delivered_flits_measured_ = 0;
   messages_generated_measured_ = 0;
@@ -151,7 +151,7 @@ void NetworkSimulator::PushFlit(Buffer& buffer, std::size_t index, std::uint32_t
   }
   buffer.tail = id;
   ++buffer.size;
-  if (event_mode_ && !touched_set_.Contains(index)) {
+  if (!touched_set_.Contains(index)) {
     touched_set_.Add(index);
     touched_buffers_.push_back(index);
   }
@@ -249,9 +249,10 @@ void NetworkSimulator::FlushDistributionMetrics() {
 bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
   const auto& inputs = inputs_at_switch_[s];
   if (inputs.empty()) return false;
-  // Rotate the input scan start each visit for fairness.
-  std::size_t next = switch_rr_[s];
-  switch_rr_[s] = next + 1 == inputs.size() ? 0 : next + 1;
+  // Rotate the input scan start by one per arbitration cycle for fairness.
+  // Arbitration runs on every cycle outside a reconfiguration window, so
+  // the rotation depends on the clock alone, not on which cycles visit s.
+  std::size_t next = (cycle_ - reconfig_cycles_count_) % inputs.size();
   CompiledVcRoutes& routes = degraded_routes_ ? *degraded_routes_ : base_routes_;
   bool pending = false;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -272,7 +273,7 @@ bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
         port.owner = msg_id;
         port.source_buffer = b;
         buffer.granted_output = o;
-        if (event_mode_) delivery_active_.Add(m.dst_host);
+        delivery_active_.Add(m.dst_host);
       } else {
         pending = true;
       }
@@ -290,7 +291,7 @@ bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
       port.next_escape = cand.escape;
       buffer.granted_output = cand.port;
       claimed = true;
-      if (event_mode_) channel_active_.Add(cand.port / vc_count_);
+      channel_active_.Add(cand.port / vc_count_);
       break;
     }
     if (!claimed) pending = true;
@@ -299,13 +300,7 @@ bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
 }
 
 void NetworkSimulator::ArbitratePhase() {
-  if (event_mode_) {
-    arb_switches_.Sweep([&](std::size_t s) { return ArbitrateSwitch(s); });
-  } else {
-    for (std::size_t s = 0; s < graph_->switch_count(); ++s) {
-      (void)ArbitrateSwitch(s);
-    }
-  }
+  arb_switches_.Sweep([&](std::size_t s) { return ArbitrateSwitch(s); });
 }
 
 bool NetworkSimulator::TryMoveThroughOutput(std::size_t o) {
@@ -360,25 +355,23 @@ bool NetworkSimulator::TryMoveThroughOutput(std::size_t o) {
     }
     pool_.Free(flit);
   }
-  if (event_mode_) {
-    // Credit wake: the pop freed a slot in `src`, so whatever feeds it may
-    // move again — the upstream output of a link buffer, or the host's
-    // injection for an injection buffer.
-    if (src_index < LinkVcCount()) {
-      if (outputs_[src_index].owner != OutputPort::kFree) {
-        channel_active_.Add(src_index / vc_count_);
-      }
-    } else {
-      const std::size_t h = src_index - LinkVcCount();
-      if (!source_queue_[h].empty()) inject_active_.Add(h);
+  // Credit wake: the pop freed a slot in `src`, so whatever feeds it may
+  // move again — the upstream output of a link buffer, or the host's
+  // injection for an injection buffer.
+  if (src_index < LinkVcCount()) {
+    if (outputs_[src_index].owner != OutputPort::kFree) {
+      channel_active_.Add(src_index / vc_count_);
     }
+  } else {
+    const std::size_t h = src_index - LinkVcCount();
+    if (!source_queue_[h].empty()) inject_active_.Add(h);
   }
   if (tail) {
     src.granted_output = Buffer::kNone;
     port.owner = OutputPort::kFree;
     port.source_buffer = kNone;
     // The next message's header (if already buffered) needs arbitration.
-    if (event_mode_ && src.ready > 0) arb_switches_.Add(switch_of_buffer_[src_index]);
+    if (src.ready > 0) arb_switches_.Add(switch_of_buffer_[src_index]);
   }
   return true;
 }
@@ -398,19 +391,9 @@ bool NetworkSimulator::TransferChannel(std::size_t c) {
 }
 
 void NetworkSimulator::TransferPhase() {
-  if (event_mode_) {
-    channel_active_.Sweep([&](std::size_t c) { return TransferChannel(c); });
-    delivery_active_.Sweep(
-        [&](std::size_t h) { return TryMoveThroughOutput(DeliveryPort(h)); });
-  } else {
-    for (std::size_t c = 0; c < ChannelCount(); ++c) {
-      (void)TransferChannel(c);
-    }
-    // Delivery ports: one flit per host per cycle.
-    for (std::size_t h = 0; h < graph_->host_count(); ++h) {
-      (void)TryMoveThroughOutput(DeliveryPort(h));
-    }
-  }
+  channel_active_.Sweep([&](std::size_t c) { return TransferChannel(c); });
+  // Delivery ports: one flit per host per cycle.
+  delivery_active_.Sweep([&](std::size_t h) { return TryMoveThroughOutput(DeliveryPort(h)); });
 }
 
 bool NetworkSimulator::InjectHost(std::size_t h) {
@@ -444,18 +427,13 @@ bool NetworkSimulator::InjectHost(std::size_t h) {
 }
 
 void NetworkSimulator::InjectPhase() {
-  if (event_mode_) {
-    inject_active_.Sweep([&](std::size_t h) { return InjectHost(h); });
-  } else {
-    for (std::size_t h = 0; h < source_queue_.size(); ++h) {
-      (void)InjectHost(h);
-    }
-  }
+  inject_active_.Sweep([&](std::size_t h) { return InjectHost(h); });
 }
 
 void NetworkSimulator::GenerateArrival(std::size_t h) {
   // A cut-off host (fault coverage zeroed its rate) discards the arrival;
-  // its stream keeps advancing identically in both exec modes.
+  // GeneratePhase still schedules its next one, so the host keeps its
+  // arrival schedule and resumes on it once it is covered again.
   if (inject_prob_[h] <= 0.0) return;
   Message m;
   m.src_host = h;
@@ -472,7 +450,7 @@ void NetworkSimulator::GenerateArrival(std::size_t h) {
   messages_.push_back(m);
   source_queue_[h].push_back(messages_.size() - 1);
   ++messages_enqueued_total_;
-  if (event_mode_) inject_active_.Add(h);
+  inject_active_.Add(h);
   if (measuring_) {
     ++messages_generated_measured_;
     generated_flits_measured_ += m.length;
@@ -486,8 +464,8 @@ void NetworkSimulator::ScheduleArrival(std::size_t h, std::size_t from_cycle) {
 }
 
 void NetworkSimulator::GeneratePhase() {
-  // Both engines pull arrivals off the same (cycle, host)-ordered queue, so
-  // message ids and arrival schedules are identical across exec modes.
+  // Arrivals pop in (cycle, host) order, so message ids follow the same
+  // order as a per-cycle scan of the hosts would give them.
   while (!arrival_queue_.Empty() && arrival_queue_.NextCycle() <= cycle_) {
     const std::size_t h = arrival_queue_.Pop();
     GenerateArrival(h);
@@ -518,28 +496,22 @@ void NetworkSimulator::UpdateIdleState() {
 }
 
 void NetworkSimulator::FinalizeCycle() {
-  if (event_mode_) {
-    // Only buffers pushed into this cycle can have ready != size.
-    for (const std::size_t b : touched_buffers_) {
-      Buffer& buffer = buffers_[b];
-      buffer.ready = buffer.size;
-      if (buffer.granted_output == Buffer::kNone) {
-        if (buffer.ready > 0 && IsHeadFlit(buffer.head)) {
-          arb_switches_.Add(switch_of_buffer_[b]);
-        }
-      } else if (buffer.granted_output >= LinkVcCount()) {
-        delivery_active_.Add(buffer.granted_output - LinkVcCount());
-      } else {
-        channel_active_.Add(buffer.granted_output / vc_count_);
+  // Only buffers pushed into (or purged) this cycle can have ready != size.
+  for (const std::size_t b : touched_buffers_) {
+    Buffer& buffer = buffers_[b];
+    buffer.ready = buffer.size;
+    if (buffer.granted_output == Buffer::kNone) {
+      if (buffer.ready > 0 && IsHeadFlit(buffer.head)) {
+        arb_switches_.Add(switch_of_buffer_[b]);
       }
-    }
-    touched_buffers_.clear();
-    touched_set_.ClearAll();
-  } else {
-    for (Buffer& buffer : buffers_) {
-      buffer.ready = buffer.size;
+    } else if (buffer.granted_output >= LinkVcCount()) {
+      delivery_active_.Add(buffer.granted_output - LinkVcCount());
+    } else {
+      channel_active_.Add(buffer.granted_output / vc_count_);
     }
   }
+  touched_buffers_.clear();
+  touched_set_.ClearAll();
   UpdateIdleState();
 }
 
@@ -565,9 +537,9 @@ void NetworkSimulator::RebuildActiveSets() {
 
 void NetworkSimulator::SkipIdleSpan(std::size_t limit) {
   if (cycle_ >= limit) return;
-  // Reconfiguration downtime is counted cycle by cycle (reconfig_cycles
-  // must match the cycle engine exactly), and any active element means the
-  // next cycle has real work.
+  // Reconfiguration downtime is counted cycle by cycle (it also sets the
+  // arbitration rotation), and any active element means the next cycle has
+  // real work.
   if (reconfiguring_) return;
   if (arb_switches_.Any() || channel_active_.Any() || delivery_active_.Any() ||
       inject_active_.Any()) {
@@ -585,8 +557,8 @@ void NetworkSimulator::SkipIdleSpan(std::size_t limit) {
     next = std::min(next, cycle_ + (config_.deadlock_threshold_cycles - idle_cycles_));
   }
   if (obs::ActiveTracer() != nullptr) {
-    // Land on every milestone/telemetry boundary so traced runs emit the
-    // same periodic events as the cycle engine.
+    // Land on every milestone/telemetry boundary so traced runs emit every
+    // periodic event.
     if (config_.trace_milestone_cycles > 0) {
       const std::size_t m = config_.trace_milestone_cycles;
       next = std::min(next, ((cycle_ + m - 1) / m) * m);
@@ -666,7 +638,7 @@ void NetworkSimulator::PurgeLostMessages() {
       dropped_flits_ += purged;
       flits_in_network_ -= purged;
       buffer.ready = 0;
-      if (event_mode_ && !touched_set_.Contains(bi)) {
+      if (!touched_set_.Contains(bi)) {
         touched_set_.Add(bi);
         touched_buffers_.push_back(bi);
       }
@@ -868,7 +840,7 @@ void NetworkSimulator::AdvanceFaultState() {
 void NetworkSimulator::StepCycle(std::size_t limit) {
   any_movement_this_cycle_ = false;
   if (view_ != nullptr) AdvanceFaultState();
-  if (event_mode_ && active_sets_stale_) RebuildActiveSets();
+  if (active_sets_stale_) RebuildActiveSets();
   // During the reconfiguration downtime no new output claims are made —
   // in-flight worms keep draining ("blocked VCs are drained") but no new
   // routing decisions happen until the swapped-in function is live.
@@ -878,7 +850,7 @@ void NetworkSimulator::StepCycle(std::size_t limit) {
   GeneratePhase();
   FinalizeCycle();
   ++cycle_;
-  if (event_mode_ && !deadlock_) SkipIdleSpan(limit);
+  if (!deadlock_) SkipIdleSpan(limit);
 }
 
 SimMetrics NetworkSimulator::Run(double injection_flits_per_switch_cycle) {
@@ -909,7 +881,7 @@ SimMetrics NetworkSimulator::Run(double injection_flits_per_switch_cycle) {
   base_inject_prob_ = inject_prob_;
 
   // Seed the per-host arrival streams and schedule each host's first
-  // arrival. Identical across exec modes by construction.
+  // arrival.
   arrivals_.Reset(config_.rng_seed, hosts);
   for (std::size_t h = 0; h < hosts; ++h) {
     if (base_inject_prob_[h] > 0.0) {
@@ -953,8 +925,8 @@ SimMetrics NetworkSimulator::Run(double injection_flits_per_switch_cycle) {
       measuring_ = true;
       const std::size_t before = cycle_;
       StepCycle(horizon);
-      // The event engine may advance many cycles at once; skipped spans are
-      // simulated time and count toward the measurement window.
+      // A step may advance many cycles at once; skipped spans are simulated
+      // time and count toward the measurement window.
       measured_cycles += cycle_ - before;
       maybe_milestone();
       if (config_.telemetry_sample_cycles > 0 &&
@@ -1051,10 +1023,8 @@ SimMetrics NetworkSimulator::Run(double injection_flits_per_switch_cycle) {
   registry.GetCounter("sim.messages_generated").Add(messages_generated_measured_);
   registry.GetCounter("sim.messages_delivered").Add(messages_delivered_measured_);
   if (deadlock_) registry.GetCounter("sim.deadlocks").Add(1);
-  if (event_mode_) {
-    registry.GetCounter("sim.event.skipped_cycles").Add(skipped_cycles_);
-    registry.GetCounter("sim.event.skips").Add(skip_spans_);
-  }
+  registry.GetCounter("sim.event.skipped_cycles").Add(skipped_cycles_);
+  registry.GetCounter("sim.event.skips").Add(skip_spans_);
   if (view_ != nullptr) {
     registry.GetCounter("fault.dropped_flits").Add(dropped_flits_);
     registry.GetCounter("fault.messages_lost").Add(messages_lost_);

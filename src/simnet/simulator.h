@@ -1,4 +1,4 @@
-// Flit-level wormhole network simulator with two execution engines.
+// Flit-level wormhole network simulator.
 //
 // Model (per the paper's §5 evaluation methodology, after [8]):
 //   * input-buffered switches; every inter-switch link is two unidirectional
@@ -18,13 +18,11 @@
 //     claim comes from a VcRoutingPolicy (plain up*/down*, adaptive, or
 //     Duato fully-adaptive with an escape channel).
 //
-// SimConfig::exec_mode selects the engine. ExecMode::kCycle visits every
-// switch/channel/host each cycle; ExecMode::kEvent maintains active sets
-// and an arrival event queue so only elements with due work are visited and
-// idle spans are skipped in O(1). Both engines run the identical protocol on
-// identical arrival schedules; only the arbitration scan order may differ,
-// so cross-engine results agree statistically (tests/test_sim_equivalence)
-// while fault/arrival-determined counters agree exactly.
+// The engine is cycle-synchronous but event-driven: active sets and an
+// arrival event queue mean only elements with due work are visited, and idle
+// spans are skipped in O(1). Its results equal, byte for byte, those of a
+// reference model that visits every switch, channel and host in ascending
+// order on every cycle (tests/data/sim_metrics.golden.txt, DESIGN.md §11).
 //
 // Up*/down* routing is deadlock-free on a single virtual channel (see
 // routing/deadlock.h) and per-VC on many; a watchdog detects deadlock for
@@ -146,9 +144,8 @@ class NetworkSimulator {
 
   void Init();
   void ResetState();
-  /// One simulation step. In cycle mode this is exactly one cycle; in event
-  /// mode it is one visited cycle plus any idle span skipped after it.
-  /// `limit` is the exclusive upper bound the skip may reach (phase end).
+  /// One simulation step: one visited cycle plus any idle span skipped after
+  /// it. `limit` is the exclusive upper bound the skip may reach (phase end).
   void StepCycle(std::size_t limit);
   void ArbitratePhase();
   void TransferPhase();
@@ -156,13 +153,12 @@ class NetworkSimulator {
   void GeneratePhase();
   void FinalizeCycle();
 
-  // ---- per-element bodies shared by both engines -------------------------
+  // ---- per-element bodies, visited from the active sets -------------------
   /// Arbitration at one switch; returns true while any ready, ungranted
-  /// header remains (event mode keeps the switch dirty to retry, matching
-  /// the cycle engine's per-cycle rescans).
+  /// header remains (the switch stays active to retry next cycle).
   bool ArbitrateSwitch(std::size_t s);
   /// One flit over one physical channel (VC round-robin); returns true if a
-  /// flit moved (event mode keeps the channel active).
+  /// flit moved (the channel stays active).
   bool TransferChannel(std::size_t c);
   /// One flit from host h's source queue into its injection buffer; returns
   /// true while the host can keep injecting next cycle.
@@ -173,7 +169,7 @@ class NetworkSimulator {
   /// Schedules host h's next arrival event (from its geometric stream).
   void ScheduleArrival(std::size_t h, std::size_t from_cycle);
 
-  // ---- event engine ------------------------------------------------------
+  // ---- event bookkeeping -------------------------------------------------
   void PushFlit(Buffer& buffer, std::size_t index, std::uint32_t id);
   std::uint32_t PopFlit(Buffer& buffer);
   /// Rebuilds every active set from the network state; used after fault
@@ -230,7 +226,6 @@ class NetworkSimulator {
   /// The base policy compiled for arbitration; survives across Run() calls.
   CompiledVcRoutes base_routes_;
   std::size_t vc_count_ = 1;
-  bool event_mode_ = false;
 
   std::vector<std::vector<std::size_t>> inputs_at_switch_;
   std::vector<std::size_t> switch_of_buffer_;  // arbitrating switch per buffer
@@ -245,10 +240,9 @@ class NetworkSimulator {
   std::vector<std::deque<std::size_t>> source_queue_;  // message ids per host
   std::vector<std::size_t> source_flits_pushed_;       // of each host's head message
   std::vector<double> inject_prob_;                    // per host per cycle
-  std::vector<std::size_t> switch_rr_;                 // arbitration rotation per switch
   std::vector<std::size_t> channel_rr_;                // VC rotation per physical channel
 
-  // Active sets (event engine; empty/idle in cycle mode).
+  // Active sets: the elements that may do work in the coming cycle.
   ActiveSet arb_switches_;     // switches with a ready, ungranted header
   ActiveSet channel_active_;   // physical channels that may move a flit
   ActiveSet delivery_active_;  // hosts whose delivery port may consume

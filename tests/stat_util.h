@@ -1,12 +1,11 @@
-// Statistical-equivalence primitives for the differential simulator tests
-// (ISSUE 6). The event engine is *statistically* equivalent to the cycle
-// engine — arbitration scan order differs, so per-run outputs are not
-// byte-identical — which rules out golden-value comparison. Instead the
-// harness runs both engines across seeds and requires:
-//   * the difference of sample means to be inside a Welch confidence
-//     interval widened by an application margin, and
-//   * the empirical latency distributions to pass a two-sample
-//     Kolmogorov-Smirnov bound.
+// Statistical-equivalence primitives for comparing seeded simulator runs:
+//   * the difference of sample means inside a Welch confidence interval
+//     widened by an application margin, and
+//   * two empirical distributions within a two-sample Kolmogorov-Smirnov
+//     bound.
+// No simulator test uses them any more: there is one engine, pinned byte
+// for byte by tests/data/sim_metrics.golden.txt. ROADMAP item 1 lists this
+// header and its unit tests for deletion.
 // Header-only; test-tree only (not part of the library).
 #pragma once
 

@@ -1,15 +1,19 @@
 // Property tests for the event-engine primitives (ISSUE 6 satellite):
 // EventQueue ordering, ActiveSet sweep semantics, FlitPool double-free
 // detection, GeometricGap distribution, and whole-run flit conservation
-// in both execution modes (with and without fault plans).
+// (with and without fault plans, stepping every cycle or skipping idle spans).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <sstream>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "faults/fault_plan.h"
+#include "obs/obs.h"
+#include "obs/trace.h"
 #include "routing/updown.h"
 #include "simnet/arrivals.h"
 #include "simnet/event_queue.h"
@@ -124,6 +128,23 @@ TEST(ActiveSet, SweepSeesForwardActivationsSameSweepOnce) {
   EXPECT_EQ(set.Count(), 1u);
 }
 
+TEST(ActiveSet, SweepDefersActivationsBelowTheCursor) {
+  // An index first activated behind the cursor in the same word waits for
+  // the next sweep, as it would in an ascending loop that already passed it.
+  ActiveSet set;
+  set.Reset(64);
+  set.Add(5);
+  std::vector<std::size_t> visited;
+  set.Sweep([&](std::size_t i) {
+    visited.push_back(i);
+    if (i == 5) set.Add(2);
+    return false;
+  });
+  EXPECT_EQ(visited, (std::vector<std::size_t>{5}));
+  EXPECT_TRUE(set.Contains(2));
+  EXPECT_EQ(set.Count(), 1u);
+}
+
 // ---- FlitPool ------------------------------------------------------------
 
 TEST(FlitPool, RecyclesSlotsThroughFreeList) {
@@ -188,7 +209,39 @@ TEST(GeometricGap, RejectsOutOfRangeProbability) {
 
 // ---- conservation --------------------------------------------------------
 
-class Conservation : public ::testing::TestWithParam<ExecMode> {};
+// How a run advances time. With a tracer installed and a milestone due
+// every cycle, SkipIdleSpan has no span to jump, so the run visits every
+// cycle; untraced, it jumps over idle spans. Conservation must hold both ways.
+enum class Stepping { kEveryCycle, kSkipIdle };
+
+class Conservation : public ::testing::TestWithParam<Stepping> {
+ protected:
+  [[nodiscard]] SimConfig Config() const {
+    SimConfig config;
+    config.warmup_cycles = 1000;
+    config.measure_cycles = 3000;
+    if (GetParam() == Stepping::kEveryCycle) config.trace_milestone_cycles = 1;
+    return config;
+  }
+
+  /// Runs `simulator` at `rate` under the parameter's stepping and returns
+  /// the metrics; adds the idle spans the run skipped to `skips`.
+  SimMetrics RunAt(NetworkSimulator& simulator, double rate, std::uint64_t& skips) const {
+    const obs::Counter& counter = obs::Registry::Global().GetCounter("sim.event.skips");
+    const std::uint64_t before = counter.value();
+    SimMetrics metrics;
+    if (GetParam() == Stepping::kEveryCycle) {
+      std::ostringstream trace;
+      obs::Tracer tracer(trace);
+      const obs::ScopedTracer scope(tracer);
+      metrics = simulator.Run(rate);
+    } else {
+      metrics = simulator.Run(rate);
+    }
+    skips += counter.value() - before;
+    return metrics;
+  }
+};
 
 void ExpectConserved(const NetworkSimulator& simulator) {
   const SimTotals t = simulator.Totals();
@@ -207,15 +260,18 @@ TEST_P(Conservation, HoldsAcrossLoads) {
   Rng rng(5);
   const auto mapping = work::ProcessMapping::RandomAligned(graph, workload, rng);
   const TrafficPattern pattern(graph, workload, mapping);
-  SimConfig config;
-  config.exec_mode = GetParam();
-  config.warmup_cycles = 1000;
-  config.measure_cycles = 3000;
-  NetworkSimulator simulator(graph, routing, pattern, config);
+  NetworkSimulator simulator(graph, routing, pattern, Config());
+  std::uint64_t skips = 0;
   for (const double rate : {0.05, 0.3, 1.5}) {
-    const SimMetrics metrics = simulator.Run(rate);
+    const SimMetrics metrics = RunAt(simulator, rate, skips);
     ExpectConserved(simulator);
     EXPECT_GT(metrics.flits_delivered, 0u);
+  }
+  // The low load leaves idle spans; only the untraced run may jump them.
+  if (GetParam() == Stepping::kEveryCycle) {
+    EXPECT_EQ(skips, 0u);
+  } else {
+    EXPECT_GT(skips, 0u);
   }
 }
 
@@ -231,21 +287,20 @@ TEST_P(Conservation, HoldsUnderFaults) {
       {1500, faults::FaultKind::kSwitchDown, 0, 0, 3},
       {2500, faults::FaultKind::kSwitchUp, 0, 0, 3},
   });
-  SimConfig config;
-  config.exec_mode = GetParam();
-  config.warmup_cycles = 1000;
-  config.measure_cycles = 3000;
+  SimConfig config = Config();
   config.fault_plan = &plan;
   NetworkSimulator simulator(graph, routing, pattern, config);
-  const SimMetrics metrics = simulator.Run(0.3);
+  std::uint64_t skips = 0;
+  const SimMetrics metrics = RunAt(simulator, 0.3, skips);
   ExpectConserved(simulator);
   EXPECT_EQ(metrics.fault_events_applied, 2u);
+  if (GetParam() == Stepping::kEveryCycle) EXPECT_EQ(skips, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, Conservation,
-                         ::testing::Values(ExecMode::kCycle, ExecMode::kEvent),
+                         ::testing::Values(Stepping::kEveryCycle, Stepping::kSkipIdle),
                          [](const auto& info) {
-                           return info.param == ExecMode::kCycle ? "cycle" : "event";
+                           return info.param == Stepping::kEveryCycle ? "cycle" : "event";
                          });
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Unit tests for the statistical-equivalence primitives (tests/stat_util.h):
-// the harness in test_sim_equivalence.cpp is only as trustworthy as these
-// helpers, so they are validated on distributions with known answers.
+// Unit tests for the statistical-equivalence primitives (tests/stat_util.h),
+// validated on distributions with known answers.
 #include "stat_util.h"
 
 #include <gtest/gtest.h>

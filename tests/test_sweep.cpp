@@ -121,26 +121,6 @@ TEST(Sweep, SeedReplicatesAreIndependentAndStable) {
   }
 }
 
-TEST(Sweep, EventModeSweepMatchesCycleThroughputShape) {
-  const Fixture f;
-  SweepOptions cycle = FastSweep();
-  SweepOptions event = FastSweep();
-  event.config.exec_mode = ExecMode::kEvent;
-  const SweepResult a = RunLoadSweep(f.graph, f.routing, f.pattern, cycle);
-  const SweepResult b = RunLoadSweep(f.graph, f.routing, f.pattern, event);
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (std::size_t k = 0; k < a.points.size(); ++k) {
-    // Same arrival schedules, different arbitration interleavings: accepted
-    // rates stay within a few percent at sub-saturation points.
-    if (!a.points[k].metrics.Saturated()) {
-      EXPECT_NEAR(a.points[k].metrics.accepted_flits_per_switch_cycle,
-                  b.points[k].metrics.accepted_flits_per_switch_cycle,
-                  0.05 * std::max(0.1, a.points[k].metrics.accepted_flits_per_switch_cycle))
-          << "point " << k;
-    }
-  }
-}
-
 TEST(Sweep, SaturationRateFoundUnderHeavySweep) {
   const Fixture f;
   SweepOptions options = FastSweep();

@@ -232,16 +232,6 @@ int CmdSchedule(const Args& args) {
   return 0;
 }
 
-/// --sim-mode cycle|event selects the simulation engine (simnet/config.h);
-/// results are statistically equivalent, event mode is much faster at low
-/// load. See DESIGN.md section 11.
-sim::ExecMode ParseSimMode(const Args& args) {
-  const std::string mode = args.Get("sim-mode", "cycle");
-  if (mode == "cycle") return sim::ExecMode::kCycle;
-  if (mode == "event") return sim::ExecMode::kEvent;
-  throw ConfigError("--sim-mode must be cycle or event, got '" + mode + "'");
-}
-
 int CmdSimulate(const Args& args) {
   const topo::SwitchGraph graph = BuildTopology(args);
   const route::UpDownRouting routing(graph);
@@ -267,7 +257,6 @@ int CmdSimulate(const Args& args) {
   sweep.config.warmup_cycles = args.GetSize("warmup", 5000);
   sweep.config.measure_cycles = args.GetSize("measure", 15000);
   sweep.config.telemetry_sample_cycles = args.GetSize("telemetry", 0);
-  sweep.config.exec_mode = ParseSimMode(args);
 
   std::optional<faults::FaultPlan> plan;  // must outlive the sweep
   const std::string plan_path = args.Get("fault-plan", "");
@@ -325,7 +314,6 @@ int CmdExperiment(const Args& args) {
   options.sweep.max_rate = args.GetDouble("max-rate", 1.4);
   options.sweep.config.warmup_cycles = args.GetSize("warmup", 5000);
   options.sweep.config.measure_cycles = args.GetSize("measure", 15000);
-  options.sweep.config.exec_mode = ParseSimMode(args);
   options.tabu.max_iterations_per_seed = graph.switch_count() >= 20 ? 60 : 20;
   options.tabu.parallel_seeds = args.Has("parallel-seeds");
   const core::ExperimentResult result = core::RunPaperExperiment(graph, options);
@@ -696,15 +684,13 @@ int Usage() {
       "  simulate   load sweep for a mapping (--mapping op|random|blocked,\n"
       "             --parallel-seeds for the op search, --vcs V,\n"
       "             --adaptive, --duato, --points P, --max-rate R,\n"
-      "             --sim-mode cycle|event selects the execution engine\n"
-      "             (statistically equivalent; event skips idle cycles),\n"
       "             --telemetry N\n"
       "             to sample deep network telemetry every N measured cycles;\n"
       "             --fault-plan F replays a JSON schedule of link/switch\n"
       "             failures mid-run, --reconfig-downtime N sets the routing\n"
       "             pause after each fault)\n"
       "  experiment full paper experiment: OP vs random mappings (--randoms K,\n"
-      "             --parallel-seeds, --sim-mode cycle|event)\n"
+      "             --parallel-seeds)\n"
       "  report     analyse a JSONL trace: latency percentiles, hottest links,\n"
       "             per-seed convergence (--trace F, --metrics-file F, --csv F,\n"
       "             --top K)\n"
