@@ -15,19 +15,16 @@
 //              on and periodic Prometheus exposition renders; CI asserts
 //              the observability layer costs <5% of hot throughput.
 //
-// Scale-out points (DESIGN.md §14):
+// Batch and artifact-store points (DESIGN.md §14):
 //   * batch vs singles — the same 64 hot sub-requests as one batch frame
 //              vs 64 daemon round-trips; `batch_speedup_x` is the frame's
 //              amortization factor, gated >=3 in CI.
 //   * boot cold vs warm — service construction + first requests with an
 //              empty artifact store vs one warm-booted from a populated
 //              store (no routing or Laplacian re-solve).
-//   * fleet  — three in-process shards behind a ShardRing, mixed traffic
-//              routed by topology hash.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -322,38 +319,6 @@ void BM_ServiceBootWarm(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(responses), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ServiceBootWarm)->Unit(benchmark::kMillisecond);
-
-/// Three in-process shards behind a ShardRing: the router-side cost of
-/// ShardKeyOf (a topology build + hash per request) plus the owning shard's
-/// hot execution, without socket hops. Mirrors the CI fleet-smoke job.
-void BM_ServiceFleet3(benchmark::State& state) {
-  const std::vector<std::string> lines = MixedBatch(32);
-  std::vector<svc::Request> parsed;
-  for (const std::string& line : lines) parsed.push_back(svc::ParseRequest(line));
-  const svc::ShardRing ring({"shard-a", "shard-b", "shard-c"});
-  std::vector<std::unique_ptr<svc::SchedulingService>> shards;
-  for (std::size_t i = 0; i < ring.nodes().size(); ++i) {
-    shards.push_back(std::make_unique<svc::SchedulingService>());
-  }
-  // Warm every shard's caches for its own keys.
-  for (const svc::Request& request : parsed) {
-    benchmark::DoNotOptimize(shards[ring.NodeIndexOf(svc::ShardKeyOf(request))]
-                                 ->Execute(request).data());
-  }
-  std::size_t responses = 0;
-  for (auto _ : state) {
-    for (const svc::Request& request : parsed) {
-      const std::size_t owner = ring.NodeIndexOf(svc::ShardKeyOf(request));
-      const std::string response = shards[owner]->Execute(request);
-      benchmark::DoNotOptimize(response.data());
-      ++responses;
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(responses));
-  state.counters["req_per_sec"] =
-      benchmark::Counter(static_cast<double>(responses), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ServiceFleet3)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

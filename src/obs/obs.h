@@ -20,7 +20,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -70,26 +69,6 @@ class Timer {
  private:
   std::atomic<std::uint64_t> total_ns_{0};
   std::atomic<std::uint64_t> count_{0};
-};
-
-/// RAII scope that records its lifetime into a Timer.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer& timer)
-      : timer_(&timer), start_(std::chrono::steady_clock::now()) {}
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    timer_->RecordNanos(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-  }
-
- private:
-  Timer* timer_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Read-side snapshot of one Timer.

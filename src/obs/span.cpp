@@ -114,8 +114,10 @@ void SetSpanCollector(SpanCollector* collector) {
   internal::g_span_collector.store(collector, std::memory_order_release);
 }
 
-Span::Span(std::string_view name, std::string_view arg_key, std::uint64_t arg)
-    : collector_(ActiveSpanCollector()) {
+Span::Span(std::string_view name, std::string_view arg_key, std::uint64_t arg,
+           Timer* timer)
+    : collector_(ActiveSpanCollector()), timer_(timer) {
+  if (timer_ != nullptr) timer_start_ = std::chrono::steady_clock::now();
   if (collector_ == nullptr) return;
   record_.name.assign(name);
   record_.arg_key.assign(arg_key);
@@ -129,10 +131,16 @@ Span::Span(std::string_view name, std::string_view arg_key, std::uint64_t arg)
 }
 
 Span::~Span() {
-  if (collector_ == nullptr) return;
-  record_.dur_us = collector_->NowMicros() - record_.start_us;
-  --t_span_depth;
-  collector_->Record(std::move(record_));
+  if (collector_ != nullptr) {
+    record_.dur_us = collector_->NowMicros() - record_.start_us;
+    --t_span_depth;
+    collector_->Record(std::move(record_));
+  }
+  if (timer_ != nullptr) {
+    const auto elapsed = std::chrono::steady_clock::now() - timer_start_;
+    timer_->RecordNanos(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
+  }
 }
 
 void Span::SetArg(std::string_view arg_key, std::uint64_t arg) {

@@ -16,6 +16,11 @@
 // steady_clock, nesting depth is tracked per thread, and the destructor
 // appends one record under the collector's mutex (safe from ThreadPool
 // workers).
+//
+// A span may also carry a registry Timer, which it always feeds — collector
+// or not — with one sample of its lifetime in steady_clock nanoseconds:
+//
+//   obs::Span span("sim.run", "horizon", cycles, &registry.GetTimer("sim.run"));
 #pragma once
 
 #include <atomic>
@@ -28,6 +33,8 @@
 #include <string_view>
 #include <thread>
 #include <vector>
+
+#include "obs/obs.h"
 
 namespace commsched::obs {
 
@@ -95,14 +102,16 @@ void SetSpanCollector(SpanCollector* collector);
 }
 
 /// RAII span. Latches the active collector at construction; a disabled span
-/// (no collector) does nothing further.
+/// (no collector) does nothing further beyond feeding its timer, if any.
 class Span {
  public:
   explicit Span(std::string_view name) : Span(name, {}, 0) {}
 
   /// A span carrying one named integer argument (seed index, sweep point,
-  /// cycle count) that lands in the Chrome event's "args" object.
-  Span(std::string_view name, std::string_view arg_key, std::uint64_t arg);
+  /// cycle count) that lands in the Chrome event's "args" object. A non-null
+  /// `timer` receives one sample of the span's lifetime on destruction.
+  Span(std::string_view name, std::string_view arg_key, std::uint64_t arg,
+       Timer* timer = nullptr);
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -115,6 +124,8 @@ class Span {
 
  private:
   SpanCollector* collector_;  // nullptr = disabled
+  Timer* timer_;              // nullptr = no registry timer
+  std::chrono::steady_clock::time_point timer_start_;
   SpanRecord record_;
 };
 

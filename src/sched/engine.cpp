@@ -60,9 +60,8 @@ SearchEngine::SearchEngine(std::string algo, const EngineOptions& options, const
 }
 
 SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) const {
-  obs::Registry& registry = obs::Registry::Global();
-  const obs::ScopedTimer seed_timer(registry.GetTimer(timer_name_));
-  const obs::Span seed_span(seed_span_name_, "seed", seed_index);
+  const obs::Span seed_span(seed_span_name_, "seed", seed_index,
+                            &obs::Registry::Global().GetTimer(timer_name_));
   const std::size_t n = objective.partition().switch_count();
 
   SeedRun run;

@@ -300,8 +300,4 @@ std::uint64_t ModelHashOfGraph(const topo::SwitchGraph& graph) {
   return HashBytes("updown:maxdegree|" + topo::ToText(graph));
 }
 
-std::uint64_t TopologyModelHash(const TopologyRequest& topology) {
-  return ModelHashOfGraph(BuildTopology(topology));
-}
-
 }  // namespace commsched::svc

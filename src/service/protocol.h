@@ -169,12 +169,8 @@ struct BatchEntry {
 /// The model-cache hash of an already-built graph: FNV-1a over the canonical
 /// key text (serialized graph + routing scheme), so two requests describing
 /// the same network differently share one entry. The single source of truth
-/// for model identity — the service's cache, the artifact store's filenames,
-/// and the shard router all key on this value.
+/// for model identity — the service's cache and the artifact store's
+/// filenames both key on this value.
 [[nodiscard]] std::uint64_t ModelHashOfGraph(const topo::SwitchGraph& graph);
-
-/// Builds the topology and hashes it (the router's path: it never keeps the
-/// graph). Throws ConfigError on bad specs, like BuildTopology.
-[[nodiscard]] std::uint64_t TopologyModelHash(const TopologyRequest& topology);
 
 }  // namespace commsched::svc

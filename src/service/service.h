@@ -67,7 +67,7 @@ struct ServiceOptions {
   /// Memoized (model, workload, knobs, seed) -> mapping results.
   std::size_t result_cache_capacity = 1024;
   /// Allows the stats op's {"reset": true} variant (zeroes the registry).
-  /// Off by default: a misbehaving client must not erase fleet telemetry.
+  /// Off by default: a misbehaving client must not erase the daemon's telemetry.
   bool allow_stats_reset = false;
   /// Non-empty enables the on-disk artifact store (DESIGN.md §14): solved
   /// models are persisted there and every artifact present at construction

@@ -4,7 +4,7 @@
 // state and the O(N²) resistance-solve DistanceTable — are pure functions of
 // the network, so a daemon restart re-paying them is waste. The store
 // persists each NetworkModel under its content hash (the same FNV-1a value
-// the LRU cache and the shard ring key on) in a flat directory of
+// the LRU cache keys on) in a flat directory of
 // `model-<16 hex>.csart` files:
 //
 //   [ header: 40 bytes                      ] [ payload: payload_size bytes ]

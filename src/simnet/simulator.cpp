@@ -856,9 +856,9 @@ void NetworkSimulator::StepCycle(std::size_t limit) {
 SimMetrics NetworkSimulator::Run(double injection_flits_per_switch_cycle) {
   CS_CHECK(injection_flits_per_switch_cycle >= 0.0, "negative injection rate");
   obs::Registry& registry = obs::Registry::Global();
-  const obs::ScopedTimer run_timer(registry.GetTimer("sim.run"));
   const obs::Span run_span("sim.run", "horizon",
-                           config_.warmup_cycles + config_.measure_cycles);
+                           config_.warmup_cycles + config_.measure_cycles,
+                           &registry.GetTimer("sim.run"));
   ResetState();
 
   // Per-host Bernoulli message probability: aggregate offered load is

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <sstream>
+#include <string>
 
 #include "common/parallel.h"
 #include "obs/obs.h"
@@ -36,9 +38,15 @@ std::vector<double> SweepRates(const SweepOptions& options) {
   if (!options.rates.empty()) {
     return options.rates;
   }
-  CS_CHECK(options.points >= 2, "sweep needs at least 2 points");
-  CS_CHECK(options.min_rate > 0.0 && options.max_rate > options.min_rate,
-           "invalid sweep rate range");
+  if (options.points < 2) {
+    throw ConfigError("sweep points must be >= 2 (got " + std::to_string(options.points) + ")");
+  }
+  if (!(options.min_rate > 0.0 && options.min_rate < options.max_rate)) {
+    std::ostringstream message;
+    message << "sweep rates need 0 < min_rate < max_rate (got min_rate " << options.min_rate
+            << ", max_rate " << options.max_rate << ")";
+    throw ConfigError(message.str());
+  }
   std::vector<double> rates(options.points);
   for (std::size_t k = 0; k < options.points; ++k) {
     rates[k] = options.min_rate + (options.max_rate - options.min_rate) *
@@ -53,10 +61,16 @@ namespace {
 /// Shared sweep driver; `make_simulator(config)` builds a fresh simulator.
 template <typename MakeSimulator>
 SweepResult RunSweepImpl(const SweepOptions& options, MakeSimulator&& make_simulator) {
+  if (options.config.virtual_channels == 0) {
+    throw ConfigError("sweep vcs must be >= 1 (got 0)");
+  }
+  if (options.config.measure_cycles == 0) {
+    throw ConfigError("sweep measure cycles must be >= 1 (got 0)");
+  }
   obs::Registry& registry = obs::Registry::Global();
-  const obs::ScopedTimer sweep_timer(registry.GetTimer("sweep.run"));
   const std::vector<double> rates = SweepRates(options);
-  const obs::Span sweep_span("sweep.run", "points", rates.size());
+  const obs::Span sweep_span("sweep.run", "points", rates.size(),
+                             &registry.GetTimer("sweep.run"));
   const std::size_t replicates = std::max<std::size_t>(options.seed_replicates, 1);
   SweepResult result;
   result.points.resize(rates.size());

@@ -21,10 +21,10 @@ struct SweepOptions {
   /// search engine's parallel_seeds (sched/engine.h): per-point RNG streams
   /// are derived up front, so parallel and sequential sweeps are identical.
   bool parallel = true;
-  /// Independent seeded runs per sweep point (for confidence intervals; see
-  /// tests/stat_util.h). Replicate 0 uses the same stream as a
-  /// seed_replicates == 1 sweep, so existing results are unchanged; all
-  /// points x replicates share one parallel work list.
+  /// Independent seeded runs per sweep point (for confidence intervals).
+  /// Replicate 0 uses the same stream as a seed_replicates == 1 sweep, so
+  /// existing results are unchanged; all points x replicates share one
+  /// parallel work list.
   std::size_t seed_replicates = 1;
   SimConfig config;
 };
@@ -53,6 +53,9 @@ struct SweepResult {
 
 /// Runs the sweep; each point simulates independently from an empty network
 /// with a rate-specific RNG stream, so `parallel` does not change results.
+/// Throws ConfigError, before simulating anything, on a knob out of range:
+/// the SweepRates rule below, config.virtual_channels >= 1 and
+/// config.measure_cycles >= 1.
 [[nodiscard]] SweepResult RunLoadSweep(const SwitchGraph& graph, const Routing& routing,
                                        const TrafficPattern& pattern,
                                        const SweepOptions& options);
@@ -63,7 +66,9 @@ struct SweepResult {
                                        const TrafficPattern& pattern,
                                        const SweepOptions& options);
 
-/// The loads a sweep will use (resolving the defaulting rule above).
+/// The loads a sweep will use (resolving the defaulting rule above). Without
+/// explicit rates, throws ConfigError unless points >= 2 and
+/// 0 < min_rate < max_rate.
 [[nodiscard]] std::vector<double> SweepRates(const SweepOptions& options);
 
 /// Bisects for the saturation load: the largest offered rate in

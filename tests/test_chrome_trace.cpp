@@ -54,6 +54,25 @@ TEST(SpanTest, DisabledByDefaultAndScopedInstall) {
   EXPECT_EQ(collector.size(), 1u);
 }
 
+TEST(SpanTest, TimerRecordsOneSampleWithoutCollector) {
+  ASSERT_EQ(obs::ActiveSpanCollector(), nullptr);
+  obs::Timer timer;
+  { const Span span("scope", "arg", 0, &timer); }
+  EXPECT_EQ(timer.count(), 1u);
+}
+
+TEST(SpanTest, TimerAndCollectorEachGetOneSample) {
+  obs::Timer timer;
+  SpanCollector collector;
+  {
+    const ScopedSpanCollector scope(collector);
+    const Span span("scope", "arg", 3, &timer);
+  }
+  EXPECT_EQ(timer.count(), 1u);
+  ASSERT_EQ(collector.size(), 1u);
+  EXPECT_EQ(collector.Records()[0].name, "scope");
+}
+
 TEST(SpanTest, NestedScopedCollectorsRestoreThePreviousOne) {
   SpanCollector outer;
   SpanCollector inner;

@@ -265,5 +265,27 @@ TEST(CliSchedule, DegenerateApplicationCountsAreConfigErrors) {
   }
 }
 
+TEST(CliSimulate, BadSweepKnobsAreConfigErrors) {
+  const std::string out_path = ::testing::TempDir() + "cli_sweep_error.txt";
+  const std::string simulate = "simulate --kind rings --apps 4 --warmup 100 ";
+  const std::pair<std::string, std::string> cases[] = {
+      {"--points 1", "error: sweep points must be >= 2 (got 1)"},
+      {"--max-rate -1", "error: sweep rates need 0 < min_rate < max_rate"},
+      {"--min-rate 0.5 --max-rate 0.1", "error: sweep rates need 0 < min_rate < max_rate"},
+      {"--vcs 0", "error: sweep vcs must be >= 1 (got 0)"},
+      {"--points 2 --measure 0", "error: sweep measure cycles must be >= 1 (got 0)"},
+  };
+  for (const auto& [knobs, message] : cases) {
+    const std::string command = "exec " + std::string(COMMSCHED_CLI_PATH) + " " + simulate +
+                                knobs + " > " + out_path + " 2>&1";
+    const int status = std::system(command.c_str());
+    const std::string output = ReadFile(out_path);
+    ASSERT_TRUE(WIFEXITED(status)) << knobs << ": killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 1) << knobs << ": " << output;
+    EXPECT_NE(output.find(message), std::string::npos) << knobs << ": " << output;
+    EXPECT_EQ(output.find("contract violation"), std::string::npos) << knobs << ": " << output;
+  }
+}
+
 }  // namespace
 }  // namespace commsched

@@ -41,12 +41,6 @@ TEST(Timer, RecordsTotalsAndCount) {
   EXPECT_EQ(timer.count(), 2u);
 }
 
-TEST(ScopedTimer, RecordsOneSample) {
-  obs::Timer timer;
-  { const obs::ScopedTimer scope(timer); }
-  EXPECT_EQ(timer.count(), 1u);
-}
-
 TEST(RegistryTest, LookupCreatesAndReusesSlots) {
   Registry registry;
   Counter& a = registry.GetCounter("a");

@@ -393,6 +393,30 @@ TEST(ServiceExecute, DegenerateApplicationCountsAreConfigErrors) {
   }
 }
 
+// Out-of-range sweep knobs answer ok:false naming the knob — never a leaked
+// contract violation, and never an ok table of zeros.
+TEST(ServiceExecute, BadSweepKnobsAreConfigErrors) {
+  svc::SchedulingService service;
+  const std::string prefix =
+      R"({"id":"s","op":"simulate","topology":{"kind":"random","switches":12},)"
+      R"("mapping":"blocked","warmup":100,)";
+  const std::pair<std::string, std::string> cases[] = {
+      {R"("points":1})", "sweep points must be >= 2 (got 1)"},
+      {R"("min_rate":0.5,"max_rate":0.1})", "0 < min_rate < max_rate"},
+      {R"("max_rate":-1})", "0 < min_rate < max_rate"},
+      {R"("vcs":0})", "sweep vcs must be >= 1 (got 0)"},
+      {R"("points":2,"measure":0})", "sweep measure cycles must be >= 1 (got 0)"},
+  };
+  for (const auto& [knobs, message] : cases) {
+    const std::string response = service.Execute(svc::ParseRequest(prefix + knobs));
+    const JsonValue parsed = svc::ParseJson(response);
+    EXPECT_FALSE(parsed.Find("ok")->AsBool("ok")) << knobs;
+    const std::string error = parsed.Find("error")->AsString("error");
+    EXPECT_NE(error.find(message), std::string::npos) << knobs << ": " << error;
+    EXPECT_EQ(response.find("contract violation"), std::string::npos) << knobs << ": " << response;
+  }
+}
+
 TEST(ServiceExecute, SimulateRendersSweepPoints) {
   svc::SchedulingService service;
   const std::string response = service.Execute(svc::ParseRequest(

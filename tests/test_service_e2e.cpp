@@ -50,8 +50,7 @@ std::string RunCli(const std::string& args) {
 /// A `commsched_cli serve` child process with pipes on stdin/stdout.
 class ServeProcess {
  public:
-  explicit ServeProcess(const std::vector<std::string>& extra_args = {},
-                        const std::string& command = "serve") {
+  explicit ServeProcess(const std::vector<std::string>& extra_args = {}) {
     int to_child[2];
     int from_child[2];
     CS_CHECK(pipe(to_child) == 0 && pipe(from_child) == 0, "pipe failed");
@@ -64,7 +63,7 @@ class ServeProcess {
       close(to_child[1]);
       close(from_child[0]);
       close(from_child[1]);
-      std::vector<std::string> args = {COMMSCHED_CLI_PATH, command};
+      std::vector<std::string> args = {COMMSCHED_CLI_PATH, "serve"};
       args.insert(args.end(), extra_args.begin(), extra_args.end());
       std::vector<char*> argv;
       argv.reserve(args.size() + 1);
@@ -460,79 +459,6 @@ TEST(ServiceE2E, BatchErrorEntriesCarryFrameIdAndIndex) {
   // even when it rode through a batch frame.
   EXPECT_EQ(responses[2].Find("text")->AsString("text"),
             RunCli("schedule --kind mixed --apps 4"));
-}
-
-// Fleet acceptance (DESIGN.md §14): three TCP daemons behind `commsched
-// route`. Responses must be byte-identical to the one-shot CLI, and the
-// shards' model caches must stay disjoint (each topology solved on exactly
-// one daemon).
-TEST(ServiceE2E, ThreeShardFleetRoutesAndKeepsCachesDisjoint) {
-  std::vector<std::unique_ptr<ServeProcess>> daemons;
-  std::vector<int> ports;
-  std::string fleet;
-  for (int i = 0; i < 3; ++i) {
-    daemons.push_back(
-        std::make_unique<ServeProcess>(std::vector<std::string>{"--listen", "0", "--workers", "2"}));
-    const int port = AnnouncedPort(*daemons.back());
-    ASSERT_GT(port, 0);
-    ports.push_back(port);
-    if (!fleet.empty()) fleet += ",";
-    fleet += "127.0.0.1:" + std::to_string(port);
-  }
-  ServeProcess router({"--fleet", fleet}, "route");
-
-  const char* kTopologies[] = {"mixed", "rings", "random"};
-  for (int round = 0; round < 2; ++round) {
-    for (int t = 0; t < 3; ++t) {
-      const std::string id = "r" + std::to_string(round) + "t" + std::to_string(t);
-      std::string topology = std::string(R"({"kind":")") + kTopologies[t] + R"("})";
-      if (std::string(kTopologies[t]) == "random") {
-        topology = R"({"kind":"random","switches":12})";
-      }
-      router.Send(R"({"id":")" + id + R"(","op":"schedule","topology":)" + topology +
-                  R"(,"apps":4})");
-    }
-  }
-  router.Send("{not json at all");  // forwarded: the daemon renders the error
-  router.CloseStdin();
-
-  std::vector<std::string> lines;
-  for (int i = 0; i < 7; ++i) {
-    lines.push_back(router.ReadLine());
-    ASSERT_FALSE(lines.back().empty()) << "router lost response " << i;
-  }
-  EXPECT_EQ(router.Wait(), 0);
-
-  // Responses come back in request order; the repeated round must render
-  // byte-identical lines and the schedule text matches the one-shot CLI.
-  for (int t = 0; t < 3; ++t) {
-    EXPECT_EQ(svc::ParseJson(lines[static_cast<std::size_t>(t)])
-                  .Find("text")->AsString("text"),
-              svc::ParseJson(lines[static_cast<std::size_t>(t + 3)])
-                  .Find("text")->AsString("text"));
-  }
-  EXPECT_EQ(svc::ParseJson(lines[0]).Find("text")->AsString("text"),
-            RunCli("schedule --kind mixed --apps 4"));
-  EXPECT_FALSE(svc::ParseJson(lines[6]).Find("ok")->AsBool("ok"));
-
-  // Disjointness: 3 topologies, 3 shards, each daemon's miss count equals
-  // the distinct topologies it owns and the misses sum to exactly 3.
-  std::size_t total_misses = 0;
-  std::size_t total_hits = 0;
-  for (const int port : ports) {
-    const std::string stats = TcpJsonLine(port, R"({"id":"st","op":"stats"})");
-    const svc::JsonValue parsed = svc::ParseJson(stats);
-    const svc::JsonValue* cache = parsed.Find("topology_cache");
-    ASSERT_NE(cache, nullptr) << stats;
-    total_misses += cache->Find("misses")->AsUint("misses");
-    total_hits += cache->Find("hits")->AsUint("hits");
-  }
-  EXPECT_EQ(total_misses, 3u);  // one solve per topology across the fleet
-  EXPECT_EQ(total_hits, 3u);    // the repeat round hit its owner's cache
-
-  for (auto& daemon : daemons) {
-    daemon->Signal(SIGTERM);
-  }
 }
 
 }  // namespace

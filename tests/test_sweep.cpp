@@ -57,11 +57,11 @@ TEST(Sweep, RatesDefaultingRule) {
 TEST(Sweep, InvalidRangeRejected) {
   SweepOptions options;
   options.points = 1;
-  EXPECT_THROW((void)SweepRates(options), commsched::ContractError);
+  EXPECT_THROW((void)SweepRates(options), commsched::ConfigError);
   options.points = 5;
   options.min_rate = 0.5;
   options.max_rate = 0.4;
-  EXPECT_THROW((void)SweepRates(options), commsched::ContractError);
+  EXPECT_THROW((void)SweepRates(options), commsched::ConfigError);
 }
 
 TEST(Sweep, ProducesMonotoneOfferedRates) {

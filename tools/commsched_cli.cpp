@@ -15,7 +15,6 @@
 //                          [--csv sweep.csv] [--top 5]
 //   commsched_cli serve    [--listen PORT] [--workers N] [--slow-ms N]
 //                          [--allow-stats-reset] [--store-dir DIR]
-//   commsched_cli route    --fleet HOST:PORT,HOST:PORT,... [--vnodes 64]
 //   commsched_cli top      --connect [HOST:]PORT [--interval-ms 1000] [--once]
 //
 // Observability (any command): --trace <file> streams structured JSONL
@@ -455,99 +454,6 @@ std::string TcpJsonRequest(const std::string& target, const std::string& line) {
   return response.substr(0, newline);
 }
 
-/// A persistent connection to one shard daemon: requests and responses are
-/// newline-framed over a single socket (the daemon's TCP session serves
-/// many requests per connection). Reconnects once per exchange on a broken
-/// socket — a drained-and-restarted daemon looks like one failed write.
-class ShardClient {
- public:
-  explicit ShardClient(std::string target) : target_(std::move(target)) {}
-  ~ShardClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  ShardClient(const ShardClient&) = delete;
-  ShardClient& operator=(const ShardClient&) = delete;
-
-  /// Forwards one request line, returns the daemon's response line. Throws
-  /// ConfigError when the shard stays unreachable across a reconnect.
-  std::string Exchange(const std::string& line) {
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      if (fd_ < 0) {
-        fd_ = ConnectTcp(target_);  // throws with the target in the message
-        buffer_.clear();
-      }
-      std::string response;
-      if (TryExchange(line, &response)) return response;
-      ::close(fd_);
-      fd_ = -1;  // stale connection: retry on a fresh one
-    }
-    throw ConfigError("shard " + target_ + " closed the connection");
-  }
-
- private:
-  bool TryExchange(const std::string& line, std::string* response) {
-    if (!WriteAllFd(fd_, line + "\n")) return false;
-    std::size_t newline;
-    while ((newline = buffer_.find('\n')) == std::string::npos) {
-      char chunk[4096];
-      const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
-      if (got < 0 && errno == EINTR) continue;
-      if (got <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(got));
-    }
-    *response = buffer_.substr(0, newline);
-    buffer_.erase(0, newline + 1);
-    return true;
-  }
-
-  std::string target_;
-  int fd_ = -1;
-  std::string buffer_;  // bytes past the last consumed response
-};
-
-/// The consistent-hash front of a daemon fleet: forwards each stdin JSONL
-/// frame to the shard owning its topology hash and relays the response, so
-/// every model lives in exactly one daemon's cache (DESIGN.md §14).
-int CmdRoute(const Args& args) {
-  const std::string fleet = args.Get("fleet", "");
-  if (fleet.empty()) throw ConfigError("route requires --fleet HOST:PORT[,HOST:PORT...]");
-  std::vector<std::string> nodes;
-  for (const std::string& node : Split(fleet, ',')) {
-    const std::string trimmed = Trim(node);
-    if (!trimmed.empty()) nodes.push_back(trimmed);
-  }
-  const svc::ShardRing ring(nodes, args.GetSize("vnodes", 64));
-  std::vector<std::unique_ptr<ShardClient>> clients;
-  clients.reserve(nodes.size());
-  for (const std::string& node : ring.nodes()) {
-    clients.push_back(std::make_unique<ShardClient>(node));
-  }
-
-  svc::InstallDrainSignalHandlers();  // SIGTERM/SIGINT: stop relaying, exit 0
-  std::string line;
-  while (!svc::DrainSignalled() && std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    std::uint64_t key = 0;
-    try {
-      key = svc::ShardKeyOf(svc::ParseRequest(line));
-    } catch (const std::exception&) {
-      // Malformed frame: still forward it (keyed by any salvageable id) so
-      // the owning daemon renders the exact error bytes a direct client
-      // would see. The router adds no error dialect of its own.
-      key = svc::HashBytes("id:" + svc::SalvageRequestId(line));
-    }
-    const std::size_t owner = ring.NodeIndexOf(key);
-    try {
-      std::cout << clients[owner]->Exchange(line) << "\n" << std::flush;
-    } catch (const std::exception& e) {
-      // Connection-level failure: the only case the router answers itself.
-      std::cout << svc::ErrorResponse(svc::SalvageRequestId(line), e.what()) << "\n"
-                << std::flush;
-    }
-  }
-  return 0;
-}
-
 /// One refresh of the top dashboard: renders a stats response.
 void RenderTopFrame(const std::string& target, const svc::JsonValue& stats, std::ostream& out) {
   const auto uint_at = [](const svc::JsonValue* value) -> std::uint64_t {
@@ -670,7 +576,7 @@ int CmdTop(const Args& args) {
 int Usage() {
   std::cerr <<
       "usage: commsched_cli <topo|distance|schedule|simulate|experiment|report|serve|"
-      "route|top> [--flags]\n"
+      "top> [--flags]\n"
       "  topo       generate/describe a topology (--kind random|rings|mixed|mesh|torus|\n"
       "             torus3d|fattree|hypercube|file, --switches N, --seed S,\n"
       "             --x/--y/--z torus3d dims, --k fat-tree arity, --dot)\n"
@@ -710,11 +616,6 @@ int Usage() {
       "             --no-windowed-metrics disables the rolling 10 s views;\n"
       "             --store-dir D persists solved network models to D and\n"
       "             warm-boots from it on restart (DESIGN.md section 14)\n"
-      "  route      consistent-hash front for a daemon fleet: forwards stdin\n"
-      "             JSONL frames to the shard owning each request's topology\n"
-      "             hash and relays responses in order. --fleet HOST:PORT,\n"
-      "             HOST:PORT,... lists the daemons, --vnodes N virtual nodes\n"
-      "             per daemon (default 64). See DESIGN.md section 14.\n"
       "  top        live dashboard for a serving daemon: --connect [HOST:]PORT,\n"
       "             --interval-ms N refresh period (default 1000), --once\n"
       "             prints a single frame and exits (scripting/tests)\n"
@@ -736,7 +637,6 @@ int Dispatch(const std::string& command, const Args& args) {
   if (command == "experiment") return CmdExperiment(args);
   if (command == "report") return CmdReport(args);
   if (command == "serve") return CmdServe(args);
-  if (command == "route") return CmdRoute(args);
   if (command == "top") return CmdTop(args);
   return Usage();
 }

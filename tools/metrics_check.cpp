@@ -8,7 +8,7 @@
 // carry a "+Inf" bucket, and that every --require'd family is present with
 // at least one sample. Exits 0 when valid, 1 with a line-numbered
 // diagnostic otherwise — a scrape that Prometheus would reject should fail
-// the build, not the fleet.
+// the build, not a deployment.
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
