@@ -21,15 +21,17 @@ dist::DistanceTable Table(std::size_t switches) {
   return dist::DistanceTable::Build(routing);
 }
 
-/// Steepest descent through the engine: IntraSumObjective + GreedyDescent
-/// rules, one seed per bench iteration.
+/// Steepest descent through the engine: IntraSumObjective with
+/// local_min_repeats = 1 (the walk stops at its first local minimum), one
+/// seed per bench iteration.
 void BM_EngineDescentSeed(benchmark::State& state) {
   const dist::DistanceTable table = Table(static_cast<std::size_t>(state.range(0)));
   const std::vector<std::size_t> sizes(4, table.size() / 4);
   sched::EngineOptions options;
   options.seeds = 1;
   options.max_iterations_per_seed = 1000;
-  const sched::SearchEngine engine("sd", options, sched::ScanRules::GreedyDescent());
+  options.local_min_repeats = 1;
+  const sched::SearchEngine engine("sd", options);
   std::uint64_t seed = 0;
   std::uint64_t evaluations = 0;
   for (auto _ : state) {
@@ -64,7 +66,7 @@ void BM_RawDescentLoop(benchmark::State& state) {
     qual::SwapEvaluator eval(table, qual::Partition::Random(sizes, rng));
     const std::size_t n = table.size();
     for (std::size_t it = 0; it < 1000; ++it) {
-      double best_delta = -kEps;
+      double best_delta = 0.0;
       std::size_t best_a = 0;
       std::size_t best_b = 0;
       bool found = false;
@@ -73,7 +75,7 @@ void BM_RawDescentLoop(benchmark::State& state) {
           if (eval.partition().ClusterOf(a) == eval.partition().ClusterOf(b)) continue;
           const double delta = eval.SwapDelta(a, b);
           ++evaluations;
-          if (delta < best_delta) {
+          if (delta < best_delta - kEps) {
             best_delta = delta;
             best_a = a;
             best_b = b;

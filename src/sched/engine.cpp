@@ -14,37 +14,9 @@
 
 namespace commsched::sched {
 
-ScanRules ScanRules::TabuMargin() { return ScanRules{}; }
-
-ScanRules ScanRules::ValueDescent() {
-  ScanRules rules;
-  rules.down = Down::kValueStrict;
-  return rules;
-}
-
-ScanRules ScanRules::GreedyDescent() {
-  ScanRules rules;
-  rules.down = Down::kDeltaStrict;
-  rules.strict_init = -kSearchEps;
-  rules.allow_escape = false;
-  rules.use_tabu = false;
-  return rules;
-}
-
-ScanRules ScanRules::GreedyGain(double strict_init) {
-  ScanRules rules;
-  rules.down = Down::kDeltaStrict;
-  rules.strict_init = strict_init;
-  rules.allow_escape = false;
-  rules.use_tabu = false;
-  rules.track_best = false;  // the walk's final mapping is the repair result
-  return rules;
-}
-
-SearchEngine::SearchEngine(std::string algo, const EngineOptions& options, const ScanRules& rules)
+SearchEngine::SearchEngine(std::string algo, const EngineOptions& options)
     : algo_(std::move(algo)),
       options_(options),
-      rules_(rules),
       timer_name_("search." + algo_ + ".seed"),
       seed_span_name_(algo_ + ".seed"),
       iter_span_name_(algo_ + ".iter") {
@@ -81,10 +53,7 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
 
   // tabu_until[a * n + b]: iteration before which swapping (a,b) is
   // forbidden.
-  std::vector<std::size_t> tabu_until;
-  if (rules_.use_tabu) {
-    tabu_until.assign(n * n, 0);
-  }
+  std::vector<std::size_t> tabu_until(n * n, 0);
 
   // Local-minimum bookkeeping: values quantized to a tolerance so that
   // "the same local minimum" is robust to floating-point noise.
@@ -97,23 +66,12 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
     // profile separates uphill moves from ordinary descent.
     obs::Span iter_span(iter_span_name_, "iter", iteration);
 
-    // Evaluate the whole inter-cluster swap neighbourhood. In value space
-    // the comparison reference is the current value; in delta space it is 0.
-    const double reference = rules_.down == ScanRules::Down::kValueStrict ? current_value : 0.0;
-    double best_down = 0.0;
-    switch (rules_.down) {
-      case ScanRules::Down::kDeltaMargin:
-        best_down = 0.0;
-        break;
-      case ScanRules::Down::kDeltaStrict:
-        best_down = rules_.strict_init;
-        break;
-      case ScanRules::Down::kValueStrict:
-        best_down = current_value - kSearchEps;
-        break;
-    }
+    // Evaluate the whole inter-cluster swap neighbourhood. A challenger must
+    // beat the held candidate (initially 0: no change) by kSearchEps:
+    // gain-table deltas carry last-bit noise, and an exact tie keeps the
+    // first candidate scanned.
+    double best_down = 0.0;  // greatest decrease
     std::pair<std::size_t, std::size_t> down_move{n, n};
-    bool down_found = false;
     double best_up = std::numeric_limits<double>::infinity();  // smallest increase
     std::pair<std::size_t, std::size_t> up_move{n, n};
     bool any_decrease_exists = false;  // decreasing swap exists, tabu or not
@@ -125,33 +83,23 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
         const double cost = objective.SwapCost(a, b);
         ++run.result.evaluations;
         if (!std::isfinite(cost)) continue;  // inadmissible (e.g. over budget)
-        if (cost < reference - kSearchEps) any_decrease_exists = true;
+        if (cost < -kSearchEps) any_decrease_exists = true;
 
-        if (rules_.use_tabu && tabu_until[a * n + b] > iteration) {
+        if (tabu_until[a * n + b] > iteration) {
           // Aspiration: a tabu move may still be taken if it would beat the
           // best mapping this seed has seen.
-          if (options_.aspiration &&
-              objective.AspirantValue(cost, current_value) < best_value - kSearchEps) {
+          if (options_.aspiration && current_value + cost < best_value - kSearchEps) {
             ++run.aspirations;
           } else {
             ++run.tabu_hits;
             continue;
           }
         }
-        // In delta space a challenger must beat the held candidate by
-        // kSearchEps: gain-table deltas carry last-bit noise, and an exact
-        // tie keeps the first candidate scanned. Only a strict scan's first
-        // pick is compared to its threshold without the margin.
-        const bool needs_margin =
-            rules_.down == ScanRules::Down::kDeltaMargin ||
-            (rules_.down == ScanRules::Down::kDeltaStrict && down_found);
-        const bool replace = needs_margin ? cost < best_down - kSearchEps : cost < best_down;
-        if (replace) {
+        if (cost < best_down - kSearchEps) {
           best_down = cost;
           down_move = {a, b};
-          down_found = true;
         }
-        if (rules_.allow_escape && cost > reference + kSearchEps && cost < best_up) {
+        if (cost > kSearchEps && cost < best_up) {
           best_up = cost;
           up_move = {a, b};
         }
@@ -160,10 +108,9 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
 
     std::pair<std::size_t, std::size_t> move{n, n};
     bool escaping = false;
-    if (down_found) {
+    if (down_move.first < n) {
       move = down_move;  // greatest decrease
     } else {
-      if (!rules_.allow_escape) break;  // pure descent: first local minimum ends the walk
       // Local minimum (no admissible decreasing swap).
       if (!any_decrease_exists) {
         const std::size_t hits = ++local_min_hits[quantize(current_value)];
@@ -209,16 +156,12 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
                        .F("fg", objective.TraceFg())
                        .F("escape", escaping));
     }
-    if (rules_.track_best && current_value < best_value - kSearchEps) {
+    if (current_value < best_value - kSearchEps) {
       best_value = current_value;
       run.result.best = objective.partition();
     }
   }
 
-  if (!rules_.track_best) {
-    run.result.best = objective.partition();
-    best_value = current_value;
-  }
   run.best_value = best_value;
   run.trace_span = run.result.iterations + 1;  // +1 for the restart point
   objective.FinalizeSeed(run.result);
@@ -297,15 +240,13 @@ SearchResult RunMultiStart(const DistanceTable& table, const MultiStartSpec& spe
   if (spec.finalize_combined) {
     FinalizeResult(table, combined);
   }
-  if (spec.emit_done) {
-    if (obs::Tracer* tracer = obs::ActiveTracer()) {
-      tracer->Emit(obs::TraceEvent("search.done")
-                       .F("algo", spec.algo)
-                       .F("seeds", seeds)
-                       .F("iters", combined.iterations)
-                       .F("evals", combined.evaluations)
-                       .F("best_fg", combined.best_fg));
-    }
+  if (obs::Tracer* tracer = obs::ActiveTracer()) {
+    tracer->Emit(obs::TraceEvent("search.done")
+                     .F("algo", spec.algo)
+                     .F("seeds", seeds)
+                     .F("iters", combined.iterations)
+                     .F("evals", combined.evaluations)
+                     .F("best_fg", combined.best_fg));
   }
   return combined;
 }
@@ -402,10 +343,6 @@ double TabuObjective::Value() const {
 
 double TabuObjective::TraceFg() const { return eval_.Fg(); }
 
-double TabuObjective::AspirantValue(double cost, double current_value) {
-  return current_value + cost;
-}
-
 void TabuObjective::Apply(std::size_t a, std::size_t b) {
   moved_ = static_cast<std::size_t>(static_cast<long long>(moved_) + SwapDMoved(a, b));
   eval_.ApplySwap(a, b);
@@ -425,14 +362,12 @@ WeightedFgObjective::WeightedFgObjective(const DistanceTable& table,
     : eval_(table, weights, start), table_(&table), weights_(&weights) {}
 
 double WeightedFgObjective::SwapCost(std::size_t a, std::size_t b) {
-  return eval_.FgAfterSwap(a, b);
+  return eval_.FgAfterSwap(a, b) - eval_.Fg();
 }
 
 double WeightedFgObjective::Value() const { return eval_.Fg(); }
 
 double WeightedFgObjective::TraceFg() const { return eval_.Fg(); }
-
-double WeightedFgObjective::AspirantValue(double cost, double /*current_value*/) { return cost; }
 
 void WeightedFgObjective::Apply(std::size_t a, std::size_t b) { eval_.ApplySwap(a, b); }
 
@@ -446,19 +381,18 @@ void WeightedFgObjective::FinalizeSeed(SearchResult& result) const {
 
 IntensityFgObjective::IntensityFgObjective(const DistanceTable& table, const Partition& start,
                                            const std::vector<double>& cluster_intensity)
-    : eval_(table, start, cluster_intensity), table_(&table), intensity_(cluster_intensity) {}
+    : eval_(table, start, cluster_intensity),
+      table_(&table),
+      intensity_(cluster_intensity),
+      fg_scale_(eval_.FgAfterDelta(1.0) - eval_.FgAfterDelta(0.0)) {}
 
 double IntensityFgObjective::SwapCost(std::size_t a, std::size_t b) {
-  return eval_.SwapDelta(a, b);
+  return eval_.SwapDelta(a, b) * fg_scale_;
 }
 
 double IntensityFgObjective::Value() const { return eval_.Fg(); }
 
 double IntensityFgObjective::TraceFg() const { return eval_.Fg(); }
-
-double IntensityFgObjective::AspirantValue(double cost, double /*current_value*/) {
-  return eval_.FgAfterDelta(cost);
-}
 
 void IntensityFgObjective::Apply(std::size_t a, std::size_t b) { eval_.ApplySwap(a, b); }
 
@@ -475,10 +409,6 @@ double IntraSumObjective::SwapCost(std::size_t a, std::size_t b) { return eval_-
 double IntraSumObjective::Value() const { return eval_->IntraSum(); }
 
 double IntraSumObjective::TraceFg() const { return eval_->Fg(); }
-
-double IntraSumObjective::AspirantValue(double cost, double current_value) {
-  return current_value + cost;
-}
 
 void IntraSumObjective::Apply(std::size_t a, std::size_t b) { eval_->ApplySwap(a, b); }
 

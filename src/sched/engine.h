@@ -6,12 +6,21 @@
 // scan, tabu/escape bookkeeping, trace emission, and observability flush;
 // now a searcher is just
 //
-//   * an Objective — how much a swap costs, what the current mapping is
-//     worth, and how to finalize a SearchResult, plus
-//   * a ScanRules preset — which comparison rule its legacy loop used
-//     (the presets exist for bit-exact parity, see below), plus
+//   * an Objective — what the current mapping is worth (Value) and how much
+//     a swap would change it (SwapCost), plus how to finalize a
+//     SearchResult, plus
 //   * a MultiStartSpec — how many seeds, how to build each start, and how
 //     seed results combine.
+//
+// Every walk follows the one move rule of §4.2: take the swap with the
+// greatest decrease; at a local minimum take the smallest increase and
+// forbid its inverse for `tenure` iterations; stop once the same minimum
+// has been reached `local_min_repeats` times. Steepest descent is the same
+// rule with local_min_repeats = 1: no swap is tabu before the first escape,
+// so the walk stops at its first local minimum. A challenger must beat the
+// held candidate (and a decrease must beat 0) by kSearchEps, so gain-table
+// noise in the last bits never reorders a tie: the first candidate scanned
+// wins.
 //
 // Determinism rules (enforced by tests/test_engine_parity.cpp):
 //   1. All starts and RNG streams are derived *up front*, before any seed
@@ -21,17 +30,10 @@
 //   3. Seed results are combined sequentially in seed order with a strict
 //      kEps margin, so the winner does not depend on thread scheduling.
 //
-// The comparison rules are deliberately *not* unified: the legacy loops
-// differed in how candidate swaps were compared (margin vs. strict, delta
-// space vs. absolute value), and those differences are observable in which
-// mapping wins a tie. ScanRules pins each searcher to its historical rule
-// so ported searchers stay bit-identical to the pre-refactor code.
-//
 // To add a new objective: implement Objective over an incremental evaluator
 // (SwapCost is called for every inter-cluster pair of every iteration, so it
 // must be O(1) or close to it — the dense evaluators read a per-switch
-// cluster gain table — never a full recompute), pick the
-// ScanRules preset whose tie-breaking you want, and drive it either through
+// cluster gain table — never a full recompute) and drive it either through
 // SearchEngine::RunSeed (one walk) or RunMultiStart (seeded restarts with
 // optional ParallelFor parallelism).
 #pragma once
@@ -60,7 +62,7 @@ inline constexpr double kSearchEps = 1e-12;
 struct EngineOptions {
   std::size_t seeds = 10;
   std::size_t max_iterations_per_seed = 20;
-  std::size_t local_min_repeats = 3;  // stop after revisiting a minimum
+  std::size_t local_min_repeats = 3;  // stop on reaching one minimum this often (1: descent)
   std::size_t tenure = 4;             // tabu duration of escape moves
   bool aspiration = true;             // tabu override when beating the best
   bool record_trace = false;
@@ -75,27 +77,20 @@ class Objective {
  public:
   virtual ~Objective() = default;
 
-  /// Cost of swapping switches (a, b), in this objective's comparison
-  /// space: a delta for delta-space objectives, the absolute post-swap
-  /// value for value-space ones (ScanRules::Down picks the interpretation).
-  /// Return a non-finite value to mark the swap inadmissible (e.g. the
-  /// repair objective's migration budget).
+  /// Change in Value() that swapping switches (a, b) would cause: after
+  /// Apply(a, b), Value() equals the old Value() plus this cost (up to
+  /// rounding). Return a non-finite value to mark the swap inadmissible
+  /// (e.g. the repair objective's migration budget).
   virtual double SwapCost(std::size_t a, std::size_t b) = 0;
 
-  /// Current value of the mapping in the comparison space (used for
-  /// best-so-far tracking and local-minimum detection).
+  /// Current value of the mapping (used for best-so-far tracking,
+  /// aspiration and local-minimum detection).
   [[nodiscard]] virtual double Value() const = 0;
 
   /// F_G of the current mapping, for TracePoints and trace events. May
   /// differ from Value() (e.g. the anchored objective adds a migration
   /// term; annealing walks compare raw intra-cluster sums).
   [[nodiscard]] virtual double TraceFg() const = 0;
-
-  /// Value the mapping would have after a swap of cost `cost`, compared
-  /// against the best-so-far for aspiration. Kept virtual because the
-  /// legacy loops disagreed (plain tabu: current + cost; intensity tabu:
-  /// FgAfterDelta(cost); weighted tabu: cost itself).
-  [[nodiscard]] virtual double AspirantValue(double cost, double current_value) = 0;
 
   /// Applies the swap and updates any internal bookkeeping.
   virtual void Apply(std::size_t a, std::size_t b) = 0;
@@ -105,27 +100,6 @@ class Objective {
   /// Fills best_fg / best_dg / best_cc (and any extra fields) of a finished
   /// seed result from result.best.
   virtual void FinalizeSeed(SearchResult& result) const = 0;
-};
-
-/// Candidate-comparison rules of the neighbourhood scan. Each preset
-/// reproduces one legacy loop's tie-breaking exactly.
-struct ScanRules {
-  enum class Down {
-    kDeltaMargin,  // init 0; replace when cost < best - kEps (tabu, itabu)
-    kDeltaStrict,  // init strict_init; the first pick needs cost < best,
-                   // later ones cost < best - kEps (sd, repair)
-    kValueStrict,  // init current - kEps; replace when cost < best (wtabu)
-  };
-  Down down = Down::kDeltaMargin;
-  double strict_init = 0.0;  // initial threshold for kDeltaStrict
-  bool allow_escape = true;  // false: stop at the first local minimum
-  bool use_tabu = true;      // maintain the tabu list + aspiration
-  bool track_best = true;    // false: the walk's final mapping is its result
-
-  static ScanRules TabuMargin();           // plain & intensity tabu
-  static ScanRules ValueDescent();         // weighted tabu
-  static ScanRules GreedyDescent();        // steepest descent
-  static ScanRules GreedyGain(double strict_init);  // repair refinement
 };
 
 /// One seed's finished walk.
@@ -144,7 +118,7 @@ struct SeedRun {
 /// and span/trace-event emission under `algo`'s name.
 class SearchEngine {
  public:
-  SearchEngine(std::string algo, const EngineOptions& options, const ScanRules& rules);
+  SearchEngine(std::string algo, const EngineOptions& options);
 
   /// Runs one walk from the objective's current mapping. Emits
   /// search.restart / search.move / search.local_min trace events and
@@ -164,7 +138,6 @@ class SearchEngine {
  private:
   std::string algo_;
   EngineOptions options_;
-  ScanRules rules_;
   std::string timer_name_;      // "search.<algo>.seed"
   std::string seed_span_name_;  // "<algo>.seed"
   std::string iter_span_name_;  // "<algo>.iter"
@@ -185,8 +158,6 @@ struct MultiStartSpec {
   /// Recompute best_fg/dg/cc of the winner from its partition. Weighted
   /// objectives set this false and carry their own finalized values.
   bool finalize_combined = true;
-  /// Emit the search.done summary event.
-  bool emit_done = true;
 };
 
 /// Runs every seed (in parallel when options.parallel_seeds), then combines
@@ -265,7 +236,6 @@ class TabuObjective final : public Objective {
   double SwapCost(std::size_t a, std::size_t b) override;
   [[nodiscard]] double Value() const override;
   [[nodiscard]] double TraceFg() const override;
-  [[nodiscard]] double AspirantValue(double cost, double current_value) override;
   void Apply(std::size_t a, std::size_t b) override;
   [[nodiscard]] const Partition& partition() const override;
   void FinalizeSeed(SearchResult& result) const override;
@@ -281,9 +251,8 @@ class TabuObjective final : public Objective {
   std::size_t moved_ = 0;
 };
 
-/// Traffic-weighted F_G^w. Value space: FgAfterSwap yields the absolute
-/// post-swap value (no delta form exists), so this pairs with
-/// ScanRules::ValueDescent().
+/// Traffic-weighted F_G^w. The evaluator has no delta form, so SwapCost is
+/// FgAfterSwap minus the current F_G^w.
 class WeightedFgObjective final : public Objective {
  public:
   WeightedFgObjective(const DistanceTable& table, const qual::WeightMatrix& weights,
@@ -292,7 +261,6 @@ class WeightedFgObjective final : public Objective {
   double SwapCost(std::size_t a, std::size_t b) override;
   [[nodiscard]] double Value() const override;
   [[nodiscard]] double TraceFg() const override;
-  [[nodiscard]] double AspirantValue(double cost, double current_value) override;
   void Apply(std::size_t a, std::size_t b) override;
   [[nodiscard]] const Partition& partition() const override;
   void FinalizeSeed(SearchResult& result) const override;
@@ -303,7 +271,8 @@ class WeightedFgObjective final : public Objective {
   const qual::WeightMatrix* weights_;
 };
 
-/// Per-cluster intensity-weighted F_G^λ (delta space, like plain F_G).
+/// Per-cluster intensity-weighted F_G^λ. Like plain F_G it is affine in an
+/// intra-cluster sum, so SwapCost scales the sum delta by a constant.
 class IntensityFgObjective final : public Objective {
  public:
   IntensityFgObjective(const DistanceTable& table, const Partition& start,
@@ -312,7 +281,6 @@ class IntensityFgObjective final : public Objective {
   double SwapCost(std::size_t a, std::size_t b) override;
   [[nodiscard]] double Value() const override;
   [[nodiscard]] double TraceFg() const override;
-  [[nodiscard]] double AspirantValue(double cost, double current_value) override;
   void Apply(std::size_t a, std::size_t b) override;
   [[nodiscard]] const Partition& partition() const override;
   void FinalizeSeed(SearchResult& result) const override;
@@ -321,6 +289,7 @@ class IntensityFgObjective final : public Objective {
   qual::IntensitySwapEvaluator eval_;
   const DistanceTable* table_;
   std::vector<double> intensity_;
+  double fg_scale_ = 0.0;  // F_G^λ is affine in the weighted intra sum
 };
 
 /// Raw intra-cluster sum over a borrowed SwapEvaluator. Used by steepest
@@ -335,7 +304,6 @@ class IntraSumObjective final : public Objective {
   double SwapCost(std::size_t a, std::size_t b) override;
   [[nodiscard]] double Value() const override;
   [[nodiscard]] double TraceFg() const override;
-  [[nodiscard]] double AspirantValue(double cost, double current_value) override;
   void Apply(std::size_t a, std::size_t b) override;
   [[nodiscard]] const Partition& partition() const override;
   void FinalizeSeed(SearchResult& result) const override;

@@ -15,13 +15,14 @@ SearchResult SteepestDescent(const DistanceTable& table,
   spec.algo = "sd";
   spec.options.seeds = options.restarts;
   spec.options.max_iterations_per_seed = options.max_iterations_per_restart;
+  spec.options.local_min_repeats = 1;  // steepest descent: stop at the first minimum
   spec.options.parallel_seeds = options.parallel_seeds;
   spec.starts.reserve(options.restarts);
   for (std::size_t s = 0; s < options.restarts; ++s) {
     spec.starts.push_back(Partition::Random(cluster_sizes, rng));
   }
 
-  const SearchEngine engine("sd", spec.options, ScanRules::GreedyDescent());
+  const SearchEngine engine("sd", spec.options);
   spec.run_seed = [&table, &engine](const Partition& start, std::size_t seed) {
     qual::SwapEvaluator eval(table, start);
     IntraSumObjective objective(table, eval);

@@ -54,9 +54,6 @@ class SparseQapObjective final : public Objective {
   }
   [[nodiscard]] double Value() const override { return eval_.Cost(); }
   [[nodiscard]] double TraceFg() const override { return eval_.NormalizedCost(); }
-  [[nodiscard]] double AspirantValue(double cost, double current_value) override {
-    return current_value + cost;
-  }
   void Apply(std::size_t a, std::size_t b) override {
     eval_.ApplySwap(a, b);
     partition_.Swap(a, b);
@@ -306,7 +303,7 @@ MultilevelResult MapMultilevel(const CommGraph& processes, const dist::DistanceT
           options.engine_iterations != 0
               ? options.engine_iterations
               : std::clamp<std::size_t>(2 * coarsest.vertex_count(), 20, 200);
-      const SearchEngine engine("multilevel", engine_options, ScanRules::TabuMargin());
+      const SearchEngine engine("multilevel", engine_options);
 
       // Per-seed starts derived up front: seed 0 is the greedy placement,
       // later seeds perturb it with feasible random swaps.

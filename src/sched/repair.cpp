@@ -26,10 +26,11 @@ double DraftCost(const dist::DistanceTable& table, const qual::Partition& partit
   return cost;
 }
 
-/// Migration-bounded refinement objective: minimizes -gain where
-/// gain = (F_G drop of the swap) - penalty * (added displaced) / N, and
-/// swaps that would exceed the hard migration budget are inadmissible
-/// (SwapCost returns infinity, which the engine skips).
+/// Migration-bounded refinement objective: minimizes
+/// F_G + penalty * displaced / N, so a swap costs minus its gain (the F_G
+/// drop less the penalty of the added displacement). Swaps that would
+/// exceed the hard migration budget are inadmissible (SwapCost returns
+/// infinity, which the engine skips).
 class RepairObjective final : public Objective {
  public:
   RepairObjective(const dist::DistanceTable& table, const qual::Partition& start,
@@ -71,10 +72,6 @@ class RepairObjective final : public Objective {
 
   [[nodiscard]] double TraceFg() const override { return eval_.Fg(); }
 
-  [[nodiscard]] double AspirantValue(double cost, double current_value) override {
-    return current_value + cost;  // unused: repair runs without a tabu list
-  }
-
   void Apply(std::size_t a, std::size_t b) override {
     eval_.ApplySwap(a, b);
     for (const std::size_t s : {a, b}) {
@@ -89,7 +86,8 @@ class RepairObjective final : public Objective {
   [[nodiscard]] const Partition& partition() const override { return eval_.partition(); }
 
   void FinalizeSeed(SearchResult& result) const override {
-    // Incremental values, not a recompute — matches the legacy refinement.
+    // Incremental values, not a recompute. Every descent move lowers
+    // Value(), so the walk's final mapping is result.best.
     result.best_fg = eval_.Fg();
     result.best_cc = eval_.Cc();
   }
@@ -157,9 +155,10 @@ RepairOutcome AnchoredRepair(const dist::DistanceTable& table, const qual::Parti
   EngineOptions engine_options;
   engine_options.seeds = options.seeds;
   engine_options.max_iterations_per_seed = options.max_refinement_rounds;
+  engine_options.local_min_repeats = 1;  // pure descent: stop at the first minimum
   engine_options.record_trace = false;
   engine_options.parallel_seeds = options.parallel_seeds;
-  const SearchEngine engine("repair", engine_options, ScanRules::GreedyGain(kSearchEps));
+  const SearchEngine engine("repair", engine_options);
 
   // Starts up front (engine determinism rule 1).
   std::vector<qual::Partition> starts;

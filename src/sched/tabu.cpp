@@ -10,7 +10,7 @@ namespace commsched::sched {
 
 SearchResult TabuSearchFrom(const DistanceTable& table, const Partition& start,
                             const TabuOptions& options) {
-  const SearchEngine engine("tabu", ToEngineOptions(options), ScanRules::TabuMargin());
+  const SearchEngine engine("tabu", ToEngineOptions(options));
   TabuObjective objective(table, start, options.anchor, options.migration_penalty);
   SeedRun run = engine.RunSeed(objective, 0);
   engine.FlushSeedObservability(run, 0);
@@ -44,7 +44,7 @@ SearchResult TabuSearch(const DistanceTable& table, const std::vector<std::size_
     spec.starts.push_back(Partition::Random(cluster_sizes, rng));
   }
 
-  const SearchEngine engine("tabu", spec.options, ScanRules::TabuMargin());
+  const SearchEngine engine("tabu", spec.options);
   spec.run_seed = [&table, &options, &engine](const Partition& start, std::size_t seed) {
     TabuObjective objective(table, start, options.anchor, options.migration_penalty);
     SeedRun run = engine.RunSeed(objective, seed);

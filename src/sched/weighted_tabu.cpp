@@ -10,13 +10,13 @@ namespace commsched::sched {
 namespace {
 
 /// Shared driver of the weighted variants: seeds differ only in objective
-/// construction and scan rules; everything else (starts, parallelism,
+/// construction; everything else (starts, parallelism,
 /// combining by finalized F_G) is the engine's multi-start machinery.
 template <typename MakeObjective>
 SearchResult WeightedFamilySearch(const DistanceTable& table,
                                   const std::vector<std::size_t>& cluster_sizes,
                                   const TabuOptions& options, const char* algo,
-                                  const ScanRules& rules, MakeObjective make_objective) {
+                                  MakeObjective make_objective) {
   CS_CHECK(options.seeds >= 1, "need at least one seed");
   Rng rng(options.rng_seed);
 
@@ -28,7 +28,7 @@ SearchResult WeightedFamilySearch(const DistanceTable& table,
     spec.starts.push_back(Partition::Random(cluster_sizes, rng));
   }
 
-  const SearchEngine engine(algo, spec.options, rules);
+  const SearchEngine engine(algo, spec.options);
   spec.run_seed = [&make_objective, &engine](const Partition& start, std::size_t seed) {
     auto objective = make_objective(start);
     SeedRun run = engine.RunSeed(objective, seed);
@@ -48,7 +48,7 @@ SearchResult WeightedFamilySearch(const DistanceTable& table,
 SearchResult WeightedTabuSearch(const DistanceTable& table, const qual::WeightMatrix& weights,
                                 const std::vector<std::size_t>& cluster_sizes,
                                 const TabuOptions& options) {
-  return WeightedFamilySearch(table, cluster_sizes, options, "wtabu", ScanRules::ValueDescent(),
+  return WeightedFamilySearch(table, cluster_sizes, options, "wtabu",
                               [&](const Partition& start) {
                                 return WeightedFgObjective(table, weights, start);
                               });
@@ -59,7 +59,7 @@ SearchResult IntensityTabuSearch(const DistanceTable& table,
                                  const std::vector<double>& cluster_intensity,
                                  const TabuOptions& options) {
   CS_CHECK(cluster_intensity.size() == cluster_sizes.size(), "one intensity per cluster");
-  return WeightedFamilySearch(table, cluster_sizes, options, "itabu", ScanRules::TabuMargin(),
+  return WeightedFamilySearch(table, cluster_sizes, options, "itabu",
                               [&](const Partition& start) {
                                 return IntensityFgObjective(table, start, cluster_intensity);
                               });

@@ -17,20 +17,17 @@ namespace {
 TEST(EngineOptionsValidation, EngineConstructorRejectsZeroSeeds) {
   sched::EngineOptions options;
   options.seeds = 0;
-  EXPECT_THROW(sched::SearchEngine("tabu", options, sched::ScanRules::TabuMargin()),
-               ConfigError);
+  EXPECT_THROW(sched::SearchEngine("tabu", options), ConfigError);
 }
 
 TEST(EngineOptionsValidation, EngineConstructorRejectsZeroIterations) {
   sched::EngineOptions options;
   options.max_iterations_per_seed = 0;
-  EXPECT_THROW(sched::SearchEngine("tabu", options, sched::ScanRules::TabuMargin()),
-               ConfigError);
+  EXPECT_THROW(sched::SearchEngine("tabu", options), ConfigError);
 }
 
 TEST(EngineOptionsValidation, EngineConstructorAcceptsDefaults) {
-  EXPECT_NO_THROW(
-      sched::SearchEngine("tabu", sched::EngineOptions{}, sched::ScanRules::TabuMargin()));
+  EXPECT_NO_THROW(sched::SearchEngine("tabu", sched::EngineOptions{}));
 }
 
 TEST(EngineOptionsValidation, SearchKnobsRejectExplicitZeros) {

@@ -4,6 +4,13 @@
 // pre-refactor implementations (COMMSCHED_UPDATE_GOLDEN=1) and is never
 // regenerated as part of the refactor itself.
 //
+// Two lines were edited by hand since: n8.repair.refinement_swaps and
+// n8.repair_bounded.refinement_swaps went from 100 to 2 when every walk
+// moved to the engine's one scan rule. The old repair refinement took any
+// swap with cost below +kSearchEps, so it swapped equal-valued pairs back
+// and forth until its 100-round budget ran out; it now stops at its local
+// minimum after 2 swaps, with the same repaired mapping and F_G.
+//
 // Coverage: 8/16/24-switch irregular networks × plain/weighted/intensity/
 // anchored tabu, steepest descent, random sampling, simulated annealing,
 // genetic annealing, and anchored repair. Floats are serialized as hexfloats

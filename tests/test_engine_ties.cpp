@@ -1,17 +1,29 @@
-// The engine's delta-space tie rule: once a scan holds a candidate, a later
-// one must beat it by kSearchEps. Evaluator deltas carry last-bit noise (the
-// O(1) gain-table deltas differ from a re-summed delta in the last bits), so
-// two candidates closer than kSearchEps are a tie and the first one scanned
-// wins — under both the margin rule (tabu) and the strict rule (steepest
-// descent, repair).
+// The engine's one scan rule and the Objective contract it relies on.
+//
+// Tie rule: a challenger must beat the held candidate (initially 0) by
+// kSearchEps. Evaluator deltas carry last-bit noise (the O(1) gain-table
+// deltas differ from a re-summed delta in the last bits), so two candidates
+// closer than kSearchEps are a tie and the first one scanned wins — for the
+// Tabu walk and for pure descent alike.
+//
+// Contract: every objective's SwapCost is the change in Value() the swap
+// causes, so the scan, aspiration and best-tracking all work in one space.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "distance/distance_table.h"
+#include "routing/updown.h"
 #include "sched/engine.h"
+#include "topology/generator.h"
 
 namespace commsched {
 namespace {
@@ -33,9 +45,6 @@ class ScriptedObjective final : public sched::Objective {
   }
   [[nodiscard]] double Value() const override { return value_; }
   [[nodiscard]] double TraceFg() const override { return value_; }
-  [[nodiscard]] double AspirantValue(double cost, double current_value) override {
-    return current_value + cost;
-  }
   void Apply(std::size_t a, std::size_t b) override {
     value_ += SwapCost(a, b);
     applied_.emplace_back(a, b);
@@ -53,14 +62,21 @@ class ScriptedObjective final : public sched::Objective {
   double value_ = 0.0;
 };
 
-/// The first move a one-iteration walk under `rules` takes.
-Move FirstMove(const sched::ScanRules& rules, const std::map<Move, double>& first_scan) {
+/// One walk over the scripted objective.
+sched::SeedRun Walk(ScriptedObjective& objective, std::size_t local_min_repeats,
+                    std::size_t max_iterations) {
   sched::EngineOptions options;
   options.seeds = 1;
-  options.max_iterations_per_seed = 1;
-  const sched::SearchEngine engine("tie_test", options, rules);
+  options.max_iterations_per_seed = max_iterations;
+  options.local_min_repeats = local_min_repeats;
+  const sched::SearchEngine engine("tie_test", options);
+  return engine.RunSeed(objective, 0);
+}
+
+/// The first move a one-iteration walk takes.
+Move FirstMove(std::size_t local_min_repeats, const std::map<Move, double>& first_scan) {
   ScriptedObjective objective(first_scan);
-  static_cast<void>(engine.RunSeed(objective, 0));
+  static_cast<void>(Walk(objective, local_min_repeats, 1));
   EXPECT_EQ(objective.applied().size(), 1u);
   return objective.applied().empty() ? Move{0, 0} : objective.applied().front();
 }
@@ -68,23 +84,83 @@ Move FirstMove(const sched::ScanRules& rules, const std::map<Move, double>& firs
 TEST(EngineTieRule, CandidatesWithinEpsKeepTheFirst) {
   // (0,3) is lower than (0,2) by less than kSearchEps: a tie.
   const std::map<Move, double> tie = {{{0, 2}, -1.0}, {{0, 3}, -1.0 - 0.5 * sched::kSearchEps}};
-  EXPECT_EQ(FirstMove(sched::ScanRules::TabuMargin(), tie), Move(0, 2));
-  EXPECT_EQ(FirstMove(sched::ScanRules::GreedyDescent(), tie), Move(0, 2));
-  EXPECT_EQ(FirstMove(sched::ScanRules::GreedyGain(-sched::kSearchEps), tie), Move(0, 2));
+  EXPECT_EQ(FirstMove(3, tie), Move(0, 2));
+  EXPECT_EQ(FirstMove(1, tie), Move(0, 2));
 }
 
 TEST(EngineTieRule, CandidatesBeyondEpsTakeTheLower) {
   const std::map<Move, double> clear = {{{0, 2}, -1.0}, {{0, 3}, -1.0 - 1e3 * sched::kSearchEps}};
-  EXPECT_EQ(FirstMove(sched::ScanRules::TabuMargin(), clear), Move(0, 3));
-  EXPECT_EQ(FirstMove(sched::ScanRules::GreedyDescent(), clear), Move(0, 3));
+  EXPECT_EQ(FirstMove(3, clear), Move(0, 3));
+  EXPECT_EQ(FirstMove(1, clear), Move(0, 3));
 }
 
-TEST(EngineTieRule, StrictRuleKeepsItsThresholdForTheFirstPick) {
-  // GreedyGain(t) takes any first candidate strictly below t, even one
-  // within kSearchEps of t — only later candidates need the margin.
-  const double threshold = -1.0;
-  const std::map<Move, double> near = {{{0, 2}, threshold - 0.5 * sched::kSearchEps}};
-  EXPECT_EQ(FirstMove(sched::ScanRules::GreedyGain(threshold), near), Move(0, 2));
+TEST(EngineTieRule, DescentStopsAtTheFirstLocalMinimum) {
+  const std::map<Move, double> one_drop = {{{0, 2}, -1.0}};
+
+  ScriptedObjective descent(one_drop);
+  const sched::SeedRun stopped = Walk(descent, 1, 5);
+  EXPECT_EQ(descent.applied().size(), 1u);
+  EXPECT_EQ(stopped.escapes, 0u);
+
+  ScriptedObjective tabu(one_drop);
+  const sched::SeedRun escaped = Walk(tabu, 3, 5);
+  EXPECT_GT(tabu.applied().size(), 1u);
+  EXPECT_GT(escaped.escapes, 0u);
+}
+
+dist::DistanceTable IrregularTable(std::size_t switches) {
+  topo::IrregularTopologyOptions options;
+  options.switch_count = switches;
+  options.seed = 3;
+  const topo::SwitchGraph graph = topo::GenerateIrregularTopology(options);
+  const route::UpDownRouting routing(graph);
+  return dist::DistanceTable::Build(routing);
+}
+
+/// Applies `swaps` random inter-cluster swaps and checks, before each one,
+/// that Value() + SwapCost(a, b) is the Value() the swap leaves behind.
+void ExpectSwapCostIsValueDelta(sched::Objective& objective, std::uint64_t seed,
+                                std::size_t swaps, const std::string& label) {
+  Rng rng(seed);
+  for (std::size_t k = 0; k < swaps; ++k) {
+    const auto [a, b] = sched::RandomInterClusterPair(objective.partition(), rng);
+    const double predicted = objective.Value() + objective.SwapCost(a, b);
+    objective.Apply(a, b);
+    const double actual = objective.Value();
+    ASSERT_NEAR(predicted, actual, 1e-9 * std::max(1.0, std::abs(actual)))
+        << label << " swap " << k << " (" << a << "," << b << ")";
+  }
+}
+
+TEST(EngineObjective, ValuePlusSwapCostIsValueAfterApply) {
+  constexpr std::size_t kSwaps = 200;
+  for (const std::size_t switches : {std::size_t{16}, std::size_t{24}}) {
+    const dist::DistanceTable table = IrregularTable(switches);
+    const std::vector<std::size_t> sizes(4, switches / 4);
+    Rng rng(switches);
+    const qual::Partition start = qual::Partition::Random(sizes, rng);
+    const qual::Partition anchor = qual::Partition::Random(sizes, rng);
+    qual::WeightMatrix weights(switches, 1.0);
+    for (std::size_t i = 0; i < switches; ++i) {
+      for (std::size_t j = i + 1; j < switches; ++j) {
+        weights.Set(i, j, 0.5 + 4.0 * rng.NextDouble());
+      }
+    }
+    const std::vector<double> intensity = {1.0, 1.5, 2.0, 3.5};
+    const std::string net = std::to_string(switches) + "-switch ";
+
+    sched::TabuObjective plain(table, start, nullptr, 0.0);
+    ExpectSwapCostIsValueDelta(plain, 1, kSwaps, net + "tabu");
+    sched::TabuObjective anchored(table, start, &anchor, 0.25);
+    ExpectSwapCostIsValueDelta(anchored, 2, kSwaps, net + "anchored tabu");
+    sched::WeightedFgObjective weighted(table, weights, start);
+    ExpectSwapCostIsValueDelta(weighted, 3, kSwaps, net + "weighted");
+    sched::IntensityFgObjective intensity_fg(table, start, intensity);
+    ExpectSwapCostIsValueDelta(intensity_fg, 4, kSwaps, net + "intensity");
+    qual::SwapEvaluator eval(table, start);
+    sched::IntraSumObjective intra(table, eval);
+    ExpectSwapCostIsValueDelta(intra, 5, kSwaps, net + "intra sum");
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "distance/distance_table.h"
 #include "quality/quality.h"
 #include "routing/updown.h"
+#include "topology/generator.h"
 #include "topology/library.h"
 
 namespace commsched::sched {
@@ -98,6 +99,32 @@ TEST(Repair, MigrationPenaltySuppressesMarginalSwaps) {
   EXPECT_GT(free_moves.refinement_swaps, 0u);  // random start leaves easy gains
   EXPECT_EQ(costly.refinement_swaps, 0u);
   EXPECT_GE(free_moves.displaced, costly.displaced);
+}
+
+TEST(Repair, RefinementStopsAtItsLocalMinimum) {
+  // An 8-switch irregular network whose random anchor has equal-valued
+  // swaps at its local minimum: refinement must stop there instead of
+  // swapping tied pairs back and forth until the round budget runs out.
+  topo::IrregularTopologyOptions topo_options;
+  topo_options.switch_count = 8;
+  topo_options.seed = 1;
+  const topo::SwitchGraph graph = topo::GenerateIrregularTopology(topo_options);
+  const route::UpDownRouting routing(graph);
+  const dist::DistanceTable table = dist::DistanceTable::Build(routing);
+  const std::vector<std::size_t> sizes = {2, 2, 2, 2};
+  Rng rng(41);
+  const qual::Partition anchor = qual::Partition::Random(sizes, rng);
+
+  const RepairOptions options;
+  const RepairOutcome outcome = AnchoredRepair(table, anchor, {}, std::nullopt, options);
+  ASSERT_GT(outcome.refinement_swaps, 0u);
+  EXPECT_LT(outcome.refinement_swaps, options.max_refinement_rounds);
+
+  // A budget of exactly the swaps it took reaches the same mapping.
+  RepairOptions exact = options;
+  exact.max_refinement_rounds = outcome.refinement_swaps;
+  const RepairOutcome rerun = AnchoredRepair(table, anchor, {}, std::nullopt, exact);
+  EXPECT_EQ(rerun.repaired.ToString(), outcome.repaired.ToString());
 }
 
 TEST(Repair, DeficitVectorMustMatchClusterCount) {
