@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "simnet/traffic.h"
@@ -63,11 +64,18 @@ ExperimentResult RunPaperExperiment(const topo::SwitchGraph& graph,
   }
 
   if (options.run_simulation) {
-    for (MappingEvaluation& eval : result.mappings) {
+    // Every mapping's load points go into one parallel work list.
+    std::vector<sim::TrafficPattern> patterns;
+    patterns.reserve(result.mappings.size());
+    for (const MappingEvaluation& eval : result.mappings) {
       const work::ProcessMapping mapping =
           work::ProcessMapping::FromPartition(graph, workload, eval.partition);
-      const sim::TrafficPattern pattern(graph, workload, mapping);
-      eval.sweep = sim::RunLoadSweep(graph, routing, pattern, options.sweep);
+      patterns.emplace_back(graph, workload, mapping);
+    }
+    std::vector<sim::SweepResult> sweeps =
+        sim::RunLoadSweeps(graph, routing, patterns, options.sweep);
+    for (std::size_t k = 0; k < sweeps.size(); ++k) {
+      result.mappings[k].sweep = std::move(sweeps[k]);
     }
   }
   return result;

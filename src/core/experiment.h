@@ -1,7 +1,8 @@
 // The paper's end-to-end evaluation experiment (§5), reusable by benches and
 // examples: given a topology, build up*/down* routing and the distance
 // table, run the Tabu scheduler (mapping "OP"), draw random mappings
-// ("R1".."Rk"), and simulate every mapping across a load sweep.
+// ("R1".."Rk"), and simulate every mapping across a load sweep (all
+// mappings' load points in one parallel work list, sim::RunLoadSweeps).
 #pragma once
 
 #include <string>

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/parallel.h"
 #include "obs/obs.h"
@@ -58,45 +60,88 @@ std::vector<double> SweepRates(const SweepOptions& options) {
 
 namespace {
 
-/// Shared sweep driver; `make_simulator(config)` builds a fresh simulator.
+/// Throws ConfigError if some rate is negative or would ask a host of some
+/// pattern for more than one message per cycle; NetworkSimulator::Run holds
+/// the same limit as a contract.
+void CheckHostBandwidth(const SwitchGraph& graph, std::span<const TrafficPattern> patterns,
+                        const std::vector<double>& rates, std::size_t message_length_flits) {
+  for (const double rate : rates) {
+    if (!(rate >= 0.0)) {
+      std::ostringstream message;
+      message << "sweep rates must be >= 0 (got " << rate << ")";
+      throw ConfigError(message.str());
+    }
+    for (const TrafficPattern& pattern : patterns) {
+      double p = 0.0;
+      for (const double q : HostMessageProbabilities(graph, pattern, message_length_flits, rate)) {
+        p = std::max(p, q);
+      }
+      if (p > 1.0) {
+        std::ostringstream message;
+        message << "sweep rate " << rate
+                << " exceeds host injection bandwidth (per-host message probability " << p
+                << " > 1; rates up to " << rate / p << " fit)";
+        throw ConfigError(message.str());
+      }
+    }
+  }
+}
+
+/// Shared sweep driver; `make_simulator(pattern, config)` builds a fresh
+/// simulator.
 template <typename MakeSimulator>
-SweepResult RunSweepImpl(const SweepOptions& options, MakeSimulator&& make_simulator) {
+std::vector<SweepResult> RunSweepsImpl(const SwitchGraph& graph,
+                                       std::span<const TrafficPattern> patterns,
+                                       const SweepOptions& options,
+                                       MakeSimulator&& make_simulator) {
   if (options.config.virtual_channels == 0) {
     throw ConfigError("sweep vcs must be >= 1 (got 0)");
   }
   if (options.config.measure_cycles == 0) {
     throw ConfigError("sweep measure cycles must be >= 1 (got 0)");
   }
-  obs::Registry& registry = obs::Registry::Global();
   const std::vector<double> rates = SweepRates(options);
-  const obs::Span sweep_span("sweep.run", "points", rates.size(),
+  CheckHostBandwidth(graph, patterns, rates, options.config.message_length_flits);
+  obs::Registry& registry = obs::Registry::Global();
+  const obs::Span sweep_span("sweep.run", "points", patterns.size() * rates.size(),
                              &registry.GetTimer("sweep.run"));
   const std::size_t replicates = std::max<std::size_t>(options.seed_replicates, 1);
-  SweepResult result;
-  result.points.resize(rates.size());
-  for (std::size_t k = 0; k < rates.size(); ++k) {
-    result.points[k].offered_rate = rates[k];
-    result.points[k].replicates.resize(replicates);
+  std::vector<SweepResult> results(patterns.size());
+  for (SweepResult& result : results) {
+    result.points.resize(rates.size());
+    for (std::size_t k = 0; k < rates.size(); ++k) {
+      result.points[k].offered_rate = rates[k];
+      result.points[k].replicates.resize(replicates);
+    }
   }
 
-  // Flat points x replicates work list; every (point, replicate) pair gets
-  // an independent, pre-derived RNG stream, so parallel order is irrelevant.
+  // Flat point x pattern x replicate work list, highest rates first: they
+  // simulate the most flits, so starting them first keeps the tail short.
+  // Every (point, replicate) pair gets an independent, pre-derived RNG
+  // stream, so neither the order nor the batching changes a result.
   // Replicate r of point k advances the base seed (k + 1) + r SplitMix64
   // steps: r == 0 reproduces the single-replicate stream exactly.
+  std::vector<std::size_t> by_rate(rates.size());
+  std::iota(by_rate.begin(), by_rate.end(), 0);
+  std::stable_sort(by_rate.begin(), by_rate.end(),
+                   [&](std::size_t a, std::size_t b) { return rates[a] > rates[b]; });
+  const std::size_t per_point = patterns.size() * replicates;
   auto run_job = [&](std::size_t job) {
-    const std::size_t k = job / replicates;
+    const std::size_t k = by_rate[job / per_point];
+    const std::size_t p = job % per_point / replicates;
     const std::size_t r = job % replicates;
     SimConfig config = options.config;
     std::uint64_t stream = config.rng_seed;
     for (std::size_t i = 0; i < (k + 1) + r; ++i) (void)SplitMix64(stream);
     config.rng_seed = stream;
+    SweepPoint& point = results[p].points[k];
     if (r == 0) {
       const obs::Span point_span("sweep.point", "point", k);
-      auto simulator = make_simulator(config);
-      result.points[k].replicates[0] = simulator.Run(rates[k]);
-      result.points[k].metrics = result.points[k].replicates[0];
+      auto simulator = make_simulator(patterns[p], config);
+      point.replicates[0] = simulator.Run(rates[k]);
+      point.metrics = point.replicates[0];
       if (obs::Tracer* tracer = obs::ActiveTracer()) {
-        const SimMetrics& m = result.points[k].metrics;
+        const SimMetrics& m = point.metrics;
         tracer->Emit(obs::TraceEvent("sweep.point")
                          .F("point", k)
                          .F("rate", rates[k])
@@ -105,40 +150,56 @@ SweepResult RunSweepImpl(const SweepOptions& options, MakeSimulator&& make_simul
                          .F("saturated", m.Saturated()));
       }
     } else {
-      auto simulator = make_simulator(config);
-      result.points[k].replicates[r] = simulator.Run(rates[k]);
+      auto simulator = make_simulator(patterns[p], config);
+      point.replicates[r] = simulator.Run(rates[k]);
     }
   };
-  const std::size_t jobs = rates.size() * replicates;
+  const std::size_t jobs = rates.size() * per_point;
   if (options.parallel && jobs > 1) {
     ParallelFor(jobs, run_job);
   } else {
     for (std::size_t job = 0; job < jobs; ++job) run_job(job);
   }
-  registry.GetCounter("sweep.runs").Add(1);
-  registry.GetCounter("sweep.points").Add(rates.size());
+  registry.GetCounter("sweep.runs").Add(patterns.size());
+  registry.GetCounter("sweep.points").Add(patterns.size() * rates.size());
   if (obs::Tracer* tracer = obs::ActiveTracer()) {
-    tracer->Emit(obs::TraceEvent("sweep.done")
-                     .F("points", rates.size())
-                     .F("throughput", result.Throughput()));
+    for (const SweepResult& result : results) {
+      tracer->Emit(obs::TraceEvent("sweep.done")
+                       .F("points", rates.size())
+                       .F("throughput", result.Throughput()));
+    }
   }
-  return result;
+  return results;
 }
 
 }  // namespace
 
+std::vector<SweepResult> RunLoadSweeps(const SwitchGraph& graph, const Routing& routing,
+                                       std::span<const TrafficPattern> patterns,
+                                       const SweepOptions& options) {
+  return RunSweepsImpl(graph, patterns, options,
+                       [&](const TrafficPattern& pattern, const SimConfig& config) {
+                         return NetworkSimulator(graph, routing, pattern, config);
+                       });
+}
+
+std::vector<SweepResult> RunLoadSweeps(const SwitchGraph& graph, const VcRoutingPolicy& policy,
+                                       std::span<const TrafficPattern> patterns,
+                                       const SweepOptions& options) {
+  return RunSweepsImpl(graph, patterns, options,
+                       [&](const TrafficPattern& pattern, const SimConfig& config) {
+                         return NetworkSimulator(graph, policy, pattern, config);
+                       });
+}
+
 SweepResult RunLoadSweep(const SwitchGraph& graph, const Routing& routing,
                          const TrafficPattern& pattern, const SweepOptions& options) {
-  return RunSweepImpl(options, [&](const SimConfig& config) {
-    return NetworkSimulator(graph, routing, pattern, config);
-  });
+  return std::move(RunLoadSweeps(graph, routing, {&pattern, 1}, options).front());
 }
 
 SweepResult RunLoadSweep(const SwitchGraph& graph, const VcRoutingPolicy& policy,
                          const TrafficPattern& pattern, const SweepOptions& options) {
-  return RunSweepImpl(options, [&](const SimConfig& config) {
-    return NetworkSimulator(graph, policy, pattern, config);
-  });
+  return std::move(RunLoadSweeps(graph, policy, {&pattern, 1}, options).front());
 }
 
 double FindSaturationLoad(const SwitchGraph& graph, const Routing& routing,

@@ -3,6 +3,7 @@
 // throughput (maximum accepted traffic).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,8 +55,9 @@ struct SweepResult {
 /// Runs the sweep; each point simulates independently from an empty network
 /// with a rate-specific RNG stream, so `parallel` does not change results.
 /// Throws ConfigError, before simulating anything, on a knob out of range:
-/// the SweepRates rule below, config.virtual_channels >= 1 and
-/// config.measure_cycles >= 1.
+/// the SweepRates rule below, config.virtual_channels >= 1,
+/// config.measure_cycles >= 1, and a rate that is negative or would ask a
+/// host for more than one message per cycle (HostMessageProbabilities).
 [[nodiscard]] SweepResult RunLoadSweep(const SwitchGraph& graph, const Routing& routing,
                                        const TrafficPattern& pattern,
                                        const SweepOptions& options);
@@ -65,6 +67,22 @@ struct SweepResult {
 [[nodiscard]] SweepResult RunLoadSweep(const SwitchGraph& graph, const VcRoutingPolicy& policy,
                                        const TrafficPattern& pattern,
                                        const SweepOptions& options);
+
+/// Sweeps every pattern on one network as a single work list of pattern x
+/// point x replicate runs, highest-rate points first, so one slow pattern
+/// or point does not leave the pool idle behind a barrier. Result k equals
+/// RunLoadSweep(graph, routing, patterns[k], options), replicates included;
+/// RunLoadSweep is the one-pattern case of this function.
+[[nodiscard]] std::vector<SweepResult> RunLoadSweeps(const SwitchGraph& graph,
+                                                     const Routing& routing,
+                                                     std::span<const TrafficPattern> patterns,
+                                                     const SweepOptions& options);
+
+/// RunLoadSweeps with an explicit virtual-channel routing policy.
+[[nodiscard]] std::vector<SweepResult> RunLoadSweeps(const SwitchGraph& graph,
+                                                     const VcRoutingPolicy& policy,
+                                                     std::span<const TrafficPattern> patterns,
+                                                     const SweepOptions& options);
 
 /// The loads a sweep will use (resolving the defaulting rule above). Without
 /// explicit rates, throws ConfigError unless points >= 2 and

@@ -274,6 +274,7 @@ TEST(CliSimulate, BadSweepKnobsAreConfigErrors) {
       {"--min-rate 0.5 --max-rate 0.1", "error: sweep rates need 0 < min_rate < max_rate"},
       {"--vcs 0", "error: sweep vcs must be >= 1 (got 0)"},
       {"--points 2 --measure 0", "error: sweep measure cycles must be >= 1 (got 0)"},
+      {"--max-rate 100", "error: sweep rate 75.02 exceeds host injection bandwidth"},
   };
   for (const auto& [knobs, message] : cases) {
     const std::string command = "exec " + std::string(COMMSCHED_CLI_PATH) + " " + simulate +
@@ -284,6 +285,29 @@ TEST(CliSimulate, BadSweepKnobsAreConfigErrors) {
     EXPECT_EQ(WEXITSTATUS(status), 1) << knobs << ": " << output;
     EXPECT_NE(output.find(message), std::string::npos) << knobs << ": " << output;
     EXPECT_EQ(output.find("contract violation"), std::string::npos) << knobs << ": " << output;
+  }
+}
+
+// Knobs the experiment cannot run with exit 1 with a typed `error:` line
+// before any simulation: no partial table and no leaked contract violation.
+TEST(CliExperiment, DegenerateKnobsAreConfigErrors) {
+  const std::string out_path = ::testing::TempDir() + "cli_experiment_error.txt";
+  const std::pair<std::string, std::string> cases[] = {
+      {"experiment --kind random --switches 16 --randoms 0",
+       "error: experiment needs at least one random mapping, got 0"},
+      {"experiment --kind random --switches 16 --max-rate 100 --warmup 100 --measure 200",
+       "error: sweep rate 75.02 exceeds host injection bandwidth"},
+  };
+  for (const auto& [args, message] : cases) {
+    const std::string command =
+        "exec " + std::string(COMMSCHED_CLI_PATH) + " " + args + " > " + out_path + " 2>&1";
+    const int status = std::system(command.c_str());
+    const std::string output = ReadFile(out_path);
+    ASSERT_TRUE(WIFEXITED(status)) << args << ": killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 1) << args << ": " << output;
+    EXPECT_NE(output.find(message), std::string::npos) << args << ": " << output;
+    EXPECT_EQ(output.find("contract violation"), std::string::npos) << args << ": " << output;
+    EXPECT_EQ(output.find("| mapping"), std::string::npos) << args << ": " << output;
   }
 }
 

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "jsonl_test_util.h"
+#include "obs/trace.h"
 #include "topology/generator.h"
 #include "topology/library.h"
 
@@ -62,6 +68,42 @@ TEST(Experiment, DeterministicAcrossRuns) {
   for (std::size_t k = 0; k < a.mappings.size(); ++k) {
     EXPECT_EQ(a.mappings[k].partition, b.mappings[k].partition);
     EXPECT_DOUBLE_EQ(a.mappings[k].cc, b.mappings[k].cc);
+  }
+}
+
+// All mappings' load points run as one work list, but the trace still tells
+// the sweeps apart: one sweep.point per point and, in mapping order, one
+// sweep.done per mapping carrying that mapping's throughput.
+TEST(Experiment, TraceCarriesOneSweepPerMapping) {
+  const topo::SwitchGraph g = topo::GenerateIrregularTopology({16, 4, 3, 1, 1000});
+  ExperimentOptions options = FastOptions();
+  options.sweep.points = 3;
+  std::ostringstream out;
+  obs::Tracer tracer(out);
+  ExperimentResult result;
+  {
+    const obs::ScopedTracer scope(tracer);
+    result = RunPaperExperiment(g, options);
+  }
+  std::size_t points = 0;
+  std::vector<double> done_throughputs;
+  std::istringstream lines(out.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    const auto fields = testutil::ParseJsonObject(line);
+    ASSERT_TRUE(fields.has_value()) << line;
+    const std::string type = testutil::JsonString(*fields, "type");
+    if (type == "sweep.point") ++points;
+    if (type == "sweep.done") {
+      EXPECT_EQ(testutil::JsonUint(*fields, "points", 0), options.sweep.points) << line;
+      done_throughputs.push_back(std::stod(testutil::JsonRaw(*fields, "throughput")));
+    }
+  }
+  ASSERT_EQ(result.mappings.size(), 1 + options.random_mappings);
+  EXPECT_EQ(points, result.mappings.size() * options.sweep.points);
+  ASSERT_EQ(done_throughputs.size(), result.mappings.size());
+  for (std::size_t k = 0; k < result.mappings.size(); ++k) {
+    EXPECT_EQ(done_throughputs[k], result.mappings[k].Throughput()) << k;
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "obs/obs.h"
 #include "routing/updown.h"
 #include "topology/generator.h"
 
@@ -128,6 +132,102 @@ TEST(Sweep, SaturationRateFoundUnderHeavySweep) {
   const SweepResult result = RunLoadSweep(f.graph, f.routing, f.pattern, options);
   EXPECT_LT(result.SaturationRate(), 2.3);
   EXPECT_GT(result.SaturationRate(), 0.0);
+}
+
+/// Every SimMetrics field, compared exactly.
+void ExpectSameMetrics(const SimMetrics& a, const SimMetrics& b, const std::string& where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(a.offered_flits_per_switch_cycle, b.offered_flits_per_switch_cycle);
+  EXPECT_EQ(a.accepted_flits_per_switch_cycle, b.accepted_flits_per_switch_cycle);
+  EXPECT_EQ(a.avg_latency_cycles, b.avg_latency_cycles);
+  EXPECT_EQ(a.avg_total_latency_cycles, b.avg_total_latency_cycles);
+  EXPECT_EQ(a.p50_latency_cycles, b.p50_latency_cycles);
+  EXPECT_EQ(a.p95_latency_cycles, b.p95_latency_cycles);
+  EXPECT_EQ(a.p99_latency_cycles, b.p99_latency_cycles);
+  EXPECT_EQ(a.max_latency_cycles, b.max_latency_cycles);
+  EXPECT_EQ(a.messages_generated, b.messages_generated);
+  EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+  EXPECT_EQ(a.flits_delivered, b.flits_delivered);
+  EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
+  EXPECT_EQ(a.source_queue_growth, b.source_queue_growth);
+  EXPECT_EQ(a.max_link_utilization, b.max_link_utilization);
+  EXPECT_EQ(a.avg_link_utilization, b.avg_link_utilization);
+  EXPECT_EQ(a.deadlock_detected, b.deadlock_detected);
+  EXPECT_EQ(a.fault_events_applied, b.fault_events_applied);
+  EXPECT_EQ(a.dropped_flits, b.dropped_flits);
+  EXPECT_EQ(a.messages_lost, b.messages_lost);
+  EXPECT_EQ(a.reconfig_cycles, b.reconfig_cycles);
+  EXPECT_EQ(a.switch_pair_flit_rate, b.switch_pair_flit_rate);
+  ASSERT_EQ(a.per_app.size(), b.per_app.size());
+  for (std::size_t k = 0; k < a.per_app.size(); ++k) {
+    EXPECT_EQ(a.per_app[k].messages_delivered, b.per_app[k].messages_delivered);
+    EXPECT_EQ(a.per_app[k].flits_delivered, b.per_app[k].flits_delivered);
+    EXPECT_EQ(a.per_app[k].avg_latency_cycles, b.per_app[k].avg_latency_cycles);
+  }
+}
+
+// One batch over several mappings gives, field for field and replicate for
+// replicate, what separate per-mapping sweeps give, run parallel or not.
+TEST(Sweep, BatchMatchesPerPatternSweeps) {
+  const Fixture f;
+  std::vector<TrafficPattern> patterns;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    patterns.emplace_back(f.graph, f.workload,
+                          work::ProcessMapping::RandomAligned(f.graph, f.workload, rng));
+  }
+  SweepOptions options;
+  options.rates = {0.4, 0.1, 0.7};  // unsorted: the batch runs high rates first
+  options.seed_replicates = 2;
+  options.config.warmup_cycles = 600;
+  options.config.measure_cycles = 1500;
+  options.config.collect_traffic_matrix = true;
+  for (const bool parallel : {true, false}) {
+    options.parallel = parallel;
+    const std::vector<SweepResult> batch = RunLoadSweeps(f.graph, f.routing, patterns, options);
+    ASSERT_EQ(batch.size(), patterns.size());
+    for (std::size_t p = 0; p < patterns.size(); ++p) {
+      const SweepResult single = RunLoadSweep(f.graph, f.routing, patterns[p], options);
+      ASSERT_EQ(batch[p].points.size(), single.points.size());
+      for (std::size_t k = 0; k < single.points.size(); ++k) {
+        EXPECT_EQ(batch[p].points[k].offered_rate, single.points[k].offered_rate);
+        ExpectSameMetrics(batch[p].points[k].metrics, single.points[k].metrics,
+                          "metrics p" + std::to_string(p) + " k" + std::to_string(k));
+        ASSERT_EQ(batch[p].points[k].replicates.size(), 2u);
+        for (std::size_t r = 0; r < 2; ++r) {
+          ExpectSameMetrics(batch[p].points[k].replicates[r], single.points[k].replicates[r],
+                            "parallel " + std::to_string(parallel) + " p" + std::to_string(p) +
+                                " k" + std::to_string(k) + " r" + std::to_string(r));
+        }
+      }
+    }
+  }
+}
+
+// A rate past the hosts' injection bandwidth is a typed error raised before
+// any point is simulated, not a contract violation from inside a run.
+TEST(Sweep, RateBeyondHostBandwidthIsConfigErrorBeforeAnyRun) {
+  const Fixture f;
+  SweepOptions options = FastSweep();
+  // 16 switches, 64 hosts, 16-flit messages: p = rate / 64, so of the rates
+  // 0.05, 25.0375, 50.025, 75.0125 and 100 the fourth is the first too high.
+  options.max_rate = 100.0;
+  obs::Registry& registry = obs::Registry::Global();
+  const std::uint64_t runs_before = registry.GetCounter("sim.runs").value();
+  try {
+    (void)RunLoadSweep(f.graph, f.routing, f.pattern, options);
+    ADD_FAILURE() << "expected ConfigError";
+  } catch (const commsched::ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("sweep rate 75.0125 exceeds host injection bandwidth"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(registry.GetCounter("sim.runs").value(), runs_before);
+
+  options.max_rate = 0.9;
+  options.rates = {0.2, -0.1};
+  EXPECT_THROW((void)RunLoadSweep(f.graph, f.routing, f.pattern, options),
+               commsched::ConfigError);
 }
 
 TEST(Sweep, LowLoadLatencyIsFirstPoint) {

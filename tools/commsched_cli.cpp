@@ -308,6 +308,10 @@ int CmdExperiment(const Args& args) {
   }
   static_cast<void>(svc::EvenClusterSizes(graph.switch_count(), options.applications));
   options.random_mappings = args.GetSize("randoms", 9);
+  if (options.random_mappings < 1) {
+    throw ConfigError("experiment needs at least one random mapping, got " +
+                      std::to_string(options.random_mappings));
+  }
   options.sweep.points = args.GetSize("points", 9);
   options.sweep.min_rate = args.GetDouble("min-rate", 0.08);
   options.sweep.max_rate = args.GetDouble("max-rate", 1.4);
