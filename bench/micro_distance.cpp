@@ -21,7 +21,7 @@ void BM_DistanceTableBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(dist::DistanceTable::Build(routing, /*parallel=*/false));
   }
 }
-BENCHMARK(BM_DistanceTableBuild)->Arg(8)->Arg(16)->Arg(24);
+BENCHMARK(BM_DistanceTableBuild)->Arg(8)->Arg(16)->Arg(24)->Arg(128);
 
 void BM_DistanceTableBuildParallel(benchmark::State& state) {
   const topo::SwitchGraph g = Net(static_cast<std::size_t>(state.range(0)));
@@ -30,21 +30,22 @@ void BM_DistanceTableBuildParallel(benchmark::State& state) {
     benchmark::DoNotOptimize(dist::DistanceTable::Build(routing, /*parallel=*/true));
   }
 }
-BENCHMARK(BM_DistanceTableBuildParallel)->Arg(16)->Arg(24);
+BENCHMARK(BM_DistanceTableBuildParallel)->Arg(16)->Arg(24)->Arg(128);
 
 void BM_LinksOnMinimalPaths(benchmark::State& state) {
-  const topo::SwitchGraph g = Net(16);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const topo::SwitchGraph g = Net(n);
   const route::UpDownRouting routing(g);
   std::size_t pair = 0;
   for (auto _ : state) {
-    const std::size_t i = pair % 16;
-    const std::size_t j = (pair / 16 + i + 1) % 16;
+    const std::size_t i = pair % n;
+    const std::size_t j = (pair / n + i + 1) % n;
     ++pair;
     if (i == j) continue;
     benchmark::DoNotOptimize(routing.LinksOnMinimalPaths(i, j));
   }
 }
-BENCHMARK(BM_LinksOnMinimalPaths);
+BENCHMARK(BM_LinksOnMinimalPaths)->Arg(16)->Arg(128);
 
 void BM_EffectiveResistance(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

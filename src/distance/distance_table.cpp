@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "common/parallel.h"
-#include "linalg/resistance.h"
+#include "linalg/solve.h"
 
 namespace commsched::dist {
 
@@ -25,33 +25,58 @@ void DistanceTable::Set(std::size_t i, std::size_t j, double value) {
 
 namespace {
 
+/// Scratch for the pair solves of one table row, reused from pair to pair so
+/// that a pair allocates nothing beyond its link list.
+struct PairWorkspace {
+  explicit PairWorkspace(std::size_t switches) : row(switches) {}
+
+  std::vector<std::size_t> row;  // switch -> grounded row, valid for the pair's nodes
+  std::vector<SwitchId> nodes;   // the pair's switches, ascending
+  std::vector<double> matrix;    // grounded Laplacian, row-major; then its factor
+  std::vector<double> rhs;       // e_i; then the node potentials
+};
+
 /// Equivalent distance for one pair: restrict to links on minimal permitted
-/// paths, 1 Ω each, effective resistance between the endpoints. The network
-/// holds only the switches those links touch, relabelled in ascending id
-/// order, so its grounded system is the full-size network's reach-filtered
-/// one, entry for entry: the result is bit-identical, at a few nodes' cost.
-double PairEquivalentDistance(const Routing& routing, SwitchId i, SwitchId j) {
+/// paths, 1 Ω each, effective resistance between the endpoints. The system
+/// holds only the switches those links touch, ascending by id with the
+/// grounded j removed. That is the full-size network's reach-filtered
+/// grounded Laplacian entry for entry (every link lies on an i-j path, so
+/// every switch it touches is reached), and the same Cholesky loops solve
+/// it, so the result is bit-identical, at a few nodes' cost.
+double PairEquivalentDistance(const Routing& routing, SwitchId i, SwitchId j,
+                              PairWorkspace& ws) {
   const auto links = routing.LinksOnMinimalPaths(i, j);
   CS_CHECK(!links.empty(), "connected pair must have at least one path link");
-  std::vector<SwitchId> nodes;
-  nodes.reserve(2 * links.size());
+  const topo::SwitchGraph& graph = routing.graph();
+  ws.nodes.clear();
   for (topo::LinkId l : links) {
-    const topo::Link& link = routing.graph().link(l);
-    nodes.push_back(link.a);
-    nodes.push_back(link.b);
+    ws.nodes.push_back(graph.link(l).a);
+    ws.nodes.push_back(graph.link(l).b);
   }
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  const auto local = [&nodes](SwitchId s) {
-    return static_cast<std::size_t>(std::lower_bound(nodes.begin(), nodes.end(), s) -
-                                    nodes.begin());
-  };
-  linalg::ResistorNetwork network(nodes.size());
+  std::sort(ws.nodes.begin(), ws.nodes.end());
+  ws.nodes.erase(std::unique(ws.nodes.begin(), ws.nodes.end()), ws.nodes.end());
+  std::size_t m = 0;
+  for (SwitchId u : ws.nodes) {
+    if (u != j) ws.row[u] = m++;
+  }
+  ws.matrix.assign(m * m, 0.0);
   for (topo::LinkId l : links) {
-    const topo::Link& link = routing.graph().link(l);
-    network.Add(local(link.a), local(link.b), 1.0);
+    const topo::Link& link = graph.link(l);
+    const std::size_t ra = ws.row[link.a];
+    const std::size_t rb = ws.row[link.b];
+    if (link.a != j) ws.matrix[ra * m + ra] += 1.0;
+    if (link.b != j) ws.matrix[rb * m + rb] += 1.0;
+    if (link.a != j && link.b != j) {
+      ws.matrix[ra * m + rb] -= 1.0;
+      ws.matrix[rb * m + ra] -= 1.0;
+    }
   }
-  return network.EffectiveResistance(local(i), local(j));
+  ws.rhs.assign(m, 0.0);
+  ws.rhs[ws.row[i]] = 1.0;
+  CS_CHECK(linalg::CholeskyFactorInPlace(ws.matrix.data(), m),
+           "grounded pair Laplacian must be positive definite");
+  linalg::CholeskySolveInPlace(ws.matrix.data(), m, ws.rhs.data());
+  return ws.rhs[ws.row[i]];
 }
 
 }  // namespace
@@ -59,26 +84,23 @@ double PairEquivalentDistance(const Routing& routing, SwitchId i, SwitchId j) {
 DistanceTable DistanceTable::Build(const Routing& routing, bool parallel) {
   const std::size_t n = routing.graph().switch_count();
   DistanceTable table(n, 0.0);
-
-  // All unordered pairs, flattened for the parallel loop.
-  std::vector<std::pair<SwitchId, SwitchId>> pairs;
-  pairs.reserve(n * (n - 1) / 2);
-  for (SwitchId i = 0; i < n; ++i) {
+  // Row i solves the pairs (i, j > i). Each row writes distinct entries, so
+  // rows need no synchronization.
+  const auto solve_row = [&](SwitchId i, PairWorkspace& ws) {
     for (SwitchId j = i + 1; j < n; ++j) {
-      pairs.emplace_back(i, j);
+      const double d = PairEquivalentDistance(routing, i, j, ws);
+      table.values_[i * n + j] = d;
+      table.values_[j * n + i] = d;
     }
-  }
-  auto compute = [&](std::size_t k) {
-    const auto [i, j] = pairs[k];
-    const double d = PairEquivalentDistance(routing, i, j);
-    // Each task writes a distinct (i,j): no synchronization needed.
-    table.values_[i * n + j] = d;
-    table.values_[j * n + i] = d;
   };
-  if (parallel && pairs.size() > 8) {
-    ParallelFor(pairs.size(), compute);
+  if (parallel && n > 4) {
+    ParallelFor(n, [&](std::size_t i) {
+      PairWorkspace ws(n);
+      solve_row(i, ws);
+    });
   } else {
-    for (std::size_t k = 0; k < pairs.size(); ++k) compute(k);
+    PairWorkspace ws(n);
+    for (SwitchId i = 0; i < n; ++i) solve_row(i, ws);
   }
   return table;
 }

@@ -28,7 +28,7 @@ class DistanceTable {
   DistanceTable(std::size_t n, double fill);
 
   /// Builds the equivalent-distance table for a routing function, optionally
-  /// parallelizing across pairs.
+  /// parallelizing across source rows. Both ways give the same bytes.
   [[nodiscard]] static DistanceTable Build(const Routing& routing, bool parallel = true);
 
   /// Hop-count table (ablation baseline): T[i][j] = minimal legal hops.

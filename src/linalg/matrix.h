@@ -35,6 +35,10 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
+  /// The rows*cols elements, row-major and contiguous.
+  [[nodiscard]] double* data() { return data_.data(); }
+  [[nodiscard]] const double* data() const { return data_.data(); }
+
   /// Raw row pointer (row-major, contiguous).
   [[nodiscard]] double* row(std::size_t r) { return &data_[r * cols_]; }
   [[nodiscard]] const double* row(std::size_t r) const { return &data_[r * cols_]; }

@@ -29,67 +29,13 @@ Matrix ResistorNetwork::Laplacian() const {
   return l;
 }
 
-bool ResistorNetwork::Connected(std::size_t s, std::size_t t) const {
-  CS_CHECK(s < node_count_ && t < node_count_, "node out of range");
-  if (s == t) return true;
+std::vector<bool> ResistorNetwork::ReachableFrom(std::size_t s) const {
   std::vector<std::vector<std::size_t>> adj(node_count_);
   for (const Resistor& r : resistors_) {
     adj[r.a].push_back(r.b);
     adj[r.b].push_back(r.a);
   }
-  std::vector<bool> seen(node_count_, false);
-  std::vector<std::size_t> stack{s};
-  seen[s] = true;
-  while (!stack.empty()) {
-    const std::size_t u = stack.back();
-    stack.pop_back();
-    if (u == t) return true;
-    for (std::size_t v : adj[u]) {
-      if (!seen[v]) {
-        seen[v] = true;
-        stack.push_back(v);
-      }
-    }
-  }
-  return false;
-}
-
-double ResistorNetwork::EffectiveResistance(std::size_t s, std::size_t t) const {
-  CS_CHECK(s < node_count_ && t < node_count_, "terminal out of range");
-  if (s == t) return 0.0;
-  CS_CHECK(Connected(s, t), "terminals are not connected; resistance is infinite");
-
-  // Ground node t: delete its row/column from L, solve L' v = e_s.
-  const Matrix l = Laplacian();
-  const std::size_t n = node_count_;
-  // Map original node -> reduced index.
-  std::vector<std::size_t> reduced(n, static_cast<std::size_t>(-1));
-  std::size_t idx = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    if (u != t) reduced[u] = idx++;
-  }
-  Matrix lg(n - 1, n - 1);
-  for (std::size_t r = 0; r < n; ++r) {
-    if (r == t) continue;
-    for (std::size_t c = 0; c < n; ++c) {
-      if (c == t) continue;
-      lg(reduced[r], reduced[c]) = l(r, c);
-    }
-  }
-  std::vector<double> rhs(n - 1, 0.0);
-  rhs[reduced[s]] = 1.0;
-
-  // The grounded Laplacian restricted to the component of s is SPD; if the
-  // network has other disconnected nodes the full grounded matrix is
-  // singular, so restrict to nodes reachable from s or t first.
-  // (Connectivity of s,t was checked; unreachable nodes have zero rows.)
-  // Drop isolated/unreachable rows to keep the solver happy.
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (const Resistor& r : resistors_) {
-    adj[r.a].push_back(r.b);
-    adj[r.b].push_back(r.a);
-  }
-  std::vector<bool> reach(n, false);
+  std::vector<bool> reach(node_count_, false);
   std::vector<std::size_t> stack{s};
   reach[s] = true;
   while (!stack.empty()) {
@@ -102,34 +48,58 @@ double ResistorNetwork::EffectiveResistance(std::size_t s, std::size_t t) const 
       }
     }
   }
-  std::vector<std::size_t> keep;  // reduced indices to keep
-  for (std::size_t u = 0; u < n; ++u) {
-    if (u != t && reach[u]) keep.push_back(reduced[u]);
-  }
-  Matrix lk(keep.size(), keep.size());
-  std::vector<double> rhsk(keep.size());
-  for (std::size_t r = 0; r < keep.size(); ++r) {
-    rhsk[r] = rhs[keep[r]];
-    for (std::size_t c = 0; c < keep.size(); ++c) {
-      lk(r, c) = lg(keep[r], keep[c]);
-    }
-  }
+  return reach;
+}
 
-  auto chol = CholeskyFactorization::Compute(lk);
-  std::vector<double> v;
-  if (chol) {
-    v = chol->Solve(rhsk);
+bool ResistorNetwork::Connected(std::size_t s, std::size_t t) const {
+  CS_CHECK(s < node_count_ && t < node_count_, "node out of range");
+  return s == t || ReachableFrom(s)[t];
+}
+
+double ResistorNetwork::EffectiveResistance(std::size_t s, std::size_t t) const {
+  CS_CHECK(s < node_count_ && t < node_count_, "terminal out of range");
+  if (s == t) return 0.0;
+  const std::vector<bool> reach = ReachableFrom(s);
+  CS_CHECK(reach[t], "terminals are not connected; resistance is infinite");
+
+  // Ground node t: delete its row/column from L and solve L' v = e_s. The
+  // grounded Laplacian is SPD only over the component of s and t (other
+  // nodes would leave zero rows), so keep just the nodes reachable from s,
+  // in ascending order.
+  constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> row(node_count_, kDropped);
+  std::size_t m = 0;
+  for (std::size_t u = 0; u < node_count_; ++u) {
+    if (u != t && reach[u]) row[u] = m++;
+  }
+  // L' assembled straight from the resistors, each entry summed in resistor
+  // order exactly as Laplacian() sums it.
+  const auto assemble = [&] {
+    Matrix lk(m, m);
+    for (const Resistor& r : resistors_) {
+      const double g = 1.0 / r.resistance;
+      const std::size_t ra = row[r.a];
+      const std::size_t rb = row[r.b];
+      if (ra != kDropped) lk(ra, ra) += g;
+      if (rb != kDropped) lk(rb, rb) += g;
+      if (ra != kDropped && rb != kDropped) {
+        lk(ra, rb) -= g;
+        lk(rb, ra) -= g;
+      }
+    }
+    return lk;
+  };
+  std::vector<double> v(m, 0.0);
+  v[row[s]] = 1.0;
+  Matrix lk = assemble();
+  if (CholeskyFactorInPlace(lk.data(), m)) {
+    CholeskySolveInPlace(lk.data(), m, v.data());
   } else {
-    v = SolveLinearSystem(lk, rhsk);  // fallback (shouldn't happen for SPD)
+    v = SolveLinearSystem(assemble(), v);  // fallback (shouldn't happen for SPD)
   }
   // v[s] is the potential at s with 1 A injected at s and extracted at the
   // grounded t, i.e. the effective resistance.
-  for (std::size_t r = 0; r < keep.size(); ++r) {
-    if (keep[r] == reduced[s]) {
-      return v[r];
-    }
-  }
-  CS_UNREACHABLE("source vanished from reduced system");
+  return v[row[s]];
 }
 
 Matrix AllPairsEffectiveResistance(const ResistorNetwork& network) {

@@ -44,6 +44,9 @@ class ResistorNetwork {
   [[nodiscard]] bool Connected(std::size_t s, std::size_t t) const;
 
  private:
+  /// Per node: whether it is connected to s through resistors.
+  [[nodiscard]] std::vector<bool> ReachableFrom(std::size_t s) const;
+
   std::size_t node_count_;
   std::vector<Resistor> resistors_;
 };

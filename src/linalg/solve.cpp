@@ -89,54 +89,68 @@ double LuFactorization::Determinant() const {
   return det;
 }
 
-std::optional<CholeskyFactorization> CholeskyFactorization::Compute(const Matrix& a, double tol) {
-  CS_CHECK(a.rows() == a.cols(), "Cholesky requires a square matrix");
-  const std::size_t n = a.rows();
-  Matrix l(n, n);
+bool CholeskyFactorInPlace(double* a, std::size_t n, double tol) {
   double max_diag = 0.0;
-  for (std::size_t i = 0; i < n; ++i) max_diag = std::max(max_diag, std::abs(a(i, i)));
+  for (std::size_t i = 0; i < n; ++i) max_diag = std::max(max_diag, std::abs(a[i * n + i]));
   const double threshold = tol * std::max(max_diag, 1.0);
 
+  // Column by column: column j reads only a's own entries of column j and
+  // the L entries of the columns before it, so L can overwrite a in place.
   for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
+    double* row_j = a + j * n;
+    double diag = row_j[j];
     for (std::size_t k = 0; k < j; ++k) {
-      diag -= l(j, k) * l(j, k);
+      diag -= row_j[k] * row_j[k];
     }
     if (diag <= threshold) {
-      return std::nullopt;  // not SPD
+      return false;  // not SPD
     }
-    l(j, j) = std::sqrt(diag);
-    const double inv = 1.0 / l(j, j);
+    row_j[j] = std::sqrt(diag);
+    const double inv = 1.0 / row_j[j];
     for (std::size_t i = j + 1; i < n; ++i) {
-      double sum = a(i, j);
+      double* row_i = a + i * n;
+      double sum = row_i[j];
       for (std::size_t k = 0; k < j; ++k) {
-        sum -= l(i, k) * l(j, k);
+        sum -= row_i[k] * row_j[k];
       }
-      l(i, j) = sum * inv;
+      row_i[j] = sum * inv;
     }
+  }
+  return true;
+}
+
+void CholeskySolveInPlace(const double* l, std::size_t n, double* b) {
+  // Forward substitution L y = b, then back substitution L^T x = y; each
+  // step reads only entries already turned into y (or x).
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = b[i];
+    for (std::size_t j = 0; j < i; ++j) {
+      sum -= l[i * n + j] * b[j];
+    }
+    b[i] = sum / l[i * n + i];
+  }
+  for (std::size_t ii = n; ii-- > 0;) {
+    double sum = b[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) {
+      sum -= l[j * n + ii] * b[j];
+    }
+    b[ii] = sum / l[ii * n + ii];
+  }
+}
+
+std::optional<CholeskyFactorization> CholeskyFactorization::Compute(const Matrix& a, double tol) {
+  CS_CHECK(a.rows() == a.cols(), "Cholesky requires a square matrix");
+  Matrix l = a;
+  if (!CholeskyFactorInPlace(l.data(), l.rows(), tol)) {
+    return std::nullopt;
   }
   return CholeskyFactorization(std::move(l));
 }
 
 std::vector<double> CholeskyFactorization::Solve(const std::vector<double>& b) const {
-  const std::size_t n = order();
-  CS_CHECK(b.size() == n, "rhs size mismatch");
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t j = 0; j < i; ++j) {
-      sum -= l_(i, j) * y[j];
-    }
-    y[i] = sum / l_(i, i);
-  }
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) {
-      sum -= l_(j, ii) * x[j];
-    }
-    x[ii] = sum / l_(ii, ii);
-  }
+  CS_CHECK(b.size() == order(), "rhs size mismatch");
+  std::vector<double> x = b;
+  CholeskySolveInPlace(l_.data(), order(), x.data());
   return x;
 }
 

@@ -35,6 +35,20 @@ class LuFactorization {
   int perm_sign_;
 };
 
+/// In-place Cholesky factorization A = L L^T of the n x n row-major
+/// symmetric positive-definite matrix at `a`, over a caller-owned buffer:
+/// the lower triangle (diagonal included) is overwritten with L and the
+/// strict upper triangle is left as it was. Returns false, with `a` partly
+/// overwritten, if the matrix is not positive definite (a pivot at or below
+/// tol * max(max|a_ii|, 1)). This and CholeskySolveInPlace are the one copy
+/// of the Cholesky loops; CholeskyFactorization and the resistance solves
+/// all run on them.
+[[nodiscard]] bool CholeskyFactorInPlace(double* a, std::size_t n, double tol = 1e-12);
+
+/// Solves L L^T x = b in place (`b` becomes x), given the n x n factor
+/// written by CholeskyFactorInPlace. Reads only the lower triangle.
+void CholeskySolveInPlace(const double* l, std::size_t n, double* b);
+
 /// Cholesky factorization A = L L^T of a symmetric positive-definite matrix.
 class CholeskyFactorization {
  public:
@@ -48,7 +62,7 @@ class CholeskyFactorization {
 
  private:
   explicit CholeskyFactorization(Matrix l) : l_(std::move(l)) {}
-  Matrix l_;
+  Matrix l_;  // L in the lower triangle; the upper triangle is unused
 };
 
 /// One-shot convenience: solves A x = b by LU; throws ContractError on a

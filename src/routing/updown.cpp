@@ -1,6 +1,7 @@
 #include "routing/updown.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <limits>
 
@@ -28,6 +29,32 @@ void RequireConnectedFrom(const SwitchGraph& graph, SwitchId source) {
           "} are unreachable from switch " + std::to_string(source),
       std::move(unreachable));
 }
+
+// Per-thread scratch of LinksOnMinimalPaths. A mark equals the current
+// epoch iff it was set during the current call, so a call clears nothing
+// but its own stack and link list.
+struct WalkScratch {
+  std::vector<std::uint32_t> state_mark;  // per (switch, phase) state
+  std::vector<std::uint32_t> link_mark;   // per link
+  std::uint32_t epoch = 0;
+  std::vector<std::size_t> stack;
+  std::vector<LinkId> links;
+
+  // Starts a call over `states` states and `link_count` links; returns its
+  // epoch.
+  std::uint32_t Begin(std::size_t states, std::size_t link_count) {
+    if (state_mark.size() < states) state_mark.resize(states, 0);
+    if (link_mark.size() < link_count) link_mark.resize(link_count, 0);
+    if (++epoch == 0) {  // wrapped: a stale mark could equal the new epoch
+      std::fill(state_mark.begin(), state_mark.end(), 0);
+      std::fill(link_mark.begin(), link_mark.end(), 0);
+      epoch = 1;
+    }
+    stack.clear();
+    links.clear();
+    return epoch;
+  }
+};
 
 }  // namespace
 
@@ -205,61 +232,50 @@ std::vector<NextHop> UpDownRouting::NextHops(SwitchId current, SwitchId dest, Ph
 
 std::vector<LinkId> UpDownRouting::LinksOnMinimalPaths(SwitchId s, SwitchId t) const {
   CS_CHECK(s < graph_->switch_count() && t < graph_->switch_count(), "switch out of range");
-  std::vector<LinkId> result;
-  if (s == t) return result;
+  if (s == t) return {};
   const SwitchGraph& g = *graph_;
-  const std::size_t n = g.switch_count();
-  const auto& dist_b = dist_to_dest_[t];
+  const auto& dist = dist_to_dest_[t];
+  const std::size_t start = StateIndex(s, Phase::kUp);
+  CS_CHECK(dist[start] != kUnreachable, "unreachable destination");
 
-  // Forward distances from (s, kUp).
-  std::vector<std::size_t> dist_f(2 * n, kUnreachable);
-  std::deque<std::size_t> queue;
-  dist_f[StateIndex(s, Phase::kUp)] = 0;
-  queue.push_back(StateIndex(s, Phase::kUp));
-  while (!queue.empty()) {
-    const std::size_t state = queue.front();
-    queue.pop_front();
+  // Walk from (s, kUp) down the backward distances: follow a legal
+  // transition only into a state exactly one hop closer to t. The states
+  // reached are exactly those on a minimal legal path (forward distance df
+  // plus backward distance db equals the total): a state reached after k
+  // steps has db = total - k and, as no path beats the total, df = k;
+  // conversely db falls by one along any shortest path from s to such a
+  // state. So the transitions taken are exactly those with
+  // df(u) + 1 + db(v) == total, at the cost of the subgraph rather than of
+  // every (switch, phase) state. Marks are per-thread epoch stamps, so
+  // nothing is cleared per pair.
+  thread_local WalkScratch scratch;
+  const std::uint32_t epoch = scratch.Begin(2 * g.switch_count(), g.link_count());
+  scratch.state_mark[start] = epoch;
+  scratch.stack.push_back(start);
+  while (!scratch.stack.empty()) {
+    const std::size_t state = scratch.stack.back();
+    scratch.stack.pop_back();
     const SwitchId u = state / 2;
     const Phase pu = static_cast<Phase>(state % 2);
+    const std::size_t closer = dist[state] - 1;  // >= 0: t's states are never pushed
     for (LinkId l : g.incident_links(u)) {
       const SwitchId v = g.OtherEnd(l, u);
       const bool up_traversal = (up_end_[l] == v);
       if (up_traversal && pu == Phase::kDown) continue;
-      const Phase pv = up_traversal ? Phase::kUp : Phase::kDown;
-      const std::size_t nxt = StateIndex(v, pv);
-      if (dist_f[nxt] == kUnreachable) {
-        dist_f[nxt] = dist_f[state] + 1;
-        queue.push_back(nxt);
+      const std::size_t next = StateIndex(v, up_traversal ? Phase::kUp : Phase::kDown);
+      if (dist[next] != closer) continue;
+      if (scratch.link_mark[l] != epoch) {
+        scratch.link_mark[l] = epoch;
+        scratch.links.push_back(l);
+      }
+      if (closer > 0 && scratch.state_mark[next] != epoch) {
+        scratch.state_mark[next] = epoch;
+        scratch.stack.push_back(next);
       }
     }
   }
-
-  const std::size_t total = dist_b[StateIndex(s, Phase::kUp)];
-  CS_CHECK(total != kUnreachable, "unreachable destination");
-
-  // A transition (u,pu) -> (v,pv) over link l lies on a minimal legal path
-  // iff dist_f(u,pu) + 1 + dist_b(v,pv) == total.
-  std::vector<bool> on_path(g.link_count(), false);
-  for (SwitchId u = 0; u < n; ++u) {
-    for (Phase pu : {Phase::kUp, Phase::kDown}) {
-      const std::size_t df = dist_f[StateIndex(u, pu)];
-      if (df == kUnreachable) continue;
-      for (LinkId l : g.incident_links(u)) {
-        const SwitchId v = g.OtherEnd(l, u);
-        const bool up_traversal = (up_end_[l] == v);
-        if (up_traversal && pu == Phase::kDown) continue;
-        const Phase pv = up_traversal ? Phase::kUp : Phase::kDown;
-        const std::size_t db = dist_b[StateIndex(v, pv)];
-        if (db != kUnreachable && df + 1 + db == total) {
-          on_path[l] = true;
-        }
-      }
-    }
-  }
-  for (LinkId l = 0; l < g.link_count(); ++l) {
-    if (on_path[l]) result.push_back(l);
-  }
-  return result;
+  std::sort(scratch.links.begin(), scratch.links.end());
+  return scratch.links;
 }
 
 Phase UpDownRouting::ArrivalPhase(LinkId link, SwitchId into) const {

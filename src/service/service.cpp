@@ -2,6 +2,7 @@
 
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -65,6 +66,22 @@ SchedulingService::SchedulingService(ServiceOptions options)
   if (!options_.store_dir.empty()) {
     store_ = std::make_unique<ArtifactStore>(options_.store_dir);
     WarmBootFromStore();
+  }
+}
+
+NetworkModel::NetworkModel(topo::SwitchGraph g, route::UpDownState state, dist::DistanceTable t)
+    : graph(std::move(g)), routing(graph, std::move(state)), table(std::move(t)) {
+  // Searches index the table by switch id, so a table of the wrong order
+  // would read out of bounds on a warm boot.
+  if (table.size() != graph.switch_count()) {
+    throw ConfigError("distance table has order " + std::to_string(table.size()) +
+                      ", but the graph has " + std::to_string(graph.switch_count()) +
+                      " switches");
+  }
+  for (const double value : table.values()) {
+    if (!std::isfinite(value) || value < 0.0) {
+      throw ConfigError("distance table holds a non-finite or negative entry");
+    }
   }
 }
 

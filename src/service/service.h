@@ -36,9 +36,9 @@ struct NetworkModel {
 
   /// Restores a model from persisted parts without re-running the routing
   /// BFS or the resistance solves (the artifact-store warm path). Throws
-  /// ConfigError when the state does not match the graph's shape.
-  NetworkModel(topo::SwitchGraph g, route::UpDownState state, dist::DistanceTable t)
-      : graph(std::move(g)), routing(graph, std::move(state)), table(std::move(t)) {}
+  /// ConfigError when the routing state or the table does not match the
+  /// graph's shape, or when a table entry is non-finite or negative.
+  NetworkModel(topo::SwitchGraph g, route::UpDownState state, dist::DistanceTable t);
 
   NetworkModel(const NetworkModel&) = delete;
   NetworkModel& operator=(const NetworkModel&) = delete;

@@ -381,9 +381,11 @@ std::shared_ptr<const NetworkModel> DecodeModelArtifact(const std::string& paylo
   std::vector<double> values = reader.Doubles(n * n);
   if (!reader.AtEnd()) throw ConfigError("model artifact has trailing bytes");
 
-  // NetworkModel's restore constructor re-validates every shape against the
-  // parsed graph, so a payload that is internally consistent but lies about
-  // the topology still fails here rather than serving wrong routes.
+  // NetworkModel's restore constructor re-validates every shape (routing
+  // state and table order) against the parsed graph and rejects non-finite
+  // or negative distances, so a payload that is internally consistent but
+  // lies about the topology still fails here rather than serving wrong
+  // routes or indexing the table out of bounds.
   return std::make_shared<const NetworkModel>(
       std::move(graph), std::move(state),
       dist::DistanceTable::FromValues(static_cast<std::size_t>(n), std::move(values)));

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -179,6 +180,38 @@ TEST(Store, DecodeRejectsTruncatedAndTrailingPayloads) {
   EXPECT_THROW(svc::DecodeModelArtifact(payload.substr(0, payload.size() / 2)), ConfigError);
   EXPECT_THROW(svc::DecodeModelArtifact(payload + "x"), ConfigError);
   EXPECT_THROW(svc::DecodeModelArtifact(""), ConfigError);
+}
+
+// Replaces the payload's trailing n x n table (its order as a u64, then the
+// doubles) with `order` and `values`.
+std::string WithTable(const std::string& payload, std::size_t n, std::uint64_t order,
+                      const std::vector<double>& values) {
+  std::string out = payload.substr(0, payload.size() - 8 - 8 * n * n);
+  out.append(reinterpret_cast<const char*>(&order), 8);
+  out.append(reinterpret_cast<const char*>(values.data()), 8 * values.size());
+  return out;
+}
+
+TEST(Store, DecodeRejectsTableThatDoesNotFitTheGraph) {
+  const auto model = std::make_shared<const svc::NetworkModel>(
+      svc::BuildTopology(MixedTopology()));
+  const std::string payload = svc::EncodeModelArtifact(*model);
+  const std::size_t n = model->graph.switch_count();
+  ASSERT_GT(n, 2u);
+  // Self-consistent payload whose 2x2 table cannot serve an n-switch graph.
+  EXPECT_THROW(svc::DecodeModelArtifact(WithTable(payload, n, 2, {0.0, 1.0, 1.0, 0.0})),
+               ConfigError);
+  // Right order, but a negative or non-finite distance.
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<double> values = model->table.values();
+    values[1] = bad;
+    values[n] = bad;
+    EXPECT_THROW(svc::DecodeModelArtifact(WithTable(payload, n, n, values)), ConfigError) << bad;
+  }
+  // The unpatched table still decodes.
+  EXPECT_EQ(svc::DecodeModelArtifact(WithTable(payload, n, n, model->table.values()))->table.size(),
+            n);
 }
 
 // ------------------------------------------------------------ warm boot --

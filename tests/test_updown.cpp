@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
+#include <limits>
+#include <optional>
+
+#include "faults/degraded.h"
 #include "topology/generator.h"
 #include "topology/library.h"
 
@@ -158,6 +164,169 @@ TEST(UpDown, LinksOnMinimalPathsEmptyForSamePair) {
   const topo::SwitchGraph ring = MakeRing(4);
   const UpDownRouting routing(ring, topo::SwitchId{0});
   EXPECT_TRUE(routing.LinksOnMinimalPaths(1, 1).empty());
+}
+
+// Independent oracle for LinksOnMinimalPaths, by the definition: over the
+// (switch, phase) states, a forward BFS from (s, kUp) gives df and a
+// backward BFS into t gives db; the transition u -> v over link l lies on a
+// minimal legal path iff df(u) + 1 + db(v) == db(s, kUp). `Arrival` gives the
+// phase after crossing l into v, or nullopt for a link the routing cannot
+// use; a transition is legal unless it climbs after a descent.
+using Arrival = std::function<std::optional<Phase>(LinkId, SwitchId)>;
+
+struct Transition {
+  std::size_t from;
+  std::size_t to;
+  LinkId link;
+};
+
+std::size_t State(SwitchId s, Phase p) { return s * 2 + static_cast<std::size_t>(p); }
+
+std::vector<Transition> StateTransitions(const topo::SwitchGraph& g, const Arrival& arrival) {
+  std::vector<Transition> transitions;
+  for (LinkId l = 0; l < g.link_count(); ++l) {
+    const topo::Link& link = g.link(l);
+    for (const auto& [u, v] : {std::pair{link.a, link.b}, std::pair{link.b, link.a}}) {
+      const std::optional<Phase> pv = arrival(l, v);
+      if (!pv.has_value()) continue;
+      for (const Phase pu : {Phase::kUp, Phase::kDown}) {
+        if (pu == Phase::kDown && *pv == Phase::kUp) continue;
+        transitions.push_back({State(u, pu), State(v, *pv), l});
+      }
+    }
+  }
+  return transitions;
+}
+
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+// BFS hop counts from `sources` along the transitions, or against them when
+// `backward`.
+std::vector<std::size_t> StateBfs(std::size_t states, const std::vector<Transition>& transitions,
+                                  const std::vector<std::size_t>& sources, bool backward) {
+  std::vector<std::vector<std::size_t>> next(states);
+  for (const Transition& tr : transitions) {
+    if (backward) {
+      next[tr.to].push_back(tr.from);
+    } else {
+      next[tr.from].push_back(tr.to);
+    }
+  }
+  std::vector<std::size_t> dist(states, kNone);
+  std::deque<std::size_t> queue;
+  for (const std::size_t src : sources) {
+    dist[src] = 0;
+    queue.push_back(src);
+  }
+  while (!queue.empty()) {
+    const std::size_t x = queue.front();
+    queue.pop_front();
+    for (const std::size_t y : next[x]) {
+      if (dist[y] == kNone) {
+        dist[y] = dist[x] + 1;
+        queue.push_back(y);
+      }
+    }
+  }
+  return dist;
+}
+
+// Checks LinksOnMinimalPaths(s, t) against the oracle for every ordered pair
+// of distinct switches in `switches`.
+void ExpectWalkMatchesForwardBfs(const Routing& routing, const Arrival& arrival,
+                                 const std::vector<SwitchId>& switches) {
+  const topo::SwitchGraph& g = routing.graph();
+  const std::size_t states = 2 * g.switch_count();
+  const std::vector<Transition> transitions = StateTransitions(g, arrival);
+  std::vector<std::vector<std::size_t>> forward(g.switch_count());
+  for (const SwitchId s : switches) {
+    forward[s] = StateBfs(states, transitions, {State(s, Phase::kUp)}, /*backward=*/false);
+  }
+  std::size_t mismatches = 0;
+  for (const SwitchId t : switches) {
+    const std::vector<std::size_t> db = StateBfs(
+        states, transitions, {State(t, Phase::kUp), State(t, Phase::kDown)}, /*backward=*/true);
+    for (const SwitchId s : switches) {
+      if (s == t) continue;
+      const std::vector<std::size_t>& df = forward[s];
+      const std::size_t total = db[State(s, Phase::kUp)];
+      ASSERT_NE(total, kNone);
+      std::vector<bool> on_path(g.link_count(), false);
+      for (const Transition& tr : transitions) {
+        if (df[tr.from] != kNone && db[tr.to] != kNone && df[tr.from] + 1 + db[tr.to] == total) {
+          on_path[tr.link] = true;
+        }
+      }
+      std::vector<LinkId> expected;
+      for (LinkId l = 0; l < g.link_count(); ++l) {
+        if (on_path[l]) expected.push_back(l);
+      }
+      if (routing.LinksOnMinimalPaths(s, t) != expected) {
+        ADD_FAILURE() << "pair " << s << " -> " << t;
+        if (++mismatches == 5) return;
+      }
+    }
+  }
+}
+
+void ExpectUpDownWalkMatchesForwardBfs(const topo::SwitchGraph& g) {
+  for (const RootPolicy policy :
+       {RootPolicy::kLowestId, RootPolicy::kMaxDegree, RootPolicy::kMinEccentricity}) {
+    SCOPED_TRACE("root policy " + std::to_string(static_cast<int>(policy)));
+    const UpDownRouting routing(g, policy);
+    std::vector<SwitchId> all(g.switch_count());
+    for (SwitchId s = 0; s < all.size(); ++s) all[s] = s;
+    ExpectWalkMatchesForwardBfs(
+        routing,
+        [&routing](LinkId l, SwitchId into) -> std::optional<Phase> {
+          return routing.UpEnd(l) == into ? Phase::kUp : Phase::kDown;
+        },
+        all);
+  }
+}
+
+TEST(UpDown, LinksOnMinimalPathsMatchesForwardBfsOnRandomNets) {
+  for (const std::size_t switches : {8, 16, 64, 128}) {
+    for (const std::uint64_t seed : {1, 2}) {
+      SCOPED_TRACE("random " + std::to_string(switches) + " seed " + std::to_string(seed));
+      IrregularTopologyOptions options;
+      options.switch_count = switches;
+      options.seed = seed;
+      ExpectUpDownWalkMatchesForwardBfs(GenerateIrregularTopology(options));
+    }
+  }
+}
+
+TEST(UpDown, LinksOnMinimalPathsMatchesForwardBfsOnRegularNets) {
+  ExpectUpDownWalkMatchesForwardBfs(MakeRing(12));
+  ExpectUpDownWalkMatchesForwardBfs(topo::MakeMesh2D(4, 5));
+  ExpectUpDownWalkMatchesForwardBfs(topo::MakeTorus2D(4, 4));
+  ExpectUpDownWalkMatchesForwardBfs(topo::MakeFourRingsOfSix());
+}
+
+TEST(UpDown, LinksOnMinimalPathsMatchesForwardBfsThroughDegradedRouting) {
+  IrregularTopologyOptions options;
+  options.switch_count = 16;
+  options.seed = 3;
+  const topo::SwitchGraph g = GenerateIrregularTopology(options);
+  faults::DegradedView view(g);
+  view.FailSwitch(5);
+  view.FailLink(g.link(0).a, g.link(0).b);
+  view.FailLink(g.link(7).a, g.link(7).b);
+  const faults::DegradedRouting routing(g, view.Reconfigure());
+  std::vector<SwitchId> covered;
+  for (SwitchId s = 0; s < g.switch_count(); ++s) {
+    if (routing.Covers(s)) covered.push_back(s);
+  }
+  ASSERT_LT(covered.size(), g.switch_count());
+  ASSERT_GT(covered.size(), 8u);
+  ExpectWalkMatchesForwardBfs(
+      routing,
+      [&routing](LinkId l, SwitchId into) -> std::optional<Phase> {
+        if (!routing.reconfig().link_to_compact[l].has_value()) return std::nullopt;
+        return routing.ArrivalPhase(l, into);
+      },
+      covered);
 }
 
 TEST(UpDown, EnumerateMinimalPathsAllMinimalAndLegal) {
