@@ -84,14 +84,28 @@ void ClusterGainTable::ApplySwap(const DistanceTable& table, std::size_t a, std:
   }
 }
 
-SwapEvaluator::SwapEvaluator(const DistanceTable& table, Partition partition)
-    : table_(&table), partition_(std::move(partition)) {
-  CS_CHECK(table.size() == partition_.switch_count(), "table / partition size mismatch");
-  CS_CHECK(partition_.IntraPairCount() > 0, "evaluator needs a cluster with two switches");
+SwapEvaluator::SwapEvaluator(const DistanceTable& table, Partition partition,
+                             std::vector<double> cluster_intensity)
+    : table_(&table), partition_(std::move(partition)), intensity_(std::move(cluster_intensity)) {
   CS_CHECK(partition_.cluster_count() >= 2, "evaluator needs at least two clusters");
-  sum_all_pairs_sq_ = table.SumSquaredAllPairs();
+  if (intensity_.empty()) intensity_.assign(partition_.cluster_count(), 1.0);
+  for (const double lambda : intensity_) {
+    CS_CHECK(lambda >= 0.0, "intensities are non-negative");
+  }
   mean_sq_distance_ = table.MeanSquaredDistance();
-  gains_ = ClusterGainTable(table, partition_);
+  Rebuild();
+}
+
+void SwapEvaluator::Rebuild() {
+  CS_CHECK(table_->size() == partition_.switch_count(), "table / partition size mismatch");
+  CS_CHECK(intensity_.size() == partition_.cluster_count(), "one intensity per cluster required");
+  pair_count_ = 0.0;
+  for (std::size_t c = 0; c < intensity_.size(); ++c) {
+    const double size = static_cast<double>(partition_.ClusterSize(c));
+    pair_count_ += intensity_[c] * size * (size - 1) / 2.0;
+  }
+  CS_CHECK(pair_count_ > 0.0, "evaluator needs a weighted cluster with two switches");
+  gains_ = ClusterGainTable(*table_, partition_);
   intra_sum_ = ComputeIntraSum();
 }
 
@@ -100,43 +114,16 @@ double SwapEvaluator::ComputeIntraSum() const {
   const std::size_t n = partition_.switch_count();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (partition_.ClusterOf(i) == partition_.ClusterOf(j)) {
-        const double d = (*table_)(i, j);
-        sum += d * d;
-      }
+      const std::size_t c = partition_.ClusterOf(i);
+      if (c != partition_.ClusterOf(j)) continue;
+      const double d = (*table_)(i, j);
+      sum += intensity_[c] * d * d;
     }
   }
   return sum;
 }
 
-double SwapEvaluator::Fg() const {
-  return (intra_sum_ / static_cast<double>(partition_.IntraPairCount())) / mean_sq_distance_;
-}
-
-double SwapEvaluator::Dg() const {
-  // Ordered intercluster sum = 2 * (all-pairs sum - intracluster sum).
-  const double inter_sum = 2.0 * (sum_all_pairs_sq_ - intra_sum_);
-  return (inter_sum / static_cast<double>(partition_.InterPairCountOrdered())) /
-         mean_sq_distance_;
-}
-
-double SwapEvaluator::Cc() const {
-  const double fg = Fg();
-  CS_CHECK(fg > 0.0, "degenerate F_G");
-  return Dg() / fg;
-}
-
-double SwapEvaluator::SwapDelta(std::size_t a, std::size_t b) const {
-  const std::vector<std::size_t>& cluster_of = partition_.cluster_of_switch();
-  CS_CHECK(a < cluster_of.size() && b < cluster_of.size(), "switch out of range");
-  const std::size_t ca = cluster_of[a];
-  const std::size_t cb = cluster_of[b];
-  CS_CHECK(ca != cb, "SwapDelta requires switches in different clusters");
-  // a trades its ca partners for cb's, b the reverse; G[b][ca] and G[a][cb]
-  // each count the (a,b) pair, which stays intercluster on both sides.
-  const double dab = (*table_)(a, b);
-  return gains_(a, cb) - gains_(a, ca) + gains_(b, ca) - gains_(b, cb) - 2.0 * dab * dab;
-}
+double SwapEvaluator::Fg() const { return (intra_sum_ / pair_count_) / mean_sq_distance_; }
 
 double SwapEvaluator::SummedSwapDelta(std::size_t a, std::size_t b) const {
   const std::size_t n = partition_.switch_count();
@@ -151,9 +138,9 @@ double SwapEvaluator::SummedSwapDelta(std::size_t a, std::size_t b) const {
     const double daw = (*table_)(a, w);
     const double dbw = (*table_)(b, w);
     if (cw == ca) {
-      delta += dbw * dbw - daw * daw;
+      delta += intensity_[ca] * (dbw * dbw - daw * daw);
     } else if (cw == cb) {
-      delta += daw * daw - dbw * dbw;
+      delta += intensity_[cb] * (daw * daw - dbw * dbw);
     }
   }
   return delta;
@@ -172,15 +159,12 @@ void SwapEvaluator::ApplySwap(std::size_t a, std::size_t b) {
 }
 
 void SwapEvaluator::Reset(Partition partition) {
-  CS_CHECK(partition.switch_count() == table_->size(), "table / partition size mismatch");
   partition_ = std::move(partition);
-  gains_ = ClusterGainTable(*table_, partition_);
-  intra_sum_ = ComputeIntraSum();
+  Rebuild();
 }
 
 double SwapEvaluator::FgAfterDelta(double delta) const {
-  return ((intra_sum_ + delta) / static_cast<double>(partition_.IntraPairCount())) /
-         mean_sq_distance_;
+  return ((intra_sum_ + delta) / pair_count_) / mean_sq_distance_;
 }
 
 }  // namespace commsched::qual

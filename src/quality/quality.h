@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "common/check.h"
 #include "distance/distance_table.h"
 #include "quality/partition.h"
 
@@ -62,36 +63,53 @@ class ClusterGainTable {
   std::vector<double> gains_;
 };
 
-/// Incremental evaluator for swap-based search. Maintains the intracluster
-/// quadratic sum and a ClusterGainTable, so that evaluating a candidate swap
-/// is O(1), applying one is O(N), and the full F_G / D_G / C_c are O(1).
-///
-/// The key identity: the ordered intercluster sum equals
-///   2 * (sum over all pairs - intracluster sum),
-/// so D_G is derivable from the same running intracluster sum as F_G.
+/// Incremental evaluator for swap-based search, over the per-cluster
+/// intensity-weighted sum Σ_c λ_c F_Ac (quality/weighted.h's F_G^λ; all
+/// λ = 1, the default, is eq. (2) itself). Maintains that running sum and a
+/// ClusterGainTable, so that evaluating a candidate swap is O(1), applying
+/// one is O(N), and F_G is O(1).
 ///
 /// The running sum is advanced by the exact O(N) re-summed delta, not by
 /// the gain-table delta: the two differ in the last bits, and the running
-/// sum decides which mapping wins a tie between seeds and walks.
+/// sum decides which mapping wins a tie between seeds and walks. Each term
+/// is multiplied by its λ in place, and multiplying by 1.0 is exact, so
+/// with λ ≡ 1 the sum and F_G carry the bits of the unweighted eq. (2).
 class SwapEvaluator {
  public:
   /// Both `table` and an initial partition; the table must outlive this.
-  SwapEvaluator(const DistanceTable& table, Partition partition);
+  /// `cluster_intensity` has one non-negative λ per cluster; empty means
+  /// all ones.
+  SwapEvaluator(const DistanceTable& table, Partition partition,
+                std::vector<double> cluster_intensity = {});
 
   [[nodiscard]] const Partition& partition() const { return partition_; }
   [[nodiscard]] const DistanceTable& table() const { return *table_; }
+  [[nodiscard]] const std::vector<double>& cluster_intensity() const { return intensity_; }
 
-  /// Current intracluster quadratic sum (sum of F_Ai).
+  /// Current weighted intracluster quadratic sum (Σ_c λ_c F_Ac).
   [[nodiscard]] double IntraSum() const { return intra_sum_; }
 
+  /// F_G (F_G^λ under non-unit intensities).
   [[nodiscard]] double Fg() const;
-  [[nodiscard]] double Dg() const;
-  [[nodiscard]] double Cc() const;
 
   /// Change of the intracluster sum if switches a and b (in different
   /// clusters) were exchanged. F_G scales by the same constant, so ordering
-  /// moves by delta orders them by F_G. Requires different clusters. O(1).
-  [[nodiscard]] double SwapDelta(std::size_t a, std::size_t b) const;
+  /// moves by delta orders them by F_G. Requires different clusters. O(1);
+  /// defined here so the scan loops inline it.
+  [[nodiscard]] double SwapDelta(std::size_t a, std::size_t b) const {
+    const std::vector<std::size_t>& cluster_of = partition_.cluster_of_switch();
+    CS_CHECK(a < cluster_of.size() && b < cluster_of.size(), "switch out of range");
+    const std::size_t ca = cluster_of[a];
+    const std::size_t cb = cluster_of[b];
+    CS_CHECK(ca != cb, "SwapDelta requires switches in different clusters");
+    // Cluster ca trades a's partner sum for b's, less the (a,b) pair, which
+    // stays intercluster (G[b][ca] counts it); cb the reverse. Each side
+    // scales by its intensity.
+    const double dab = (*table_)(a, b);
+    const double sq_ab = dab * dab;
+    return intensity_[ca] * (gains_(b, ca) - gains_(a, ca) - sq_ab) +
+           intensity_[cb] * (gains_(a, cb) - gains_(b, cb) - sq_ab);
+  }
 
   /// Applies the swap and updates the running sum and gain table in O(N).
   void ApplySwap(std::size_t a, std::size_t b);
@@ -103,6 +121,8 @@ class SwapEvaluator {
   [[nodiscard]] double FgAfterDelta(double delta) const;
 
  private:
+  /// Recomputes the pair count, gain table and running sum for partition_.
+  void Rebuild();
   [[nodiscard]] double ComputeIntraSum() const;
   /// The swap delta re-summed over all N switches; keeps intra_sum_ exact.
   [[nodiscard]] double SummedSwapDelta(std::size_t a, std::size_t b) const;
@@ -110,8 +130,9 @@ class SwapEvaluator {
   const DistanceTable* table_;
   Partition partition_;
   ClusterGainTable gains_;
-  double intra_sum_ = 0.0;
-  double sum_all_pairs_sq_ = 0.0;   // sum_{i<j} T_ij^2
+  std::vector<double> intensity_;   // λ_c, one per cluster
+  double intra_sum_ = 0.0;          // Σ_c λ_c F_Ac
+  double pair_count_ = 0.0;         // Σ_c λ_c m_c (swap-invariant)
   double mean_sq_distance_ = 0.0;   // normalizer of eqs. (2)/(5)
 };
 

@@ -1,5 +1,7 @@
 #include "quality/weighted.h"
 
+#include <limits>
+
 #include "quality/quality.h"
 
 namespace commsched::qual {
@@ -111,89 +113,6 @@ double IntensityGlobalSimilarity(const DistanceTable& table, const Partition& pa
   return (weighted_sum / weighted_pairs) / table.MeanSquaredDistance();
 }
 
-IntensitySwapEvaluator::IntensitySwapEvaluator(const DistanceTable& table, Partition partition,
-                                               std::vector<double> cluster_intensity)
-    : table_(&table), partition_(std::move(partition)), intensity_(std::move(cluster_intensity)) {
-  CS_CHECK(table.size() == partition_.switch_count(), "table / partition size mismatch");
-  CS_CHECK(intensity_.size() == partition_.cluster_count(), "one intensity per cluster");
-  for (std::size_t c = 0; c < intensity_.size(); ++c) {
-    CS_CHECK(intensity_[c] >= 0.0, "intensities are non-negative");
-    const double size = static_cast<double>(partition_.ClusterSize(c));
-    weighted_pair_count_ += intensity_[c] * size * (size - 1) / 2.0;
-  }
-  CS_CHECK(weighted_pair_count_ > 0.0, "no weighted intracluster pairs");
-  mean_sq_distance_ = table.MeanSquaredDistance();
-  gains_ = ClusterGainTable(table, partition_);
-  weighted_intra_sum_ = ComputeWeightedIntraSum();
-}
-
-double IntensitySwapEvaluator::ComputeWeightedIntraSum() const {
-  double sum = 0.0;
-  const std::size_t n = partition_.switch_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const std::size_t c = partition_.ClusterOf(i);
-      if (c != partition_.ClusterOf(j)) continue;
-      const double d = (*table_)(i, j);
-      sum += intensity_[c] * d * d;
-    }
-  }
-  return sum;
-}
-
-double IntensitySwapEvaluator::Fg() const {
-  return (weighted_intra_sum_ / weighted_pair_count_) / mean_sq_distance_;
-}
-
-double IntensitySwapEvaluator::SwapDelta(std::size_t a, std::size_t b) const {
-  const std::vector<std::size_t>& cluster_of = partition_.cluster_of_switch();
-  CS_CHECK(a < cluster_of.size() && b < cluster_of.size(), "switch out of range");
-  const std::size_t ca = cluster_of[a];
-  const std::size_t cb = cluster_of[b];
-  CS_CHECK(ca != cb, "swap requires switches in different clusters");
-  // Cluster ca trades a's partner sum for b's (less the (a,b) pair, which
-  // stays intercluster); cb the reverse. Each side scales by its intensity.
-  const double dab = (*table_)(a, b);
-  const double sq_ab = dab * dab;
-  return intensity_[ca] * (gains_(b, ca) - gains_(a, ca) - sq_ab) +
-         intensity_[cb] * (gains_(a, cb) - gains_(b, cb) - sq_ab);
-}
-
-double IntensitySwapEvaluator::SummedSwapDelta(std::size_t a, std::size_t b) const {
-  const std::size_t n = partition_.switch_count();
-  const std::size_t ca = partition_.ClusterOf(a);
-  const std::size_t cb = partition_.ClusterOf(b);
-  double delta = 0.0;
-  for (std::size_t w = 0; w < n; ++w) {
-    if (w == a || w == b) continue;
-    const std::size_t cw = partition_.ClusterOf(w);
-    const double daw = (*table_)(a, w);
-    const double dbw = (*table_)(b, w);
-    if (cw == ca) {
-      delta += intensity_[ca] * (dbw * dbw - daw * daw);
-    } else if (cw == cb) {
-      delta += intensity_[cb] * (daw * daw - dbw * dbw);
-    }
-  }
-  return delta;
-}
-
-double IntensitySwapEvaluator::FgAfterDelta(double delta) const {
-  return ((weighted_intra_sum_ + delta) / weighted_pair_count_) / mean_sq_distance_;
-}
-
-void IntensitySwapEvaluator::ApplySwap(std::size_t a, std::size_t b) {
-  const std::size_t n = partition_.switch_count();
-  CS_CHECK(a < n && b < n, "switch out of range");
-  const std::size_t ca = partition_.ClusterOf(a);
-  const std::size_t cb = partition_.ClusterOf(b);
-  CS_CHECK(ca != cb, "swap requires switches in different clusters");
-  const double delta = SummedSwapDelta(a, b);
-  gains_.ApplySwap(*table_, a, ca, b, cb);
-  partition_.Swap(a, b);
-  weighted_intra_sum_ += delta;
-}
-
 WeightedSwapEvaluator::WeightedSwapEvaluator(const DistanceTable& table,
                                              const WeightMatrix& weights, Partition partition)
     : table_(&table), weights_(&weights), partition_(std::move(partition)) {
@@ -275,7 +194,9 @@ WeightedSwapEvaluator::Sums WeightedSwapEvaluator::SwapDeltas(std::size_t a,
 
 double WeightedSwapEvaluator::FgAfterSwap(std::size_t a, std::size_t b) const {
   const Sums delta = SwapDeltas(a, b);
-  return FgFromSums({sums_.intra_wsq + delta.intra_wsq, sums_.intra_w + delta.intra_w});
+  const Sums after{sums_.intra_wsq + delta.intra_wsq, sums_.intra_w + delta.intra_w};
+  if (after.intra_w <= 0.0) return std::numeric_limits<double>::infinity();
+  return FgFromSums(after);
 }
 
 void WeightedSwapEvaluator::ApplySwap(std::size_t a, std::size_t b) {

@@ -74,7 +74,8 @@ class WeightMatrix {
 //
 // with m_c the intracluster pair count of cluster c. All λ equal recovers
 // F_G exactly, and the denominator is invariant under swaps (sizes fixed),
-// so the incremental evaluator stays a scaled sum delta.
+// so F_G^λ needs no evaluator of its own: qual::SwapEvaluator takes the λ
+// vector and prices a swap by the same scaled sum delta as F_G.
 // ---------------------------------------------------------------------------
 
 /// F_G^λ; `cluster_intensity` must have one positive-or-zero entry per
@@ -83,41 +84,10 @@ class WeightMatrix {
                                                const Partition& partition,
                                                const std::vector<double>& cluster_intensity);
 
-/// Incremental evaluator for swap-based search on F_G^λ. Shares
-/// SwapEvaluator's gain table (O(1) SwapDelta, O(N) ApplySwap) and its rule
-/// that the running sum advances by the exact re-summed delta.
-class IntensitySwapEvaluator {
- public:
-  IntensitySwapEvaluator(const DistanceTable& table, Partition partition,
-                         std::vector<double> cluster_intensity);
-
-  [[nodiscard]] const Partition& partition() const { return partition_; }
-  [[nodiscard]] double Fg() const;
-
-  /// Change of the weighted intracluster sum for exchanging a and b
-  /// (different clusters); F_G^λ scales by a constant, so ordering by delta
-  /// orders by F_G^λ.
-  [[nodiscard]] double SwapDelta(std::size_t a, std::size_t b) const;
-  [[nodiscard]] double FgAfterDelta(double delta) const;
-  void ApplySwap(std::size_t a, std::size_t b);
-
- private:
-  [[nodiscard]] double ComputeWeightedIntraSum() const;
-  /// The swap delta re-summed over all N switches; keeps the sum exact.
-  [[nodiscard]] double SummedSwapDelta(std::size_t a, std::size_t b) const;
-
-  const DistanceTable* table_;
-  Partition partition_;
-  ClusterGainTable gains_;
-  std::vector<double> intensity_;
-  double weighted_intra_sum_ = 0.0;
-  double weighted_pair_count_ = 0.0;  // Σ_c λ_c m_c (swap-invariant)
-  double mean_sq_distance_ = 0.0;
-};
-
 /// Incremental evaluator for swap-based search on F_G^w. Mirrors
 /// qual::SwapEvaluator; additionally maintains the running intracluster
-/// weight (the weighted pair count is no longer invariant under swaps).
+/// weight (the weighted pair count is no longer invariant under swaps, which
+/// is why F_G^w, unlike F_G^λ, has no scaled-delta form).
 class WeightedSwapEvaluator {
  public:
   /// table/weights must outlive the evaluator and share the same size.
@@ -130,9 +100,10 @@ class WeightedSwapEvaluator {
   [[nodiscard]] double Dg() const;
   [[nodiscard]] double Cc() const;
 
-  /// F_G^w change if switches a and b (different clusters) were exchanged.
-  /// Unlike the unweighted case this is not a simple scaled sum delta, so
-  /// the full resulting F_G^w is returned.
+  /// F_G^w if switches a and b (different clusters) were exchanged. Unlike
+  /// the unweighted case this is not a simple scaled sum delta, so the full
+  /// resulting F_G^w is returned. A swap that would leave no intracluster
+  /// weight has no F_G^w and returns +infinity (inadmissible).
   [[nodiscard]] double FgAfterSwap(std::size_t a, std::size_t b) const;
 
   void ApplySwap(std::size_t a, std::size_t b);

@@ -312,8 +312,12 @@ std::size_t CountMovedFromAnchor(const Partition& partition, const Partition& an
 }
 
 TabuObjective::TabuObjective(const DistanceTable& table, const Partition& start,
-                             const Partition* anchor, double migration_penalty)
-    : eval_(table, start), table_(&table), anchor_(anchor) {
+                             const Partition* anchor, double migration_penalty,
+                             std::size_t migration_budget, std::vector<double> cluster_intensity)
+    : eval_(table, start, std::move(cluster_intensity)),
+      table_(&table),
+      anchor_(anchor),
+      budget_(migration_budget) {
   const std::size_t n = start.switch_count();
   if (anchor_ != nullptr) {
     CS_CHECK(anchor_->switch_count() == n, "anchor size mismatch");
@@ -324,7 +328,6 @@ TabuObjective::TabuObjective(const DistanceTable& table, const Partition& start,
 }
 
 int TabuObjective::SwapDMoved(std::size_t a, std::size_t b) const {
-  if (anchor_ == nullptr) return 0;
   const std::size_t ca = eval_.partition().ClusterOf(a);
   const std::size_t cb = eval_.partition().ClusterOf(b);
   int d = 0;
@@ -334,7 +337,15 @@ int TabuObjective::SwapDMoved(std::size_t a, std::size_t b) const {
 }
 
 double TabuObjective::SwapCost(std::size_t a, std::size_t b) {
-  return eval_.SwapDelta(a, b) * fg_scale_ + move_cost_ * static_cast<double>(SwapDMoved(a, b));
+  const double fg_cost = eval_.SwapDelta(a, b) * fg_scale_;
+  // The unanchored scan is the hot loop of every Tabu run: no budget test.
+  if (anchor_ == nullptr) return fg_cost;
+  const int d_moved = SwapDMoved(a, b);
+  // moved_ + d_moved >= 0, so the unsigned wrap of a negative d_moved is exact.
+  if (moved_ + static_cast<std::size_t>(d_moved) > budget_) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return fg_cost + move_cost_ * static_cast<double>(d_moved);
 }
 
 double TabuObjective::Value() const {
@@ -344,7 +355,7 @@ double TabuObjective::Value() const {
 double TabuObjective::TraceFg() const { return eval_.Fg(); }
 
 void TabuObjective::Apply(std::size_t a, std::size_t b) {
-  moved_ = static_cast<std::size_t>(static_cast<long long>(moved_) + SwapDMoved(a, b));
+  if (anchor_ != nullptr) moved_ += static_cast<std::size_t>(SwapDMoved(a, b));
   eval_.ApplySwap(a, b);
 }
 
@@ -352,6 +363,7 @@ const Partition& TabuObjective::partition() const { return eval_.partition(); }
 
 void TabuObjective::FinalizeSeed(SearchResult& result) const {
   FinalizeResult(*table_, result);
+  result.best_fg = qual::IntensityGlobalSimilarity(*table_, result.best, eval_.cluster_intensity());
   if (anchor_ != nullptr) {
     result.moved_from_anchor = CountMovedFromAnchor(result.best, *anchor_);
   }
@@ -377,31 +389,6 @@ void WeightedFgObjective::FinalizeSeed(SearchResult& result) const {
   result.best_fg = qual::WeightedGlobalSimilarity(*table_, *weights_, result.best);
   result.best_dg = qual::WeightedGlobalDissimilarity(*table_, *weights_, result.best);
   result.best_cc = result.best_dg / result.best_fg;
-}
-
-IntensityFgObjective::IntensityFgObjective(const DistanceTable& table, const Partition& start,
-                                           const std::vector<double>& cluster_intensity)
-    : eval_(table, start, cluster_intensity),
-      table_(&table),
-      intensity_(cluster_intensity),
-      fg_scale_(eval_.FgAfterDelta(1.0) - eval_.FgAfterDelta(0.0)) {}
-
-double IntensityFgObjective::SwapCost(std::size_t a, std::size_t b) {
-  return eval_.SwapDelta(a, b) * fg_scale_;
-}
-
-double IntensityFgObjective::Value() const { return eval_.Fg(); }
-
-double IntensityFgObjective::TraceFg() const { return eval_.Fg(); }
-
-void IntensityFgObjective::Apply(std::size_t a, std::size_t b) { eval_.ApplySwap(a, b); }
-
-const Partition& IntensityFgObjective::partition() const { return eval_.partition(); }
-
-void IntensityFgObjective::FinalizeSeed(SearchResult& result) const {
-  result.best_fg = qual::IntensityGlobalSimilarity(*table_, result.best, intensity_);
-  result.best_dg = qual::GlobalDissimilarity(*table_, result.best);
-  result.best_cc = result.best_dg / qual::GlobalSimilarity(*table_, result.best);
 }
 
 double IntraSumObjective::SwapCost(std::size_t a, std::size_t b) { return eval_->SwapDelta(a, b); }

@@ -32,7 +32,7 @@
 //
 // To add a new objective: implement Objective over an incremental evaluator
 // (SwapCost is called for every inter-cluster pair of every iteration, so it
-// must be O(1) or close to it — the dense evaluators read a per-switch
+// must be O(1) or close to it — the dense evaluator reads a per-switch
 // cluster gain table — never a full recompute) and drive it either through
 // SearchEngine::RunSeed (one walk) or RunMultiStart (seeded restarts with
 // optional ParallelFor parallelism).
@@ -70,9 +70,11 @@ struct EngineOptions {
 };
 
 /// A search objective over partitions. The engine only ever talks to the
-/// walk through this interface; adapters wrap the incremental evaluators
-/// (qual::SwapEvaluator, WeightedSwapEvaluator, IntensitySwapEvaluator) and
-/// the migration-anchored penalty.
+/// walk through this interface. Three adapters cover every searcher: the
+/// dense F_G family (plain, λ-weighted, anchored, budgeted) is one
+/// TabuObjective over qual::SwapEvaluator, F_G^w wraps the
+/// WeightedSwapEvaluator, and IntraSumObjective gives steepest descent and
+/// the annealing walks their raw sum.
 class Objective {
  public:
   virtual ~Objective() = default;
@@ -80,7 +82,7 @@ class Objective {
   /// Change in Value() that swapping switches (a, b) would cause: after
   /// Apply(a, b), Value() equals the old Value() plus this cost (up to
   /// rounding). Return a non-finite value to mark the swap inadmissible
-  /// (e.g. the repair objective's migration budget).
+  /// (e.g. an anchored TabuObjective's migration budget).
   virtual double SwapCost(std::size_t a, std::size_t b) = 0;
 
   /// Current value of the mapping (used for best-so-far tracking,
@@ -225,20 +227,31 @@ SampledMoveStats RunSampledMoves(Objective& objective, AcceptancePolicy& policy,
 /// Switches whose cluster differs from the anchor's (migration distance).
 [[nodiscard]] std::size_t CountMovedFromAnchor(const Partition& partition, const Partition& anchor);
 
-/// Plain F_G (§4.2) with an optional migration-anchored penalty: minimizes
-/// F_G + migration_penalty * moved / N against `anchor`. With no anchor the
-/// migration machinery reduces to plain F_G minimization (deltas all zero).
+/// The dense F_G objective (§4.2): F_G, or F_G^λ under per-cluster
+/// intensities (empty: all ones), plus an optional migration term against
+/// `anchor`: Value() = F_G + migration_penalty * moved() / N, and a swap that
+/// would push moved() past `migration_budget` costs +infinity. Plain Tabu,
+/// intensity Tabu, anchored re-scheduling and the repair refinement are all
+/// this one objective. With no anchor SwapCost is the scaled sum delta
+/// alone; the migration bookkeeping is never touched.
 class TabuObjective final : public Objective {
  public:
   TabuObjective(const DistanceTable& table, const Partition& start, const Partition* anchor,
-                double migration_penalty);
+                double migration_penalty, std::size_t migration_budget = SIZE_MAX,
+                std::vector<double> cluster_intensity = {});
 
   double SwapCost(std::size_t a, std::size_t b) override;
   [[nodiscard]] double Value() const override;
   [[nodiscard]] double TraceFg() const override;
   void Apply(std::size_t a, std::size_t b) override;
   [[nodiscard]] const Partition& partition() const override;
+  /// FinalizeResult, with best_fg the F_G^λ of result.best (same bits as
+  /// F_G when λ ≡ 1).
   void FinalizeSeed(SearchResult& result) const override;
+
+  /// Switches of the current mapping whose cluster differs from the
+  /// anchor's (0 without an anchor).
+  [[nodiscard]] std::size_t moved() const { return moved_; }
 
  private:
   [[nodiscard]] int SwapDMoved(std::size_t a, std::size_t b) const;
@@ -246,6 +259,7 @@ class TabuObjective final : public Objective {
   qual::SwapEvaluator eval_;
   const DistanceTable* table_;
   const Partition* anchor_;
+  std::size_t budget_;
   double move_cost_ = 0.0;
   double fg_scale_ = 0.0;  // F_G is affine in the intra sum
   std::size_t moved_ = 0;
@@ -269,27 +283,6 @@ class WeightedFgObjective final : public Objective {
   qual::WeightedSwapEvaluator eval_;
   const DistanceTable* table_;
   const qual::WeightMatrix* weights_;
-};
-
-/// Per-cluster intensity-weighted F_G^λ. Like plain F_G it is affine in an
-/// intra-cluster sum, so SwapCost scales the sum delta by a constant.
-class IntensityFgObjective final : public Objective {
- public:
-  IntensityFgObjective(const DistanceTable& table, const Partition& start,
-                       const std::vector<double>& cluster_intensity);
-
-  double SwapCost(std::size_t a, std::size_t b) override;
-  [[nodiscard]] double Value() const override;
-  [[nodiscard]] double TraceFg() const override;
-  void Apply(std::size_t a, std::size_t b) override;
-  [[nodiscard]] const Partition& partition() const override;
-  void FinalizeSeed(SearchResult& result) const override;
-
- private:
-  qual::IntensitySwapEvaluator eval_;
-  const DistanceTable* table_;
-  std::vector<double> intensity_;
-  double fg_scale_ = 0.0;  // F_G^λ is affine in the weighted intra sum
 };
 
 /// Raw intra-cluster sum over a borrowed SwapEvaluator. Used by steepest

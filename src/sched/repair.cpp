@@ -1,6 +1,5 @@
 #include "sched/repair.h"
 
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -25,84 +24,6 @@ double DraftCost(const dist::DistanceTable& table, const qual::Partition& partit
   }
   return cost;
 }
-
-/// Migration-bounded refinement objective: minimizes
-/// F_G + penalty * displaced / N, so a swap costs minus its gain (the F_G
-/// drop less the penalty of the added displacement). Swaps that would
-/// exceed the hard migration budget are inadmissible (SwapCost returns
-/// infinity, which the engine skips).
-class RepairObjective final : public Objective {
- public:
-  RepairObjective(const dist::DistanceTable& table, const qual::Partition& start,
-                  const std::vector<std::size_t>& anchor_cluster, std::size_t budget,
-                  double penalty)
-      : eval_(table, start),
-        anchor_cluster_(&anchor_cluster),
-        budget_(budget),
-        penalty_(penalty),
-        n_(start.switch_count()),
-        displaced_(n_, false) {
-    for (std::size_t s = 0; s < n_; ++s) {
-      displaced_[s] = start.ClusterOf(s) != anchor_cluster[s];
-      if (displaced_[s]) ++displaced_count_;
-    }
-  }
-
-  double SwapCost(std::size_t a, std::size_t b) override {
-    const qual::Partition& current = eval_.partition();
-    // Displacement delta of this swap relative to the phase-1 anchor:
-    // after the swap, a sits in b's cluster and vice versa.
-    const bool a_after = current.ClusterOf(b) != (*anchor_cluster_)[a];
-    const bool b_after = current.ClusterOf(a) != (*anchor_cluster_)[b];
-    const int delta_displaced = (static_cast<int>(a_after) - static_cast<int>(displaced_[a])) +
-                                (static_cast<int>(b_after) - static_cast<int>(displaced_[b]));
-    const std::size_t after =
-        static_cast<std::size_t>(static_cast<int>(displaced_count_) + delta_displaced);
-    if (after > budget_) return std::numeric_limits<double>::infinity();
-    const double fg_gain = eval_.Fg() - eval_.FgAfterDelta(eval_.SwapDelta(a, b));
-    const double gain =
-        fg_gain - penalty_ * static_cast<double>(delta_displaced) / static_cast<double>(n_);
-    return -gain;
-  }
-
-  [[nodiscard]] double Value() const override {
-    return eval_.Fg() +
-           penalty_ * static_cast<double>(displaced_count_) / static_cast<double>(n_);
-  }
-
-  [[nodiscard]] double TraceFg() const override { return eval_.Fg(); }
-
-  void Apply(std::size_t a, std::size_t b) override {
-    eval_.ApplySwap(a, b);
-    for (const std::size_t s : {a, b}) {
-      const bool now = eval_.partition().ClusterOf(s) != (*anchor_cluster_)[s];
-      if (now != displaced_[s]) {
-        displaced_[s] = now;
-        displaced_count_ += now ? 1 : static_cast<std::size_t>(-1);
-      }
-    }
-  }
-
-  [[nodiscard]] const Partition& partition() const override { return eval_.partition(); }
-
-  void FinalizeSeed(SearchResult& result) const override {
-    // Incremental values, not a recompute. Every descent move lowers
-    // Value(), so the walk's final mapping is result.best.
-    result.best_fg = eval_.Fg();
-    result.best_cc = eval_.Cc();
-  }
-
-  [[nodiscard]] std::size_t displaced_count() const { return displaced_count_; }
-
- private:
-  qual::SwapEvaluator eval_;
-  const std::vector<std::size_t>* anchor_cluster_;
-  std::size_t budget_;
-  double penalty_;
-  std::size_t n_;
-  std::vector<bool> displaced_;
-  std::size_t displaced_count_ = 0;
-};
 
 }  // namespace
 
@@ -150,7 +71,6 @@ RepairOutcome AnchoredRepair(const dist::DistanceTable& table, const qual::Parti
   // the anchor itself (bit-identical to the single-seed repair); extra
   // seeds perturb the anchor with up to two random admissible swaps first.
   outcome.anchor_fg = qual::SwapEvaluator(table, partition).Fg();
-  const std::vector<std::size_t> anchor_cluster = partition.cluster_of_switch();
 
   EngineOptions engine_options;
   engine_options.seeds = options.seeds;
@@ -169,7 +89,7 @@ RepairOutcome AnchoredRepair(const dist::DistanceTable& table, const qual::Parti
     qual::Partition start = partition;
     if (partition.cluster_count() >= 2) {
       Rng rng(DeriveSeedStream(options.rng_seed, k));
-      std::vector<std::size_t> clusters = anchor_cluster;
+      std::vector<std::size_t> clusters = partition.cluster_of_switch();
       std::size_t swaps = 0;
       for (int attempt = 0; attempt < 2; ++attempt) {
         const auto [a, b] = RandomInterClusterPair(start, rng);
@@ -179,11 +99,7 @@ RepairOutcome AnchoredRepair(const dist::DistanceTable& table, const qual::Parti
       qual::Partition perturbed(clusters);
       // Perturbed switches count against the budget; fall back to the
       // unperturbed anchor when the budget cannot afford the perturbation.
-      std::size_t displaced = 0;
-      for (std::size_t s = 0; s < n; ++s) {
-        if (perturbed.ClusterOf(s) != anchor_cluster[s]) ++displaced;
-      }
-      if (displaced <= options.migration_budget) {
+      if (CountMovedFromAnchor(perturbed, partition) <= options.migration_budget) {
         start = std::move(perturbed);
         perturb_swaps[k] = swaps;
       }
@@ -201,14 +117,16 @@ RepairOutcome AnchoredRepair(const dist::DistanceTable& table, const qual::Parti
   };
   std::vector<SeedOutcome> runs(options.seeds, SeedOutcome{partition});
   auto run_one = [&](std::size_t k) {
-    RepairObjective objective(table, starts[k], anchor_cluster, options.migration_budget,
-                              options.migration_penalty);
+    // Anchored at the post-forced-move partition: F_G + penalty *
+    // displaced / N, and swaps past the hard budget cost +inf.
+    TabuObjective objective(table, starts[k], &partition, options.migration_penalty,
+                            options.migration_budget);
     SeedRun run = engine.RunSeed(objective, k);
     engine.FlushSeedObservability(run, k);
     SeedOutcome& out = runs[k];
     out.repaired = std::move(run.result.best);
     out.swaps = perturb_swaps[k] + run.result.iterations;
-    out.displaced = objective.displaced_count();
+    out.displaced = objective.moved();
     out.fg = run.result.best_fg;
     out.cc = run.result.best_cc;
     out.key = out.fg + options.migration_penalty * static_cast<double>(out.displaced) /

@@ -70,8 +70,10 @@ struct RepairOutcome {
 /// (a Partition cluster can never be emptied); damaged clusters then simply
 /// stay smaller.
 ///
-/// Phase 2 — bounded refinement: best-improvement inter-cluster swaps via
-/// SwapEvaluator, subject to options.migration_budget/migration_penalty.
+/// Phase 2 — bounded refinement: steepest descent over a TabuObjective
+/// anchored at the post-forced-move partition, with
+/// options.migration_penalty as its migration term and
+/// options.migration_budget as its hard budget.
 /// Note the spare cluster (when present) takes part in the objective like
 /// any other cluster; callers that want free switches ignored should not
 /// pass a spare cluster and handle the pool outside.

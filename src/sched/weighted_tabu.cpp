@@ -61,7 +61,8 @@ SearchResult IntensityTabuSearch(const DistanceTable& table,
   CS_CHECK(cluster_intensity.size() == cluster_sizes.size(), "one intensity per cluster");
   return WeightedFamilySearch(table, cluster_sizes, options, "itabu",
                               [&](const Partition& start) {
-                                return IntensityFgObjective(table, start, cluster_intensity);
+                                return TabuObjective(table, start, nullptr, 0.0, SIZE_MAX,
+                                                     cluster_intensity);
                               });
 }
 

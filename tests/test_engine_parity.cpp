@@ -11,6 +11,13 @@
 // and forth until its 100-round budget ran out; it now stops at its local
 // minimum after 2 swaps, with the same repaired mapping and F_G.
 //
+// Twelve more were regenerated when the repair refinement became an
+// anchored, budgeted TabuObjective: n{8,16,24}.repair{,_bounded}
+// .repaired_{fg,cc}. They moved by a few ulps because repair now reports
+// the from-scratch FinalizeResult values, like every other searcher, in
+// place of the evaluator's running sum. Every mapping, count, displaced and
+// refinement_swaps key is unchanged.
+//
 // Coverage: 8/16/24-switch irregular networks × plain/weighted/intensity/
 // anchored tabu, steepest descent, random sampling, simulated annealing,
 // genetic annealing, and anchored repair. Floats are serialized as hexfloats

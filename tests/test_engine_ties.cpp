@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -119,12 +120,15 @@ dist::DistanceTable IrregularTable(std::size_t switches) {
 
 /// Applies `swaps` random inter-cluster swaps and checks, before each one,
 /// that Value() + SwapCost(a, b) is the Value() the swap leaves behind.
+/// Inadmissible swaps (non-finite cost) are drawn but not applied.
 void ExpectSwapCostIsValueDelta(sched::Objective& objective, std::uint64_t seed,
                                 std::size_t swaps, const std::string& label) {
   Rng rng(seed);
   for (std::size_t k = 0; k < swaps; ++k) {
     const auto [a, b] = sched::RandomInterClusterPair(objective.partition(), rng);
-    const double predicted = objective.Value() + objective.SwapCost(a, b);
+    const double cost = objective.SwapCost(a, b);
+    if (!std::isfinite(cost)) continue;
+    const double predicted = objective.Value() + cost;
     objective.Apply(a, b);
     const double actual = objective.Value();
     ASSERT_NEAR(predicted, actual, 1e-9 * std::max(1.0, std::abs(actual)))
@@ -153,14 +157,54 @@ TEST(EngineObjective, ValuePlusSwapCostIsValueAfterApply) {
     ExpectSwapCostIsValueDelta(plain, 1, kSwaps, net + "tabu");
     sched::TabuObjective anchored(table, start, &anchor, 0.25);
     ExpectSwapCostIsValueDelta(anchored, 2, kSwaps, net + "anchored tabu");
+    sched::TabuObjective bounded(table, anchor, &anchor, 0.25, 5);
+    ExpectSwapCostIsValueDelta(bounded, 6, kSwaps, net + "budget-bounded tabu");
     sched::WeightedFgObjective weighted(table, weights, start);
     ExpectSwapCostIsValueDelta(weighted, 3, kSwaps, net + "weighted");
-    sched::IntensityFgObjective intensity_fg(table, start, intensity);
+    sched::TabuObjective intensity_fg(table, start, nullptr, 0.0, SIZE_MAX, intensity);
     ExpectSwapCostIsValueDelta(intensity_fg, 4, kSwaps, net + "intensity");
     qual::SwapEvaluator eval(table, start);
     sched::IntraSumObjective intra(table, eval);
     ExpectSwapCostIsValueDelta(intra, 5, kSwaps, net + "intra sum");
   }
+}
+
+// An anchored TabuObjective with a migration budget prices a swap at +inf
+// exactly when it would leave more than `budget` switches off their anchor
+// cluster; every other swap keeps its finite F_G + migration cost.
+TEST(EngineObjective, BudgetMakesExactlyTheOverBudgetSwapsInadmissible) {
+  constexpr std::size_t kBudget = 3;
+  const dist::DistanceTable table = IrregularTable(16);
+  Rng rng(9);
+  const qual::Partition anchor = qual::Partition::Random({4, 4, 4, 4}, rng);
+  sched::TabuObjective objective(table, anchor, &anchor, 0.5, kBudget);
+  std::size_t inadmissible = 0;
+  for (int step = 0; step < 60; ++step) {
+    const qual::Partition current = objective.partition();
+    ASSERT_EQ(objective.moved(), sched::CountMovedFromAnchor(current, anchor));
+    ASSERT_LE(objective.moved(), kBudget);
+    for (const auto& [a, b] : sched::InterClusterPairs(current)) {
+      qual::Partition after = current;
+      after.Swap(a, b);
+      const bool over = sched::CountMovedFromAnchor(after, anchor) > kBudget;
+      const double cost = objective.SwapCost(a, b);
+      if (over) {
+        EXPECT_EQ(cost, std::numeric_limits<double>::infinity()) << step << ": " << a << "," << b;
+        ++inadmissible;
+      } else {
+        EXPECT_TRUE(std::isfinite(cost)) << step << ": " << a << "," << b;
+      }
+    }
+    // Walk on through a random admissible swap.
+    for (;;) {
+      const auto [a, b] = sched::RandomInterClusterPair(current, rng);
+      if (std::isfinite(objective.SwapCost(a, b))) {
+        objective.Apply(a, b);
+        break;
+      }
+    }
+  }
+  EXPECT_GT(inadmissible, 0u);
 }
 
 }  // namespace

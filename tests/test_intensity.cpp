@@ -59,7 +59,7 @@ TEST(Intensity, EvaluatorMatchesDirect) {
   Rng rng(7);
   const std::vector<double> intensity{4.0, 1.0, 0.5, 2.0};
   qual::Partition p = qual::Partition::Random({3, 3, 3, 3}, rng);
-  qual::IntensitySwapEvaluator eval(t, p, intensity);
+  qual::SwapEvaluator eval(t, p, intensity);
   EXPECT_NEAR(eval.Fg(), qual::IntensityGlobalSimilarity(t, p, intensity), 1e-9);
   for (int trial = 0; trial < 40; ++trial) {
     std::size_t a = 0;

@@ -2,8 +2,8 @@
 // many random (size, seed) instances, the running intracluster sum after a
 // chain of ApplySwap calls must match a from-scratch recompute, and
 // SwapDelta must predict exactly the observed before/after difference. A
-// long-walk case checks that the O(1) gain-table deltas of both dense
-// evaluators (SwapEvaluator, IntensitySwapEvaluator) do not drift.
+// long-walk case checks that the O(1) gain-table deltas do not drift, with
+// unit and with per-cluster intensities λ.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,7 +141,7 @@ double MaxDeltaDrift(const Evaluator& walked, const Evaluator& fresh) {
 
 // Thousands of O(N) gain-table updates on a 128-switch network (the size of
 // the benchmark's schedule workload) must leave every O(1) delta within kTol
-// of a freshly built table, for both dense evaluators and across Reset.
+// of a freshly built table, with and without intensities and across Reset.
 TEST(SwapEvaluatorProperty, GainTableMatchesFreshAfterLongWalks) {
   constexpr int kSteps = 2500;
   topo::IrregularTopologyOptions options;
@@ -156,7 +156,7 @@ TEST(SwapEvaluatorProperty, GainTableMatchesFreshAfterLongWalks) {
   Rng rng(11);
   const qual::Partition start = qual::Partition::Random(sizes, rng);
   qual::SwapEvaluator eval(table, start);
-  qual::IntensitySwapEvaluator intensity_eval(table, start, intensity);
+  qual::SwapEvaluator intensity_eval(table, start, intensity);
   for (int step = 0; step < kSteps; ++step) {
     const auto [a, b] = RandomInterClusterPair(eval.partition(), rng);
     eval.ApplySwap(a, b);
@@ -164,8 +164,7 @@ TEST(SwapEvaluatorProperty, GainTableMatchesFreshAfterLongWalks) {
   }
   ASSERT_EQ(eval.partition(), intensity_eval.partition());
   EXPECT_LE(MaxDeltaDrift(eval, qual::SwapEvaluator(table, eval.partition())), kTol);
-  EXPECT_LE(MaxDeltaDrift(intensity_eval,
-                          qual::IntensitySwapEvaluator(table, eval.partition(), intensity)),
+  EXPECT_LE(MaxDeltaDrift(intensity_eval, qual::SwapEvaluator(table, eval.partition(), intensity)),
             kTol);
 
   // Reset rebuilds the table; a second long walk must stay just as exact.

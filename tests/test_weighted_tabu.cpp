@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "routing/updown.h"
+#include "sched/engine.h"
 #include "sched/tabu.h"
 #include "topology/generator.h"
 #include "topology/library.h"
@@ -87,6 +91,35 @@ TEST(WeightedTabu, TraceAndBudgetRespected) {
     if (p.is_restart) ++restarts;
   }
   EXPECT_EQ(restarts, 2u);
+}
+
+// Swapping 1 and 4 out of {0,1,2,3 | 4,5,6,7} moves the only intracluster
+// weight, (0,1), across clusters: F_G^w of the result is undefined, so the
+// swap is inadmissible rather than an error.
+TEST(WeightedTabu, SwapLeavingNoIntraWeightIsInadmissible) {
+  const DistanceTable t = PaperTable(8, 1);
+  qual::WeightMatrix w(8, 0.0);
+  w.Set(0, 1, 1.0);
+  w.Set(0, 5, 1.0);
+  WeightedFgObjective objective(t, w, qual::Partition::Blocked({4, 4}));
+  EXPECT_EQ(objective.SwapCost(1, 4), std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isfinite(objective.SwapCost(2, 4)));
+}
+
+// The start, (0,1,4,7) (2,3,5,6), carries intracluster weight 2, but some of
+// its candidate swaps leave none; the scan must skip them instead of
+// throwing.
+TEST(WeightedTabu, SearchSkipsSwapsLeavingNoIntraWeight) {
+  const DistanceTable t = PaperTable(8, 1);
+  qual::WeightMatrix w(8, 0.0);
+  w.Set(0, 1, 1.0);
+  w.Set(2, 5, 1.0);
+  TabuOptions options;
+  options.seeds = 1;
+  SearchResult result;
+  ASSERT_NO_THROW(result = WeightedTabuSearch(t, w, {4, 4}, options));
+  EXPECT_TRUE(std::isfinite(result.best_fg));
+  EXPECT_NEAR(result.best_fg, qual::WeightedGlobalSimilarity(t, w, result.best), 1e-12);
 }
 
 }  // namespace
