@@ -3,6 +3,8 @@
 // hand-inlined copy of the legacy scan loop, and what the multi-start
 // driver's thread pool buys. Identical walks run on both sides (same starts,
 // same comparison rule), so the wall-clock delta IS the engine overhead.
+// BM_EngineTabuSeed times one 128-switch Tabu restart, the unit of the
+// perfbench `schedule` workload.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -119,5 +121,31 @@ BENCHMARK(BM_EngineMultiStart)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace
+
+/// One Tabu seed on a 128-switch network in four clusters: 60 iterations
+/// with the repeat stop off, so every bench iteration scans the same 60
+/// neighbourhoods of 6144 swaps — the per-restart unit of perfbench's
+/// `schedule` workload, without its thread pool.
+void BM_EngineTabuSeed(benchmark::State& state) {
+  const dist::DistanceTable table = Table(static_cast<std::size_t>(state.range(0)));
+  const std::vector<std::size_t> sizes(4, table.size() / 4);
+  sched::EngineOptions options;
+  options.seeds = 1;
+  options.max_iterations_per_seed = 60;
+  options.local_min_repeats = 61;
+  const sched::SearchEngine engine("tabu", options);
+  std::uint64_t seed = 0;
+  std::uint64_t evaluations = 0;
+  for (auto _ : state) {
+    Rng rng(++seed);
+    sched::TabuObjective objective(table, qual::Partition::Random(sizes, rng), nullptr, 0.0);
+    const sched::SeedRun run = engine.RunSeed(objective, 0);
+    evaluations += run.result.evaluations;
+    benchmark::DoNotOptimize(run.result.best_fg);
+  }
+  state.counters["evals_per_sec"] =
+      benchmark::Counter(static_cast<double>(evaluations), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EngineTabuSeed)->Arg(128)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -16,7 +16,9 @@ namespace commsched::sched {
 
 /// Same schedule as TabuSearch (seeds / iteration budget / tenure / repeat
 /// stop), with F_G^w as the target. The returned best_fg/best_dg/best_cc are
-/// the *weighted* coefficients of the best mapping.
+/// the *weighted* coefficients of the best mapping (D_G^w, C_c^w NaN if it
+/// keeps all weight inside clusters). Throws ConfigError when no mapping of
+/// these sizes can keep any weight inside a cluster.
 [[nodiscard]] SearchResult WeightedTabuSearch(const DistanceTable& table,
                                               const qual::WeightMatrix& weights,
                                               const std::vector<std::size_t>& cluster_sizes,

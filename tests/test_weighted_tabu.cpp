@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
+#include "common/check.h"
+#include "common/rng.h"
 #include "routing/updown.h"
 #include "sched/engine.h"
 #include "sched/tabu.h"
@@ -120,6 +123,87 @@ TEST(WeightedTabu, SearchSkipsSwapsLeavingNoIntraWeight) {
   ASSERT_NO_THROW(result = WeightedTabuSearch(t, w, {4, 4}, options));
   EXPECT_TRUE(std::isfinite(result.best_fg));
   EXPECT_NEAR(result.best_fg, qual::WeightedGlobalSimilarity(t, w, result.best), 1e-12);
+}
+
+// Sparse weights on 8 switches, (0,1) and (2,5) only, in {4,4}: some
+// random starts carry no intracluster weight, and some walks end on a best
+// mapping that keeps all of it inside clusters. Every seed must finish:
+// the start is repaired by co-locating the first weighted pair, and a best
+// with no intercluster weight reports D_G^w and C_c^w as NaN.
+TEST(WeightedTabu, SparseWeightsFinishOnEverySeed) {
+  const DistanceTable t = PaperTable(8, 3);
+  qual::WeightMatrix w(8, 0.0);
+  w.Set(0, 1, 1.0);
+  w.Set(2, 5, 1.0);
+  std::size_t undefined_dg = 0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("rng_seed " + std::to_string(seed));
+    TabuOptions options;
+    options.seeds = 1;
+    options.rng_seed = seed;
+    SearchResult result;
+    ASSERT_NO_THROW(result = WeightedTabuSearch(t, w, {4, 4}, options));
+    EXPECT_TRUE(std::isfinite(result.best_fg));
+    EXPECT_EQ(result.best_fg, qual::WeightedGlobalSimilarity(t, w, result.best));
+    const bool split = result.best.ClusterOf(0) != result.best.ClusterOf(1) ||
+                       result.best.ClusterOf(2) != result.best.ClusterOf(5);
+    if (split) {
+      EXPECT_TRUE(std::isfinite(result.best_dg));
+      EXPECT_TRUE(std::isfinite(result.best_cc));
+    } else {
+      EXPECT_TRUE(std::isnan(result.best_dg));
+      EXPECT_TRUE(std::isnan(result.best_cc));
+      ++undefined_dg;
+    }
+  }
+  EXPECT_GT(undefined_dg, 0u);
+}
+
+// A start without intracluster weight is repaired before the walk by one
+// swap: switch 1 trades places with the lowest-numbered other member of
+// switch 0's cluster. The trace's restart point is the repaired start.
+TEST(WeightedTabu, WeightlessStartCoLocatesFirstWeightedPair) {
+  const DistanceTable t = PaperTable(8, 3);
+  qual::WeightMatrix w(8, 0.0);
+  w.Set(0, 1, 1.0);
+  w.Set(2, 5, 1.0);
+  std::size_t weightless = 0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("rng_seed " + std::to_string(seed));
+    Rng rng(seed);
+    qual::Partition start = qual::Partition::Random({4, 4}, rng);
+    if (start.ClusterOf(0) == start.ClusterOf(1) || start.ClusterOf(2) == start.ClusterOf(5)) {
+      continue;
+    }
+    ++weightless;
+    for (const std::size_t m : start.Members(start.ClusterOf(0))) {
+      if (m != 0) {
+        start.Swap(1, m);
+        break;
+      }
+    }
+    TabuOptions options;
+    options.seeds = 1;
+    options.rng_seed = seed;
+    options.record_trace = true;
+    const SearchResult result = WeightedTabuSearch(t, w, {4, 4}, options);
+    ASSERT_FALSE(result.trace.empty());
+    EXPECT_TRUE(result.trace.front().is_restart);
+    EXPECT_EQ(result.trace.front().fg, qual::WeightedGlobalSimilarity(t, w, start));
+  }
+  EXPECT_GT(weightless, 0u);
+}
+
+// Only weights no partition of these sizes can hold inside a cluster are
+// rejected up front, with a ConfigError.
+TEST(WeightedTabu, WeightsNoPartitionCanHoldAreAConfigError) {
+  const DistanceTable t = PaperTable(8, 3);
+  const qual::WeightMatrix zero(8, 0.0);
+  EXPECT_THROW((void)WeightedTabuSearch(t, zero, {4, 4}), ConfigError);
+  qual::WeightMatrix w(8, 0.0);
+  w.Set(3, 6, 2.0);
+  EXPECT_THROW((void)WeightedTabuSearch(t, w, {1, 1, 1, 1, 1, 1, 1, 1}), ConfigError);
+  EXPECT_NO_THROW((void)WeightedTabuSearch(t, w, {1, 1, 1, 1, 1, 1, 2}));
 }
 
 }  // namespace
