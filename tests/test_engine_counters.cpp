@@ -8,6 +8,11 @@
 // faster scan must reproduce every tabu hit and aspiration, not only the
 // moves. Regenerate with COMMSCHED_UPDATE_GOLDEN=1 only for an intended
 // change of the move rule.
+//
+// The multi-seed keys pin the counters the searchers flush per restart:
+// search.sa.* and search.gsa.* of restarted annealing, search.repair.* and
+// sched.repair.* of four-seed repair, and search.multilevel.* of the
+// multilevel coarsest-level engine search.
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -21,11 +26,15 @@
 #include "obs/obs.h"
 #include "quality/weighted.h"
 #include "routing/updown.h"
+#include "sched/annealing.h"
 #include "sched/local_search.h"
+#include "sched/multilevel/multilevel.h"
 #include "sched/repair.h"
 #include "sched/tabu.h"
 #include "sched/weighted_tabu.h"
 #include "topology/generator.h"
+#include "topology/library.h"
+#include "workload/procgen.h"
 
 namespace commsched::sched {
 namespace {
@@ -61,6 +70,24 @@ void RecordCounters(Corpus& corpus, const std::string& key, const std::string& a
                            "escapes"}) {
     const auto now = after.find(family + name);
     const auto then = before.find(family + name);
+    const std::uint64_t grown = (now == after.end() ? 0 : now->second) -
+                                (then == before.end() ? 0 : then->second);
+    corpus[key + "." + name] = std::to_string(grown);
+  }
+}
+
+/// Runs `search` and records how much each named counter grew, under
+/// `key` + "." + the counter's name.
+void RecordNamedCounters(Corpus& corpus, const std::string& key,
+                         const std::vector<std::string>& names,
+                         const std::function<void()>& search) {
+  obs::Registry& registry = obs::Registry::Global();
+  const std::map<std::string, std::uint64_t> before = registry.CounterValues();
+  search();
+  const std::map<std::string, std::uint64_t> after = registry.CounterValues();
+  for (const std::string& name : names) {
+    const auto now = after.find(name);
+    const auto then = before.find(name);
     const std::uint64_t grown = (now == after.end() ? 0 : now->second) -
                                 (then == before.end() ? 0 : then->second);
     corpus[key + "." + name] = std::to_string(grown);
@@ -138,11 +165,75 @@ void RunCases(Corpus& corpus, const std::string& prefix, std::size_t switches,
   });
 }
 
+/// The multi-seed cases of test_engine_parity's RunMultiSeedCases.
+void RunMultiSeedCases(Corpus& corpus, const std::string& prefix, std::size_t switches,
+                       std::uint64_t topo_seed, const std::vector<std::size_t>& sizes) {
+  const DistanceTable table = PaperTable(switches, topo_seed);
+  RecordNamedCounters(corpus, prefix + ".sa_multi",
+                      {"search.sa.runs", "search.sa.evaluations", "search.sa.accepts",
+                       "search.sa.uphill_accepts"},
+                      [&] {
+                        AnnealingOptions options;
+                        options.iterations = 1500;
+                        options.restarts = 4;
+                        options.rng_seed = 31;
+                        options.record_trace = true;
+                        (void)SimulatedAnnealing(table, sizes, options);
+                      });
+  RecordNamedCounters(corpus, prefix + ".gsa_multi",
+                      {"search.gsa.runs", "search.gsa.evaluations", "search.gsa.accepts"}, [&] {
+                        GeneticAnnealingOptions options;
+                        options.generations = 20;
+                        options.restarts = 3;
+                        options.rng_seed = 37;
+                        (void)GeneticSimulatedAnnealing(table, sizes, options);
+                      });
+  Rng rng(41);
+  const qual::Partition anchor = qual::Partition::Random(sizes, rng);
+  for (const std::size_t budget : {std::size_t{2}, std::size_t{6}, SIZE_MAX}) {
+    const std::string key =
+        prefix + ".repair_multi_b" + (budget == SIZE_MAX ? "inf" : std::to_string(budget));
+    const auto repair = [&] {
+      RepairOptions options;
+      options.seeds = 4;
+      options.rng_seed = 43;
+      options.migration_budget = budget;
+      options.migration_penalty = 0.5;
+      (void)AnchoredRepair(table, anchor, {}, {}, options);
+    };
+    RecordCounters(corpus, key, "repair", repair);
+    RecordNamedCounters(corpus, key,
+                        {"sched.repair.runs", "sched.repair.forced_moves",
+                         "sched.repair.refinement_swaps"},
+                        repair);
+  }
+}
+
+/// The multilevel cases of test_engine_parity's RunMultilevelCases.
+void RunMultilevelCases(Corpus& corpus) {
+  ml::MultilevelOptions options;
+  options.seeds = 4;
+  RecordCounters(corpus, "ml.mesh_ring64", "multilevel", [&] {
+    const topo::SwitchGraph mesh = topo::MakeMesh2D(4, 4, 4);
+    (void)ml::MapMultilevel(work::MakeRingComm(64), DistanceTable::BuildGraphHops(mesh), 4,
+                            options);
+  });
+  const DistanceTable table = PaperTable(16, 4);
+  for (const char* pattern : {"grid", "ring", "random"}) {
+    RecordCounters(corpus, std::string("ml.n16_") + pattern + "300", "multilevel", [&] {
+      (void)ml::MapMultilevel(work::MakePatternComm(pattern, 300, 1), table, 20, options);
+    });
+  }
+}
+
 Corpus CollectCurrent() {
   Corpus corpus;
   RunCases(corpus, "n8", 8, 1, {2, 2, 2, 2});
   RunCases(corpus, "n16", 16, 4, {4, 4, 4, 4});
   RunCases(corpus, "n24", 24, 2, {6, 6, 6, 6});
+  RunMultiSeedCases(corpus, "n16", 16, 4, {4, 4, 4, 4});
+  RunMultiSeedCases(corpus, "n24", 24, 2, {6, 6, 6, 6});
+  RunMultilevelCases(corpus);
 
   // The perfbench `schedule` shape: 128 switches in four clusters, 60
   // iterations, repeat stop off, so each walk escapes many times and its

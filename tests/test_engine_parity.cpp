@@ -22,6 +22,11 @@
 // anchored tabu, steepest descent, random sampling, simulated annealing,
 // genetic annealing, and anchored repair. Floats are serialized as hexfloats
 // so the comparison is exact to the last bit.
+//
+// The multi-seed keys (n16/n24 .sa_multi, .gsa_multi, .repair_multi_b*, and
+// the ml.* multilevel cases) pin how seeds are run and combined: restarted
+// annealing with its concatenated trace, multi-seed repair under tight and
+// loose migration budgets, and the multilevel coarsest-level engine search.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -37,10 +42,13 @@
 #include "routing/updown.h"
 #include "sched/annealing.h"
 #include "sched/local_search.h"
+#include "sched/multilevel/multilevel.h"
 #include "sched/repair.h"
 #include "sched/tabu.h"
 #include "sched/weighted_tabu.h"
 #include "topology/generator.h"
+#include "topology/library.h"
+#include "workload/procgen.h"
 
 namespace commsched::sched {
 namespace {
@@ -188,11 +196,89 @@ void RunCases(Corpus& corpus, const std::string& prefix, std::size_t switches,
   }
 }
 
+/// The multi-seed searchers over one network: restarted annealing (with a
+/// trace) and genetic annealing, and four-seed repair at three budgets.
+void RunMultiSeedCases(Corpus& corpus, const std::string& prefix, std::size_t switches,
+                       std::uint64_t topo_seed, const std::vector<std::size_t>& sizes) {
+  const DistanceTable table = PaperTable(switches, topo_seed);
+  {
+    AnnealingOptions options;
+    options.iterations = 1500;
+    options.restarts = 4;
+    options.rng_seed = 31;
+    options.record_trace = true;
+    const SearchResult result = SimulatedAnnealing(table, sizes, options);
+    RecordResult(corpus, prefix + ".sa_multi", result);
+    corpus[prefix + ".sa_multi.trace_len"] = std::to_string(result.trace.size());
+  }
+  {
+    GeneticAnnealingOptions options;
+    options.generations = 20;
+    options.restarts = 3;
+    options.rng_seed = 37;
+    RecordResult(corpus, prefix + ".gsa_multi",
+                 GeneticSimulatedAnnealing(table, sizes, options));
+  }
+  Rng rng(41);
+  const qual::Partition anchor = qual::Partition::Random(sizes, rng);
+  for (const std::size_t budget : {std::size_t{2}, std::size_t{6}, SIZE_MAX}) {
+    RepairOptions options;
+    options.seeds = 4;
+    options.rng_seed = 43;
+    options.migration_budget = budget;
+    options.migration_penalty = 0.5;
+    RecordRepair(corpus,
+                 prefix + ".repair_multi_b" + (budget == SIZE_MAX ? "inf" : std::to_string(budget)),
+                 AnchoredRepair(table, anchor, {}, {}, options));
+  }
+}
+
+void RecordMultilevel(Corpus& corpus, const std::string& key, const ml::MultilevelResult& result) {
+  std::string assignment;
+  for (const std::size_t s : result.switch_of_process) assignment += std::to_string(s) + ",";
+  corpus[key + ".assignment"] = assignment;
+  corpus[key + ".cost"] = Hex(result.cost);
+  corpus[key + ".normalized"] = Hex(result.normalized);
+  corpus[key + ".levels"] = std::to_string(result.levels);
+  corpus[key + ".max_load"] = std::to_string(result.max_load);
+  corpus[key + ".engine_seeds"] = std::to_string(result.engine_seeds);
+  corpus[key + ".engine_iterations"] = std::to_string(result.engine_iterations);
+  corpus[key + ".engine_evaluations"] = std::to_string(result.engine_evaluations);
+  std::string moves;
+  for (const ml::LevelStats& level : result.level_stats) {
+    moves += std::to_string(level.moves) + ",";
+  }
+  corpus[key + ".level_moves"] = moves;
+}
+
+/// Four-seed multilevel mappings whose coarsest graph reaches the engine:
+/// a ring on a 4x4 mesh (no coarsening) and grid/ring/random patterns of
+/// 300 processes on the 16-switch paper network.
+void RunMultilevelCases(Corpus& corpus) {
+  ml::MultilevelOptions options;
+  options.seeds = 4;
+  {
+    const topo::SwitchGraph mesh = topo::MakeMesh2D(4, 4, 4);
+    RecordMultilevel(corpus, "ml.mesh_ring64",
+                     ml::MapMultilevel(work::MakeRingComm(64),
+                                       DistanceTable::BuildGraphHops(mesh), 4, options));
+  }
+  const DistanceTable table = PaperTable(16, 4);
+  for (const char* pattern : {"grid", "ring", "random"}) {
+    RecordMultilevel(corpus, std::string("ml.n16_") + pattern + "300",
+                     ml::MapMultilevel(work::MakePatternComm(pattern, 300, 1), table, 20,
+                                       options));
+  }
+}
+
 Corpus CollectCurrent() {
   Corpus corpus;
   RunCases(corpus, "n8", 8, 1, {2, 2, 2, 2});
   RunCases(corpus, "n16", 16, 4, {4, 4, 4, 4});
   RunCases(corpus, "n24", 24, 2, {6, 6, 6, 6});
+  RunMultiSeedCases(corpus, "n16", 16, 4, {4, 4, 4, 4});
+  RunMultiSeedCases(corpus, "n24", 24, 2, {6, 6, 6, 6});
+  RunMultilevelCases(corpus);
   return corpus;
 }
 
