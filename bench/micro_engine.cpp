@@ -41,8 +41,7 @@ void BM_EngineDescentSeed(benchmark::State& state) {
     const qual::Partition start = qual::Partition::Random(sizes, rng);
     qual::SwapEvaluator eval(table, start);
     sched::IntraSumObjective objective(table, eval);
-    sched::SeedRun run = engine.RunSeed(objective, 0);
-    engine.FlushSeedObservability(run, 0);
+    const sched::SeedRun run = engine.RunSeed(objective, 0);
     evaluations += run.result.evaluations;
     benchmark::DoNotOptimize(run.result.best_fg);
   }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -28,14 +28,6 @@ double CalibrateTemperature(const qual::SwapEvaluator& eval, Rng& rng) {
   return std::max(median, 1e-9);
 }
 
-/// One finished annealing walk (restart).
-struct AnnealWalk {
-  SearchResult result;
-  double best_sum = 0.0;  // walk-space best (intra-cluster sum)
-  std::uint64_t uphill_accepts = 0;
-  std::size_t trace_span = 0;  // iteration numbers the trace occupies
-};
-
 /// RNG streams for `restarts` independent walks: stream 0 is the master
 /// stream of `seed` (bit-compatible with the single-restart searchers),
 /// streams k >= 1 are derived and never touch the master.
@@ -49,32 +41,13 @@ std::vector<Rng> RestartStreams(std::uint64_t seed, std::size_t restarts) {
   return rngs;
 }
 
-/// Combines walks in restart order (strict margin, earliest wins) and fills
-/// the trace/iteration totals.
-SearchResult CombineWalks(const DistanceTable& table, std::vector<AnnealWalk>& walks,
-                          bool record_trace) {
-  SearchResult combined;
-  combined.best = walks[0].result.best;
-  double best_sum = walks[0].best_sum;
-  std::size_t iteration_base = 0;
-  for (std::size_t k = 0; k < walks.size(); ++k) {
-    AnnealWalk& walk = walks[k];
-    combined.iterations += walk.result.iterations;
-    combined.evaluations += walk.result.evaluations;
-    if (record_trace) {
-      for (TracePoint point : walk.result.trace) {
-        point.iteration += iteration_base;
-        combined.trace.push_back(point);
-      }
-      iteration_base += walk.trace_span;
-    }
-    if (k > 0 && walk.best_sum < best_sum - kSearchEps) {
-      best_sum = walk.best_sum;
-      combined.best = walk.result.best;
-    }
-  }
-  FinalizeResult(table, combined);
-  return combined;
+/// One restart's search.<algo>.{runs,evaluations,accepts}, flushed as the
+/// restart ends (a restart's iterations are its accepted moves).
+void FlushRestart(const std::string& algo, const SeedRun& run) {
+  obs::Registry& registry = obs::Registry::Global();
+  registry.GetCounter("search." + algo + ".runs").Add(1);
+  registry.GetCounter("search." + algo + ".evaluations").Add(run.result.evaluations);
+  registry.GetCounter("search." + algo + ".accepts").Add(run.result.iterations);
 }
 
 }  // namespace
@@ -92,21 +65,27 @@ SearchResult SimulatedAnnealing(const DistanceTable& table,
     starts.push_back(Partition::Random(cluster_sizes, rngs[k]));
   }
 
-  std::vector<AnnealWalk> walks(options.restarts);
-  auto run_one = [&](std::size_t k) {
+  MultiStartSpec spec;
+  spec.algo = "sa";
+  spec.options.seeds = options.restarts;
+  spec.options.record_trace = options.record_trace;
+  spec.options.parallel_seeds = options.parallel_seeds;
+  // Restarts compare on their walk-space best, the raw intra-cluster sum.
+  spec.combine_key = [](const SeedRun& run) { return run.best_value; };
+  spec.run_seed = [&](std::size_t k) {
     Rng rng = rngs[k];
     qual::SwapEvaluator eval(table, starts[k]);
 
-    AnnealWalk walk;
-    walk.result.best = eval.partition();
-    walk.best_sum = eval.IntraSum();
+    SeedRun run;
+    run.result.best = eval.partition();
+    run.best_value = eval.IntraSum();
 
     const double initial = options.initial_temperature > 0.0 ? options.initial_temperature
                                                              : CalibrateTemperature(eval, rng);
     const double floor = initial * options.final_temperature_ratio;
 
     if (options.record_trace) {
-      walk.result.trace.push_back({0, eval.Fg(), /*is_restart=*/true});
+      run.trace.push_back({0, eval.Fg(), /*is_restart=*/true});
     }
     if (obs::Tracer* tracer = obs::ActiveTracer()) {
       tracer->Emit(obs::TraceEvent("search.restart")
@@ -120,9 +99,9 @@ SearchResult SimulatedAnnealing(const DistanceTable& table,
     IntraSumObjective objective(table, eval);
     const SampledMoveStats stats = RunSampledMoves(
         objective, policy, options.iterations, rng, [&](std::size_t it) {
-          if (eval.IntraSum() < walk.best_sum - kSearchEps) {
-            walk.best_sum = eval.IntraSum();
-            walk.result.best = eval.partition();
+          if (eval.IntraSum() < run.best_value - kSearchEps) {
+            run.best_value = eval.IntraSum();
+            run.result.best = eval.partition();
             if (obs::Tracer* tracer = obs::ActiveTracer()) {
               tracer->Emit(obs::TraceEvent("search.improved")
                                .F("algo", "sa")
@@ -133,40 +112,19 @@ SearchResult SimulatedAnnealing(const DistanceTable& table,
             }
           }
           if (options.record_trace) {
-            walk.result.trace.push_back({it + 1, eval.Fg(), false});
+            run.trace.push_back({it + 1, eval.Fg(), false});
           }
         });
-    walk.result.iterations = stats.accepts;
-    walk.result.evaluations = stats.proposals;
-    walk.uphill_accepts = stats.uphill_accepts;
+    run.result.iterations = stats.accepts;
+    run.result.evaluations = stats.proposals;
     // Trace iterations are proposal indices (accepted moves only), so a
     // restart's trace occupies the full proposal range.
-    walk.trace_span = options.iterations + 1;
-    walks[k] = std::move(walk);
+    run.trace_span = options.iterations + 1;
+    FlushRestart("sa", run);
+    obs::Registry::Global().GetCounter("search.sa.uphill_accepts").Add(stats.uphill_accepts);
+    return run;
   };
-  if (options.parallel_seeds && options.restarts > 1) {
-    ParallelFor(options.restarts, run_one);
-  } else {
-    for (std::size_t k = 0; k < options.restarts; ++k) run_one(k);
-  }
-
-  SearchResult combined = CombineWalks(table, walks, options.record_trace);
-  std::uint64_t uphill_total = 0;
-  for (const AnnealWalk& walk : walks) uphill_total += walk.uphill_accepts;
-
-  obs::Registry& registry = obs::Registry::Global();
-  registry.GetCounter("search.sa.runs").Add(options.restarts);
-  registry.GetCounter("search.sa.evaluations").Add(combined.evaluations);
-  registry.GetCounter("search.sa.accepts").Add(combined.iterations);
-  registry.GetCounter("search.sa.uphill_accepts").Add(uphill_total);
-  if (obs::Tracer* tracer = obs::ActiveTracer()) {
-    tracer->Emit(obs::TraceEvent("search.done")
-                     .F("algo", "sa")
-                     .F("iters", combined.iterations)
-                     .F("evals", combined.evaluations)
-                     .F("best_fg", combined.best_fg));
-  }
-  return combined;
+  return RunMultiStart(table, spec);
 }
 
 namespace {
@@ -222,9 +180,13 @@ SearchResult GeneticSimulatedAnnealing(const DistanceTable& table,
   CS_CHECK(options.restarts >= 1, "need at least one restart");
   std::vector<Rng> rngs = RestartStreams(options.rng_seed, options.restarts);
 
-  std::vector<AnnealWalk> walks(options.restarts);
-  auto run_one = [&](std::size_t run_index) {
-    Rng rng = rngs[run_index];
+  MultiStartSpec spec;
+  spec.algo = "gsa";
+  spec.options.seeds = options.restarts;
+  spec.options.parallel_seeds = options.parallel_seeds;
+  spec.combine_key = [](const SeedRun& run) { return run.best_value; };
+  spec.run_seed = [&](std::size_t k) {
+    Rng rng = rngs[k];
 
     struct Individual {
       qual::SwapEvaluator eval;
@@ -236,18 +198,18 @@ SearchResult GeneticSimulatedAnnealing(const DistanceTable& table,
       population.emplace_back(qual::SwapEvaluator(table, Partition::Random(cluster_sizes, rng)));
     }
 
-    AnnealWalk walk;
-    walk.result.best = population.front().eval.partition();
-    walk.best_sum = population.front().eval.IntraSum();
+    SeedRun run;
+    run.result.best = population.front().eval.partition();
+    run.best_value = population.front().eval.IntraSum();
 
     double temperature = options.initial_temperature > 0.0
                              ? options.initial_temperature
                              : CalibrateTemperature(population.front().eval, rng);
 
     auto consider_best = [&](const qual::SwapEvaluator& eval) {
-      if (eval.IntraSum() < walk.best_sum - kSearchEps) {
-        walk.best_sum = eval.IntraSum();
-        walk.result.best = eval.partition();
+      if (eval.IntraSum() < run.best_value - kSearchEps) {
+        run.best_value = eval.IntraSum();
+        run.result.best = eval.partition();
       }
     };
     for (auto& ind : population) consider_best(ind.eval);
@@ -263,8 +225,8 @@ SearchResult GeneticSimulatedAnnealing(const DistanceTable& table,
         const SampledMoveStats stats =
             RunSampledMoves(objective, policy, options.moves_per_individual, rng,
                             [&](std::size_t) { consider_best(ind.eval); });
-        walk.result.evaluations += stats.proposals;
-        walk.result.iterations += stats.accepts;
+        run.result.evaluations += stats.proposals;
+        run.result.iterations += stats.accepts;
       }
       // Selection phase: sort by fitness; replace the worst with elite
       // copies or crossovers of two random elites.
@@ -291,27 +253,10 @@ SearchResult GeneticSimulatedAnnealing(const DistanceTable& table,
       }
       temperature *= options.cooling;
     }
-    walks[run_index] = std::move(walk);
+    FlushRestart("gsa", run);
+    return run;
   };
-  if (options.parallel_seeds && options.restarts > 1) {
-    ParallelFor(options.restarts, run_one);
-  } else {
-    for (std::size_t k = 0; k < options.restarts; ++k) run_one(k);
-  }
-
-  SearchResult combined = CombineWalks(table, walks, /*record_trace=*/false);
-  obs::Registry& registry = obs::Registry::Global();
-  registry.GetCounter("search.gsa.runs").Add(options.restarts);
-  registry.GetCounter("search.gsa.evaluations").Add(combined.evaluations);
-  registry.GetCounter("search.gsa.accepts").Add(combined.iterations);
-  if (obs::Tracer* tracer = obs::ActiveTracer()) {
-    tracer->Emit(obs::TraceEvent("search.done")
-                     .F("algo", "gsa")
-                     .F("iters", combined.iterations)
-                     .F("evals", combined.evaluations)
-                     .F("best_fg", combined.best_fg));
-  }
-  return combined;
+  return RunMultiStart(table, spec);
 }
 
 }  // namespace commsched::sched

@@ -16,7 +16,9 @@ struct AnnealingOptions {
   double final_temperature_ratio = 1e-4;  // floor relative to initial T
   std::uint64_t rng_seed = 1;
   bool record_trace = false;
-  /// Independent annealing walks; the best final mapping wins. Restart 0
+  /// Independent annealing walks, run and combined as the engine's seeds
+  /// (engine.h RunMultiStart): the walk whose best mapping has the least
+  /// intra-cluster sum wins, a tie keeping the earlier walk. Restart 0
   /// reproduces the single-walk search bit-for-bit; extra restarts draw
   /// from derived RNG streams (engine.h DeriveSeedStream).
   std::size_t restarts = 1;
@@ -37,8 +39,9 @@ struct GeneticAnnealingOptions {
   double elite_fraction = 0.25;          // survivors copied over the worst
   double crossover_probability = 0.5;    // chance a replacement is a crossover child
   std::uint64_t rng_seed = 1;
-  /// Independent population runs; the best mapping over all runs wins.
-  /// Run 0 reproduces the single-run search bit-for-bit.
+  /// Independent population runs, run and combined as SA's restarts are;
+  /// the best mapping over all runs wins. Run 0 reproduces the single-run
+  /// search bit-for-bit.
   std::size_t restarts = 1;
   bool parallel_seeds = false;  // run restarts on a thread pool
 };

@@ -197,10 +197,7 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
   run.best_value = best_value;
   run.trace_span = run.result.iterations + 1;  // +1 for the restart point
   objective.FinalizeSeed(run.result);
-  return run;
-}
 
-void SearchEngine::FlushSeedObservability(const SeedRun& run, std::size_t seed_index) const {
   obs::Registry& registry = obs::Registry::Global();
   const std::string family = "search." + algo_ + ".";
   registry.GetCounter(family + "seeds").Add(1);
@@ -221,35 +218,44 @@ void SearchEngine::FlushSeedObservability(const SeedRun& run, std::size_t seed_i
                      .F("best_fg", run.result.best_fg)
                      .F("best_cc", run.result.best_cc));
   }
+  return run;
+}
+
+std::vector<SeedRun> RunSeeds(const EngineOptions& options, const SeedRunner& run_seed) {
+  CS_CHECK(options.seeds >= 1, "need at least one seed");
+  // Every start and RNG stream was derived before this point, so the seed
+  // walks are independent and parallel execution explores identical walks.
+  std::vector<SeedRun> runs(options.seeds);
+  auto run_one = [&](std::size_t k) { runs[k] = run_seed(k); };
+  if (options.parallel_seeds && options.seeds > 1) {
+    ParallelFor(options.seeds, run_one);
+  } else {
+    for (std::size_t k = 0; k < options.seeds; ++k) run_one(k);
+  }
+  return runs;
+}
+
+std::size_t BestSeed(const std::vector<SeedRun>& runs, const SeedKey& key) {
+  std::size_t best = 0;
+  double best_key = key(runs[0]);
+  for (std::size_t k = 1; k < runs.size(); ++k) {
+    const double challenger = key(runs[k]);
+    if (challenger < best_key - kSearchEps) {
+      best = k;
+      best_key = challenger;
+    }
+  }
+  return best;
 }
 
 SearchResult RunMultiStart(const DistanceTable& table, const MultiStartSpec& spec) {
-  const std::size_t seeds = spec.options.seeds;
-  CS_CHECK(seeds >= 1, "need at least one seed");
-  CS_CHECK(spec.starts.size() == seeds, "one start per seed required");
-
-  // Every start and RNG stream was derived before this point, so the seed
-  // walks are independent and parallel execution explores identical walks.
-  std::vector<SeedRun> runs(seeds);
-  auto run_one = [&](std::size_t s) { runs[s] = spec.run_seed(spec.starts[s], s); };
-  if (spec.options.parallel_seeds && seeds > 1) {
-    ParallelFor(seeds, run_one);
-  } else {
-    for (std::size_t s = 0; s < seeds; ++s) run_one(s);
-  }
-
-  // Combine sequentially in seed order with a strict margin: the winner is
-  // independent of thread scheduling.
-  SearchResult combined;
-  combined.best = runs[0].result.best;
-  combined.best_fg = runs[0].result.best_fg;
-  combined.best_dg = runs[0].result.best_dg;
-  combined.best_cc = runs[0].result.best_cc;
-  combined.moved_from_anchor = runs[0].result.moved_from_anchor;
-  double combined_key = spec.combine_key(runs[0]);
+  const std::vector<SeedRun> runs = RunSeeds(spec.options, spec.run_seed);
+  SearchResult combined = runs[BestSeed(runs, spec.combine_key)].result;
+  combined.iterations = 0;
+  combined.evaluations = 0;
+  combined.trace.clear();
   std::size_t iteration_base = 0;
-  for (std::size_t s = 0; s < seeds; ++s) {
-    const SeedRun& run = runs[s];
+  for (const SeedRun& run : runs) {
     combined.iterations += run.result.iterations;
     combined.evaluations += run.result.evaluations;
     if (spec.options.record_trace) {
@@ -259,15 +265,6 @@ SearchResult RunMultiStart(const DistanceTable& table, const MultiStartSpec& spe
       }
       iteration_base += run.trace_span;
     }
-    const double key = spec.combine_key(run);
-    if (key < combined_key - kSearchEps) {
-      combined.best = run.result.best;
-      combined.best_fg = run.result.best_fg;
-      combined.best_dg = run.result.best_dg;
-      combined.best_cc = run.result.best_cc;
-      combined.moved_from_anchor = run.result.moved_from_anchor;
-      combined_key = key;
-    }
   }
   if (spec.finalize_combined) {
     FinalizeResult(table, combined);
@@ -275,7 +272,7 @@ SearchResult RunMultiStart(const DistanceTable& table, const MultiStartSpec& spe
   if (obs::Tracer* tracer = obs::ActiveTracer()) {
     tracer->Emit(obs::TraceEvent("search.done")
                      .F("algo", spec.algo)
-                     .F("seeds", seeds)
+                     .F("seeds", runs.size())
                      .F("iters", combined.iterations)
                      .F("evals", combined.evaluations)
                      .F("best_fg", combined.best_fg));
@@ -312,7 +309,7 @@ void MetropolisPolicy::AfterProposal() {
   temperature_ = std::max(temperature_ * cooling_, floor_);
 }
 
-SampledMoveStats RunSampledMoves(Objective& objective, AcceptancePolicy& policy,
+SampledMoveStats RunSampledMoves(Objective& objective, MetropolisPolicy& policy,
                                  std::size_t proposals, Rng& rng,
                                  const std::function<void(std::size_t)>& on_accept) {
   SampledMoveStats stats;

@@ -9,8 +9,8 @@
 //   * an Objective — what the current mapping is worth (Value) and how much
 //     a swap would change it (SwapCost), plus how to finalize a
 //     SearchResult, plus
-//   * a MultiStartSpec — how many seeds, how to build each start, and how
-//     seed results combine.
+//   * a MultiStartSpec — how many seeds, run_seed(k) to run seed k from its
+//     start (derived up front), and how seed results combine.
 //
 // Every walk follows the one move rule of §4.2: take the swap with the
 // greatest decrease; at a local minimum take the smallest increase and
@@ -29,6 +29,10 @@
 //      streams come from DeriveSeedStream(base_seed, k).
 //   3. Seed results are combined sequentially in seed order with a strict
 //      kEps margin, so the winner does not depend on thread scheduling.
+// RunSeeds (the one seed loop, sequential or on the thread pool) and
+// BestSeed (the one combine rule) are their only implementation: every
+// multi-start searcher, annealing, repair and the multilevel coarsest level
+// run and combine their seeds through them.
 //
 // The scan prices a row at a time (SwapCostRow) and skips, after one min
 // pass, a row with no tabu pair that cannot beat either held candidate.
@@ -38,8 +42,8 @@
 // be O(1) or close to it — the dense evaluator reads a per-switch cluster
 // gain table — never a full recompute; override SwapCostRow when a whole
 // row is cheaper than its pairs) and drive it either through
-// SearchEngine::RunSeed (one walk) or RunMultiStart (seeded restarts with
-// optional ParallelFor parallelism).
+// SearchEngine::RunSeed (one walk) or RunMultiStart (seeded restarts on
+// RunSeeds, combined by BestSeed).
 #pragma once
 
 #include <cstddef>
@@ -134,15 +138,12 @@ class SearchEngine {
 
   /// Runs one walk from the objective's current mapping. Emits
   /// search.restart / search.move / search.local_min trace events and
-  /// "<algo>.seed" / "<algo>.iter" spans; does NOT flush counters (call
-  /// FlushSeedObservability so batched flushing stays one registry touch
-  /// per seed).
+  /// "<algo>.seed" / "<algo>.iter" spans. At the walk's end it flushes the
+  /// seed's observability in one registry touch, the same for every
+  /// searcher: search.<algo>.{seeds,moves,evaluations,tabu_hits,
+  /// aspirations,escapes}, the seed_iters histogram and the
+  /// search.seed_done trace event.
   SeedRun RunSeed(Objective& objective, std::size_t seed_index) const;
-
-  /// The single per-seed observability flush shared by every searcher:
-  /// search.<algo>.{seeds,moves,evaluations,tabu_hits,aspirations,escapes},
-  /// the seed_iters histogram, and the search.seed_done trace event.
-  void FlushSeedObservability(const SeedRun& run, std::size_t seed_index) const;
 
   [[nodiscard]] const EngineOptions& options() const { return options_; }
   [[nodiscard]] const std::string& algo() const { return algo_; }
@@ -155,25 +156,37 @@ class SearchEngine {
   std::string iter_span_name_;  // "<algo>.iter"
 };
 
-/// Multi-start driver: how seeds are produced and combined.
+/// Runs seed k (usually SearchEngine::RunSeed over a fresh Objective built
+/// from the k-th start, which the caller derived up front). Must not touch
+/// shared mutable state other than seed k's own slots.
+using SeedRunner = std::function<SeedRun(std::size_t seed)>;
+/// Comparison key of a finished seed: lower is better.
+using SeedKey = std::function<double(const SeedRun&)>;
+
+/// The one seed loop: runs run_seed(k) for k < options.seeds, on the thread
+/// pool when options.parallel_seeds, and returns the runs in seed order.
+[[nodiscard]] std::vector<SeedRun> RunSeeds(const EngineOptions& options,
+                                            const SeedRunner& run_seed);
+
+/// The one combine rule: the index of the first seed with the least key. A
+/// later seed wins only by more than kSearchEps, so ties keep the earlier
+/// seed and the winner does not depend on thread scheduling.
+[[nodiscard]] std::size_t BestSeed(const std::vector<SeedRun>& runs, const SeedKey& key);
+
+/// Multi-start driver: how seeds are run and combined.
 struct MultiStartSpec {
   std::string algo;
   EngineOptions options;
-  /// One start per seed, derived up front (determinism rule 1).
-  std::vector<Partition> starts;
-  /// Runs one seed (usually SearchEngine::RunSeed over a fresh Objective
-  /// plus FlushSeedObservability). Must not touch shared mutable state.
-  std::function<SeedRun(const Partition& start, std::size_t seed)> run_seed;
-  /// Comparison key of a finished seed; lower wins by a strict kEps margin,
-  /// ties keep the earlier seed.
-  std::function<double(const SeedRun&)> combine_key;
+  SeedRunner run_seed;
+  SeedKey combine_key;
   /// Recompute best_fg/dg/cc of the winner from its partition. Weighted
   /// objectives set this false and carry their own finalized values.
   bool finalize_combined = true;
 };
 
-/// Runs every seed (in parallel when options.parallel_seeds), then combines
-/// results sequentially in seed order — identical output either way.
+/// RunSeeds, then BestSeed's winner with iterations and evaluations summed
+/// over every seed and the traces concatenated in seed order; emits
+/// search.done. Identical output sequential or parallel.
 SearchResult RunMultiStart(const DistanceTable& table, const MultiStartSpec& spec);
 
 /// Independent per-restart RNG stream: restart k of a searcher seeded with
@@ -185,27 +198,19 @@ SearchResult RunMultiStart(const DistanceTable& table, const MultiStartSpec& spe
 /// proposal kernel of the annealing searchers).
 std::pair<std::size_t, std::size_t> RandomInterClusterPair(const Partition& partition, Rng& rng);
 
-/// Acceptance rule for sampled-move (annealing-family) walks. Kept a policy
-/// object so the engine owns the move loop while the searcher owns the
-/// thermodynamics.
-class AcceptancePolicy {
- public:
-  virtual ~AcceptancePolicy() = default;
-  /// Whether to accept a proposed swap of cost `cost`. May draw from `rng`.
-  virtual bool Accept(double cost, Rng& rng) = 0;
-  /// Called once per proposal, accepted or not (e.g. per-proposal cooling).
-  virtual void AfterProposal() = 0;
-};
-
-/// Metropolis acceptance with optional geometric cooling per proposal.
-/// Draws one NextDouble only for uphill proposals (cost >= kEps) — the
-/// exact RNG consumption of the legacy annealing loop.
-class MetropolisPolicy final : public AcceptancePolicy {
+/// Acceptance rule of the sampled-move (annealing-family) walks: Metropolis
+/// acceptance with optional geometric cooling per proposal. The engine owns
+/// the move loop; the searcher owns the thermodynamics.
+class MetropolisPolicy {
  public:
   MetropolisPolicy(double temperature, double cooling, double floor)
       : temperature_(temperature), cooling_(cooling), floor_(floor) {}
-  bool Accept(double cost, Rng& rng) override;
-  void AfterProposal() override;
+  /// Whether to accept a proposed swap of cost `cost`. Draws one NextDouble
+  /// only for uphill proposals (cost >= kEps) — the exact RNG consumption of
+  /// the legacy annealing loop.
+  bool Accept(double cost, Rng& rng);
+  /// Called once per proposal, accepted or not: per-proposal cooling.
+  void AfterProposal();
   [[nodiscard]] double temperature() const { return temperature_; }
   void set_temperature(double temperature) { temperature_ = temperature; }
 
@@ -226,7 +231,7 @@ struct SampledMoveStats {
 /// each evaluated through the objective and accepted by the policy.
 /// `on_accept(proposal_index)` runs after each applied swap (best tracking,
 /// trace recording — whatever the searcher needs).
-SampledMoveStats RunSampledMoves(Objective& objective, AcceptancePolicy& policy,
+SampledMoveStats RunSampledMoves(Objective& objective, MetropolisPolicy& policy,
                                  std::size_t proposals, Rng& rng,
                                  const std::function<void(std::size_t)>& on_accept);
 

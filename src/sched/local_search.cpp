@@ -17,18 +17,17 @@ SearchResult SteepestDescent(const DistanceTable& table,
   spec.options.max_iterations_per_seed = options.max_iterations_per_restart;
   spec.options.local_min_repeats = 1;  // steepest descent: stop at the first minimum
   spec.options.parallel_seeds = options.parallel_seeds;
-  spec.starts.reserve(options.restarts);
+  std::vector<Partition> starts;
+  starts.reserve(options.restarts);
   for (std::size_t s = 0; s < options.restarts; ++s) {
-    spec.starts.push_back(Partition::Random(cluster_sizes, rng));
+    starts.push_back(Partition::Random(cluster_sizes, rng));
   }
 
   const SearchEngine engine("sd", spec.options);
-  spec.run_seed = [&table, &engine](const Partition& start, std::size_t seed) {
-    qual::SwapEvaluator eval(table, start);
+  spec.run_seed = [&table, &engine, &starts](std::size_t seed) {
+    qual::SwapEvaluator eval(table, starts[seed]);
     IntraSumObjective objective(table, eval);
-    SeedRun run = engine.RunSeed(objective, seed);
-    engine.FlushSeedObservability(run, seed);
-    return run;
+    return engine.RunSeed(objective, seed);
   };
   // Restarts are compared on the raw intra-cluster sum, like the walk.
   spec.combine_key = [](const SeedRun& run) { return run.best_value; };
@@ -45,18 +44,19 @@ SearchResult RandomSearch(const DistanceTable& table,
   spec.algo = "random";
   spec.options.seeds = options.samples;
   spec.options.parallel_seeds = options.parallel_seeds;
-  spec.starts.reserve(options.samples);
+  std::vector<Partition> starts;
+  starts.reserve(options.samples);
   for (std::size_t s = 0; s < options.samples; ++s) {
-    spec.starts.push_back(Partition::Random(cluster_sizes, rng));
+    starts.push_back(Partition::Random(cluster_sizes, rng));
   }
 
   // A sample is a zero-move "seed": one evaluation, no walk. The engine's
   // combiner then keeps the best by intra-cluster sum, exactly like the
   // multi-start searchers.
-  spec.run_seed = [&table](const Partition& start, std::size_t) {
-    const qual::SwapEvaluator eval(table, start);
+  spec.run_seed = [&table, &starts](std::size_t sample) {
+    const qual::SwapEvaluator eval(table, starts[sample]);
     SeedRun run;
-    run.result.best = start;
+    run.result.best = starts[sample];
     run.result.iterations = 1;
     run.result.evaluations = 1;
     run.best_value = eval.IntraSum();

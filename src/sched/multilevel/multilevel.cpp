@@ -307,36 +307,36 @@ MultilevelResult MapMultilevel(const CommGraph& processes, const dist::DistanceT
 
       // Per-seed starts derived up front: seed 0 is the greedy placement,
       // later seeds perturb it with feasible random swaps.
-      double best_cost = std::numeric_limits<double>::infinity();
-      std::vector<std::size_t> best_assignment = assignment;
-      for (std::size_t k = 0; k < options.seeds; ++k) {
-        std::vector<std::size_t> start = assignment;
-        if (k > 0) {
-          Rng rng(DeriveSeedStream(options.rng_seed, k));
-          const std::size_t attempts = coarsest.vertex_count();
-          for (std::size_t t = 0; t < attempts; ++t) {
-            const std::size_t a = rng.NextIndex(coarsest.vertex_count());
-            const std::size_t b = rng.NextIndex(coarsest.vertex_count());
-            if (a == b || start[a] == start[b] ||
-                coarsest.vertex_size(a) != coarsest.vertex_size(b)) {
-              continue;
-            }
-            std::swap(start[a], start[b]);
+      std::vector<std::vector<std::size_t>> starts(options.seeds, assignment);
+      for (std::size_t k = 1; k < options.seeds; ++k) {
+        std::vector<std::size_t>& start = starts[k];
+        Rng rng(DeriveSeedStream(options.rng_seed, k));
+        const std::size_t attempts = coarsest.vertex_count();
+        for (std::size_t t = 0; t < attempts; ++t) {
+          const std::size_t a = rng.NextIndex(coarsest.vertex_count());
+          const std::size_t b = rng.NextIndex(coarsest.vertex_count());
+          if (a == b || start[a] == start[b] ||
+              coarsest.vertex_size(a) != coarsest.vertex_size(b)) {
+            continue;
           }
-        }
-        SparseQapObjective objective(coarsest, distances, start, capacity);
-        const SeedRun run = engine.RunSeed(objective, k);
-        engine.FlushSeedObservability(run, k);
-        ++result.engine_seeds;
-        result.engine_evaluations += run.result.evaluations;
-        if (run.best_value < best_cost - kSearchEps) {
-          best_cost = run.best_value;
-          best_assignment = objective.ToAssignment(run.result.best);
-          result.engine_iterations = run.result.iterations;
+          std::swap(start[a], start[b]);
         }
       }
-      assignment = std::move(best_assignment);
-      stats.cost_after = best_cost;
+      // Seed k writes only its own slot (seeds may run on the thread pool).
+      std::vector<std::vector<std::size_t>> best_assignments(options.seeds);
+      const std::vector<SeedRun> runs = RunSeeds(engine_options, [&](std::size_t k) {
+        SparseQapObjective objective(coarsest, distances, starts[k], capacity);
+        SeedRun run = engine.RunSeed(objective, k);
+        best_assignments[k] = objective.ToAssignment(run.result.best);
+        return run;
+      });
+      const std::size_t winner =
+          BestSeed(runs, [](const SeedRun& run) { return run.best_value; });
+      result.engine_seeds = runs.size();
+      for (const SeedRun& run : runs) result.engine_evaluations += run.result.evaluations;
+      result.engine_iterations = runs[winner].result.iterations;
+      assignment = std::move(best_assignments[winner]);
+      stats.cost_after = runs[winner].best_value;
       stats.moves = result.engine_iterations;
     }
     result.level_stats.push_back(stats);

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -107,48 +106,27 @@ RepairOutcome AnchoredRepair(const dist::DistanceTable& table, const qual::Parti
     starts.push_back(std::move(start));
   }
 
-  struct SeedOutcome {
-    qual::Partition repaired;
-    std::size_t swaps = 0;
-    std::size_t displaced = 0;
-    double fg = 0.0;
-    double cc = 0.0;
-    double key = 0.0;  // fg + penalty * displaced / n
-  };
-  std::vector<SeedOutcome> runs(options.seeds, SeedOutcome{partition});
-  auto run_one = [&](std::size_t k) {
+  const std::vector<SeedRun> runs = RunSeeds(engine_options, [&](std::size_t k) {
     // Anchored at the post-forced-move partition: F_G + penalty *
     // displaced / N, and swaps past the hard budget cost +inf.
     TabuObjective objective(table, starts[k], &partition, options.migration_penalty,
                             options.migration_budget);
-    SeedRun run = engine.RunSeed(objective, k);
-    engine.FlushSeedObservability(run, k);
-    SeedOutcome& out = runs[k];
-    out.repaired = std::move(run.result.best);
-    out.swaps = perturb_swaps[k] + run.result.iterations;
-    out.displaced = objective.moved();
-    out.fg = run.result.best_fg;
-    out.cc = run.result.best_cc;
-    out.key = out.fg + options.migration_penalty * static_cast<double>(out.displaced) /
-                           static_cast<double>(n);
-  };
-  if (options.parallel_seeds && options.seeds > 1) {
-    ParallelFor(options.seeds, run_one);
-  } else {
-    for (std::size_t k = 0; k < options.seeds; ++k) run_one(k);
-  }
-
-  // Combine sequentially in seed order; seed 0 is always admissible.
-  std::size_t winner = 0;
-  for (std::size_t k = 1; k < options.seeds; ++k) {
-    if (runs[k].displaced > options.migration_budget) continue;
-    if (runs[k].key < runs[winner].key - kSearchEps) winner = k;
-  }
-  outcome.repaired = std::move(runs[winner].repaired);
-  outcome.refinement_swaps = runs[winner].swaps;
-  outcome.displaced = runs[winner].displaced;
-  outcome.repaired_fg = runs[winner].fg;
-  outcome.repaired_cc = runs[winner].cc;
+    return engine.RunSeed(objective, k);
+  });
+  // Every start is within the budget and the objective never leaves it, so
+  // every seed is admissible; its displaced count is its best mapping's
+  // moved_from_anchor.
+  const std::size_t winner = BestSeed(runs, [&](const SeedRun& run) {
+    return run.result.best_fg + options.migration_penalty *
+                                    static_cast<double>(run.result.moved_from_anchor) /
+                                    static_cast<double>(n);
+  });
+  const SearchResult& best = runs[winner].result;
+  outcome.repaired = best.best;
+  outcome.refinement_swaps = perturb_swaps[winner] + best.iterations;
+  outcome.displaced = best.moved_from_anchor;
+  outcome.repaired_fg = best.best_fg;
+  outcome.repaired_cc = best.best_cc;
 
   obs::Registry::Global().GetCounter("sched.repair.runs").Add();
   obs::Registry::Global().GetCounter("sched.repair.forced_moves").Add(outcome.forced_moves);

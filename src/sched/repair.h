@@ -41,9 +41,12 @@ struct RepairOptions {
   /// Refinement restarts. Seed 0 always refines straight from the
   /// post-forced-move anchor (bit-identical to the single-seed repair);
   /// extra seeds perturb the anchor with a few random admissible swaps
-  /// before refining, and the best outcome within the migration budget
-  /// wins. (Appended after the original fields so designated initializers
-  /// keep working.)
+  /// before refining. The seeds run and combine through the engine's
+  /// RunSeeds + BestSeed: within the migration budget the least
+  /// F_G + penalty * displaced / N wins, a tie keeping the earlier seed,
+  /// and the outcome reports that seed's own swaps and displacement.
+  /// (Appended after the original fields so designated initializers keep
+  /// working.)
   std::size_t seeds = 1;
   std::uint64_t rng_seed = 1;
   bool parallel_seeds = false;  // run refinement seeds on a thread pool

@@ -13,7 +13,6 @@ SearchResult TabuSearchFrom(const DistanceTable& table, const Partition& start,
   const SearchEngine engine("tabu", ToEngineOptions(options));
   TabuObjective objective(table, start, options.anchor, options.migration_penalty);
   SeedRun run = engine.RunSeed(objective, 0);
-  engine.FlushSeedObservability(run, 0);
   run.result.trace = std::move(run.trace);
   return run.result;
 }
@@ -30,7 +29,8 @@ SearchResult TabuSearch(const DistanceTable& table, const std::vector<std::size_
   // Derive every seed's start up front so parallel and sequential execution
   // explore identical walks. A configured anchor is always the first start
   // (warm start for re-scheduling).
-  spec.starts.reserve(options.seeds);
+  std::vector<Partition> starts;
+  starts.reserve(options.seeds);
   if (options.anchor != nullptr) {
     CS_CHECK(options.anchor->cluster_count() == cluster_sizes.size(),
              "anchor cluster count mismatch");
@@ -38,18 +38,16 @@ SearchResult TabuSearch(const DistanceTable& table, const std::vector<std::size_
       CS_CHECK(options.anchor->ClusterSize(c) == cluster_sizes[c],
                "anchor cluster ", c, " size mismatch");
     }
-    spec.starts.push_back(*options.anchor);
+    starts.push_back(*options.anchor);
   }
-  while (spec.starts.size() < options.seeds) {
-    spec.starts.push_back(Partition::Random(cluster_sizes, rng));
+  while (starts.size() < options.seeds) {
+    starts.push_back(Partition::Random(cluster_sizes, rng));
   }
 
   const SearchEngine engine("tabu", spec.options);
-  spec.run_seed = [&table, &options, &engine](const Partition& start, std::size_t seed) {
-    TabuObjective objective(table, start, options.anchor, options.migration_penalty);
-    SeedRun run = engine.RunSeed(objective, seed);
-    engine.FlushSeedObservability(run, seed);
-    return run;
+  spec.run_seed = [&table, &options, &engine, &starts](std::size_t seed) {
+    TabuObjective objective(table, starts[seed], options.anchor, options.migration_penalty);
+    return engine.RunSeed(objective, seed);
   };
 
   // Seeds are compared by the full objective (F_G plus migration term).

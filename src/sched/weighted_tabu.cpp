@@ -52,18 +52,17 @@ SearchResult WeightedFamilySearch(const DistanceTable& table,
   MultiStartSpec spec;
   spec.algo = algo;
   spec.options = ToEngineOptions(options);
-  spec.starts.reserve(options.seeds);
+  std::vector<Partition> starts;
+  starts.reserve(options.seeds);
   for (std::size_t s = 0; s < options.seeds; ++s) {
-    spec.starts.push_back(Partition::Random(cluster_sizes, rng));
-    if (weights != nullptr) GiveIntraWeight(*weights, spec.starts.back());
+    starts.push_back(Partition::Random(cluster_sizes, rng));
+    if (weights != nullptr) GiveIntraWeight(*weights, starts.back());
   }
 
   const SearchEngine engine(algo, spec.options);
-  spec.run_seed = [&make_objective, &engine](const Partition& start, std::size_t seed) {
-    auto objective = make_objective(start);
-    SeedRun run = engine.RunSeed(objective, seed);
-    engine.FlushSeedObservability(run, seed);
-    return run;
+  spec.run_seed = [&make_objective, &engine, &starts](std::size_t seed) {
+    auto objective = make_objective(starts[seed]);
+    return engine.RunSeed(objective, seed);
   };
   // The per-seed finalized F_G already lives in its weighted space, so the
   // combined result keeps the winning seed's values instead of recomputing

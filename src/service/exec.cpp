@@ -18,6 +18,41 @@ std::size_t DefaultTabuIterations(std::size_t switch_count) {
   return switch_count >= 20 ? 60 : 20;
 }
 
+/// The values a search runs with: `seeds` are tabu/sd seeds or sa/gsa
+/// restarts, `iterations` are per-seed iterations, sa proposals or gsa
+/// generations, and `samples` are random's draws.
+struct EffectiveKnobs {
+  std::size_t seeds = 0;
+  std::size_t iterations = 0;
+  std::size_t samples = 0;
+};
+
+/// Each searcher's CLI defaults, written once for both the cache key and
+/// the dispatch. Throws ConfigError for an unknown algorithm.
+EffectiveKnobs ResolveSearchKnobs(const SearchKnobs& knobs, std::size_t switch_count) {
+  const auto walks = [&knobs](std::size_t seeds, std::size_t iterations) {
+    return EffectiveKnobs{knobs.seeds.value_or(seeds), knobs.iterations.value_or(iterations), 0};
+  };
+  if (knobs.algo == "tabu") return walks(10, DefaultTabuIterations(switch_count));
+  if (knobs.algo == "sd") return walks(10, 1000);
+  if (knobs.algo == "random") return EffectiveKnobs{0, 0, knobs.samples.value_or(1000)};
+  if (knobs.algo == "sa") return walks(1, 20000);
+  if (knobs.algo == "gsa") return walks(1, 200);
+  throw ConfigError("unknown algo '" + knobs.algo + "' (tabu|sd|random|sa|gsa)");
+}
+
+/// The multilevel options a request runs with; unset knobs keep the
+/// MultilevelOptions defaults.
+sched::ml::MultilevelOptions ResolveMultilevelKnobs(const MultilevelKnobs& knobs) {
+  sched::ml::MultilevelOptions options;
+  options.coarsen_target = knobs.coarsen_target;
+  options.refine_budget = knobs.refine_budget;
+  options.seeds = knobs.seeds.value_or(options.seeds);
+  options.engine_iterations = knobs.iterations.value_or(options.engine_iterations);
+  options.rng_seed = knobs.rng_seed;
+  return options;
+}
+
 }  // namespace
 
 std::vector<std::size_t> EvenClusterSizes(std::size_t switch_count, std::size_t apps) {
@@ -49,24 +84,13 @@ void ValidateSearchKnobs(const SearchKnobs& knobs) {
 
 std::string CanonicalSearchKnobs(const SearchKnobs& knobs, std::size_t switch_count) {
   ValidateSearchKnobs(knobs);
+  const EffectiveKnobs effective = ResolveSearchKnobs(knobs, switch_count);
   std::ostringstream key;
   key << "algo=" << knobs.algo;
-  if (knobs.algo == "tabu") {
-    key << ";seeds=" << knobs.seeds.value_or(10)
-        << ";iters=" << knobs.iterations.value_or(DefaultTabuIterations(switch_count));
-  } else if (knobs.algo == "sd") {
-    key << ";seeds=" << knobs.seeds.value_or(10)
-        << ";iters=" << knobs.iterations.value_or(1000);
-  } else if (knobs.algo == "random") {
-    key << ";samples=" << knobs.samples.value_or(1000);
-  } else if (knobs.algo == "sa") {
-    key << ";seeds=" << knobs.seeds.value_or(1)
-        << ";iters=" << knobs.iterations.value_or(20000);
-  } else if (knobs.algo == "gsa") {
-    key << ";seeds=" << knobs.seeds.value_or(1)
-        << ";iters=" << knobs.iterations.value_or(200);
+  if (knobs.algo == "random") {
+    key << ";samples=" << effective.samples;
   } else {
-    throw ConfigError("unknown algo '" + knobs.algo + "' (tabu|sd|random|sa|gsa)");
+    key << ";seeds=" << effective.seeds << ";iters=" << effective.iterations;
   }
   key << ";rng=" << knobs.rng_seed;
   return key.str();
@@ -79,47 +103,44 @@ sched::SearchResult RunMappingSearch(const dist::DistanceTable& table,
   if (cluster_sizes.size() < 2) {
     throw ConfigError("a mapping search needs at least two applications");
   }
+  const EffectiveKnobs effective = ResolveSearchKnobs(knobs, table.size());
   if (knobs.algo == "tabu") {
     sched::TabuOptions options;
-    options.seeds = knobs.seeds.value_or(10);
-    options.max_iterations_per_seed =
-        knobs.iterations.value_or(DefaultTabuIterations(table.size()));
+    options.seeds = effective.seeds;
+    options.max_iterations_per_seed = effective.iterations;
     options.rng_seed = knobs.rng_seed;
     options.parallel_seeds = knobs.parallel_seeds;
     return sched::TabuSearch(table, cluster_sizes, options);
   }
   if (knobs.algo == "sd") {
     sched::SteepestDescentOptions options;
-    options.restarts = knobs.seeds.value_or(10);
-    options.max_iterations_per_restart = knobs.iterations.value_or(1000);
+    options.restarts = effective.seeds;
+    options.max_iterations_per_restart = effective.iterations;
     options.rng_seed = knobs.rng_seed;
     options.parallel_seeds = knobs.parallel_seeds;
     return sched::SteepestDescent(table, cluster_sizes, options);
   }
   if (knobs.algo == "random") {
     sched::RandomSearchOptions options;
-    options.samples = knobs.samples.value_or(1000);
+    options.samples = effective.samples;
     options.rng_seed = knobs.rng_seed;
     options.parallel_seeds = knobs.parallel_seeds;
     return sched::RandomSearch(table, cluster_sizes, options);
   }
   if (knobs.algo == "sa") {
     sched::AnnealingOptions options;
-    options.iterations = knobs.iterations.value_or(20000);
-    options.restarts = knobs.seeds.value_or(1);
+    options.iterations = effective.iterations;
+    options.restarts = effective.seeds;
     options.rng_seed = knobs.rng_seed;
     options.parallel_seeds = knobs.parallel_seeds;
     return sched::SimulatedAnnealing(table, cluster_sizes, options);
   }
-  if (knobs.algo == "gsa") {
-    sched::GeneticAnnealingOptions options;
-    options.generations = knobs.iterations.value_or(200);
-    options.restarts = knobs.seeds.value_or(1);
-    options.rng_seed = knobs.rng_seed;
-    options.parallel_seeds = knobs.parallel_seeds;
-    return sched::GeneticSimulatedAnnealing(table, cluster_sizes, options);
-  }
-  throw ConfigError("unknown --algo '" + knobs.algo + "' (tabu|sd|random|sa|gsa)");
+  sched::GeneticAnnealingOptions options;  // gsa: ResolveSearchKnobs rejected any other name
+  options.generations = effective.iterations;
+  options.restarts = effective.seeds;
+  options.rng_seed = knobs.rng_seed;
+  options.parallel_seeds = knobs.parallel_seeds;
+  return sched::GeneticSimulatedAnnealing(table, cluster_sizes, options);
 }
 
 qual::Partition ChooseMappingPartition(const std::string& mapping,
@@ -176,11 +197,12 @@ void ValidateMultilevelKnobs(const MultilevelKnobs& knobs) {
 
 std::string CanonicalMultilevelKnobs(const MultilevelKnobs& knobs) {
   ValidateMultilevelKnobs(knobs);
+  const sched::ml::MultilevelOptions options = ResolveMultilevelKnobs(knobs);
   std::ostringstream key;
   key << "ml=1;procs=" << knobs.processes << ";pattern=" << knobs.pattern
-      << ";pattern_seed=" << knobs.pattern_seed << ";coarsen=" << knobs.coarsen_target
-      << ";budget=" << knobs.refine_budget << ";seeds=" << knobs.seeds.value_or(4)
-      << ";iters=" << knobs.iterations.value_or(0) << ";rng=" << knobs.rng_seed
+      << ";pattern_seed=" << knobs.pattern_seed << ";coarsen=" << options.coarsen_target
+      << ";budget=" << options.refine_budget << ";seeds=" << options.seeds
+      << ";iters=" << options.engine_iterations << ";rng=" << options.rng_seed
       << ";distance=" << knobs.distance;
   return key.str();
 }
@@ -191,13 +213,7 @@ sched::ml::MultilevelResult RunMultilevelSchedule(const dist::DistanceTable& tab
   ValidateMultilevelKnobs(knobs);
   const qual::CommGraph graph =
       work::MakePatternComm(knobs.pattern, knobs.processes, knobs.pattern_seed);
-  sched::ml::MultilevelOptions options;
-  options.coarsen_target = knobs.coarsen_target;
-  options.refine_budget = knobs.refine_budget;
-  options.seeds = knobs.seeds.value_or(4);
-  options.engine_iterations = knobs.iterations.value_or(0);
-  options.rng_seed = knobs.rng_seed;
-  return sched::ml::MapMultilevel(graph, table, hosts_per_switch, options);
+  return sched::ml::MapMultilevel(graph, table, hosts_per_switch, ResolveMultilevelKnobs(knobs));
 }
 
 std::string FormatMultilevelText(const sched::ml::MultilevelResult& result,

@@ -210,7 +210,6 @@ std::string ScheduleBodyKey(const Request& r) {
   key += r.samples ? std::to_string(*r.samples) : "-";
   key += '|';
   key += std::to_string(r.search_seed);
-  key += r.parallel_seeds ? "|p" : "|s";
   return key;
 }
 

@@ -207,5 +207,50 @@ TEST(EngineObjective, BudgetMakesExactlyTheOverBudgetSwapsInadmissible) {
   EXPECT_GT(inadmissible, 0u);
 }
 
+// Seeds combine by the same margin: a later seed wins only by more than
+// kSearchEps. Of the planted bests {1, 1 - 1e-13, 0.5, 0.5 - 1e-13}, seed 1
+// ties seed 0 and seed 3 ties seed 2, so seed 2 wins (a combine without
+// the margin would pick seed 3). Sequential or on the thread pool, the runs
+// come back in seed order and the same seed wins.
+TEST(EngineMultiStart, TiesKeepTheEarliestSeed) {
+  const std::vector<double> planted = {1.0, 1.0 - 1e-13, 0.5, 0.5 - 1e-13};
+  const std::vector<qual::Partition> bests = {
+      qual::Partition(std::vector<std::size_t>{0, 0, 1, 1}),
+      qual::Partition(std::vector<std::size_t>{0, 1, 0, 1}),
+      qual::Partition(std::vector<std::size_t>{0, 1, 1, 0}),
+      qual::Partition(std::vector<std::size_t>{1, 0, 0, 1})};
+  const dist::DistanceTable table(4, 1.0);
+  for (const bool parallel : {false, true}) {
+    sched::MultiStartSpec spec;
+    spec.algo = "tie_test";
+    spec.options.seeds = planted.size();
+    spec.options.parallel_seeds = parallel;
+    spec.run_seed = [&](std::size_t k) {
+      sched::SeedRun run;
+      run.result.best = bests[k];
+      run.result.best_fg = planted[k];
+      run.result.iterations = k + 1;
+      run.result.evaluations = 10 * (k + 1);
+      run.best_value = planted[k];
+      return run;
+    };
+    spec.combine_key = [](const sched::SeedRun& run) { return run.best_value; };
+    spec.finalize_combined = false;
+
+    const std::vector<sched::SeedRun> runs = sched::RunSeeds(spec.options, spec.run_seed);
+    ASSERT_EQ(runs.size(), planted.size());
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      EXPECT_EQ(runs[k].best_value, planted[k]) << "parallel=" << parallel;
+    }
+    EXPECT_EQ(sched::BestSeed(runs, spec.combine_key), 2u) << "parallel=" << parallel;
+
+    const sched::SearchResult combined = sched::RunMultiStart(table, spec);
+    EXPECT_EQ(combined.best.ToString(), bests[2].ToString()) << "parallel=" << parallel;
+    EXPECT_EQ(combined.best_fg, planted[2]);
+    EXPECT_EQ(combined.iterations, 10u);  // summed over all four seeds
+    EXPECT_EQ(combined.evaluations, 100u);
+  }
+}
+
 }  // namespace
 }  // namespace commsched

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <csignal>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -183,6 +184,48 @@ TEST(ServiceExec, CanonicalKnobsResolveDefaultsAndIgnoreParallel) {
   svc::SearchKnobs bad;
   bad.algo = "bogus";
   EXPECT_THROW(svc::CanonicalSearchKnobs(bad, 16), ConfigError);
+}
+
+TEST(ServiceExec, DefaultedKnobsEqualTheirEffectiveValues) {
+  const topo::SwitchGraph graph = topo::MakeMixedDensity16();
+  const route::UpDownRouting routing(graph);
+  const dist::DistanceTable table = dist::DistanceTable::Build(routing);
+  const std::vector<std::size_t> sizes(4, 4);
+  struct Case {
+    const char* algo;
+    std::optional<std::size_t> seeds, iterations, samples;
+    const char* key;
+  };
+  // Each searcher's documented defaults on 16 switches, spelled out.
+  const Case cases[] = {
+      {"tabu", 10, 20, std::nullopt, "algo=tabu;seeds=10;iters=20;rng=1"},
+      {"sd", 10, 1000, std::nullopt, "algo=sd;seeds=10;iters=1000;rng=1"},
+      {"random", std::nullopt, std::nullopt, 1000, "algo=random;samples=1000;rng=1"},
+      {"sa", 1, 20000, std::nullopt, "algo=sa;seeds=1;iters=20000;rng=1"},
+      {"gsa", 1, 200, std::nullopt, "algo=gsa;seeds=1;iters=200;rng=1"},
+  };
+  for (const Case& c : cases) {
+    svc::SearchKnobs defaulted;
+    defaulted.algo = c.algo;
+    svc::SearchKnobs spelled = defaulted;
+    spelled.seeds = c.seeds;
+    spelled.iterations = c.iterations;
+    spelled.samples = c.samples;
+    EXPECT_EQ(svc::CanonicalSearchKnobs(defaulted, 16), c.key);
+    EXPECT_EQ(svc::CanonicalSearchKnobs(spelled, 16), c.key);
+    EXPECT_EQ(sched::FormatSearchResult(svc::RunMappingSearch(table, sizes, defaulted)),
+              sched::FormatSearchResult(svc::RunMappingSearch(table, sizes, spelled)))
+        << c.algo;
+  }
+  svc::MultilevelKnobs ml;
+  ml.processes = 300;
+  svc::MultilevelKnobs ml_spelled = ml;
+  ml_spelled.seeds = 4;
+  const char* const ml_key =
+      "ml=1;procs=300;pattern=grid;pattern_seed=1;coarsen=0;budget=0;seeds=4;iters=0;rng=1;"
+      "distance=resistance";
+  EXPECT_EQ(svc::CanonicalMultilevelKnobs(ml), ml_key);
+  EXPECT_EQ(svc::CanonicalMultilevelKnobs(ml_spelled), ml_key);
 }
 
 TEST(ServiceExec, RunMappingSearchMatchesDirectTabu) {
