@@ -81,6 +81,12 @@ TEST(FaultPlan, MalformedJsonCorpus) {
       {"negative cycle", R"({"events": [{"at": -5, "kind": "switch_down", "switch": 1}]})"},
       {"non numeric cycle", R"({"events": [{"at": "soon", "kind": "switch_down", "switch": 1}]})"},
       {"trailing garbage", R"({"events": []} tail)"},
+      {"unknown top-level key", R"({"events":[],"x":1})"},
+      {"unknown event key",
+       R"({"events": [{"at": 5, "kind": "switch_down", "switch": 1, "when": 2}]})"},
+      {"fractional cycle", R"({"events": [{"at": 5.5, "kind": "switch_down", "switch": 1}]})"},
+      {"cycle of 2^64",
+       R"({"events": [{"at": 18446744073709551616, "kind": "switch_down", "switch": 1}]})"},
   };
   for (const Case& c : cases) {
     try {
