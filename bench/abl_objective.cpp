@@ -10,8 +10,7 @@ using namespace commsched;
 
 /// Generic steepest-ascent hill climbing on an arbitrary partition score.
 template <typename Score>
-qual::Partition HillClimb(const dist::DistanceTable& table, qual::Partition start,
-                          Score&& score, std::size_t max_iter = 500) {
+qual::Partition HillClimb(qual::Partition start, Score&& score, std::size_t max_iter = 500) {
   double current = score(start);
   for (std::size_t it = 0; it < max_iter; ++it) {
     double best = current;
@@ -78,14 +77,14 @@ int main() {
     double best_dg = -1.0;
     for (int s = 0; s < 5; ++s) {
       const qual::Partition start = qual::Partition::Random(sizes, rng);
-      const qual::Partition cc_climbed = HillClimb(table, start, [&](const qual::Partition& p) {
+      const qual::Partition cc_climbed = HillClimb(start, [&](const qual::Partition& p) {
         return qual::ClusteringCoefficient(table, p);
       });
       if (qual::ClusteringCoefficient(table, cc_climbed) > best_cc) {
         best_cc = qual::ClusteringCoefficient(table, cc_climbed);
         best_cc_part = cc_climbed;
       }
-      const qual::Partition dg_climbed = HillClimb(table, start, [&](const qual::Partition& p) {
+      const qual::Partition dg_climbed = HillClimb(start, [&](const qual::Partition& p) {
         return qual::GlobalDissimilarity(table, p);
       });
       if (qual::GlobalDissimilarity(table, dg_climbed) > best_dg) {

@@ -37,11 +37,11 @@ using namespace commsched;
 
 std::string ScheduleRequest(std::uint64_t id, std::uint64_t topo_seed, std::size_t switches,
                             const std::string& algo) {
-  svc::JsonObjectWriter topology;
+  JsonObjectWriter topology;
   topology.Field("kind", "random");
   topology.Field("switches", static_cast<std::uint64_t>(switches));
   topology.Field("seed", topo_seed);
-  svc::JsonObjectWriter request;
+  JsonObjectWriter request;
   request.Field("id", "s" + std::to_string(id));
   request.Field("op", "schedule");
   request.Raw("topology", topology.Finish());
@@ -51,7 +51,7 @@ std::string ScheduleRequest(std::uint64_t id, std::uint64_t topo_seed, std::size
 }
 
 std::string PingRequest(std::uint64_t id) {
-  svc::JsonObjectWriter request;
+  JsonObjectWriter request;
   request.Field("id", "p" + std::to_string(id));
   request.Field("op", "ping");
   return request.Finish();

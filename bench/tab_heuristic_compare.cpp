@@ -20,7 +20,7 @@ struct Row {
 };
 
 template <typename F>
-Row Measure(const std::string& method, const dist::DistanceTable& table, F&& run) {
+Row Measure(const std::string& method, F&& run) {
   const auto start = std::chrono::steady_clock::now();
   const sched::SearchResult result = run();
   const auto stop = std::chrono::steady_clock::now();
@@ -60,32 +60,32 @@ int main() {
     sched::TabuOptions tabu;
     tabu.max_iterations_per_seed = net.graph.switch_count() >= 20 ? 60 : 20;
     tabu.parallel_seeds = true;
-    rows.push_back(Measure("tabu (paper)", table,
-                           [&] { return sched::TabuSearch(table, net.sizes, tabu); }));
+    rows.push_back(
+        Measure("tabu (paper)", [&] { return sched::TabuSearch(table, net.sizes, tabu); }));
     sched::AnnealingOptions sa;
     sa.iterations = 30000;
     sa.parallel_seeds = true;
-    rows.push_back(Measure("simulated annealing", table,
+    rows.push_back(Measure("simulated annealing",
                            [&] { return sched::SimulatedAnnealing(table, net.sizes, sa); }));
     sched::GeneticAnnealingOptions gsa;
     gsa.generations = 150;
     gsa.parallel_seeds = true;
-    rows.push_back(Measure("genetic SA", table, [&] {
+    rows.push_back(Measure("genetic SA", [&] {
       return sched::GeneticSimulatedAnnealing(table, net.sizes, gsa);
     }));
     sched::SteepestDescentOptions sd;
     sd.parallel_seeds = true;
-    rows.push_back(Measure("steepest descent", table,
+    rows.push_back(Measure("steepest descent",
                            [&] { return sched::SteepestDescent(table, net.sizes, sd); }));
     sched::RandomSearchOptions random;
     random.samples = 5000;
     random.parallel_seeds = true;
-    rows.push_back(Measure("random x5000", table,
+    rows.push_back(Measure("random x5000",
                            [&] { return sched::RandomSearch(table, net.sizes, random); }));
     if (net.exhaustive) {
-      rows.push_back(Measure("A* (exact)", table,
-                             [&] { return sched::AStarSearch(table, net.sizes); }));
-      rows.push_back(Measure("exhaustive (exact)", table,
+      rows.push_back(
+          Measure("A* (exact)", [&] { return sched::AStarSearch(table, net.sizes); }));
+      rows.push_back(Measure("exhaustive (exact)",
                              [&] { return sched::ExhaustiveSearch(table, net.sizes); }));
     }
 

@@ -45,7 +45,7 @@ int main() {
     const auto results = RunAllHeuristics(etc);
     std::vector<TableCell> row{c.name};
     for (const auto& [name, schedule] : results) {
-      row.push_back(schedule.makespan);
+      row.emplace_back(schedule.makespan);
     }
     out.AddRow(std::move(row));
   }

@@ -37,7 +37,7 @@ namespace detail {
 template <typename... Args>
 std::string BuildMessage(const Args&... args) {
   std::ostringstream oss;
-  (oss << ... << args);
+  ((oss << args), ...);  // comma fold: an empty pack is void(), not a bare `oss;`
   return oss.str();
 }
 

@@ -1,173 +1,58 @@
 #include "faults/fault_plan.h"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
+
+#include "common/json.h"
 
 namespace commsched::faults {
 namespace {
 
-// Minimal recursive-descent parser for the subset of JSON a fault plan
-// uses: objects, arrays, strings, and unsigned integers.  Anything else
-// (floats, nesting surprises, trailing garbage) is a ConfigError with a
-// byte offset, which is all a hand-written chaos plan needs for debugging.
-class PlanParser {
- public:
-  explicit PlanParser(const std::string& text) : text_(text) {}
+[[noreturn]] void Fail(const std::string& why) { throw ConfigError("fault plan: " + why); }
 
-  std::vector<FaultEvent> Parse() {
-    SkipSpace();
-    Expect('{');
-    ExpectKey("events");
-    std::vector<FaultEvent> events = ParseEvents();
-    SkipSpace();
-    Expect('}');
-    SkipSpace();
-    if (pos_ != text_.size()) Fail("trailing characters after fault plan");
-    return events;
-  }
+FaultKind ParseKind(const std::string& name) {
+  if (name == "link_down") return FaultKind::kLinkDown;
+  if (name == "link_up") return FaultKind::kLinkUp;
+  if (name == "switch_down") return FaultKind::kSwitchDown;
+  if (name == "switch_up") return FaultKind::kSwitchUp;
+  Fail("unknown event kind \"" + name + "\"");
+}
 
- private:
-  [[noreturn]] void Fail(const std::string& why) const {
-    throw ConfigError("fault plan: " + why + " (at byte " + std::to_string(pos_) + ")");
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
+/// One event object of the plan's "events" array; `where` names it
+/// ("event 3") in errors.
+FaultEvent ParseEvent(const JsonValue& value, const std::string& where) {
+  for (const auto& [key, member] : value.AsObject("fault plan: " + where)) {
+    if (key != "at" && key != "kind" && key != "a" && key != "b" && key != "switch") {
+      Fail(where + ": unknown event key \"" + key + "\"");
     }
   }
+  const auto uint_field = [&](const JsonValue& field, const char* key) {
+    return static_cast<std::size_t>(field.AsUint("fault plan: " + where + " \"" + key + "\""));
+  };
+  const JsonValue* at = value.Find("at");
+  const JsonValue* kind = value.Find("kind");
+  const JsonValue* a = value.Find("a");
+  const JsonValue* b = value.Find("b");
+  const JsonValue* switch_id = value.Find("switch");
+  if (at == nullptr) Fail(where + " is missing \"at\"");
+  if (kind == nullptr) Fail(where + " is missing \"kind\"");
 
-  void Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
+  FaultEvent event;
+  event.at_cycle = uint_field(*at, "at");
+  event.kind = ParseKind(kind->AsString("fault plan: " + where + " \"kind\""));
+  if (event.kind == FaultKind::kLinkDown || event.kind == FaultKind::kLinkUp) {
+    if (a == nullptr || b == nullptr) Fail(where + ": link event needs both \"a\" and \"b\"");
+    if (switch_id != nullptr) Fail(where + ": link event must not name a \"switch\"");
+    event.a = uint_field(*a, "a");
+    event.b = uint_field(*b, "b");
+    if (event.a == event.b) Fail(where + ": link event endpoints must differ");
+  } else {
+    if (switch_id == nullptr) Fail(where + ": switch event needs \"switch\"");
+    if (a != nullptr || b != nullptr) Fail(where + ": switch event must not name \"a\"/\"b\"");
+    event.switch_id = uint_field(*switch_id, "switch");
   }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      const char c = text_[pos_++];
-      if (c == '\\') Fail("escape sequences are not supported in fault plans");
-      out.push_back(c);
-    }
-    if (pos_ >= text_.size()) Fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  void ExpectKey(const std::string& key) {
-    const std::string got = ParseString();
-    if (got != key) Fail("expected key \"" + key + "\", got \"" + got + "\"");
-    Expect(':');
-  }
-
-  std::size_t ParseUnsigned() {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      Fail("negative numbers are not valid cycle counts or ids");
-    }
-    if (pos_ >= text_.size() ||
-        std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-      Fail("expected a non-negative integer");
-    }
-    std::size_t value = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      const std::size_t digit = static_cast<std::size_t>(text_[pos_] - '0');
-      if (value > (SIZE_MAX - digit) / 10) Fail("integer overflows");
-      value = value * 10 + digit;
-      ++pos_;
-    }
-    return value;
-  }
-
-  std::vector<FaultEvent> ParseEvents() {
-    Expect('[');
-    std::vector<FaultEvent> events;
-    if (Peek(']')) {
-      ++pos_;
-      return events;
-    }
-    while (true) {
-      events.push_back(ParseEvent());
-      SkipSpace();
-      if (Peek(',')) {
-        ++pos_;
-        continue;
-      }
-      Expect(']');
-      return events;
-    }
-  }
-
-  FaultEvent ParseEvent() {
-    Expect('{');
-    FaultEvent event;
-    bool saw_at = false, saw_kind = false, saw_a = false, saw_b = false, saw_switch = false;
-    while (true) {
-      const std::string key = ParseString();
-      Expect(':');
-      if (key == "at") {
-        event.at_cycle = ParseUnsigned();
-        saw_at = true;
-      } else if (key == "kind") {
-        event.kind = ParseKind(ParseString());
-        saw_kind = true;
-      } else if (key == "a") {
-        event.a = ParseUnsigned();
-        saw_a = true;
-      } else if (key == "b") {
-        event.b = ParseUnsigned();
-        saw_b = true;
-      } else if (key == "switch") {
-        event.switch_id = ParseUnsigned();
-        saw_switch = true;
-      } else {
-        Fail("unknown event key \"" + key + "\"");
-      }
-      if (Peek(',')) {
-        ++pos_;
-        continue;
-      }
-      Expect('}');
-      break;
-    }
-    if (!saw_at) Fail("event is missing \"at\"");
-    if (!saw_kind) Fail("event is missing \"kind\"");
-    const bool link_kind =
-        event.kind == FaultKind::kLinkDown || event.kind == FaultKind::kLinkUp;
-    if (link_kind) {
-      if (!saw_a || !saw_b) Fail("link event needs both \"a\" and \"b\"");
-      if (saw_switch) Fail("link event must not name a \"switch\"");
-      if (event.a == event.b) Fail("link event endpoints must differ");
-    } else {
-      if (!saw_switch) Fail("switch event needs \"switch\"");
-      if (saw_a || saw_b) Fail("switch event must not name \"a\"/\"b\"");
-    }
-    return event;
-  }
-
-  FaultKind ParseKind(const std::string& name) const {
-    if (name == "link_down") return FaultKind::kLinkDown;
-    if (name == "link_up") return FaultKind::kLinkUp;
-    if (name == "switch_down") return FaultKind::kSwitchDown;
-    if (name == "switch_up") return FaultKind::kSwitchUp;
-    Fail("unknown event kind \"" + name + "\"");
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  return event;
+}
 
 }  // namespace
 
@@ -182,7 +67,22 @@ FaultPlan FaultPlan::FromEvents(std::vector<FaultEvent> events) {
 }
 
 FaultPlan FaultPlan::FromJson(const std::string& text) {
-  return FromEvents(PlanParser(text).Parse());
+  JsonValue root;
+  try {
+    root = ParseJson(text);
+  } catch (const ConfigError& e) {
+    Fail(e.what());
+  }
+  for (const auto& [key, member] : root.AsObject("fault plan")) {
+    if (key != "events") Fail("unknown key \"" + key + "\" (a plan holds only \"events\")");
+  }
+  const JsonValue* events = root.Find("events");
+  if (events == nullptr) Fail("missing \"events\"");
+  std::vector<FaultEvent> parsed;
+  for (const JsonValue& event : events->AsArray("fault plan: \"events\"")) {
+    parsed.push_back(ParseEvent(event, "event " + std::to_string(parsed.size())));
+  }
+  return FromEvents(std::move(parsed));
 }
 
 std::string FaultPlan::ToJson() const {

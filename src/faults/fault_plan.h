@@ -54,8 +54,10 @@ class FaultPlan {
   /// events keep their declaration order).
   static FaultPlan FromEvents(std::vector<FaultEvent> events);
 
-  /// Parses the JSON document format shown in the header comment.
-  /// Throws ConfigError on any malformed input.
+  /// Parses the JSON document format shown in the header comment with the
+  /// common parser (common/json.h); cycles and ids must be exact integers up
+  /// to 2^53. Throws ConfigError ("fault plan: ...") on any malformed input,
+  /// unknown keys included.
   static FaultPlan FromJson(const std::string& text);
 
   /// Serializes back to the JSON document format (round-trips FromJson).

@@ -1,12 +1,11 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
+#include "common/json.h"
 #include "common/strings.h"
 #include "common/table.h"
 
@@ -14,104 +13,33 @@ namespace commsched::obs {
 
 namespace {
 
-/// Flat JSON-object scan: key -> raw value text (nested objects keep their
-/// braces, strings keep their quotes). Mirrors the shape Registry::ToJson
-/// and Tracer emit; returns nullopt on malformed input. Raw nested values
-/// re-parse with the same function, which is how the metrics dump's
-/// counters/histograms sections are read.
-std::optional<std::map<std::string, std::string>> ParseObject(const std::string& text) {
-  std::map<std::string, std::string> fields;
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-  };
-  skip_ws();
-  if (i >= text.size() || text[i] != '{') return std::nullopt;
-  ++i;
-  skip_ws();
-  if (i < text.size() && text[i] == '}') return fields;
-  for (;;) {
-    skip_ws();
-    if (i >= text.size() || text[i] != '"') return std::nullopt;
-    const std::size_t key_start = ++i;
-    while (i < text.size() && text[i] != '"') ++i;
-    if (i >= text.size()) return std::nullopt;
-    const std::string key = text.substr(key_start, i - key_start);
-    ++i;
-    skip_ws();
-    if (i >= text.size() || text[i] != ':') return std::nullopt;
-    ++i;
-    skip_ws();
-    const std::size_t value_start = i;
-    int depth = 0;
-    bool in_string = false;
-    for (; i < text.size(); ++i) {
-      const char c = text[i];
-      if (in_string) {
-        if (c == '\\') {
-          ++i;
-        } else if (c == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      if (c == '"') {
-        in_string = true;
-      } else if (c == '{' || c == '[') {
-        ++depth;
-      } else if (c == '}' || c == ']') {
-        if (depth == 0) break;
-        --depth;
-      } else if (c == ',' && depth == 0) {
-        break;
-      }
-    }
-    if (i >= text.size() || depth != 0 || in_string) return std::nullopt;
-    std::string value = text.substr(value_start, i - value_start);
-    while (!value.empty() && std::isspace(static_cast<unsigned char>(value.back()))) {
-      value.pop_back();
-    }
-    if (value.empty()) return std::nullopt;
-    fields[key] = std::move(value);
-    if (text[i] == '}') return fields;
-    ++i;  // consume ','
-  }
+/// Field readers over one parsed JSON object. A missing, null or mistyped
+/// field reads as 0 / "" / false, so reports stay forward-compatible.
+std::uint64_t AsCount(const JsonValue* value) {
+  if (value == nullptr || !value->is_number()) return 0;
+  const double number = value->AsDouble("count");
+  return number >= 0.0 && number < 18446744073709551616.0 && std::floor(number) == number
+             ? static_cast<std::uint64_t>(number)
+             : 0;
 }
 
-using Fields = std::map<std::string, std::string>;
-
-std::string Raw(const Fields& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  return it == fields.end() ? std::string() : it->second;
+std::uint64_t Uint(const JsonValue& fields, const std::string& key) {
+  return AsCount(fields.Find(key));
 }
 
-std::string Str(const Fields& fields, const std::string& key) {
-  const std::string raw = Raw(fields, key);
-  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') return "";
-  return raw.substr(1, raw.size() - 2);
+double Num(const JsonValue& fields, const std::string& key) {
+  const JsonValue* value = fields.Find(key);
+  return value != nullptr && value->is_number() ? value->AsDouble(key) : 0.0;
 }
 
-double Num(const Fields& fields, const std::string& key, double fallback = 0.0) {
-  const std::string raw = Raw(fields, key);
-  if (raw.empty()) return fallback;
-  double value = fallback;
-  const auto [ptr, ec] = std::from_chars(raw.data(), raw.data() + raw.size(), value);
-  if (ec != std::errc{} || ptr != raw.data() + raw.size()) return fallback;
-  return value;
+std::string Str(const JsonValue& fields, const std::string& key) {
+  const JsonValue* value = fields.Find(key);
+  return value != nullptr && value->is_string() ? value->AsString(key) : std::string();
 }
 
-std::uint64_t Uint(const Fields& fields, const std::string& key, std::uint64_t fallback = 0) {
-  const std::string raw = Raw(fields, key);
-  if (raw.empty() || raw.find_first_not_of("0123456789") != std::string::npos) {
-    return fallback;
-  }
-  std::uint64_t value = fallback;
-  const auto [ptr, ec] = std::from_chars(raw.data(), raw.data() + raw.size(), value);
-  return ec == std::errc{} ? value : fallback;
-}
-
-bool Bool(const Fields& fields, const std::string& key) {
-  return Raw(fields, key) == "true";
+bool Bool(const JsonValue& fields, const std::string& key) {
+  const JsonValue* value = fields.Find(key);
+  return value != nullptr && value->is_bool() && value->AsBool(key);
 }
 
 /// Seed summaries are keyed by (algo, seed); restart and seed_done events
@@ -127,7 +55,7 @@ TraceSummary::SeedSummary& SeedRow(TraceSummary& summary, const std::string& alg
   return summary.seeds.back();
 }
 
-void FoldTraceEvent(TraceSummary& summary, const Fields& fields) {
+void FoldTraceEvent(TraceSummary& summary, const JsonValue& fields) {
   const std::string type = Str(fields, "type");
   ++summary.events;
   ++summary.events_by_type[type.empty() ? "(untyped)" : type];
@@ -180,10 +108,13 @@ void FoldTraceEvent(TraceSummary& summary, const Fields& fields) {
     TraceSummary::FaultEventSummary fault;
     fault.kind = type.substr(6);
     fault.cycle = Uint(fields, "cycle");
-    if (fields.count("switch") > 0) {
-      fault.target = "switch " + Raw(fields, "switch");
+    const auto id = [&fields](const char* key) {
+      return fields.Find(key) == nullptr ? std::string() : std::to_string(Uint(fields, key));
+    };
+    if (fields.Find("switch") != nullptr) {
+      fault.target = "switch " + id("switch");
     } else {
-      fault.target = Raw(fields, "a") + "--" + Raw(fields, "b");
+      fault.target = id("a") + "--" + id("b");
     }
     summary.faults.push_back(fault);
   }
@@ -212,34 +143,44 @@ std::optional<std::pair<std::size_t, std::size_t>> ParseLinkKey(const std::strin
                         static_cast<std::size_t>(std::stoull(parts[1])));
 }
 
-void FoldMetrics(TraceSummary& summary, const Fields& fields) {
+void FoldMetrics(TraceSummary& summary, const JsonValue& fields) {
   summary.has_metrics = true;
-  if (const auto counters = ParseObject(Raw(fields, "counters")); counters.has_value()) {
-    for (const auto& [name, raw] : *counters) {
-      const std::uint64_t value = Uint(*counters, name);
+  if (const JsonValue* counters = fields.Find("counters");
+      counters != nullptr && counters->is_object()) {
+    for (const auto& [name, raw] : counters->AsObject("counters")) {
+      const std::uint64_t value = AsCount(&raw);
       summary.counters[name] = value;
       if (const auto link = ParseLinkKey(name); link.has_value()) {
         summary.links.push_back({link->first, link->second, value});
       }
     }
   }
-  if (const auto hists = ParseObject(Raw(fields, "histograms")); hists.has_value()) {
-    for (const auto& [name, raw] : *hists) {
-      const auto hist = ParseObject(raw);
-      if (!hist.has_value()) continue;
+  if (const JsonValue* hists = fields.Find("histograms"); hists != nullptr && hists->is_object()) {
+    for (const auto& [name, hist] : hists->AsObject("histograms")) {
+      if (!hist.is_object()) continue;
       TraceSummary::HistogramSummary& row = summary.histograms[name];
-      row.count = Uint(*hist, "count");
-      row.max = Uint(*hist, "max");
-      row.mean = Num(*hist, "mean");
-      row.p50 = Num(*hist, "p50");
-      row.p90 = Num(*hist, "p90");
-      row.p99 = Num(*hist, "p99");
+      row.count = Uint(hist, "count");
+      row.max = Uint(hist, "max");
+      row.mean = Num(hist, "mean");
+      row.p50 = Num(hist, "p50");
+      row.p90 = Num(hist, "p90");
+      row.p99 = Num(hist, "p99");
     }
   }
   std::stable_sort(summary.links.begin(), summary.links.end(),
                    [](const TraceSummary::LinkTraffic& a, const TraceSummary::LinkTraffic& b) {
                      return a.flits > b.flits;
                    });
+}
+
+/// The line as a JSON object, or nullopt when it does not parse as one.
+std::optional<JsonValue> ParseObjectLine(const std::string& text) {
+  try {
+    JsonValue value = ParseJson(text);
+    if (value.is_object()) return value;
+  } catch (const ConfigError&) {
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -249,13 +190,13 @@ TraceSummary SummarizeTrace(std::istream& trace) {
   std::string line;
   while (std::getline(trace, line)) {
     if (Trim(line).empty()) continue;
-    const auto fields = ParseObject(line);
+    const std::optional<JsonValue> fields = ParseObjectLine(line);
     if (!fields.has_value()) {
       ++summary.events;
       ++summary.events_by_type["(unparseable)"];
       continue;
     }
-    if (fields->count("type") == 0 && fields->count("counters") > 0) {
+    if (fields->Find("type") == nullptr && fields->Find("counters") != nullptr) {
       FoldMetrics(summary, *fields);  // appended metrics dump
       continue;
     }
@@ -266,8 +207,8 @@ TraceSummary SummarizeTrace(std::istream& trace) {
 }
 
 bool LoadMetrics(const std::string& metrics_json, TraceSummary& summary) {
-  const auto fields = ParseObject(metrics_json);
-  if (!fields.has_value() || fields->count("counters") == 0) return false;
+  const std::optional<JsonValue> fields = ParseObjectLine(metrics_json);
+  if (!fields.has_value() || fields->Find("counters") == nullptr) return false;
   FoldMetrics(summary, *fields);
   return true;
 }

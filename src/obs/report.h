@@ -11,9 +11,9 @@
 // emits the sweep as CSV suitable for regenerating the paper's Fig. 3/5
 // latency-vs-accepted-traffic curves.
 //
-// Parsing is intentionally limited to the flat-ish JSON the obs layer
-// emits; unknown event types and keys are counted but otherwise ignored, so
-// reports stay forward-compatible with new instrumentation.
+// Each line is read with the common JSON parser (common/json.h); unknown
+// event types and keys are counted but otherwise ignored, so reports stay
+// forward-compatible with new instrumentation.
 #pragma once
 
 #include <cstdint>

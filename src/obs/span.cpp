@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/json.h"
 #include "obs/request.h"
 
 namespace commsched::obs {
@@ -13,13 +14,6 @@ namespace {
 /// on one thread always open/close in LIFO order, so a plain counter is
 /// enough even if collectors are swapped mid-run.
 thread_local std::uint32_t t_span_depth = 0;
-
-void AppendEscaped(std::string& out, std::string_view value) {
-  for (const char c : value) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
 
 }  // namespace
 
@@ -73,7 +67,7 @@ void SpanCollector::WriteChromeTrace(std::ostream& out) const {
   for (std::size_t k = 0; k < records.size(); ++k) {
     const SpanRecord& r = records[k];
     std::string line = "{\"name\":\"";
-    AppendEscaped(line, r.name);
+    AppendJsonEscaped(line, r.name);
     line += "\",\"cat\":\"commsched\",\"ph\":\"X\",\"ts\":";
     line += std::to_string(r.start_us);
     line += ",\"dur\":";
@@ -84,12 +78,12 @@ void SpanCollector::WriteChromeTrace(std::ostream& out) const {
     line += std::to_string(r.depth);
     if (!r.req.empty()) {
       line += ",\"req\":\"";
-      AppendEscaped(line, r.req);
+      AppendJsonEscaped(line, r.req);
       line += "\"";
     }
     if (!r.arg_key.empty()) {
       line += ",\"";
-      AppendEscaped(line, r.arg_key);
+      AppendJsonEscaped(line, r.arg_key);
       line += "\":";
       line += std::to_string(r.arg);
     }

@@ -2,45 +2,15 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <system_error>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "obs/request.h"
 
 namespace commsched::obs {
 
 namespace {
-
-void AppendEscaped(std::string& out, std::string_view value) {
-  for (const char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 /// Shortest round-trip rendering; JSON has no NaN/Inf, those become null.
 void AppendDouble(std::string& out, double value) {
@@ -61,14 +31,14 @@ void AppendDouble(std::string& out, double value) {
 
 TraceEvent::TraceEvent(std::string_view type) {
   body_ += "\"type\":\"";
-  AppendEscaped(body_, type);
+  AppendJsonEscaped(body_, type);
   body_ += "\"";
   // Request attribution: while a daemon worker has a RequestContext
   // installed, every event it emits names the request. Non-daemon paths
   // (CLI, tests) have no context, so their traces are byte-unchanged.
   if (const RequestContext* context = RequestContext::Current()) {
     body_ += ",\"req\":\"";
-    AppendEscaped(body_, context->id());
+    AppendJsonEscaped(body_, context->id());
     body_ += "\"";
   }
 }
@@ -109,7 +79,7 @@ TraceEvent& TraceEvent::F(std::string_view key, std::string_view value) {
   body_ += ",\"";
   body_.append(key);
   body_ += "\":\"";
-  AppendEscaped(body_, value);
+  AppendJsonEscaped(body_, value);
   body_ += "\"";
   return *this;
 }

@@ -85,7 +85,7 @@ SearchResult SimulatedAnnealing(const DistanceTable& table,
     const double floor = initial * options.final_temperature_ratio;
 
     if (options.record_trace) {
-      run.trace.push_back({0, eval.Fg(), /*is_restart=*/true});
+      run.result.trace.push_back({0, eval.Fg(), /*is_restart=*/true});
     }
     if (obs::Tracer* tracer = obs::ActiveTracer()) {
       tracer->Emit(obs::TraceEvent("search.restart")
@@ -112,7 +112,7 @@ SearchResult SimulatedAnnealing(const DistanceTable& table,
             }
           }
           if (options.record_trace) {
-            run.trace.push_back({it + 1, eval.Fg(), false});
+            run.result.trace.push_back({it + 1, eval.Fg(), false});
           }
         });
     run.result.iterations = stats.accepts;

@@ -42,7 +42,7 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
   double best_value = current_value;
 
   if (options_.record_trace) {
-    run.trace.push_back({0, objective.TraceFg(), /*is_restart=*/true});
+    run.result.trace.push_back({0, objective.TraceFg(), /*is_restart=*/true});
   }
   if (obs::Tracer* tracer = obs::ActiveTracer()) {
     tracer->Emit(obs::TraceEvent("search.restart")
@@ -176,7 +176,7 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
       tabu.push_back({move.first, move.second, iteration + options_.tenure});
     }
     if (options_.record_trace) {
-      run.trace.push_back({iteration, objective.TraceFg(), false});
+      run.result.trace.push_back({iteration, objective.TraceFg(), false});
     }
     if (obs::Tracer* tracer = obs::ActiveTracer()) {
       tracer->Emit(obs::TraceEvent("search.move")
@@ -249,23 +249,26 @@ std::size_t BestSeed(const std::vector<SeedRun>& runs, const SeedKey& key) {
 }
 
 SearchResult RunMultiStart(const DistanceTable& table, const MultiStartSpec& spec) {
-  const std::vector<SeedRun> runs = RunSeeds(spec.options, spec.run_seed);
-  SearchResult combined = runs[BestSeed(runs, spec.combine_key)].result;
-  combined.iterations = 0;
-  combined.evaluations = 0;
-  combined.trace.clear();
+  std::vector<SeedRun> runs = RunSeeds(spec.options, spec.run_seed);
+  std::size_t iterations = 0;
+  std::size_t evaluations = 0;
+  std::vector<TracePoint> trace;
   std::size_t iteration_base = 0;
   for (const SeedRun& run : runs) {
-    combined.iterations += run.result.iterations;
-    combined.evaluations += run.result.evaluations;
+    iterations += run.result.iterations;
+    evaluations += run.result.evaluations;
     if (spec.options.record_trace) {
-      for (TracePoint point : run.trace) {
+      for (TracePoint point : run.result.trace) {
         point.iteration += iteration_base;
-        combined.trace.push_back(point);
+        trace.push_back(point);
       }
       iteration_base += run.trace_span;
     }
   }
+  SearchResult combined = std::move(runs[BestSeed(runs, spec.combine_key)].result);
+  combined.iterations = iterations;
+  combined.evaluations = evaluations;
+  combined.trace = std::move(trace);
   if (spec.finalize_combined) {
     FinalizeResult(table, combined);
   }

@@ -120,10 +120,9 @@ class Objective {
 
 /// One seed's finished walk.
 struct SeedRun {
-  SearchResult result;            // finalized per-seed result
-  std::vector<TracePoint> trace;  // local iteration numbers (base 0)
-  double best_value = 0.0;        // walk-space best, for combining
-  std::size_t trace_span = 0;     // iteration numbers the trace occupies
+  SearchResult result;         // finalized; trace in local iteration numbers
+  double best_value = 0.0;     // walk-space best, for combining
+  std::size_t trace_span = 0;  // iteration numbers the trace occupies
   std::uint64_t tabu_hits = 0;
   std::uint64_t aspirations = 0;
   std::uint64_t escapes = 0;

@@ -1,7 +1,5 @@
 #include "sched/tabu.h"
 
-#include <utility>
-
 #include "common/check.h"
 #include "common/rng.h"
 #include "sched/engine.h"
@@ -12,9 +10,7 @@ SearchResult TabuSearchFrom(const DistanceTable& table, const Partition& start,
                             const TabuOptions& options) {
   const SearchEngine engine("tabu", ToEngineOptions(options));
   TabuObjective objective(table, start, options.anchor, options.migration_penalty);
-  SeedRun run = engine.RunSeed(objective, 0);
-  run.result.trace = std::move(run.trace);
-  return run.result;
+  return engine.RunSeed(objective, 0).result;
 }
 
 SearchResult TabuSearch(const DistanceTable& table, const std::vector<std::size_t>& cluster_sizes,

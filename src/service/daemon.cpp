@@ -13,11 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/strings.h"
 #include "obs/request.h"
 #include "obs/rolling.h"
 #include "obs/trace.h"
-#include "service/json.h"
 
 namespace commsched::svc {
 namespace {

@@ -2,8 +2,8 @@
 
 #include <set>
 
+#include "common/json.h"
 #include "service/cache.h"
-#include "service/json.h"
 #include "topology/generator.h"
 #include "topology/library.h"
 #include "topology/serialize.h"

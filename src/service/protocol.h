@@ -25,9 +25,15 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "topology/graph.h"
 
 namespace commsched::svc {
+
+// The codec lives in common/json.h; these two names stay reachable under
+// svc:: for code written against the service's original spelling.
+using commsched::JsonValue;
+using commsched::ParseJson;
 
 enum class RequestOp {
   kPing,      // liveness probe

@@ -8,12 +8,12 @@
 #include <thread>
 #include <utility>
 
+#include "common/json.h"
 #include "common/strings.h"
 #include "obs/prometheus.h"
 #include "obs/request.h"
 #include "obs/rolling.h"
 #include "quality/quality.h"
-#include "service/json.h"
 #include "service/store.h"
 #include "simnet/sweep.h"
 #include "simnet/traffic.h"
@@ -460,6 +460,10 @@ std::string SchedulingService::RunQuality(const Request& request) {
                       std::to_string(model->graph.switch_count()));
   }
   const qual::Partition partition(request.partition);  // validates contiguity
+  if (partition.cluster_count() < 2 || partition.IntraPairCount() == 0) {
+    throw ConfigError("partition " + partition.ToString() +
+                      " needs at least two clusters, one of them with two switches");
+  }
   double fg = 0.0;
   double dg = 0.0;
   {

@@ -9,9 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/parallel.h"
 #include "distance/distance_table.h"
 #include "jsonl_test_util.h"
+#include "obs/request.h"
 #include "obs/span.h"
 #include "routing/updown.h"
 #include "sched/tabu.h"
@@ -190,6 +192,31 @@ TEST(ChromeTraceTest, EmptyCollectorWritesAnEmptyArray) {
   collector.WriteChromeTrace(out);
   const auto events = ParseChromeTrace(out.str());
   EXPECT_TRUE(events.empty());
+}
+
+// A served request id is client text: a newline, a control byte or a quote
+// in it must come out escaped, one event per line.
+TEST(ChromeTraceTest, ControlCharactersInRequestIdStayValidJson) {
+  const std::string id = "a\nb\x01\"";
+  SpanCollector collector;
+  {
+    const ScopedSpanCollector scope(collector);
+    obs::RequestContext context(id);
+    const obs::ScopedRequestContext request_scope(context);
+    const Span span("served");
+  }
+  const std::string json = collector.ToChromeTraceJson();
+  EXPECT_EQ(std::count(json.begin(), json.end(), '\n'),
+            static_cast<std::ptrdiff_t>(collector.size() + 2))
+      << json;
+  EXPECT_EQ(json.find('\x01'), std::string::npos) << json;
+  // ParseJson takes raw control bytes inside strings, hence the checks above.
+  const JsonValue root = ParseJson(json);
+  ASSERT_EQ(root.AsArray("trace").size(), 1u);
+  const JsonValue* args = root.AsArray("trace")[0].Find("args");
+  ASSERT_NE(args, nullptr);
+  ASSERT_NE(args->Find("req"), nullptr);
+  EXPECT_EQ(args->Find("req")->AsString("req"), id);
 }
 
 /// The span *sequence* (names + args in start order) of a seeded sequential

@@ -142,7 +142,9 @@ TEST(DistanceTable, CompleteGraphAllOnes) {
   const DistanceTable table = DistanceTable::Build(routing);
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 5; ++j) {
-      if (i != j) EXPECT_NEAR(table(i, j), 1.0, 1e-9);
+      if (i != j) {
+        EXPECT_NEAR(table(i, j), 1.0, 1e-9);
+      }
     }
   }
 }

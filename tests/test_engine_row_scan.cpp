@@ -132,7 +132,7 @@ std::string Fingerprint(const SeedRun& run, const std::vector<Move>& applied) {
                     "\nmoves:";
   for (const auto& [a, b] : applied) out += " " + std::to_string(a) + "-" + std::to_string(b);
   out += "\ntrace:";
-  for (const TracePoint& point : run.trace) {
+  for (const TracePoint& point : run.result.trace) {
     out += " " + std::to_string(point.iteration) + "/" + Hex(point.fg) +
            (point.is_restart ? "r" : "");
   }

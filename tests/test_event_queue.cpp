@@ -294,7 +294,9 @@ TEST_P(Conservation, HoldsUnderFaults) {
   const SimMetrics metrics = RunAt(simulator, 0.3, skips);
   ExpectConserved(simulator);
   EXPECT_EQ(metrics.fault_events_applied, 2u);
-  if (GetParam() == Stepping::kEveryCycle) EXPECT_EQ(skips, 0u);
+  if (GetParam() == Stepping::kEveryCycle) {
+    EXPECT_EQ(skips, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, Conservation,

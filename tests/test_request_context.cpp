@@ -12,11 +12,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "obs/request.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "service/daemon.h"
-#include "service/json.h"
 #include "service/service.h"
 
 namespace commsched {
@@ -161,16 +161,16 @@ TEST(RequestContextDaemon, TimingsStagesSumToTotal) {
     done.wait(lock, [&] { return !response.empty(); });
   }
 
-  const svc::JsonValue root = svc::ParseJson(response);
+  const JsonValue root = ParseJson(response);
   ASSERT_TRUE(root.Find("ok")->AsBool("ok"));
   EXPECT_EQ(root.Find("req")->AsString("req"), "t-9");
-  const svc::JsonValue* timings = root.Find("timings");
+  const JsonValue* timings = root.Find("timings");
   ASSERT_NE(timings, nullptr);
   const std::uint64_t total = timings->Find("total_ns")->AsUint("total_ns");
   std::uint64_t sum = 0;
   for (const char* stage :
        {"queue_ns", "parse_ns", "model_ns", "search_ns", "serialize_ns", "other_ns"}) {
-    const svc::JsonValue* value = timings->Find(stage);
+    const JsonValue* value = timings->Find(stage);
     ASSERT_NE(value, nullptr) << stage;
     sum += value->AsUint(stage);
   }

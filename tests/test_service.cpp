@@ -26,12 +26,10 @@
 namespace commsched {
 namespace {
 
-using svc::JsonValue;
-
 // ---------------------------------------------------------------- JSON --
 
 TEST(ServiceJson, ParsesNestedDocument) {
-  const JsonValue root = svc::ParseJson(
+  const JsonValue root = ParseJson(
       R"({"s":"a\"b\nA","n":-2.5,"t":true,"f":false,"z":null,)"
       R"("arr":[1,2,3],"obj":{"k":7}})");
   ASSERT_TRUE(root.is_object());
@@ -46,12 +44,12 @@ TEST(ServiceJson, ParsesNestedDocument) {
 }
 
 TEST(ServiceJson, RejectsMalformedInput) {
-  EXPECT_THROW(svc::ParseJson("{"), ConfigError);
-  EXPECT_THROW(svc::ParseJson("{} trailing"), ConfigError);
-  EXPECT_THROW(svc::ParseJson("{\"a\":truu}"), ConfigError);
-  EXPECT_THROW(svc::ParseJson(""), ConfigError);
+  EXPECT_THROW(ParseJson("{"), ConfigError);
+  EXPECT_THROW(ParseJson("{} trailing"), ConfigError);
+  EXPECT_THROW(ParseJson("{\"a\":truu}"), ConfigError);
+  EXPECT_THROW(ParseJson(""), ConfigError);
   try {
-    svc::ParseJson("[1,2,");
+    (void)ParseJson("[1,2,");
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("at byte"), std::string::npos) << e.what();
@@ -62,38 +60,38 @@ TEST(ServiceJson, RejectsNestingBeyondDepthLimit) {
   const auto nested = [](std::size_t depth) {
     return std::string(depth, '[') + std::string(depth, ']');
   };
-  EXPECT_TRUE(svc::ParseJson(nested(svc::kMaxJsonDepth)).is_array());
-  EXPECT_TRUE(svc::ParseJson(R"({"a":[{"b":[]}],"c":{}})").is_object());
+  EXPECT_TRUE(ParseJson(nested(kMaxJsonDepth)).is_array());
+  EXPECT_TRUE(ParseJson(R"({"a":[{"b":[]}],"c":{}})").is_object());
   try {
-    (void)svc::ParseJson(nested(svc::kMaxJsonDepth + 1));
+    (void)ParseJson(nested(kMaxJsonDepth + 1));
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("nesting deeper than"), std::string::npos) << e.what();
   }
   std::string objects;
-  for (std::size_t k = 0; k <= svc::kMaxJsonDepth; ++k) objects += "{\"k\":";
-  EXPECT_THROW((void)svc::ParseJson(objects + "1"), ConfigError);
+  for (std::size_t k = 0; k <= kMaxJsonDepth; ++k) objects += "{\"k\":";
+  EXPECT_THROW((void)ParseJson(objects + "1"), ConfigError);
   // The hostile-input reproduction: 100k unclosed brackets used to recurse
   // off the end of the stack.
-  EXPECT_THROW((void)svc::ParseJson(std::string(100000, '[')), ConfigError);
+  EXPECT_THROW((void)ParseJson(std::string(100000, '[')), ConfigError);
 }
 
 TEST(ServiceJson, UintRejectsNegativeAndFractional) {
-  EXPECT_THROW(svc::ParseJson("-3").AsUint("x"), ConfigError);
-  EXPECT_THROW(svc::ParseJson("2.5").AsUint("x"), ConfigError);
-  EXPECT_THROW(svc::ParseJson("\"7\"").AsUint("x"), ConfigError);
-  EXPECT_EQ(svc::ParseJson("12").AsUint("x"), 12u);
+  EXPECT_THROW((void)ParseJson("-3").AsUint("x"), ConfigError);
+  EXPECT_THROW((void)ParseJson("2.5").AsUint("x"), ConfigError);
+  EXPECT_THROW((void)ParseJson("\"7\"").AsUint("x"), ConfigError);
+  EXPECT_EQ(ParseJson("12").AsUint("x"), 12u);
 }
 
 TEST(ServiceJson, WriterPreservesOrderAndEscapes) {
-  svc::JsonObjectWriter writer;
+  JsonObjectWriter writer;
   writer.Field("id", "a\"b");
   writer.Field("ok", true);
   writer.Field("count", static_cast<std::uint64_t>(3));
   writer.Raw("nested", "{\"x\":1}");
   EXPECT_EQ(writer.Finish(), R"({"id":"a\"b","ok":true,"count":3,"nested":{"x":1}})");
   // A writer round-trips through the parser.
-  const JsonValue parsed = svc::ParseJson(writer.Finish());
+  const JsonValue parsed = ParseJson(writer.Finish());
   EXPECT_EQ(parsed.Find("id")->AsString("id"), "a\"b");
 }
 
@@ -339,7 +337,7 @@ TEST(ServiceExecute, PingAndUnknownAlgo) {
   // Execute never throws: failures render as ok:false responses.
   const std::string error =
       service.Execute(svc::ParseRequest(R"({"id":"e","op":"schedule","algo":"bogus"})"));
-  const JsonValue parsed = svc::ParseJson(error);
+  const JsonValue parsed = ParseJson(error);
   EXPECT_FALSE(parsed.Find("ok")->AsBool("ok"));
   EXPECT_EQ(parsed.Find("id")->AsString("id"), "e");
   EXPECT_NE(parsed.Find("error")->AsString("error").find("bogus"), std::string::npos);
@@ -349,12 +347,12 @@ TEST(ServiceExecute, ScheduleCachesModelsAndResults) {
   svc::SchedulingService service;
   const svc::Request request =
       svc::ParseRequest(R"({"id":"s","op":"schedule","topology":{"kind":"mixed"}})");
-  const JsonValue first = svc::ParseJson(service.Execute(request));
+  const JsonValue first = ParseJson(service.Execute(request));
   EXPECT_TRUE(first.Find("ok")->AsBool("ok"));
   EXPECT_EQ(first.Find("model_cache")->AsString("model_cache"), "miss");
   EXPECT_EQ(first.Find("result_cache")->AsString("result_cache"), "miss");
 
-  const JsonValue repeat = svc::ParseJson(service.Execute(request));
+  const JsonValue repeat = ParseJson(service.Execute(request));
   EXPECT_EQ(repeat.Find("model_cache")->AsString("model_cache"), "hit");
   EXPECT_EQ(repeat.Find("result_cache")->AsString("result_cache"), "hit");
   EXPECT_EQ(repeat.Find("text")->AsString("text"), first.Find("text")->AsString("text"));
@@ -368,14 +366,14 @@ TEST(ServiceExecute, ScheduleCachesModelsAndResults) {
   EXPECT_EQ(first.Find("text")->AsString("text"), sched::FormatSearchResult(direct));
 
   // Same network described as inline text: canonical key, so a cache hit.
-  svc::JsonObjectWriter topology;
+  JsonObjectWriter topology;
   topology.Field("kind", "text");
   topology.Field("text", topo::ToText(graph));
-  svc::JsonObjectWriter as_text;
+  JsonObjectWriter as_text;
   as_text.Field("id", "s2");
   as_text.Field("op", "schedule");
   as_text.Raw("topology", topology.Finish());
-  const JsonValue aliased = svc::ParseJson(service.Execute(svc::ParseRequest(as_text.Finish())));
+  const JsonValue aliased = ParseJson(service.Execute(svc::ParseRequest(as_text.Finish())));
   EXPECT_EQ(aliased.Find("model_cache")->AsString("model_cache"), "hit");
   EXPECT_EQ(aliased.Find("result_cache")->AsString("result_cache"), "hit");
 }
@@ -385,7 +383,7 @@ TEST(ServiceExecute, QualityEvaluatesPartition) {
   const std::string response = service.Execute(svc::ParseRequest(
       R"({"id":"q","op":"quality","topology":{"kind":"mixed"},)"
       R"("partition":[0,0,0,0,1,1,1,1,2,2,2,2,3,3,3,3]})"));
-  const JsonValue parsed = svc::ParseJson(response);
+  const JsonValue parsed = ParseJson(response);
   ASSERT_TRUE(parsed.Find("ok")->AsBool("ok")) << response;
 
   const topo::SwitchGraph graph = topo::MakeMixedDensity16();
@@ -395,19 +393,18 @@ TEST(ServiceExecute, QualityEvaluatesPartition) {
       std::vector<std::size_t>{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3});
   const double fg = qual::GlobalSimilarity(table, partition);
   const double dg = qual::GlobalDissimilarity(table, partition);
-  EXPECT_EQ(svc::FormatJsonNumber(fg), svc::FormatJsonNumber(
-                                           parsed.Find("fg")->AsDouble("fg")));
-  EXPECT_EQ(svc::FormatJsonNumber(dg / fg),
-            svc::FormatJsonNumber(parsed.Find("cc")->AsDouble("cc")));
+  EXPECT_EQ(FormatJsonNumber(fg), FormatJsonNumber(parsed.Find("fg")->AsDouble("fg")));
+  EXPECT_EQ(FormatJsonNumber(dg / fg), FormatJsonNumber(parsed.Find("cc")->AsDouble("cc")));
 
   // Wrong-length partitions are rejected per-request, not fatally.
-  const JsonValue error = svc::ParseJson(service.Execute(svc::ParseRequest(
+  const JsonValue error = ParseJson(service.Execute(svc::ParseRequest(
       R"({"op":"quality","topology":{"kind":"mixed"},"partition":[0,1]})")));
   EXPECT_FALSE(error.Find("ok")->AsBool("ok"));
 }
 
-// Degenerate application counts answer ok:false with a typed message —
-// never a leaked contract violation or a division by zero.
+// Degenerate application counts, and quality partitions with one cluster
+// or no two-switch cluster, answer ok:false with a typed message — never a
+// leaked contract violation or a division by zero.
 TEST(ServiceExecute, DegenerateApplicationCountsAreConfigErrors) {
   svc::SchedulingService service;
   const std::pair<std::string, std::string> cases[] = {
@@ -425,10 +422,16 @@ TEST(ServiceExecute, DegenerateApplicationCountsAreConfigErrors) {
       {R"({"id":"z","op":"simulate","topology":{"kind":"random","switches":12},"apps":12,)"
        R"("mapping":"blocked"})",
        "each application needs at least two switches"},
+      {R"({"id":"z","op":"quality","topology":{"kind":"mixed"},)"
+       R"("partition":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]})",
+       "partition (0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15) needs at least two clusters"},
+      {R"({"id":"z","op":"quality","topology":{"kind":"mixed"},)"
+       R"("partition":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]})",
+       "one of them with two switches"},
   };
   for (const auto& [line, message] : cases) {
     const std::string response = service.Execute(svc::ParseRequest(line));
-    const JsonValue parsed = svc::ParseJson(response);
+    const JsonValue parsed = ParseJson(response);
     EXPECT_FALSE(parsed.Find("ok")->AsBool("ok")) << line;
     const std::string error = parsed.Find("error")->AsString("error");
     EXPECT_NE(error.find(message), std::string::npos) << line << ": " << error;
@@ -452,7 +455,7 @@ TEST(ServiceExecute, BadSweepKnobsAreConfigErrors) {
   };
   for (const auto& [knobs, message] : cases) {
     const std::string response = service.Execute(svc::ParseRequest(prefix + knobs));
-    const JsonValue parsed = svc::ParseJson(response);
+    const JsonValue parsed = ParseJson(response);
     EXPECT_FALSE(parsed.Find("ok")->AsBool("ok")) << knobs;
     const std::string error = parsed.Find("error")->AsString("error");
     EXPECT_NE(error.find(message), std::string::npos) << knobs << ": " << error;
@@ -465,7 +468,7 @@ TEST(ServiceExecute, SimulateRendersSweepPoints) {
   const std::string response = service.Execute(svc::ParseRequest(
       R"({"id":"m","op":"simulate","topology":{"kind":"random","switches":12},)"
       R"("mapping":"blocked","points":2,"max_rate":0.4,"warmup":500,"measure":1500})"));
-  const JsonValue parsed = svc::ParseJson(response);
+  const JsonValue parsed = ParseJson(response);
   ASSERT_TRUE(parsed.Find("ok")->AsBool("ok")) << response;
   EXPECT_EQ(parsed.Find("points")->AsArray("points").size(), 2u);
   const std::string text = parsed.Find("text")->AsString("text");
@@ -473,7 +476,7 @@ TEST(ServiceExecute, SimulateRendersSweepPoints) {
   EXPECT_NE(text.find("throughput: "), std::string::npos);
   EXPECT_NE(text.find("| offered |"), std::string::npos);
   // Deterministic: the same request renders byte-identically.
-  const JsonValue again = svc::ParseJson(service.Execute(svc::ParseRequest(
+  const JsonValue again = ParseJson(service.Execute(svc::ParseRequest(
       R"({"id":"m","op":"simulate","topology":{"kind":"random","switches":12},)"
       R"("mapping":"blocked","points":2,"max_rate":0.4,"warmup":500,"measure":1500})")));
   EXPECT_EQ(again.Find("text")->AsString("text"), text);
@@ -485,7 +488,7 @@ TEST(ServiceExecute, StatsReportsCacheCounters) {
   (void)service.Execute(svc::ParseRequest(R"({"op":"schedule","topology":{"kind":"mixed"}})"));
   (void)service.Execute(svc::ParseRequest(R"({"op":"schedule","topology":{"kind":"mixed"}})"));
   const JsonValue stats =
-      svc::ParseJson(service.Execute(svc::ParseRequest(R"({"id":"st","op":"stats"})")));
+      ParseJson(service.Execute(svc::ParseRequest(R"({"id":"st","op":"stats"})")));
   ASSERT_TRUE(stats.Find("ok")->AsBool("ok"));
   EXPECT_EQ(stats.Find("executed")->AsUint("executed"), 3u);
   const JsonValue* topo_cache = stats.Find("topology_cache");
@@ -550,7 +553,7 @@ TEST(ServiceBatch, SubResponsesAreByteIdenticalToStandaloneExecution) {
   const std::string frame = std::string(R"({"id":"f","op":"batch","requests":[)") +
                             kSub[0] + "," + kSub[1] + "," + kSub[2] + "]}";
   const std::string text = service.Execute(svc::ParseRequest(frame));
-  const JsonValue response = svc::ParseJson(text);
+  const JsonValue response = ParseJson(text);
   ASSERT_TRUE(response.Find("ok")->AsBool("ok"));
   EXPECT_EQ(response.Find("op")->AsString("op"), "batch");
   EXPECT_EQ(response.Find("count")->AsUint("count"), 3u);
@@ -573,7 +576,7 @@ TEST(ServiceBatch, MalformedEntryIsolatedWithBatchIdAndIndex) {
       R"({"id":"ok1","op":"ping"},)"
       R"({"id":"broken","op":"ping","bogus_key":1},)"
       R"({"id":"ok2","op":"ping"}]})";
-  const JsonValue response = svc::ParseJson(service.Execute(svc::ParseRequest(frame)));
+  const JsonValue response = ParseJson(service.Execute(svc::ParseRequest(frame)));
   ASSERT_TRUE(response.Find("ok")->AsBool("ok"));  // the frame succeeds
   EXPECT_EQ(response.Find("failed")->AsUint("failed"), 1u);
   const auto& responses = response.Find("responses")->AsArray("responses");
@@ -625,7 +628,7 @@ TEST(ServiceDaemon, DeliversEveryResponseExactlyOnce) {
   EXPECT_EQ(daemon.served(), 16u);
   std::set<std::string> ids;
   for (const std::string& response : responses) {
-    ids.insert(svc::ParseJson(response).Find("id")->AsString("id"));
+    ids.insert(ParseJson(response).Find("id")->AsString("id"));
   }
   EXPECT_EQ(ids.size(), 16u);  // every request answered exactly once
 }
@@ -657,7 +660,7 @@ TEST(ServiceDaemon, ExpiredDeadlineAnsweredWithError) {
   std::mutex mutex;
   std::map<std::string, std::string> responses;
   auto sink = [&mutex, &responses](const std::string& response) {
-    const svc::JsonValue parsed = svc::ParseJson(response);
+    const JsonValue parsed = ParseJson(response);
     std::lock_guard<std::mutex> lock(mutex);
     responses[parsed.Find("id")->AsString("id")] = response;
   };
@@ -669,9 +672,9 @@ TEST(ServiceDaemon, ExpiredDeadlineAnsweredWithError) {
   daemon.Submit(R"({"id":"ok","op":"ping"})", sink);
   daemon.Drain();
   ASSERT_EQ(responses.size(), 3u);
-  EXPECT_TRUE(svc::ParseJson(responses["slow"]).Find("ok")->AsBool("ok"));
-  EXPECT_TRUE(svc::ParseJson(responses["ok"]).Find("ok")->AsBool("ok"));
-  const svc::JsonValue late = svc::ParseJson(responses["late"]);
+  EXPECT_TRUE(ParseJson(responses["slow"]).Find("ok")->AsBool("ok"));
+  EXPECT_TRUE(ParseJson(responses["ok"]).Find("ok")->AsBool("ok"));
+  const JsonValue late = ParseJson(responses["late"]);
   EXPECT_FALSE(late.Find("ok")->AsBool("ok"));
   EXPECT_NE(late.Find("error")->AsString("error").find("deadline"), std::string::npos);
 }
@@ -684,7 +687,7 @@ TEST(ServiceDaemon, RejectsSubmissionsWhileDraining) {
   std::string response;
   daemon.Submit(R"({"id":"r","op":"ping"})",
                 [&response](const std::string& r) { response = r; });
-  const svc::JsonValue parsed = svc::ParseJson(response);
+  const JsonValue parsed = ParseJson(response);
   EXPECT_FALSE(parsed.Find("ok")->AsBool("ok"));
   EXPECT_NE(parsed.Find("error")->AsString("error").find("drain"), std::string::npos);
 }
@@ -708,8 +711,8 @@ TEST(ServiceDaemon, StdioServerAnswersEveryLine) {
   std::size_t count = 0;
   while (std::getline(lines, line)) {
     ++count;
-    const svc::JsonValue parsed = svc::ParseJson(line);  // every line valid JSON
-    const svc::JsonValue* id = parsed.Find("id");
+    const JsonValue parsed = ParseJson(line);  // every line valid JSON
+    const JsonValue* id = parsed.Find("id");
     if (id != nullptr) ids.insert(id->AsString("id"));
   }
   EXPECT_EQ(count, 4u);  // 3 ids + 1 id-less parse error
@@ -740,9 +743,9 @@ TEST(ServiceDaemon, StdioServerAnswersHostileLinesAndKeepsServing) {
   std::vector<std::string> errors;
   std::map<std::string, bool> ok_by_id;
   while (std::getline(lines, line)) {
-    const svc::JsonValue parsed = svc::ParseJson(line);
+    const JsonValue parsed = ParseJson(line);
     const bool ok = parsed.Find("ok")->AsBool("ok");
-    if (const svc::JsonValue* id = parsed.Find("id")) {
+    if (const JsonValue* id = parsed.Find("id")) {
       ok_by_id[id->AsString("id")] = ok;
       if (!ok) errors.push_back(parsed.Find("error")->AsString("error"));
     } else {
@@ -829,8 +832,8 @@ TEST(ServiceDaemon, TcpServerServesAndDrainsOnSignal) {
   ASSERT_EQ(::write(fd, request.data(), request.size()),
             static_cast<ssize_t>(request.size()));
   std::set<std::string> ids;
-  ids.insert(svc::ParseJson(ReadLineFromFd(fd)).Find("id")->AsString("id"));
-  ids.insert(svc::ParseJson(ReadLineFromFd(fd)).Find("id")->AsString("id"));
+  ids.insert(ParseJson(ReadLineFromFd(fd)).Find("id")->AsString("id"));
+  ids.insert(ParseJson(ReadLineFromFd(fd)).Find("id")->AsString("id"));
   EXPECT_EQ(ids, (std::set<std::string>{"t1", "t2"}));
 
   // A line past the byte limit is answered with an error and the same
@@ -848,8 +851,8 @@ TEST(ServiceDaemon, TcpServerServesAndDrainsOnSignal) {
   std::map<std::string, std::string> replies;  // id (or "") -> line
   for (int k = 0; k < 2; ++k) {
     const std::string line = ReadLineFromFd(fd);
-    const svc::JsonValue reply = svc::ParseJson(line);
-    const svc::JsonValue* id = reply.Find("id");
+    const JsonValue reply = ParseJson(line);
+    const JsonValue* id = reply.Find("id");
     replies[id == nullptr ? "" : id->AsString("id")] = line;
   }
   writer.join();

@@ -126,13 +126,13 @@ class ServeProcess {
   int stdout_fd_ = -1;
 };
 
-std::map<std::string, svc::JsonValue> ReadResponses(ServeProcess& serve, std::size_t count) {
-  std::map<std::string, svc::JsonValue> by_id;
+std::map<std::string, JsonValue> ReadResponses(ServeProcess& serve, std::size_t count) {
+  std::map<std::string, JsonValue> by_id;
   for (std::size_t i = 0; i < count; ++i) {
     const std::string line = serve.ReadLine();
     if (line.empty()) break;  // EOF: the caller's count assertion will fire
-    svc::JsonValue parsed = svc::ParseJson(line);
-    const svc::JsonValue* id = parsed.Find("id");
+    JsonValue parsed = ParseJson(line);
+    const JsonValue* id = parsed.Find("id");
     if (id == nullptr) {
       ADD_FAILURE() << "response without id: " << line;
       continue;
@@ -258,12 +258,12 @@ TEST(ServiceE2E, ConcurrentMixedBurstAnswersAllAndHitsCache) {
     EXPECT_TRUE(responses.at(id).Find("ok")->AsBool("ok")) << id;
   }
   // 64 requests over 2 distinct topologies: the model cache must be hitting.
-  const svc::JsonValue& stats = responses.at("stats");
-  const svc::JsonValue* model_cache = stats.Find("topology_cache");
+  const JsonValue& stats = responses.at("stats");
+  const JsonValue* model_cache = stats.Find("topology_cache");
   ASSERT_NE(model_cache, nullptr);
   EXPECT_EQ(model_cache->Find("misses")->AsUint("misses"), 2u);
   EXPECT_GT(model_cache->Find("hits")->AsUint("hits"), 0u);
-  const svc::JsonValue* result_cache = stats.Find("result_cache");
+  const JsonValue* result_cache = stats.Find("result_cache");
   ASSERT_NE(result_cache, nullptr);
   EXPECT_GT(result_cache->Find("hits")->AsUint("hits"), 0u);
 }
@@ -308,7 +308,7 @@ TEST(ServiceE2E, MalformedAndExpiredRequestsGetErrorResponses) {
   std::size_t oks = 0;
   for (const std::string& line : lines) {
     ASSERT_FALSE(line.empty());
-    const svc::JsonValue parsed = svc::ParseJson(line);
+    const JsonValue parsed = ParseJson(line);
     if (parsed.Find("ok")->AsBool("ok")) {
       ++oks;
     } else {
@@ -331,7 +331,7 @@ TEST(ServiceE2E, HttpMetricsScrapeAndTopDashboard) {
   // Drive some traffic over the JSONL side of the same listener.
   const std::string sched = TcpJsonLine(
       port, R"({"id":"s1","op":"schedule","topology":{"kind":"mixed"},"apps":4,"timings":true})");
-  const svc::JsonValue parsed = svc::ParseJson(sched);
+  const JsonValue parsed = ParseJson(sched);
   ASSERT_TRUE(parsed.Find("ok")->AsBool("ok")) << sched;
   EXPECT_EQ(parsed.Find("req")->AsString("req"), "s1");
   ASSERT_NE(parsed.Find("timings"), nullptr) << sched;
@@ -424,7 +424,7 @@ TEST(ServiceE2E, BatchSurvivesSigtermMidExecution) {
 
   const std::string line = serve.ReadLine();
   ASSERT_FALSE(line.empty()) << "batch response lost on drain";
-  const svc::JsonValue parsed = svc::ParseJson(line);
+  const JsonValue parsed = ParseJson(line);
   EXPECT_TRUE(parsed.Find("ok")->AsBool("ok")) << line;
   EXPECT_EQ(parsed.Find("id")->AsString("id"), "bf");
   EXPECT_EQ(parsed.Find("count")->AsUint("count"), 6u);
@@ -444,7 +444,7 @@ TEST(ServiceE2E, BatchErrorEntriesCarryFrameIdAndIndex) {
   const std::string line = serve.ReadLine();
   ASSERT_FALSE(line.empty());
   EXPECT_EQ(serve.Wait(), 0);
-  const svc::JsonValue parsed = svc::ParseJson(line);
+  const JsonValue parsed = ParseJson(line);
   ASSERT_TRUE(parsed.Find("ok")->AsBool("ok")) << line;
   EXPECT_EQ(parsed.Find("failed")->AsUint("failed"), 1u);
   const auto& responses = parsed.Find("responses")->AsArray("responses");

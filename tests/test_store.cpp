@@ -246,8 +246,8 @@ TEST(Store, WarmBootServesModelWithoutResolving) {
   // The restored model computes the byte-identical result; only the cache
   // marker differs (the warm run reports "hit" where the cold saw "miss").
   const std::string warm_response = warm.Execute(svc::ParseRequest(ScheduleLine("cold")));
-  const svc::JsonValue warm_parsed = svc::ParseJson(warm_response);
-  const svc::JsonValue cold_parsed = svc::ParseJson(cold_response);
+  const JsonValue warm_parsed = ParseJson(warm_response);
+  const JsonValue cold_parsed = ParseJson(cold_response);
   EXPECT_EQ(warm_parsed.Find("text")->AsString("text"),
             cold_parsed.Find("text")->AsString("text"));
   EXPECT_EQ(warm_parsed.Find("model_cache")->AsString("model_cache"), "hit");

@@ -107,7 +107,9 @@ TEST(UpDown, NextHopsLeadToDestination) {
         const NextHop& hop = next.front();
         // Legality: never up after down.
         const bool is_up = routing.IsUpTraversal(hop.link, at);
-        if (went_down) EXPECT_FALSE(is_up);
+        if (went_down) {
+          EXPECT_FALSE(is_up);
+        }
         if (!is_up) went_down = true;
         at = hop.next;
         phase = hop.phase;

@@ -127,7 +127,9 @@ TEST(DuatoPolicy, EscapeFollowsUpDownPhases) {
     ASSERT_EQ(candidates.size(), 1u);
     const VcCandidate& c = candidates.front();
     const bool is_up = escape.IsUpTraversal(c.link, at);
-    if (went_down) EXPECT_FALSE(is_up) << "up traversal after down on escape path";
+    if (went_down) {
+      EXPECT_FALSE(is_up) << "up traversal after down on escape path";
+    }
     if (!is_up) went_down = true;
     at = c.next;
     phase = c.phase;

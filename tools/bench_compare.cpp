@@ -1,6 +1,6 @@
 // bench_compare: gate benchmark results against a checked-in baseline.
 //
-//   bench_compare --baseline bench/baselines/BENCH_engine.json \
+//   bench_compare --baseline bench/baselines/BENCH_engine.json
 //                 --current BENCH_engine.json [--threshold 0.15] [--metric real_time]
 //
 // Both files are google-benchmark JSON (--benchmark_format=json). When a file
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "service/json.h"
+#include "common/json.h"
 
 namespace {
 
@@ -56,19 +56,19 @@ std::string ReadFile(const std::string& path) {
 /// two forms compare against each other).
 std::map<std::string, double> LoadBenchmarks(const std::string& path,
                                              const std::string& metric) {
-  const svc::JsonValue root = svc::ParseJson(ReadFile(path));
-  const svc::JsonValue* benchmarks = root.Find("benchmarks");
+  const JsonValue root = ParseJson(ReadFile(path));
+  const JsonValue* benchmarks = root.Find("benchmarks");
   if (benchmarks == nullptr) {
     throw ConfigError("'" + path + "' has no \"benchmarks\" array (not google-benchmark JSON?)");
   }
   std::map<std::string, double> raw;
   std::map<std::string, double> medians;
-  for (const svc::JsonValue& entry : benchmarks->AsArray("benchmarks")) {
-    const svc::JsonValue* name = entry.Find("name");
-    const svc::JsonValue* value = entry.Find(metric);
+  for (const JsonValue& entry : benchmarks->AsArray("benchmarks")) {
+    const JsonValue* name = entry.Find("name");
+    const JsonValue* value = entry.Find(metric);
     if (name == nullptr || value == nullptr) continue;
     std::string label = name->AsString("benchmark name");
-    const svc::JsonValue* aggregate = entry.Find("aggregate_name");
+    const JsonValue* aggregate = entry.Find("aggregate_name");
     if (aggregate != nullptr) {
       if (aggregate->AsString("aggregate_name") != "median") continue;
       const std::string suffix = "_median";

@@ -459,24 +459,23 @@ std::string TcpJsonRequest(const std::string& target, const std::string& line) {
 }
 
 /// One refresh of the top dashboard: renders a stats response.
-void RenderTopFrame(const std::string& target, const svc::JsonValue& stats, std::ostream& out) {
-  const auto uint_at = [](const svc::JsonValue* value) -> std::uint64_t {
+void RenderTopFrame(const std::string& target, const JsonValue& stats, std::ostream& out) {
+  const auto uint_at = [](const JsonValue* value) -> std::uint64_t {
     return value == nullptr ? 0 : value->AsUint("top field");
   };
-  const auto double_at = [](const svc::JsonValue* value) -> double {
+  const auto double_at = [](const JsonValue* value) -> double {
     return value == nullptr ? 0.0 : value->AsDouble("top field");
   };
   const auto ms = [](double ns) { return ns / 1e6; };
 
-  const svc::JsonValue* queue = stats.Find("queue");
-  const svc::JsonValue* rolling = stats.Find("rolling");
-  const svc::JsonValue* rates = rolling != nullptr ? rolling->Find("rates") : nullptr;
-  const svc::JsonValue* windows = rolling != nullptr ? rolling->Find("windows") : nullptr;
-  const svc::JsonValue* window =
-      windows != nullptr ? windows->Find("svc.latency_ns") : nullptr;
-  const svc::JsonValue* cumulative = stats.Find("histograms") != nullptr
-                                         ? stats.Find("histograms")->Find("svc.latency_ns")
-                                         : nullptr;
+  const JsonValue* queue = stats.Find("queue");
+  const JsonValue* rolling = stats.Find("rolling");
+  const JsonValue* rates = rolling != nullptr ? rolling->Find("rates") : nullptr;
+  const JsonValue* windows = rolling != nullptr ? rolling->Find("windows") : nullptr;
+  const JsonValue* window = windows != nullptr ? windows->Find("svc.latency_ns") : nullptr;
+  const JsonValue* cumulative = stats.Find("histograms") != nullptr
+                                    ? stats.Find("histograms")->Find("svc.latency_ns")
+                                    : nullptr;
 
   out << "commsched top - " << target;
   if (queue != nullptr) {
@@ -506,7 +505,7 @@ void RenderTopFrame(const std::string& target, const svc::JsonValue& stats, std:
   }
   if (window != nullptr || cumulative != nullptr) out << "\n";
 
-  const auto cache_line = [&](const char* label, const svc::JsonValue* cache) {
+  const auto cache_line = [&](const char* label, const JsonValue* cache) {
     if (cache == nullptr) return;
     const std::uint64_t hits = uint_at(cache->Find("hits"));
     const std::uint64_t misses = uint_at(cache->Find("misses"));
@@ -521,7 +520,7 @@ void RenderTopFrame(const std::string& target, const svc::JsonValue& stats, std:
   cache_line("topology", stats.Find("topology_cache"));
   cache_line("result", stats.Find("result_cache"));
 
-  const svc::JsonValue* ops = stats.Find("ops");
+  const JsonValue* ops = stats.Find("ops");
   if (ops != nullptr && ops->is_object() && !ops->AsObject("ops").empty()) {
     std::vector<std::pair<std::string, std::uint64_t>> counts;
     for (const auto& [name, value] : ops->AsObject("ops")) {
@@ -534,10 +533,10 @@ void RenderTopFrame(const std::string& target, const svc::JsonValue& stats, std:
     out << "\n";
   }
 
-  const svc::JsonValue* slow = stats.Find("slow");
+  const JsonValue* slow = stats.Find("slow");
   if (slow != nullptr && slow->is_array() && !slow->AsArray("slow").empty()) {
     out << "  slow requests (latest last):\n";
-    for (const svc::JsonValue& record : slow->AsArray("slow")) {
+    for (const JsonValue& record : slow->AsArray("slow")) {
       out << "   ";
       for (const auto& [key, value] : record.AsObject("slow record")) {
         out << " " << key << "=";
@@ -562,8 +561,8 @@ int CmdTop(const Args& args) {
   svc::InstallDrainSignalHandlers();  // ctrl-C exits the loop cleanly
   while (true) {
     const std::string response = TcpJsonRequest(target, R"({"id":"top","op":"stats"})");
-    const svc::JsonValue stats = svc::ParseJson(response);
-    const svc::JsonValue* ok = stats.Find("ok");
+    const JsonValue stats = ParseJson(response);
+    const JsonValue* ok = stats.Find("ok");
     if (ok == nullptr || !ok->AsBool("ok")) {
       throw ConfigError("stats request failed: " + response);
     }
