@@ -73,6 +73,10 @@ FaultPlan FaultPlan::FromJson(const std::string& text) {
   } catch (const ConfigError& e) {
     Fail(e.what());
   }
+  return FromJson(root);
+}
+
+FaultPlan FaultPlan::FromJson(const JsonValue& root) {
   for (const auto& [key, member] : root.AsObject("fault plan")) {
     if (key != "events") Fail("unknown key \"" + key + "\" (a plan holds only \"events\")");
   }

@@ -23,6 +23,10 @@
 #include "common/check.h"
 #include "topology/graph.h"
 
+namespace commsched {
+class JsonValue;
+}  // namespace commsched
+
 namespace commsched::faults {
 
 /// What happens to the network at a fault event.
@@ -59,6 +63,10 @@ class FaultPlan {
   /// to 2^53. Throws ConfigError ("fault plan: ...") on any malformed input,
   /// unknown keys included.
   static FaultPlan FromJson(const std::string& text);
+
+  /// FromJson on an already parsed document (a protocol request's inline
+  /// "fault_plan" object); same checks, same errors.
+  static FaultPlan FromJson(const JsonValue& root);
 
   /// Serializes back to the JSON document format (round-trips FromJson).
   [[nodiscard]] std::string ToJson() const;

@@ -1,9 +1,6 @@
 #include "quality/comm_graph.h"
 
 #include <algorithm>
-#include <sstream>
-
-#include "common/strings.h"
 
 namespace commsched::qual {
 
@@ -77,58 +74,6 @@ CommGraph CommGraph::CliqueGroups(const std::vector<std::size_t>& group_of_verte
     }
   }
   return FromEdges(n, std::move(edges));
-}
-
-std::string CommGraph::ToText() const {
-  std::ostringstream out;
-  out << "commgraph v1\n";
-  out << "vertices " << vertex_count() << "\n";
-  bool nontrivial_sizes = false;
-  for (std::size_t size : sizes_) {
-    if (size != 1) nontrivial_sizes = true;
-  }
-  if (nontrivial_sizes) {
-    out << "sizes " << Join(sizes_, " ") << "\n";
-  }
-  for (const CommEdge& e : edges_) {
-    out << "edge " << e.u << " " << e.v << " " << e.weight << "\n";
-  }
-  return out.str();
-}
-
-CommGraph CommGraph::FromText(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || Trim(line) != "commgraph v1") {
-    throw ConfigError("comm graph text must start with 'commgraph v1'");
-  }
-  std::size_t vertex_count = 0;
-  bool have_vertices = false;
-  std::vector<std::size_t> sizes;
-  std::vector<CommEdge> edges;
-  while (std::getline(in, line)) {
-    const std::string trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    std::istringstream fields(trimmed);
-    std::string tag;
-    fields >> tag;
-    if (tag == "vertices") {
-      if (!(fields >> vertex_count)) throw ConfigError("malformed 'vertices' line");
-      have_vertices = true;
-    } else if (tag == "sizes") {
-      std::size_t size = 0;
-      while (fields >> size) sizes.push_back(size);
-    } else if (tag == "edge") {
-      CommEdge e;
-      if (!(fields >> e.u >> e.v >> e.weight)) throw ConfigError("malformed 'edge' line");
-      edges.push_back(e);
-    } else {
-      throw ConfigError("unknown comm graph line '" + tag + "'");
-    }
-  }
-  if (!have_vertices) throw ConfigError("comm graph text missing 'vertices' line");
-  if (sizes.empty()) sizes.assign(vertex_count, 1);
-  return FromEdges(vertex_count, std::move(edges), std::move(sizes));
 }
 
 }  // namespace commsched::qual

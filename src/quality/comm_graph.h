@@ -88,11 +88,6 @@ class CommGraph {
   /// Canonical merged edge list: u < v, sorted lexicographically.
   [[nodiscard]] const std::vector<CommEdge>& edges() const { return edges_; }
 
-  /// Text round-trip ("commgraph v1" header; used by tools/gen_workload and
-  /// the CLI's --comm file input).
-  [[nodiscard]] std::string ToText() const;
-  [[nodiscard]] static CommGraph FromText(const std::string& text);
-
  private:
   std::vector<CommEdge> edges_;        // canonical u < v, sorted
   std::vector<std::size_t> offsets_;   // CSR, vertex_count()+1 entries

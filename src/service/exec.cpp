@@ -1,8 +1,10 @@
 #include "service/exec.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/rng.h"
+#include "faults/fault_plan.h"
 #include "common/table.h"
 #include "sched/annealing.h"
 #include "sched/local_search.h"
@@ -144,15 +146,8 @@ sched::SearchResult RunMappingSearch(const dist::DistanceTable& table,
 }
 
 qual::Partition ChooseMappingPartition(const std::string& mapping,
-                                       const dist::DistanceTable* table,
                                        const std::vector<std::size_t>& cluster_sizes,
-                                       std::uint64_t mapping_seed, bool parallel_seeds) {
-  if (mapping == "op") {
-    CS_CHECK(table != nullptr, "op mapping needs a distance table");
-    SearchKnobs knobs;
-    knobs.parallel_seeds = parallel_seeds;
-    return RunMappingSearch(*table, cluster_sizes, knobs).best;
-  }
+                                       std::uint64_t mapping_seed) {
   if (mapping == "random") {
     Rng rng(mapping_seed);
     return qual::Partition::Random(cluster_sizes, rng);
@@ -160,11 +155,11 @@ qual::Partition ChooseMappingPartition(const std::string& mapping,
   if (mapping == "blocked") {
     return qual::Partition::Blocked(cluster_sizes);
   }
-  throw ConfigError("unknown --mapping '" + mapping + "' (op|random|blocked)");
+  throw ConfigError("unknown mapping '" + mapping + "' (op|random|blocked)");
 }
 
-std::string FormatSimulateText(const qual::Partition& partition,
-                               const sim::SweepResult& result) {
+std::string FormatSimulateText(const qual::Partition& partition, const sim::SweepResult& result,
+                               const faults::FaultPlan* plan) {
   std::ostringstream out;
   out << "mapping: " << partition.ToString() << "\n";
   TextTable table({"offered", "accepted", "latency", "saturated"});
@@ -176,6 +171,18 @@ std::string FormatSimulateText(const qual::Partition& partition,
   }
   out << table;
   out << "throughput: " << result.Throughput() << " flits/switch/cycle\n";
+  if (plan != nullptr) {
+    std::size_t dropped = 0;
+    std::size_t lost = 0;
+    std::size_t reconfig = 0;
+    for (const sim::SweepPoint& p : result.points) {
+      dropped += p.metrics.dropped_flits;
+      lost += p.metrics.messages_lost;
+      reconfig = std::max(reconfig, p.metrics.reconfig_cycles);
+    }
+    out << "faults: " << plan->events().size() << " planned events, dropped flits " << dropped
+        << ", messages lost " << lost << ", reconfig cycles/run " << reconfig << "\n";
+  }
   return out.str();
 }
 

@@ -1,11 +1,9 @@
-// Shared execution paths between the one-shot CLI and the scheduling
-// service daemon.
+// The execution steps behind the scheduling service's ops (service.h).
 //
-// Both front ends must produce bit-identical results for the same knobs —
-// the service e2e test byte-compares served responses against one-shot CLI
-// stdout — so the algorithm dispatch, default resolution (e.g. the
-// switch-count-dependent tabu iteration budget) and result rendering live
-// here exactly once.
+// The one-shot CLI's schedule and simulate run as service requests, so the
+// algorithm dispatch, default resolution (e.g. the switch-count-dependent
+// tabu iteration budget) and result rendering here serve both front ends
+// exactly once. The end-to-end benchmark calls RunMappingSearch directly.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +17,10 @@
 #include "sched/search.h"
 #include "simnet/sweep.h"
 #include "topology/graph.h"
+
+namespace commsched::faults {
+class FaultPlan;
+}  // namespace commsched::faults
 
 namespace commsched::svc {
 
@@ -45,7 +47,7 @@ struct SearchKnobs {
 
 /// Throws ConfigError when an explicitly-set knob is degenerate (seeds,
 /// iterations, or samples == 0 — formerly a silent no-op search). Called by
-/// both front ends at parse time and again by RunMappingSearch.
+/// the protocol parser and again by RunMappingSearch.
 void ValidateSearchKnobs(const SearchKnobs& knobs);
 
 /// A stable, human-readable encoding of the knobs that affect the result —
@@ -61,27 +63,26 @@ void ValidateSearchKnobs(const SearchKnobs& knobs);
                                                    const std::vector<std::size_t>& cluster_sizes,
                                                    const SearchKnobs& knobs);
 
-/// Picks the partition to simulate, mirroring the CLI's --mapping flag:
-/// "op" runs the default tabu search over `table` (which must be non-null
-/// for this kind only), "random" draws from `mapping_seed`, "blocked" packs
-/// clusters by switch id.
+/// The partition a simulate request's search-free "mapping" names:
+/// "random" draws from `mapping_seed`, "blocked" packs clusters by switch
+/// id. ("op" is the service's memoized default search.) Throws ConfigError
+/// for any other name.
 [[nodiscard]] qual::Partition ChooseMappingPartition(
-    const std::string& mapping, const dist::DistanceTable* table,
-    const std::vector<std::size_t>& cluster_sizes, std::uint64_t mapping_seed,
-    bool parallel_seeds);
+    const std::string& mapping, const std::vector<std::size_t>& cluster_sizes,
+    std::uint64_t mapping_seed);
 
-/// The canonical rendering of a simulate run — exactly what the CLI prints
-/// before any fault summary: the mapping line, the per-point sweep table,
-/// and the throughput line.
+/// The canonical rendering of a simulate run: the mapping line, the
+/// per-point sweep table, the throughput line and, when the sweep replayed
+/// a fault plan (`plan` non-null), a `faults:` summary line.
 [[nodiscard]] std::string FormatSimulateText(const qual::Partition& partition,
-                                             const sim::SweepResult& result);
+                                             const sim::SweepResult& result,
+                                             const faults::FaultPlan* plan);
 
 // ---------------------------------------------------------------------------
-// Multilevel mapping (schedule --multilevel; DESIGN.md §13). Shared between
-// the CLI and the service's schedule op so results stay byte-identical.
+// Multilevel mapping (the schedule op's "multilevel": true; DESIGN.md §13).
 // ---------------------------------------------------------------------------
 
-/// Knobs of a multilevel schedule request, normalized across front ends.
+/// Knobs of a multilevel schedule request.
 struct MultilevelKnobs {
   std::size_t processes = 0;        // process count (pattern generators)
   std::string pattern = "grid";     // ring|grid|random
@@ -107,8 +108,8 @@ void ValidateMultilevelKnobs(const MultilevelKnobs& knobs);
                                                                 std::size_t hosts_per_switch,
                                                                 const MultilevelKnobs& knobs);
 
-/// The canonical rendering of a multilevel schedule — exactly what the CLI
-/// prints and the service's "text" field carries. The full assignment is
+/// The canonical rendering of a multilevel schedule — the service's "text"
+/// field, which the CLI prints. The full assignment is
 /// listed only for <= 64 processes (byte-identity stays cheap at scale).
 [[nodiscard]] std::string FormatMultilevelText(const sched::ml::MultilevelResult& result,
                                                std::size_t switch_count,

@@ -26,6 +26,8 @@ RequestOp ParseOp(const std::string& name) {
                     "' (ping|stats|sleep|schedule|quality|simulate|health|ready|metrics|batch)");
 }
 
+}  // namespace
+
 TopologyRequest ParseTopology(const JsonValue& value) {
   TopologyRequest topology;
   for (const auto& [key, member] : value.AsObject("topology")) {
@@ -62,6 +64,8 @@ TopologyRequest ParseTopology(const JsonValue& value) {
   }
   return topology;
 }
+
+namespace {
 
 std::vector<std::size_t> ParsePartition(const JsonValue& value) {
   std::vector<std::size_t> clusters;
@@ -119,7 +123,7 @@ topo::SwitchGraph BuildTopology(const TopologyRequest& request) {
   }
   if (kind == "fattree") {
     if (request.k < 2 || request.k % 2 != 0) {
-      throw ConfigError("fattree arity k must be even and >= 2");
+      throw ConfigError("fattree k must be even and >= 2, got " + std::to_string(request.k));
     }
     return topo::MakeFatTree(request.k, request.hosts);
   }
@@ -197,34 +201,34 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
     } else if (key == "apps") {
       request.apps = member.AsUint("apps");
     } else if (key == "algo") {
-      request.algo = member.AsString("algo");
+      request.search.algo = member.AsString("algo");
     } else if (key == "seeds") {
-      request.seeds = member.AsUint("seeds");
-      if (*request.seeds == 0) throw ConfigError("search seeds must be >= 1 (got 0)");
+      request.search.seeds = member.AsUint("seeds");
+      request.multilevel_knobs.seeds = request.search.seeds;
     } else if (key == "iters") {
-      request.iterations = member.AsUint("iters");
-      if (*request.iterations == 0) throw ConfigError("search iterations must be >= 1 (got 0)");
+      request.search.iterations = member.AsUint("iters");
+      request.multilevel_knobs.iterations = request.search.iterations;
     } else if (key == "samples") {
-      request.samples = member.AsUint("samples");
-      if (*request.samples == 0) throw ConfigError("search samples must be >= 1 (got 0)");
+      request.search.samples = member.AsUint("samples");
+    } else if (key == "search_seed") {
+      request.search.rng_seed = member.AsUint("search_seed");
+      request.multilevel_knobs.rng_seed = request.search.rng_seed;
+    } else if (key == "parallel_seeds") {
+      request.search.parallel_seeds = member.AsBool("parallel_seeds");
     } else if (key == "multilevel") {
       request.multilevel = member.AsBool("multilevel");
     } else if (key == "procs") {
-      request.procs = member.AsUint("procs");
+      request.multilevel_knobs.processes = member.AsUint("procs");
     } else if (key == "pattern") {
-      request.pattern = member.AsString("pattern");
+      request.multilevel_knobs.pattern = member.AsString("pattern");
     } else if (key == "pattern_seed") {
-      request.pattern_seed = member.AsUint("pattern_seed");
+      request.multilevel_knobs.pattern_seed = member.AsUint("pattern_seed");
     } else if (key == "coarsen_target") {
-      request.coarsen_target = member.AsUint("coarsen_target");
+      request.multilevel_knobs.coarsen_target = member.AsUint("coarsen_target");
     } else if (key == "refine_budget") {
-      request.refine_budget = member.AsUint("refine_budget");
+      request.multilevel_knobs.refine_budget = member.AsUint("refine_budget");
     } else if (key == "distance") {
-      request.distance = member.AsString("distance");
-    } else if (key == "search_seed") {
-      request.search_seed = member.AsUint("search_seed");
-    } else if (key == "parallel_seeds") {
-      request.parallel_seeds = member.AsBool("parallel_seeds");
+      request.multilevel_knobs.distance = member.AsString("distance");
     } else if (key == "partition") {
       request.partition = ParsePartition(member);
     } else if (key == "mapping") {
@@ -243,6 +247,16 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
       request.measure = member.AsUint("measure");
     } else if (key == "vcs") {
       request.vcs = member.AsUint("vcs");
+    } else if (key == "adaptive") {
+      request.adaptive = member.AsBool("adaptive");
+    } else if (key == "duato") {
+      request.duato = member.AsBool("duato");
+    } else if (key == "telemetry") {
+      request.telemetry = member.AsUint("telemetry");
+    } else if (key == "reconfig_downtime") {
+      request.reconfig_downtime = member.AsUint("reconfig_downtime");
+    } else if (key == "fault_plan") {
+      request.fault_plan = faults::FaultPlan::FromJson(member);
     } else if (key == "ms") {
       request.sleep_ms = member.AsUint("ms");
     } else if (key == "deadline_ms") {
@@ -258,6 +272,7 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
   if (request.op == RequestOp::kBatch && !saw_requests) {
     throw ConfigError("op batch requires a \"requests\" array");
   }
+  ValidateSearchKnobs(request.search);  // zero seeds/iters/samples
   return request;
 }
 

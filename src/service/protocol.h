@@ -13,11 +13,15 @@
 //   {"id":"3","op":"simulate","topology":{"kind":"mixed"},"apps":4,
 //    "mapping":"blocked","points":2,"max_rate":0.4,"warmup":500,
 //    "measure":1500}
-//   {"id":"4","op":"stats"}   {"id":"5","op":"ping"}
+//   {"id":"4","op":"simulate","topology":{"kind":"rings"},"duato":true,
+//    "telemetry":1000,"fault_plan":{"events":[{"at":1,"kind":"switch_down",
+//    "switch":3}]}}
+//   {"id":"5","op":"stats"}   {"id":"6","op":"ping"}
 //
-// Field defaults deliberately mirror the one-shot CLI flags so a request
-// with the same knobs returns byte-identical result text (the e2e test
-// enforces this).
+// The keys are the one-shot CLI's flag names with '-' spelled '_' (topology
+// flags nest under "topology"), and the CLI's schedule and simulate parse
+// argv into this Request and run it through SchedulingService::Execute, so
+// served text equals CLI stdout by construction.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +30,8 @@
 #include <vector>
 
 #include "common/json.h"
+#include "faults/fault_plan.h"
+#include "service/exec.h"
 #include "topology/graph.h"
 
 namespace commsched::svc {
@@ -75,6 +81,10 @@ struct TopologyRequest {
   std::string text;
 };
 
+/// Reads a request's "topology" object (throws ConfigError on unknown keys
+/// and type mismatches).
+[[nodiscard]] TopologyRequest ParseTopology(const JsonValue& value);
+
 /// Materializes the requested topology (throws ConfigError on bad specs).
 [[nodiscard]] topo::SwitchGraph BuildTopology(const TopologyRequest& request);
 
@@ -87,25 +97,16 @@ struct Request {
   TopologyRequest topology;
   std::size_t apps = 4;
 
-  // schedule knobs (nullopt = the CLI's default for that algorithm,
-  // resolved against the topology by exec.h).
-  std::string algo = "tabu";  // tabu|sd|random|sa|gsa
-  std::optional<std::size_t> seeds;
-  std::optional<std::size_t> iterations;
-  std::optional<std::size_t> samples;
-  std::uint64_t search_seed = 1;
-  bool parallel_seeds = false;
+  // schedule knobs ("algo", "seeds", "iters", "samples", "search_seed",
+  // "parallel_seeds"); nullopt counts resolve per algorithm in exec.h.
+  SearchKnobs search;
 
-  // multilevel schedule knobs (DESIGN.md §13). "multilevel": true switches
-  // the schedule op to the coarsen/map/uncoarsen pipeline over a generated
-  // process communication graph.
+  // multilevel schedule (DESIGN.md §13). "multilevel": true switches the
+  // schedule op to the coarsen/map/uncoarsen pipeline over a generated
+  // process communication graph; "seeds", "iters" and "search_seed" fill
+  // these knobs too.
   bool multilevel = false;
-  std::size_t procs = 0;             // process count (required when multilevel)
-  std::string pattern = "grid";      // ring|grid|random
-  std::uint64_t pattern_seed = 1;
-  std::size_t coarsen_target = 0;    // 0 = auto
-  std::size_t refine_budget = 0;     // 0 = auto
-  std::string distance = "resistance";  // resistance|hops
+  MultilevelKnobs multilevel_knobs;
 
   // quality: cluster id per switch.
   std::vector<std::size_t> partition;
@@ -119,6 +120,13 @@ struct Request {
   std::size_t warmup = 5000;
   std::size_t measure = 15000;
   std::size_t vcs = 1;
+  bool adaptive = false;                 // adaptive up*/down* routing
+  bool duato = false;                    // Duato's fully adaptive routing (vcs >= 2)
+  std::size_t telemetry = 0;             // sample every N measured cycles (0 = off)
+  std::size_t reconfig_downtime = 128;   // cycles per reconfiguration (fault_plan)
+  /// An inline fault plan object (faults/fault_plan.h's document, never a
+  /// path), replayed in every sweep point.
+  std::optional<faults::FaultPlan> fault_plan;
 
   // sleep
   std::uint64_t sleep_ms = 0;

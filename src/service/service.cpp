@@ -1,9 +1,11 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -17,6 +19,7 @@
 #include "service/store.h"
 #include "simnet/sweep.h"
 #include "simnet/traffic.h"
+#include "simnet/vc_routing.h"
 #include "topology/serialize.h"
 #include "workload/workload.h"
 
@@ -201,15 +204,15 @@ std::string ScheduleBodyKey(const Request& r) {
   key += '|';
   key += std::to_string(r.apps);
   key += '|';
-  key += r.algo;
+  key += r.search.algo;
   key += '|';
-  key += r.seeds ? std::to_string(*r.seeds) : "-";
+  key += r.search.seeds ? std::to_string(*r.search.seeds) : "-";
   key += '|';
-  key += r.iterations ? std::to_string(*r.iterations) : "-";
+  key += r.search.iterations ? std::to_string(*r.search.iterations) : "-";
   key += '|';
-  key += r.samples ? std::to_string(*r.samples) : "-";
+  key += r.search.samples ? std::to_string(*r.search.samples) : "-";
   key += '|';
-  key += std::to_string(r.search_seed);
+  key += std::to_string(r.search.rng_seed);
   return key;
 }
 
@@ -352,19 +355,11 @@ std::string SchedulingService::RunSchedule(const Request& request) {
   const std::vector<std::size_t> sizes =
       EvenClusterSizes(model->graph.switch_count(), request.apps);
 
-  SearchKnobs knobs;
-  knobs.algo = request.algo;
-  knobs.seeds = request.seeds;
-  knobs.iterations = request.iterations;
-  knobs.samples = request.samples;
-  knobs.rng_seed = request.search_seed;
-  knobs.parallel_seeds = request.parallel_seeds;
-
   bool result_hit = false;
   std::shared_ptr<const ScheduleOutcome> outcome;
   {
     const obs::StageTimer stage(obs::RequestStage::kSearch);
-    outcome = SearchOutcome(*model, model_hash, sizes, knobs, &result_hit);
+    outcome = SearchOutcome(*model, model_hash, sizes, request.search, &result_hit);
   }
 
   const obs::StageTimer serialize_stage(obs::RequestStage::kSerialize);
@@ -390,44 +385,42 @@ std::string SchedulingService::RunSchedule(const Request& request) {
 }
 
 std::string SchedulingService::RunScheduleMultilevel(const Request& request) {
-  MultilevelKnobs knobs;
-  knobs.processes = request.procs;
-  knobs.pattern = request.pattern;
-  knobs.pattern_seed = request.pattern_seed;
-  knobs.coarsen_target = request.coarsen_target;
-  knobs.refine_budget = request.refine_budget;
-  knobs.seeds = request.seeds;
-  knobs.iterations = request.iterations;
-  knobs.rng_seed = request.search_seed;
-  knobs.distance = request.distance;
+  const MultilevelKnobs& knobs = request.multilevel_knobs;
   const std::string canonical = CanonicalMultilevelKnobs(knobs);  // validates
 
+  // "hops" reads only the graph: its table is a per-compute BFS, so it
+  // neither looks up nor builds the model (no routing, no resistance solve).
+  // Both kinds key the memo on the same model hash.
+  const bool hops = knobs.distance == "hops";
   std::uint64_t model_hash = 0;
   bool model_hit = false;
   std::shared_ptr<const NetworkModel> model;
+  std::optional<topo::SwitchGraph> hops_graph;
   {
     const obs::StageTimer stage(obs::RequestStage::kModel);
-    model = GetModel(request.topology, &model_hash, &model_hit);
+    if (hops) {
+      hops_graph = BuildTopology(request.topology);
+      model_hash = ModelHashOfGraph(*hops_graph);
+    } else {
+      model = GetModel(request.topology, &model_hash, &model_hit);
+    }
   }
+  const topo::SwitchGraph& graph = hops ? *hops_graph : model->graph;
 
   bool result_hit = true;
   std::shared_ptr<const MultilevelOutcome> outcome;
   {
     const obs::StageTimer stage(obs::RequestStage::kSearch);
     const std::string key = "model=" + std::to_string(model_hash) + "|" + canonical;
-    outcome = ml_results_.GetOrCompute(HashBytes(key), [&model, &knobs, &result_hit]() {
+    outcome = ml_results_.GetOrCompute(HashBytes(key), [&]() {
       result_hit = false;
       auto computed = std::make_shared<MultilevelOutcome>();
-      // "hops" skips the model's resistance table for a per-compute BFS
-      // table — the memo makes repeats free either way.
-      const dist::DistanceTable hops = knobs.distance == "hops"
-                                           ? dist::DistanceTable::BuildGraphHops(model->graph)
-                                           : dist::DistanceTable();
-      const dist::DistanceTable& table = knobs.distance == "hops" ? hops : model->table;
-      computed->result =
-          svc::RunMultilevelSchedule(table, model->graph.hosts_per_switch(), knobs);
-      computed->text = FormatMultilevelText(computed->result, model->graph.switch_count(),
-                                            model->graph.hosts_per_switch());
+      const dist::DistanceTable hops_table =
+          hops ? dist::DistanceTable::BuildGraphHops(graph) : dist::DistanceTable();
+      const dist::DistanceTable& table = hops ? hops_table : model->table;
+      computed->result = RunMultilevelSchedule(table, graph.hosts_per_switch(), knobs);
+      computed->text = FormatMultilevelText(computed->result, graph.switch_count(),
+                                            graph.hosts_per_switch());
       return std::shared_ptr<const MultilevelOutcome>(std::move(computed));
     });
   }
@@ -441,7 +434,7 @@ std::string SchedulingService::RunScheduleMultilevel(const Request& request) {
   writer.Field("levels", static_cast<std::uint64_t>(outcome->result.levels));
   writer.Field("coarsest", static_cast<std::uint64_t>(outcome->result.coarsest_vertices));
   writer.Field("max_load", static_cast<std::uint64_t>(outcome->result.max_load));
-  writer.Field("model_cache", model_hit ? "hit" : "miss");
+  if (!hops) writer.Field("model_cache", model_hit ? "hit" : "miss");
   writer.Field("result_cache", result_hit ? "hit" : "miss");
   writer.Field("text", outcome->text);
   return writer.Finish();
@@ -494,6 +487,8 @@ std::string SchedulingService::RunSimulate(const Request& request) {
   const std::vector<std::size_t> sizes = EvenClusterSizes(graph.switch_count(), request.apps);
   const work::Workload workload =
       work::Workload::Uniform(request.apps, graph.host_count() / request.apps);
+  const faults::FaultPlan* plan = request.fault_plan ? &*request.fault_plan : nullptr;
+  if (plan != nullptr) plan->ValidateFor(graph);
 
   // The "op" mapping reuses the memoized default search — a repeat simulate
   // on a known topology skips both the resistance solve and the search. The
@@ -502,10 +497,11 @@ std::string SchedulingService::RunSimulate(const Request& request) {
     const obs::StageTimer stage(obs::RequestStage::kSearch);
     qual::Partition chosen = [&] {
       if (request.mapping == "op") {
-        return SearchOutcome(*model, model_hash, sizes, SearchKnobs{}, nullptr)->result.best;
+        SearchKnobs knobs;
+        knobs.parallel_seeds = request.search.parallel_seeds;
+        return SearchOutcome(*model, model_hash, sizes, knobs, nullptr)->result.best;
       }
-      return ChooseMappingPartition(request.mapping, &model->table, sizes,
-                                    request.mapping_seed, request.parallel_seeds);
+      return ChooseMappingPartition(request.mapping, sizes, request.mapping_seed);
     }();
     const auto mapping = work::ProcessMapping::FromPartition(graph, workload, chosen);
     const sim::TrafficPattern pattern(graph, workload, mapping);
@@ -515,8 +511,18 @@ std::string SchedulingService::RunSimulate(const Request& request) {
     sweep.min_rate = request.min_rate;
     sweep.max_rate = request.max_rate;
     sweep.config.virtual_channels = request.vcs;
+    sweep.config.adaptive_routing = request.adaptive;
     sweep.config.warmup_cycles = request.warmup;
     sweep.config.measure_cycles = request.measure;
+    sweep.config.telemetry_sample_cycles = request.telemetry;
+    sweep.config.fault_plan = plan;
+    sweep.config.reconfig_downtime_cycles = request.reconfig_downtime;
+    if (request.duato) {
+      sweep.config.virtual_channels = std::max<std::size_t>(2, request.vcs);
+      const sim::DuatoFullyAdaptivePolicy policy(graph, sweep.config.virtual_channels);
+      sim::SweepResult swept = sim::RunLoadSweep(graph, policy, pattern, sweep);
+      return std::make_pair(std::move(chosen), std::move(swept));
+    }
     sim::SweepResult swept = sim::RunLoadSweep(graph, model->routing, pattern, sweep);
     return std::make_pair(std::move(chosen), std::move(swept));
   }();
@@ -538,7 +544,7 @@ std::string SchedulingService::RunSimulate(const Request& request) {
   writer.Field("throughput", result.Throughput());
   writer.Raw("points", "[" + points + "]");
   writer.Field("model_cache", model_hit ? "hit" : "miss");
-  writer.Field("text", FormatSimulateText(partition, result));
+  writer.Field("text", FormatSimulateText(partition, result, plan));
   return writer.Finish();
 }
 

@@ -3,7 +3,8 @@
 // SchedulingService is the daemon's brain, independent of any transport:
 // given a parsed Request it materializes (or cache-hits) the network model
 // — up*/down* routing plus the O(N²) equivalent-distance table — executes
-// the op, and renders the response line. It is safe to call Execute from
+// the op, and renders the response line. The one-shot CLI's schedule and
+// simulate run through Execute too, so both front ends share one path. It is safe to call Execute from
 // many worker threads; the caches memoize concurrent misses so a burst of
 // requests for one topology performs a single resistance solve.
 #pragma once

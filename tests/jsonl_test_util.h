@@ -1,115 +1,22 @@
-// Minimal flat-JSON-object parsing for validating obs trace / metrics output
-// in tests. Handles exactly the shape the obs layer emits: one object per
-// line, string/number/bool/null values, at most one level of nested objects
-// (the --metrics dump nests {"counters":{...},"timers":{...}}).
-//
-// Test-only: intentionally not a general JSON parser.
+// Member lookup for tests that read JSON output (obs traces, metrics dumps,
+// Chrome traces) through the common codec (common/json.h).
 #pragma once
 
-#include <cctype>
-#include <cstdint>
-#include <map>
-#include <optional>
+#include <gtest/gtest.h>
+
 #include <string>
+
+#include "common/json.h"
 
 namespace commsched::testutil {
 
-/// Parses one JSON object into key -> raw value text (nested objects are
-/// returned as their raw "{...}" text, strings keep their quotes). Returns
-/// std::nullopt on malformed input.
-inline std::optional<std::map<std::string, std::string>> ParseJsonObject(
-    const std::string& text) {
-  std::map<std::string, std::string> fields;
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-  };
-  skip_ws();
-  if (i >= text.size() || text[i] != '{') return std::nullopt;
-  ++i;
-  skip_ws();
-  if (i < text.size() && text[i] == '}') return fields;  // empty object
-  for (;;) {
-    skip_ws();
-    // Key: a quoted string without escapes (obs keys are identifiers).
-    if (i >= text.size() || text[i] != '"') return std::nullopt;
-    const std::size_t key_start = ++i;
-    while (i < text.size() && text[i] != '"') ++i;
-    if (i >= text.size()) return std::nullopt;
-    const std::string key = text.substr(key_start, i - key_start);
-    ++i;
-    skip_ws();
-    if (i >= text.size() || text[i] != ':') return std::nullopt;
-    ++i;
-    skip_ws();
-    // Value: scan to the next top-level ',' or '}' respecting strings and
-    // nested braces.
-    const std::size_t value_start = i;
-    int depth = 0;
-    bool in_string = false;
-    for (; i < text.size(); ++i) {
-      const char c = text[i];
-      if (in_string) {
-        if (c == '\\') {
-          ++i;  // skip the escaped character
-        } else if (c == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      if (c == '"') {
-        in_string = true;
-      } else if (c == '{' || c == '[') {
-        ++depth;
-      } else if (c == '}' || c == ']') {
-        if (depth == 0) break;
-        --depth;
-      } else if (c == ',' && depth == 0) {
-        break;
-      }
-    }
-    if (i >= text.size() || depth != 0 || in_string) return std::nullopt;
-    std::string value = text.substr(value_start, i - value_start);
-    while (!value.empty() &&
-           std::isspace(static_cast<unsigned char>(value.back()))) {
-      value.pop_back();
-    }
-    if (value.empty()) return std::nullopt;
-    fields[key] = value;
-    if (text[i] == '}') {
-      // Only trailing whitespace may follow the closing brace.
-      ++i;
-      skip_ws();
-      if (i != text.size()) return std::nullopt;
-      return fields;
-    }
-    ++i;  // consume ','
-  }
-}
-
-/// Raw value text of `key`, or "" when absent.
-inline std::string JsonRaw(const std::map<std::string, std::string>& fields,
-                           const std::string& key) {
-  const auto it = fields.find(key);
-  return it == fields.end() ? std::string() : it->second;
-}
-
-/// String value without its quotes ("" when absent or not a string).
-inline std::string JsonString(const std::map<std::string, std::string>& fields,
-                              const std::string& key) {
-  const std::string raw = JsonRaw(fields, key);
-  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') return "";
-  return raw.substr(1, raw.size() - 2);
-}
-
-/// Unsigned value, or `fallback` when absent/non-numeric.
-inline std::uint64_t JsonUint(const std::map<std::string, std::string>& fields,
-                              const std::string& key, std::uint64_t fallback = 0) {
-  const std::string raw = JsonRaw(fields, key);
-  if (raw.empty() || raw.find_first_not_of("0123456789") != std::string::npos) {
-    return fallback;
-  }
-  return std::stoull(raw);
+/// `key`'s member of `object`. A missing key (or a non-object) fails the
+/// test and reads as null, whose typed accessors then throw.
+inline const JsonValue& Member(const JsonValue& object, const std::string& key) {
+  static const JsonValue kMissing;
+  const JsonValue* member = object.is_object() ? object.Find(key) : nullptr;
+  EXPECT_NE(member, nullptr) << "missing \"" << key << "\"";
+  return member != nullptr ? *member : kMissing;
 }
 
 }  // namespace commsched::testutil

@@ -29,16 +29,16 @@ using obs::SpanRecord;
 
 /// Parses a Chrome trace written by WriteChromeTrace: strips the array
 /// brackets and trailing commas, then parses each line as one JSON object.
-std::vector<std::map<std::string, std::string>> ParseChromeTrace(const std::string& text) {
-  std::vector<std::map<std::string, std::string>> events;
+std::vector<JsonValue> ParseChromeTrace(const std::string& text) {
+  std::vector<JsonValue> events;
   std::istringstream lines(text);
   std::string line;
   while (std::getline(lines, line)) {
     if (line == "[" || line == "]" || line.empty()) continue;
     if (!line.empty() && line.back() == ',') line.pop_back();
-    const auto fields = testutil::ParseJsonObject(line);
-    EXPECT_TRUE(fields.has_value()) << line;
-    if (fields.has_value()) events.push_back(*fields);
+    JsonValue event = ParseJson(line);
+    EXPECT_TRUE(event.is_object()) << line;
+    if (event.is_object()) events.push_back(std::move(event));
   }
   return events;
 }
@@ -166,24 +166,23 @@ TEST(ChromeTraceTest, WritesValidCompleteEvents) {
   const auto events = ParseChromeTrace(json);
   ASSERT_EQ(events.size(), 2u);
   for (const auto& event : events) {
-    EXPECT_EQ(testutil::JsonString(event, "ph"), "X");
-    EXPECT_EQ(testutil::JsonString(event, "cat"), "commsched");
-    EXPECT_EQ(testutil::JsonUint(event, "pid", 99), 1u);
-    EXPECT_NE(testutil::JsonRaw(event, "ts"), "");
-    EXPECT_NE(testutil::JsonRaw(event, "dur"), "");
-    const auto args = testutil::ParseJsonObject(testutil::JsonRaw(event, "args"));
-    ASSERT_TRUE(args.has_value());
-    EXPECT_NE(testutil::JsonRaw(*args, "depth"), "");
+    EXPECT_EQ(testutil::Member(event, "ph").AsString("ph"), "X");
+    EXPECT_EQ(testutil::Member(event, "cat").AsString("cat"), "commsched");
+    EXPECT_EQ(testutil::Member(event, "pid").AsUint("pid"), 1u);
+    EXPECT_NE(event.Find("ts"), nullptr);
+    EXPECT_NE(event.Find("dur"), nullptr);
+    const JsonValue& args = testutil::Member(event, "args");
+    ASSERT_TRUE(args.is_object());
+    EXPECT_NE(args.Find("depth"), nullptr);
   }
   const auto phase_event =
-      std::find_if(events.begin(), events.end(), [](const auto& event) {
-        return testutil::JsonString(event, "name") == "phase";
+      std::find_if(events.begin(), events.end(), [](const JsonValue& event) {
+        return testutil::Member(event, "name").AsString("name") == "phase";
       });
   ASSERT_NE(phase_event, events.end());
-  const auto outer_args =
-      testutil::ParseJsonObject(testutil::JsonRaw(*phase_event, "args"));
-  ASSERT_TRUE(outer_args.has_value());
-  EXPECT_EQ(testutil::JsonUint(*outer_args, "point", 99), 2u);
+  const JsonValue& outer_args = testutil::Member(*phase_event, "args");
+  ASSERT_TRUE(outer_args.is_object());
+  EXPECT_EQ(testutil::Member(outer_args, "point").AsUint("point"), 2u);
 }
 
 TEST(ChromeTraceTest, EmptyCollectorWritesAnEmptyArray) {

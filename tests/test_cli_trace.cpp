@@ -49,13 +49,13 @@ std::set<std::string> ValidateTrace(const std::string& trace_path) {
   EXPECT_FALSE(lines.empty()) << "empty trace " << trace_path;
   std::set<std::string> types;
   for (std::size_t k = 0; k < lines.size(); ++k) {
-    const auto fields = testutil::ParseJsonObject(lines[k]);
-    if (!fields.has_value()) {
-      ADD_FAILURE() << "unparseable trace line: " << lines[k];
+    const JsonValue fields = ParseJson(lines[k]);
+    if (!fields.is_object()) {
+      ADD_FAILURE() << "trace line is not an object: " << lines[k];
       continue;
     }
-    EXPECT_EQ(testutil::JsonUint(*fields, "seq", lines.size()), k) << lines[k];
-    const std::string type = testutil::JsonString(*fields, "type");
+    EXPECT_EQ(testutil::Member(fields, "seq").AsUint("seq"), k) << lines[k];
+    const std::string type = testutil::Member(fields, "type").AsString("type");
     EXPECT_NE(type, "") << lines[k];
     types.insert(type);
   }
@@ -63,23 +63,25 @@ std::set<std::string> ValidateTrace(const std::string& trace_path) {
 }
 
 /// The --metrics dump is the last stdout line; parse its counters object.
-std::map<std::string, std::string> MetricsCounters(const std::string& stdout_path) {
+JsonValue MetricsCounters(const std::string& stdout_path) {
   const std::vector<std::string> lines = NonEmptyLines(ReadFile(stdout_path));
   if (lines.empty() || lines.back().front() != '{') {
     ADD_FAILURE() << "no metrics line in " << stdout_path;
     return {};
   }
-  const auto fields = testutil::ParseJsonObject(lines.back());
-  if (!fields.has_value()) {
-    ADD_FAILURE() << "unparseable metrics line: " << lines.back();
-    return {};
-  }
-  const auto counters = testutil::ParseJsonObject(testutil::JsonRaw(*fields, "counters"));
-  if (!counters.has_value()) {
+  const JsonValue fields = ParseJson(lines.back());
+  const JsonValue* counters = fields.is_object() ? fields.Find("counters") : nullptr;
+  if (counters == nullptr || !counters->is_object()) {
     ADD_FAILURE() << "metrics line has no counters object: " << lines.back();
     return {};
   }
   return *counters;
+}
+
+/// A counter of a MetricsCounters object (0 when absent).
+std::uint64_t CounterValue(const JsonValue& counters, const std::string& name) {
+  const JsonValue* value = counters.is_object() ? counters.Find(name) : nullptr;
+  return value == nullptr ? 0 : value->AsUint(name);
 }
 
 // The ISSUE acceptance scenario: schedule on a 16-switch random topology
@@ -100,9 +102,9 @@ TEST(CliTrace, ScheduleEmitsTraceAndMetrics) {
   EXPECT_TRUE(types.count("search.done")) << "no done event";
 
   const auto counters = MetricsCounters(stdout_path);
-  EXPECT_GT(testutil::JsonUint(counters, "search.tabu.evaluations"), 0u);
-  EXPECT_TRUE(counters.count("search.tabu.tabu_hits")) << "tabu-hit counter missing";
-  EXPECT_EQ(testutil::JsonUint(counters, "search.tabu.seeds"), 3u);
+  EXPECT_GT(CounterValue(counters, "search.tabu.evaluations"), 0u);
+  EXPECT_NE(counters.Find("search.tabu.tabu_hits"), nullptr) << "tabu-hit counter missing";
+  EXPECT_EQ(CounterValue(counters, "search.tabu.seeds"), 3u);
 }
 
 // A short simulate run: the trace carries simulator and sweep lifecycle
@@ -125,9 +127,9 @@ TEST(CliTrace, SimulateEmitsSimAndSweepEvents) {
   EXPECT_TRUE(types.count("sweep.done"));
 
   const auto counters = MetricsCounters(stdout_path);
-  EXPECT_EQ(testutil::JsonUint(counters, "sim.runs"), 2u);
-  EXPECT_GT(testutil::JsonUint(counters, "sim.flits_delivered"), 0u);
-  EXPECT_GT(testutil::JsonUint(counters, "sim.cycles"), 0u);
+  EXPECT_EQ(CounterValue(counters, "sim.runs"), 2u);
+  EXPECT_GT(CounterValue(counters, "sim.flits_delivered"), 0u);
+  EXPECT_GT(CounterValue(counters, "sim.cycles"), 0u);
 }
 
 // The full observability round-trip on the ISSUE acceptance scenario: a
@@ -166,10 +168,10 @@ TEST(CliTrace, ReportRoundTrip) {
   for (std::size_t k = 1; k + 1 < chrome_lines.size(); ++k) {
     std::string line = chrome_lines[k];
     if (line.back() == ',') line.pop_back();
-    const auto event = testutil::ParseJsonObject(line);
-    ASSERT_TRUE(event.has_value()) << line;
-    EXPECT_EQ(testutil::JsonString(*event, "ph"), "X") << line;
-    span_names.insert(testutil::JsonString(*event, "name"));
+    const JsonValue event = ParseJson(line);
+    ASSERT_TRUE(event.is_object()) << line;
+    EXPECT_EQ(testutil::Member(event, "ph").AsString("ph"), "X") << line;
+    span_names.insert(testutil::Member(event, "name").AsString("name"));
   }
   EXPECT_TRUE(span_names.count("tabu.seed"));
   EXPECT_TRUE(span_names.count("sim.warmup"));
@@ -206,11 +208,12 @@ TEST(CliTrace, MetricsWithoutTrace) {
                    stdout_path),
             0);
   const auto counters = MetricsCounters(stdout_path);
-  EXPECT_GT(testutil::JsonUint(counters, "search.tabu.evaluations"), 0u);
+  EXPECT_GT(CounterValue(counters, "search.tabu.evaluations"), 0u);
 }
 
-// Degenerate builder dimensions are clean `error:` exits naming the flag,
-// never a leaked contract violation from the topology library.
+// Degenerate topology dimensions are clean `error:` exits naming the field
+// as the protocol spells it, never a leaked contract violation from the
+// topology library.
 TEST(CliTopology, DegenerateDimensionsAreConfigErrors) {
   const std::string out_path = ::testing::TempDir() + "cli_topo_error.txt";
   const auto run = [&out_path](const std::string& args) {
@@ -220,13 +223,13 @@ TEST(CliTopology, DegenerateDimensionsAreConfigErrors) {
     return std::make_pair(rc, ReadFile(out_path));
   };
   const std::pair<std::string, std::string> cases[] = {
-      {"--kind mesh --rows 0 --cols 0", "error: mesh --rows must be >= 1, got 0"},
-      {"--kind mesh --rows 2 --cols 0", "error: mesh --cols must be >= 1, got 0"},
-      {"--kind torus --rows 2 --cols 4", "error: torus --rows must be >= 3, got 2"},
-      {"--kind torus3d --x 3 --y 3 --z 2", "error: torus3d --z must be >= 3, got 2"},
-      {"--kind fattree --k 3", "error: fattree --k must be even and >= 2, got 3"},
-      {"--kind hypercube --dim 0", "error: hypercube --dim must be in [1, 20], got 0"},
-      {"--kind hypercube --dim 21", "error: hypercube --dim must be in [1, 20], got 21"},
+      {"--kind mesh --rows 0 --cols 0", "error: mesh rows must be >= 1, got 0"},
+      {"--kind mesh --rows 2 --cols 0", "error: mesh cols must be >= 1, got 0"},
+      {"--kind torus --rows 2 --cols 4", "error: torus rows must be >= 3, got 2"},
+      {"--kind torus3d --x 3 --y 3 --z 2", "error: torus3d z must be >= 3, got 2"},
+      {"--kind fattree --k 3", "error: fattree k must be even and >= 2, got 3"},
+      {"--kind hypercube --dim 0", "error: hypercube dim must be in [1, 20], got 0"},
+      {"--kind hypercube --dim 21", "error: hypercube dim must be in [1, 20], got 21"},
   };
   for (const auto& [args, message] : cases) {
     const auto [rc, output] = run(args);

@@ -90,13 +90,14 @@ TEST(Experiment, TraceCarriesOneSweepPerMapping) {
   std::istringstream lines(out.str());
   std::string line;
   while (std::getline(lines, line)) {
-    const auto fields = testutil::ParseJsonObject(line);
-    ASSERT_TRUE(fields.has_value()) << line;
-    const std::string type = testutil::JsonString(*fields, "type");
+    const JsonValue fields = ParseJson(line);
+    ASSERT_TRUE(fields.is_object()) << line;
+    const std::string type = testutil::Member(fields, "type").AsString("type");
     if (type == "sweep.point") ++points;
     if (type == "sweep.done") {
-      EXPECT_EQ(testutil::JsonUint(*fields, "points", 0), options.sweep.points) << line;
-      done_throughputs.push_back(std::stod(testutil::JsonRaw(*fields, "throughput")));
+      EXPECT_EQ(testutil::Member(fields, "points").AsUint("points"), options.sweep.points)
+          << line;
+      done_throughputs.push_back(testutil::Member(fields, "throughput").AsDouble("throughput"));
     }
   }
   ASSERT_EQ(result.mappings.size(), 1 + options.random_mappings);

@@ -42,7 +42,8 @@ std::string ReadData(const std::string& name) {
 }
 
 /// The checked-in fault plans, metrics text and golden trace lines, plus
-/// the protocol request of DESIGN.md §10.
+/// the protocol request of DESIGN.md §10 and a simulate request carrying
+/// the simulate-only keys and an inline fault plan.
 std::vector<std::string> SeedCorpus() {
   std::vector<std::string> corpus = {
       ReadData("faultplan_diff_links.json"),
@@ -50,6 +51,10 @@ std::vector<std::string> SeedCorpus() {
       ReadData("metrics_good.txt"),
       R"({"id":"r1","op":"schedule","topology":{"kind":"random","switches":16,"seed":7},)"
       R"("apps":4,"algo":"tabu","seeds":10,"iters":60,"search_seed":1})",
+      R"({"id":"r2","op":"simulate","topology":{"kind":"rings"},"apps":4,)"
+      R"("mapping":"blocked","points":2,"max_rate":0.4,"warmup":500,"measure":1500,)"
+      R"("duato":true,"telemetry":500,"reconfig_downtime":128,"fault_plan":)" +
+          ReadData("faultplan_diff_switch.json") + "}",
   };
   std::istringstream trace(ReadData("tabu_trace16.golden.jsonl"));
   for (std::string line; std::getline(trace, line);) corpus.push_back(line);

@@ -55,17 +55,17 @@ TEST(RegistryTest, ToJsonIsParseable) {
   Registry registry;
   registry.GetCounter("x.count").Add(7);
   registry.GetTimer("x.time").RecordNanos(123);
-  const auto fields = testutil::ParseJsonObject(registry.ToJson());
-  ASSERT_TRUE(fields.has_value());
-  const auto counters = testutil::ParseJsonObject(testutil::JsonRaw(*fields, "counters"));
-  ASSERT_TRUE(counters.has_value());
-  EXPECT_EQ(testutil::JsonUint(*counters, "x.count"), 7u);
-  const auto timers = testutil::ParseJsonObject(testutil::JsonRaw(*fields, "timers"));
-  ASSERT_TRUE(timers.has_value());
-  const auto x_time = testutil::ParseJsonObject(testutil::JsonRaw(*timers, "x.time"));
-  ASSERT_TRUE(x_time.has_value());
-  EXPECT_EQ(testutil::JsonUint(*x_time, "total_ns"), 123u);
-  EXPECT_EQ(testutil::JsonUint(*x_time, "count"), 1u);
+  const JsonValue fields = ParseJson(registry.ToJson());
+  ASSERT_TRUE(fields.is_object());
+  const JsonValue& counters = testutil::Member(fields, "counters");
+  ASSERT_TRUE(counters.is_object());
+  EXPECT_EQ(testutil::Member(counters, "x.count").AsUint("x.count"), 7u);
+  const JsonValue& timers = testutil::Member(fields, "timers");
+  ASSERT_TRUE(timers.is_object());
+  const JsonValue& x_time = testutil::Member(timers, "x.time");
+  ASSERT_TRUE(x_time.is_object());
+  EXPECT_EQ(testutil::Member(x_time, "total_ns").AsUint("total_ns"), 123u);
+  EXPECT_EQ(testutil::Member(x_time, "count").AsUint("count"), 1u);
 }
 
 // The satellite concurrency requirement: pool workers increment shared
@@ -240,25 +240,22 @@ TEST(RegistryTest, ToJsonIncludesHistogramPercentiles) {
   Registry registry;
   obs::Histogram& histogram = registry.GetHistogram("net.latency");
   histogram.Record(5, 100);
-  const auto fields = testutil::ParseJsonObject(registry.ToJson());
-  ASSERT_TRUE(fields.has_value());
-  const auto histograms =
-      testutil::ParseJsonObject(testutil::JsonRaw(*fields, "histograms"));
-  ASSERT_TRUE(histograms.has_value());
-  const auto latency =
-      testutil::ParseJsonObject(testutil::JsonRaw(*histograms, "net.latency"));
-  ASSERT_TRUE(latency.has_value());
-  EXPECT_EQ(testutil::JsonUint(*latency, "count"), 100u);
-  EXPECT_EQ(testutil::JsonUint(*latency, "sum"), 500u);
-  EXPECT_EQ(testutil::JsonUint(*latency, "min"), 5u);
-  EXPECT_EQ(testutil::JsonUint(*latency, "max"), 5u);
-  EXPECT_EQ(testutil::JsonRaw(*latency, "p50"), "5");
-  EXPECT_EQ(testutil::JsonRaw(*latency, "p99"), "5");
-  const auto buckets =
-      testutil::ParseJsonObject(testutil::JsonRaw(*latency, "buckets"));
-  ASSERT_TRUE(buckets.has_value());
-  EXPECT_EQ(testutil::JsonUint(*buckets, "3"), 100u);  // 5 has bit width 3
-  EXPECT_EQ(buckets->size(), 1u);  // empty buckets are omitted
+  const JsonValue fields = ParseJson(registry.ToJson());
+  ASSERT_TRUE(fields.is_object());
+  const JsonValue& histograms = testutil::Member(fields, "histograms");
+  ASSERT_TRUE(histograms.is_object());
+  const JsonValue& latency = testutil::Member(histograms, "net.latency");
+  ASSERT_TRUE(latency.is_object());
+  EXPECT_EQ(testutil::Member(latency, "count").AsUint("count"), 100u);
+  EXPECT_EQ(testutil::Member(latency, "sum").AsUint("sum"), 500u);
+  EXPECT_EQ(testutil::Member(latency, "min").AsUint("min"), 5u);
+  EXPECT_EQ(testutil::Member(latency, "max").AsUint("max"), 5u);
+  EXPECT_EQ(testutil::Member(latency, "p50").AsDouble("p50"), 5.0);
+  EXPECT_EQ(testutil::Member(latency, "p99").AsDouble("p99"), 5.0);
+  const JsonValue& buckets = testutil::Member(latency, "buckets");
+  ASSERT_TRUE(buckets.is_object());
+  EXPECT_EQ(testutil::Member(buckets, "3").AsUint("3"), 100u);  // 5 has bit width 3
+  EXPECT_EQ(buckets.AsObject("buckets").size(), 1u);  // empty buckets are omitted
 }
 
 TEST(TracerTest, EmitsOneValidJsonObjectPerLine) {
@@ -270,10 +267,10 @@ TEST(TracerTest, EmitsOneValidJsonObjectPerLine) {
   std::string line;
   std::size_t count = 0;
   while (std::getline(lines, line)) {
-    const auto fields = testutil::ParseJsonObject(line);
-    ASSERT_TRUE(fields.has_value()) << line;
-    EXPECT_EQ(testutil::JsonUint(*fields, "seq", 99), count);
-    EXPECT_EQ(testutil::JsonString(*fields, "type"), "unit.test");
+    const JsonValue fields = ParseJson(line);
+    ASSERT_TRUE(fields.is_object()) << line;
+    EXPECT_EQ(testutil::Member(fields, "seq").AsUint("seq"), count);
+    EXPECT_EQ(testutil::Member(fields, "type").AsString("type"), "unit.test");
     ++count;
   }
   EXPECT_EQ(count, 2u);
@@ -332,9 +329,9 @@ TEST(TracerTest, ConcurrentEmitsNeverInterleave) {
   std::vector<bool> seen(kTasks * kEventsPerTask, false);
   std::size_t count = 0;
   while (std::getline(lines, line)) {
-    const auto fields = testutil::ParseJsonObject(line);
-    ASSERT_TRUE(fields.has_value()) << line;
-    const std::uint64_t seq = testutil::JsonUint(*fields, "seq", seen.size());
+    const JsonValue fields = ParseJson(line);
+    ASSERT_TRUE(fields.is_object()) << line;
+    const std::uint64_t seq = testutil::Member(fields, "seq").AsUint("seq");
     ASSERT_LT(seq, seen.size());
     EXPECT_FALSE(seen[seq]);
     seen[seq] = true;

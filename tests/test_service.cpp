@@ -251,9 +251,9 @@ TEST(ServiceProtocol, ParsesDefaultsAndFields) {
   EXPECT_EQ(defaults.topology.kind, "random");
   EXPECT_EQ(defaults.topology.switches, 16u);
   EXPECT_EQ(defaults.apps, 4u);
-  EXPECT_EQ(defaults.algo, "tabu");
-  EXPECT_FALSE(defaults.seeds.has_value());
-  EXPECT_EQ(defaults.search_seed, 1u);
+  EXPECT_EQ(defaults.search.algo, "tabu");
+  EXPECT_FALSE(defaults.search.seeds.has_value());
+  EXPECT_EQ(defaults.search.rng_seed, 1u);
   EXPECT_EQ(defaults.deadline_ms, 0u);
 
   const svc::Request full = svc::ParseRequest(
@@ -376,6 +376,33 @@ TEST(ServiceExecute, ScheduleCachesModelsAndResults) {
   const JsonValue aliased = ParseJson(service.Execute(svc::ParseRequest(as_text.Finish())));
   EXPECT_EQ(aliased.Find("model_cache")->AsString("model_cache"), "hit");
   EXPECT_EQ(aliased.Find("result_cache")->AsString("result_cache"), "hit");
+}
+
+// A multilevel "hops" request reads only the graph: it neither looks up
+// nor solves a network model, and its text is a direct run over the BFS
+// hop table.
+TEST(ServiceExecute, MultilevelHopsBuildsNoModel) {
+  svc::SchedulingService service;
+  const obs::Counter& solves = obs::Registry::Global().GetCounter("svc.model.solve");
+  const std::uint64_t solves_before = solves.value();
+  const std::uint64_t misses_before = service.TopologyCacheStats().misses;
+  const std::string response = service.Execute(svc::ParseRequest(
+      R"({"id":"h","op":"schedule","topology":{"kind":"torus3d","x":4,"y":4,"z":4},)"
+      R"("multilevel":true,"procs":200,"pattern":"ring","distance":"hops"})"));
+  const JsonValue parsed = ParseJson(response);
+  ASSERT_TRUE(parsed.Find("ok")->AsBool("ok")) << response;
+  EXPECT_EQ(solves.value(), solves_before);
+  EXPECT_EQ(service.TopologyCacheStats().misses, misses_before);
+
+  const topo::SwitchGraph graph = topo::MakeTorus3D(4, 4, 4, 4);
+  svc::MultilevelKnobs knobs;
+  knobs.processes = 200;
+  knobs.pattern = "ring";
+  knobs.distance = "hops";
+  const sched::ml::MultilevelResult direct = svc::RunMultilevelSchedule(
+      dist::DistanceTable::BuildGraphHops(graph), graph.hosts_per_switch(), knobs);
+  EXPECT_EQ(parsed.Find("text")->AsString("text"),
+            svc::FormatMultilevelText(direct, graph.switch_count(), graph.hosts_per_switch()));
 }
 
 TEST(ServiceExecute, QualityEvaluatesPartition) {

@@ -220,6 +220,60 @@ TEST(ServiceE2E, ServedTextMatchesOneShotCliByteForByte) {
                    "--points 2 --max-rate 0.4 --warmup 500 --measure 1500"));
 }
 
+// Served multilevel schedules, over the resistance table and over hop
+// counts, print what the one-shot `schedule --multilevel` prints.
+TEST(ServiceE2E, ServedMultilevelTextMatchesOneShotCli) {
+  ServeProcess serve({"--workers", "2"});
+  serve.Send(R"({"id":"ml","op":"schedule","topology":{"kind":"mixed"},"multilevel":true,)"
+             R"("procs":60,"pattern":"grid"})");
+  serve.Send(
+      R"({"id":"hops","op":"schedule","topology":{"kind":"torus3d","x":4,"y":4,"z":4},)"
+      R"("multilevel":true,"procs":200,"pattern":"ring","distance":"hops"})");
+  serve.CloseStdin();
+  const auto responses = ReadResponses(serve, 2);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(serve.Wait(), 0);
+
+  EXPECT_EQ(responses.at("ml").Find("text")->AsString("text"),
+            RunCli("schedule --kind mixed --multilevel --procs 60 --pattern grid"));
+  EXPECT_EQ(responses.at("hops").Find("text")->AsString("text"),
+            RunCli("schedule --kind torus3d --x 4 --y 4 --z 4 --multilevel --procs 200 "
+                   "--pattern ring --distance hops"));
+}
+
+// A served simulate with Duato routing, telemetry and an inline fault plan
+// prints what the one-shot run given the plan file prints, `faults:` line
+// included.
+TEST(ServiceE2E, ServedFaultedSimulateMatchesOneShotCli) {
+  const std::string plan_path =
+      std::string(COMMSCHED_TEST_DATA_DIR) + "/faultplan_diff_switch.json";
+  std::ifstream plan_in(plan_path);
+  ASSERT_TRUE(plan_in.good()) << plan_path;
+  std::ostringstream plan_text;
+  plan_text << plan_in.rdbuf();
+  // One line: a JSONL request cannot carry the file's newlines.
+  const std::string plan = faults::FaultPlan::FromJson(plan_text.str()).ToJson();
+
+  ServeProcess serve({"--workers", "1"});
+  serve.Send(R"({"id":"sim","op":"simulate","topology":{"kind":"rings"},"apps":4,)"
+             R"("mapping":"blocked","points":2,"max_rate":0.4,"warmup":500,"measure":1500,)"
+             R"("duato":true,"telemetry":500,"fault_plan":)" +
+             plan + "}");
+  serve.CloseStdin();
+  const auto responses = ReadResponses(serve, 1);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(serve.Wait(), 0);
+
+  const JsonValue& sim = responses.at("sim");
+  ASSERT_TRUE(sim.Find("ok")->AsBool("ok")) << sim.Find("error")->AsString("error");
+  const std::string text = sim.Find("text")->AsString("text");
+  EXPECT_NE(text.find("faults: 1 planned events"), std::string::npos) << text;
+  EXPECT_EQ(text, RunCli("simulate --kind rings --apps 4 --mapping blocked --points 2 "
+                         "--max-rate 0.4 --warmup 500 --measure 1500 --duato --telemetry 500 "
+                         "--fault-plan " +
+                         plan_path));
+}
+
 TEST(ServiceE2E, ConcurrentMixedBurstAnswersAllAndHitsCache) {
   ServeProcess serve({"--workers", "4", "--queue", "16"});
   std::set<std::string> expected_ids;
@@ -378,13 +432,15 @@ TEST(ServiceE2E, HttpMetricsScrapeAndTopDashboard) {
 TEST(ServiceE2E, SlowRequestLogCapturesThresholdedRequests) {
   const std::string log_path = TempPath("slow.jsonl");
   std::remove(log_path.c_str());
+  // A wide gap between the threshold and the sleep: a ping on a loaded box
+  // must stay under the threshold.
   ServeProcess serve(
-      {"--listen", "0", "--workers", "1", "--slow-ms", "5", "--slow-log", log_path});
+      {"--listen", "0", "--workers", "1", "--slow-ms", "100", "--slow-log", log_path});
   const int port = AnnouncedPort(serve);
   ASSERT_GT(port, 0);
 
   // One request over the threshold, one under: only the sleep is logged.
-  TcpJsonLine(port, R"({"id":"slow","op":"sleep","ms":30})");
+  TcpJsonLine(port, R"({"id":"slow","op":"sleep","ms":300})");
   TcpJsonLine(port, R"({"id":"fast","op":"ping"})");
   const std::string stats = TcpJsonLine(port, R"({"id":"st","op":"stats"})");
   EXPECT_NE(stats.find("\"slow\":[{"), std::string::npos) << stats;

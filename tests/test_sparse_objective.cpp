@@ -199,17 +199,6 @@ TEST(SparseObjective, CommGraphRejectsBadEdges) {
   EXPECT_THROW(qual::CommGraph::FromEdges(3, {{0, 1, -2.0}}), ConfigError);
 }
 
-TEST(SparseObjective, CommGraphTextRoundTrips) {
-  const qual::CommGraph graph = qual::CommGraph::FromEdges(
-      5, {{0, 1, 1.0}, {1, 2, 2.5}, {3, 4, 0.25}}, {1, 2, 1, 3, 1});
-  const qual::CommGraph back = qual::CommGraph::FromText(graph.ToText());
-  EXPECT_EQ(back.vertex_count(), graph.vertex_count());
-  EXPECT_EQ(back.edges(), graph.edges());
-  for (std::size_t v = 0; v < 5; ++v) {
-    EXPECT_EQ(back.vertex_size(v), graph.vertex_size(v));
-  }
-}
-
 TEST(SparseObjective, PatternGeneratorsProduceExpectedShapes) {
   const qual::CommGraph ring = work::MakeRingComm(10);
   EXPECT_EQ(ring.edge_count(), 10u);

@@ -64,13 +64,15 @@ std::vector<std::string> SplitLines(const std::string& text) {
 
 /// Required fields per event type; every line must carry seq + type, and the
 /// identifying payload fields listed here.
-void ExpectSchema(const std::map<std::string, std::string>& fields, const std::string& line) {
-  ASSERT_NE(testutil::JsonRaw(fields, "seq"), "") << line;
-  const std::string type = testutil::JsonString(fields, "type");
+void ExpectSchema(const JsonValue& fields, const std::string& line) {
+  ASSERT_NE(fields.Find("seq"), nullptr) << line;
+  const JsonValue* type_value = fields.Find("type");
+  ASSERT_NE(type_value, nullptr) << line;
+  const std::string type = type_value->AsString("type");
   ASSERT_NE(type, "") << line;
   const auto require = [&](std::initializer_list<const char*> keys) {
     for (const char* key : keys) {
-      EXPECT_NE(testutil::JsonRaw(fields, key), "") << "missing '" << key << "' in " << line;
+      EXPECT_NE(fields.Find(key), nullptr) << "missing '" << key << "' in " << line;
     }
   };
   if (type == "search.restart") {
@@ -91,15 +93,16 @@ void ExpectSchema(const std::map<std::string, std::string>& fields, const std::s
 /// The comparison key: event type plus the move-identifying integer fields.
 /// Floats are deliberately excluded — the move sequence is the contract, the
 /// fg values are covered by EXPECT_NEAR elsewhere and by schema checks here.
-std::string CanonicalKey(const std::map<std::string, std::string>& fields) {
-  std::string key = testutil::JsonString(fields, "type");
+std::string CanonicalKey(const JsonValue& fields) {
+  std::string key = testutil::Member(fields, "type").AsString("type");
   for (const char* field : {"seed", "iter", "a", "b", "escape", "iters", "evals", "hits"}) {
-    const std::string raw = testutil::JsonRaw(fields, field);
-    if (!raw.empty()) {
+    const JsonValue* value = fields.Find(field);
+    if (value != nullptr) {
       key += ' ';
       key += field;
       key += '=';
-      key += raw;
+      key += value->is_bool() ? (value->AsBool(field) ? "true" : "false")
+                              : std::to_string(value->AsUint(field));
     }
   }
   return key;
@@ -121,11 +124,11 @@ TEST(TraceGolden, TabuTraceMatchesGoldenFile) {
   // sequential seq numbers.
   std::vector<std::string> actual_keys;
   for (std::size_t k = 0; k < lines.size(); ++k) {
-    const auto fields = testutil::ParseJsonObject(lines[k]);
-    ASSERT_TRUE(fields.has_value()) << lines[k];
-    ExpectSchema(*fields, lines[k]);
-    EXPECT_EQ(testutil::JsonUint(*fields, "seq", lines.size()), k);
-    actual_keys.push_back(CanonicalKey(*fields));
+    const JsonValue fields = ParseJson(lines[k]);
+    ASSERT_TRUE(fields.is_object()) << lines[k];
+    ExpectSchema(fields, lines[k]);
+    EXPECT_EQ(testutil::Member(fields, "seq").AsUint("seq"), k);
+    actual_keys.push_back(CanonicalKey(fields));
   }
 
   std::ifstream golden(GoldenPath());
@@ -135,10 +138,10 @@ TEST(TraceGolden, TabuTraceMatchesGoldenFile) {
   std::string line;
   while (std::getline(golden, line)) {
     if (line.empty()) continue;
-    const auto fields = testutil::ParseJsonObject(line);
-    ASSERT_TRUE(fields.has_value()) << "golden line unparseable: " << line;
-    ExpectSchema(*fields, line);
-    golden_keys.push_back(CanonicalKey(*fields));
+    const JsonValue fields = ParseJson(line);
+    ASSERT_TRUE(fields.is_object()) << "golden line is not an object: " << line;
+    ExpectSchema(fields, line);
+    golden_keys.push_back(CanonicalKey(fields));
   }
 
   ASSERT_EQ(actual_keys.size(), golden_keys.size())

@@ -1,32 +1,16 @@
-// commsched command-line interface.
+// commsched command-line interface; run it without arguments for usage.
 //
-//   commsched_cli topo     --kind random --switches 16 --seed 1 [--dot]
-//   commsched_cli distance --kind rings [--hops]
-//   commsched_cli schedule --kind random --switches 16 --apps 4 [--seeds 10]
-//                          [--algo tabu|sd|random|sa|gsa] [--parallel-seeds]
-//   commsched_cli schedule --kind torus3d --x 10 --y 10 --z 10 --multilevel
-//                          --procs 100000 --pattern grid --distance hops
-//   commsched_cli simulate --kind rings --apps 4 --mapping op|random|blocked
-//                          [--points 9] [--max-rate 1.4] [--vcs 1] [--duato]
-//                          [--telemetry N] [--fault-plan plan.json]
-//                          [--reconfig-downtime 128]
-//   commsched_cli experiment --kind random --switches 16 [--randoms 9]
-//   commsched_cli report   --trace run.jsonl [--metrics-file m.json]
-//                          [--csv sweep.csv] [--top 5]
-//   commsched_cli serve    [--listen PORT] [--workers N] [--slow-ms N]
-//                          [--allow-stats-reset] [--store-dir DIR]
-//   commsched_cli top      --connect [HOST:]PORT [--interval-ms 1000] [--once]
+// schedule and simulate are service requests: argv becomes one protocol
+// svc::Request (flag --foo-bar is key "foo_bar"; topology flags nest under
+// "topology"; DESIGN.md §10), SchedulingService::Execute runs it, and the
+// response's text is the output. topo, distance and experiment build their
+// graph from the same topology flags.
 //
 // Observability (any command): --trace <file> streams structured JSONL
-// events (search moves/restarts, simulator milestones, sweep points) to the
-// file; --metrics prints the global counter/timer registry as one JSON line
-// after the command output; --metrics-out <file> writes the same JSON to a
-// file; --chrome-trace <file> writes a Chrome trace-event profile of the
-// run's spans (load in Perfetto / chrome://tracing).
-//
-// Topology kinds: random (paper's irregular model), rings (the designed
-// 24-switch net), mixed (dense/sparse 16-switch), mesh RxC, torus RxC,
-// hypercube D, file <path> (text format of topology/serialize.h).
+// events to the file; --metrics prints the global registry as one JSON line
+// after the output; --metrics-out <file> writes the same JSON to a file;
+// --chrome-trace <file> writes a Chrome trace-event profile of the run's
+// spans (load in Perfetto / chrome://tracing).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -40,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -86,67 +71,87 @@ class Args {
     return it == values_.end() ? fallback : std::stod(it->second);
   }
 
+  [[nodiscard]] const std::map<std::string, std::string>& values() const { return values_; }
+
  private:
   std::map<std::string, std::string> values_;
 };
 
-topo::SwitchGraph BuildTopology(const Args& args) {
-  const std::string kind = args.Get("kind", "random");
-  if (kind == "random") {
-    topo::IrregularTopologyOptions options;
-    options.switch_count = args.GetSize("switches", 16);
-    options.hosts_per_switch = args.GetSize("hosts", 4);
-    options.interswitch_degree = args.GetSize("degree", 3);
-    options.seed = args.GetSize("seed", 1);
-    return topo::GenerateIrregularTopology(options);
+/// The whole file; `what` names it in the error.
+std::string ReadFile(const std::string& path, const std::string& what) {
+  std::ifstream in(path);
+  if (!in) throw ConfigError("cannot open " + what + " '" + path + "'");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Flags that nest under the request's "topology" object.
+const std::set<std::string> kTopologyFlags = {"kind", "switches", "hosts", "degree",
+                                              "seed", "rows",     "cols",  "dim",
+                                              "x",    "y",        "z",     "k"};
+
+/// Flags the CLI itself handles; they never reach a request.
+const std::set<std::string> kCliFlags = {"trace", "metrics", "metrics-out", "chrome-trace",
+                                         "dot"};
+
+/// A flag's value as a JSON literal: a bare flag is true, numbers and
+/// true/false stay literal, anything else is a string.
+std::string JsonLiteral(const std::string& value) {
+  if (value.empty()) return "true";
+  try {
+    const JsonValue parsed = ParseJson(value);
+    if (parsed.is_number() || parsed.is_bool()) return value;
+  } catch (const ConfigError&) {
+    // Not a JSON scalar: a string.
   }
-  if (kind == "rings") return topo::MakeFourRingsOfSix(args.GetSize("hosts", 4));
-  if (kind == "mixed") return topo::MakeMixedDensity16(args.GetSize("hosts", 4));
-  if (kind == "mesh" || kind == "torus") {
-    // A torus needs every ring of >= 3 switches to stay a simple graph.
-    const std::size_t min = kind == "mesh" ? 1 : 3;
-    const std::size_t rows = args.GetSize("rows", 4);
-    const std::size_t cols = args.GetSize("cols", 4);
-    topo::RequireDimension(kind + " --rows", rows, min);
-    topo::RequireDimension(kind + " --cols", cols, min);
-    return kind == "mesh" ? topo::MakeMesh2D(rows, cols, args.GetSize("hosts", 4))
-                          : topo::MakeTorus2D(rows, cols, args.GetSize("hosts", 4));
-  }
-  if (kind == "torus3d") {
-    const std::size_t x = args.GetSize("x", 4);
-    const std::size_t y = args.GetSize("y", 4);
-    const std::size_t z = args.GetSize("z", 4);
-    topo::RequireDimension("torus3d --x", x, 3);
-    topo::RequireDimension("torus3d --y", y, 3);
-    topo::RequireDimension("torus3d --z", z, 3);
-    return topo::MakeTorus3D(x, y, z, args.GetSize("hosts", 4));
-  }
-  if (kind == "fattree") {
-    const std::size_t k = args.GetSize("k", 4);
-    if (k < 2 || k % 2 != 0) {
-      throw ConfigError("fattree --k must be even and >= 2, got " + std::to_string(k));
+  return "\"" + JsonEscape(value) + "\"";
+}
+
+/// The topology flags as a protocol "topology" object; `--kind file --path
+/// P` inlines P's text as {"kind":"text","text":...}.
+std::string TopologyJson(const Args& args) {
+  JsonObjectWriter topology;
+  for (const auto& [flag, value] : args.values()) {
+    if (kTopologyFlags.count(flag) > 0 && !(flag == "kind" && value == "file")) {
+      topology.Raw(flag, JsonLiteral(value));
     }
-    return topo::MakeFatTree(k, args.GetSize("hosts", 4));
   }
-  if (kind == "hypercube") {
-    const std::size_t dim = args.GetSize("dim", 4);
-    topo::RequireDimension("hypercube --dim", dim, 1, 20);
-    return topo::MakeHypercube(dim, args.GetSize("hosts", 4));
-  }
-  if (kind == "file") {
+  if (args.Get("kind", "") == "file") {
     const std::string path = args.Get("path", "");
     if (path.empty()) throw ConfigError("--kind file requires --path");
-    std::ifstream in(path);
-    if (!in) throw ConfigError("cannot open '" + path + "'");
-    std::ostringstream text;
-    text << in.rdbuf();
-    return topo::FromText(text.str());
+    topology.Field("kind", "text");
+    topology.Field("text", ReadFile(path, "topology file"));
   }
-  throw ConfigError("unknown topology kind '" + kind + "'");
+  return topology.Finish();
+}
+
+topo::SwitchGraph BuildGraph(const Args& args) {
+  return svc::BuildTopology(svc::ParseTopology(ParseJson(TopologyJson(args))));
+}
+
+/// argv as one protocol request: each flag is the key of its name with '-'
+/// spelled '_', and --fault-plan F inlines F's plan. The protocol's parser
+/// then applies its field rules, so an unknown flag is an error.
+svc::Request ParseArgsRequest(const std::string& op, const Args& args) {
+  JsonObjectWriter request;
+  request.Field("op", op);
+  request.Raw("topology", TopologyJson(args));
+  for (const auto& [flag, value] : args.values()) {
+    if (kTopologyFlags.count(flag) > 0 || kCliFlags.count(flag) > 0) continue;
+    if (flag == "path" && args.Get("kind", "") == "file") continue;
+    std::string key = flag;
+    std::replace(key.begin(), key.end(), '-', '_');
+    if (key == "op" || key == "topology") throw ConfigError("unknown flag --" + flag);
+    request.Raw(key, key == "fault_plan"
+                         ? faults::FaultPlan::FromJson(ReadFile(value, "fault plan")).ToJson()
+                         : JsonLiteral(value));
+  }
+  return svc::ParseRequest(request.Finish());
 }
 
 int CmdTopo(const Args& args) {
-  const topo::SwitchGraph graph = BuildTopology(args);
+  const topo::SwitchGraph graph = BuildGraph(args);
   if (args.Has("dot")) {
     std::cout << topo::ToDot(graph);
     return 0;
@@ -159,7 +164,7 @@ int CmdTopo(const Args& args) {
 }
 
 int CmdDistance(const Args& args) {
-  const topo::SwitchGraph graph = BuildTopology(args);
+  const topo::SwitchGraph graph = BuildGraph(args);
   const route::UpDownRouting routing(graph);
   const dist::DistanceTable table = args.Has("hops")
                                         ? dist::DistanceTable::BuildHopCount(routing)
@@ -168,137 +173,39 @@ int CmdDistance(const Args& args) {
   return 0;
 }
 
-/// The CLI's search knobs, exactly as the scheduling service interprets
-/// them — both front ends funnel into svc::RunMappingSearch so a served
-/// request is byte-identical to a one-shot run.
-svc::SearchKnobs KnobsFromArgs(const Args& args) {
-  svc::SearchKnobs knobs;
-  knobs.algo = args.Get("algo", "tabu");
-  if (args.Has("seeds")) knobs.seeds = args.GetSize("seeds", 0);
-  if (args.Has("iters")) knobs.iterations = args.GetSize("iters", 0);
-  if (args.Has("samples")) knobs.samples = args.GetSize("samples", 0);
-  knobs.rng_seed = args.GetSize("search-seed", 1);
-  knobs.parallel_seeds = args.Has("parallel-seeds");
-  svc::ValidateSearchKnobs(knobs);  // fail at parse time, not mid-run
-  return knobs;
-}
-
-/// The multilevel knobs, exactly as the service's schedule op interprets
-/// them — both front ends funnel into svc::RunMultilevelSchedule so a
-/// served request stays byte-identical to a one-shot run.
-svc::MultilevelKnobs MultilevelKnobsFromArgs(const Args& args) {
-  svc::MultilevelKnobs knobs;
-  knobs.processes = args.GetSize("procs", 0);
-  knobs.pattern = args.Get("pattern", "grid");
-  knobs.pattern_seed = args.GetSize("pattern-seed", 1);
-  knobs.coarsen_target = args.GetSize("coarsen-target", 0);
-  knobs.refine_budget = args.GetSize("refine-budget", 0);
-  if (args.Has("seeds")) knobs.seeds = args.GetSize("seeds", 0);
-  if (args.Has("iters")) knobs.iterations = args.GetSize("iters", 0);
-  knobs.rng_seed = args.GetSize("search-seed", 1);
-  knobs.distance = args.Get("distance", "resistance");
-  svc::ValidateMultilevelKnobs(knobs);
-  return knobs;
-}
-
-int CmdScheduleMultilevel(const Args& args, const topo::SwitchGraph& graph) {
-  const svc::MultilevelKnobs knobs = MultilevelKnobsFromArgs(args);
-  const route::UpDownRouting routing(graph);
-  // hops skips the O(N^3)-ish resistance solve — required for 1k+ switches.
-  const dist::DistanceTable table = knobs.distance == "hops"
-                                        ? dist::DistanceTable::BuildGraphHops(graph)
-                                        : dist::DistanceTable::Build(routing);
-  const sched::ml::MultilevelResult result =
-      svc::RunMultilevelSchedule(table, graph.hosts_per_switch(), knobs);
-  std::cout << svc::FormatMultilevelText(result, graph.switch_count(),
-                                         graph.hosts_per_switch());
-  return 0;
-}
-
-int CmdSchedule(const Args& args) {
-  const topo::SwitchGraph graph = BuildTopology(args);
-  if (args.Has("multilevel")) return CmdScheduleMultilevel(args, graph);
-  const std::vector<std::size_t> sizes =
-      svc::EvenClusterSizes(graph.switch_count(), args.GetSize("apps", 4));
-  const route::UpDownRouting routing(graph);
-  const dist::DistanceTable table = dist::DistanceTable::Build(routing);
-  const sched::SearchResult result =
-      svc::RunMappingSearch(table, sizes, KnobsFromArgs(args));
-  std::cout << sched::FormatSearchResult(result);
-  if (args.Has("dot")) {
-    std::cout << topo::ToDot(graph, result.best.cluster_of_switch());
+/// schedule and simulate: one request through the service, whose text is
+/// the output. `schedule --dot` adds the graph coloured by the partition.
+int CmdRequest(const std::string& op, const Args& args) {
+  const svc::Request request = ParseArgsRequest(op, args);
+  svc::SchedulingService service;
+  const JsonValue response = ParseJson(service.Execute(request));
+  if (!response.Find("ok")->AsBool("ok")) {
+    throw ConfigError(response.Find("error")->AsString("error"));
   }
-  return 0;
-}
-
-int CmdSimulate(const Args& args) {
-  const topo::SwitchGraph graph = BuildTopology(args);
-  const route::UpDownRouting routing(graph);
-  const std::size_t apps = args.GetSize("apps", 4);
-  const std::vector<std::size_t> sizes = svc::EvenClusterSizes(graph.switch_count(), apps);
-  const work::Workload workload = work::Workload::Uniform(apps, graph.host_count() / apps);
-
-  const std::string mapping_kind = args.Get("mapping", "op");
-  std::optional<dist::DistanceTable> table;  // only the op mapping needs it
-  if (mapping_kind == "op") table = dist::DistanceTable::Build(routing);
-  const qual::Partition partition = svc::ChooseMappingPartition(
-      mapping_kind, table.has_value() ? &*table : nullptr, sizes,
-      args.GetSize("mapping-seed", 2000), args.Has("parallel-seeds"));
-  const auto mapping = work::ProcessMapping::FromPartition(graph, workload, partition);
-  const sim::TrafficPattern pattern(graph, workload, mapping);
-
-  sim::SweepOptions sweep;
-  sweep.points = args.GetSize("points", 9);
-  sweep.min_rate = args.GetDouble("min-rate", 0.08);
-  sweep.max_rate = args.GetDouble("max-rate", 1.4);
-  sweep.config.virtual_channels = args.GetSize("vcs", 1);
-  sweep.config.adaptive_routing = args.Has("adaptive");
-  sweep.config.warmup_cycles = args.GetSize("warmup", 5000);
-  sweep.config.measure_cycles = args.GetSize("measure", 15000);
-  sweep.config.telemetry_sample_cycles = args.GetSize("telemetry", 0);
-
-  std::optional<faults::FaultPlan> plan;  // must outlive the sweep
-  const std::string plan_path = args.Get("fault-plan", "");
-  if (!plan_path.empty()) {
-    std::ifstream plan_in(plan_path);
-    if (!plan_in) throw ConfigError("cannot open fault plan '" + plan_path + "'");
-    std::ostringstream plan_text;
-    plan_text << plan_in.rdbuf();
-    plan = faults::FaultPlan::FromJson(plan_text.str());
-    plan->ValidateFor(graph);
-    sweep.config.fault_plan = &*plan;
-    sweep.config.reconfig_downtime_cycles = args.GetSize("reconfig-downtime", 128);
-  }
-
-  sim::SweepResult result;
-  if (args.Has("duato")) {
-    const std::size_t vcs = std::max<std::size_t>(2, sweep.config.virtual_channels);
-    sweep.config.virtual_channels = vcs;
-    const sim::DuatoFullyAdaptivePolicy policy(graph, vcs);
-    result = sim::RunLoadSweep(graph, policy, pattern, sweep);
-  } else {
-    result = sim::RunLoadSweep(graph, routing, pattern, sweep);
-  }
-
-  std::cout << svc::FormatSimulateText(partition, result);
-  if (plan.has_value()) {
-    std::size_t dropped = 0;
-    std::size_t lost = 0;
-    std::size_t reconfig = 0;
-    for (const sim::SweepPoint& p : result.points) {
-      dropped += p.metrics.dropped_flits;
-      lost += p.metrics.messages_lost;
-      reconfig = std::max(reconfig, p.metrics.reconfig_cycles);
+  std::cout << response.Find("text")->AsString("text");
+  const JsonValue* partition = response.Find("partition");
+  if (args.Has("dot") && partition != nullptr) {
+    const topo::SwitchGraph graph = svc::BuildTopology(request.topology);
+    // "(0,3) (1,2)": the k-th parenthesised group is cluster k.
+    std::vector<std::size_t> cluster_of_switch(graph.switch_count());
+    std::size_t cluster = 0;
+    std::size_t id = 0;
+    for (const char c : partition->AsString("partition")) {
+      if (c >= '0' && c <= '9') {
+        id = id * 10 + static_cast<std::size_t>(c - '0');
+      } else if (c == ',' || c == ')') {
+        cluster_of_switch.at(id) = cluster;
+        id = 0;
+        if (c == ')') ++cluster;
+      }
     }
-    std::cout << "faults: " << plan->events().size() << " planned events, dropped flits "
-              << dropped << ", messages lost " << lost << ", reconfig cycles/run "
-              << reconfig << "\n";
+    std::cout << topo::ToDot(graph, cluster_of_switch);
   }
   return 0;
 }
 
 int CmdExperiment(const Args& args) {
-  const topo::SwitchGraph graph = BuildTopology(args);
+  const topo::SwitchGraph graph = BuildGraph(args);
   core::ExperimentOptions options;
   options.applications = args.GetSize("apps", 4);
   // Typed errors for what the library would reject as contract violations.
@@ -338,14 +245,9 @@ int CmdReport(const Args& args) {
   if (!in) throw ConfigError("cannot open trace file '" + trace_path + "'");
   obs::TraceSummary summary = obs::SummarizeTrace(in);
   const std::string metrics_path = args.Get("metrics-file", "");
-  if (!metrics_path.empty()) {
-    std::ifstream metrics_in(metrics_path);
-    if (!metrics_in) throw ConfigError("cannot open metrics file '" + metrics_path + "'");
-    std::ostringstream metrics_text;
-    metrics_text << metrics_in.rdbuf();
-    if (!obs::LoadMetrics(metrics_text.str(), summary)) {
-      throw ConfigError("metrics file '" + metrics_path + "' is not a registry dump");
-    }
+  if (!metrics_path.empty() &&
+      !obs::LoadMetrics(ReadFile(metrics_path, "metrics file"), summary)) {
+    throw ConfigError("metrics file '" + metrics_path + "' is not a registry dump");
   }
   obs::RenderReport(summary, std::cout, args.GetSize("top", 5));
   const std::string csv_path = args.Get("csv", "");
@@ -585,40 +487,33 @@ int Usage() {
       "             --x/--y/--z torus3d dims, --k fat-tree arity, --dot)\n"
       "  distance   equivalent-distance table as CSV (--hops for hop counts)\n"
       "  schedule   search for a mapping + quality coefficients (--apps K, --seeds N,\n"
-      "             --algo tabu|sd|random|sa|gsa, --parallel-seeds, --dot);\n"
+      "             --iters N, --algo tabu|sd|random|sa|gsa, --parallel-seeds, --dot);\n"
       "             --multilevel maps a generated process graph instead:\n"
       "             --procs N processes, --pattern ring|grid|random,\n"
       "             --pattern-seed S, --coarsen-target N, --refine-budget B,\n"
       "             --distance resistance|hops (hops scales to 1k+ switches)\n"
       "  simulate   load sweep for a mapping (--mapping op|random|blocked,\n"
-      "             --parallel-seeds for the op search, --vcs V,\n"
-      "             --adaptive, --duato, --points P, --max-rate R,\n"
-      "             --telemetry N\n"
-      "             to sample deep network telemetry every N measured cycles;\n"
-      "             --fault-plan F replays a JSON schedule of link/switch\n"
-      "             failures mid-run, --reconfig-downtime N sets the routing\n"
-      "             pause after each fault)\n"
+      "             --parallel-seeds for the op search, --vcs V, --adaptive,\n"
+      "             --duato, --points P, --max-rate R, --telemetry N samples\n"
+      "             network telemetry every N measured cycles, --fault-plan F\n"
+      "             replays a JSON schedule of link/switch failures mid-run,\n"
+      "             --reconfig-downtime N sets the routing pause after each fault)\n"
+      "             schedule and simulate run as one service request (the serve\n"
+      "             protocol's keys, '-' spelled '_'); an unknown flag is an error\n"
       "  experiment full paper experiment: OP vs random mappings (--randoms K,\n"
       "             --parallel-seeds)\n"
       "  report     analyse a JSONL trace: latency percentiles, hottest links,\n"
       "             per-seed convergence (--trace F, --metrics-file F, --csv F,\n"
       "             --top K)\n"
       "  serve      scheduling daemon: JSONL requests on stdin -> responses on\n"
-      "             stdout (or --listen [PORT] for TCP on 127.0.0.1; PORT 0 or\n"
-      "             omitted = ephemeral, announced on stdout). --workers N,\n"
-      "             --queue N admission capacity, --deadline-ms N default\n"
-      "             deadline, --topo-cache N, --result-cache N. SIGTERM/SIGINT\n"
-      "             or stdin EOF drains: every admitted request is answered,\n"
-      "             then the process exits 0. See DESIGN.md section 10.\n"
-      "             Observability (DESIGN.md section 12): the TCP listener\n"
-      "             also answers HTTP GET /metrics (Prometheus), /health and\n"
-      "             /ready; --slow-ms N logs requests slower than N ms\n"
-      "             (--slow-log F appends them to F as JSONL, --slow-log-\n"
-      "             capacity N bounds the in-memory tail); --allow-stats-reset\n"
-      "             enables the stats op's {\"reset\":true} variant;\n"
-      "             --no-windowed-metrics disables the rolling 10 s views;\n"
-      "             --store-dir D persists solved network models to D and\n"
-      "             warm-boots from it on restart (DESIGN.md section 14)\n"
+      "             stdout, or --listen [PORT] for TCP on 127.0.0.1 (PORT 0 = ephemeral,\n"
+      "             announced on stdout); --workers N, --queue N, --deadline-ms N,\n"
+      "             --topo-cache N, --result-cache N. SIGTERM/SIGINT or stdin EOF\n"
+      "             drains, then exits 0 (DESIGN.md section 10). The TCP listener\n"
+      "             also answers HTTP GET /metrics, /health and /ready; --slow-ms N\n"
+      "             logs slower requests (--slow-log F, --slow-log-capacity N);\n"
+      "             --allow-stats-reset, --no-windowed-metrics; --store-dir D\n"
+      "             persists solved models and warm-boots from them (section 14)\n"
       "  top        live dashboard for a serving daemon: --connect [HOST:]PORT,\n"
       "             --interval-ms N refresh period (default 1000), --once\n"
       "             prints a single frame and exits (scripting/tests)\n"
@@ -635,8 +530,7 @@ int Usage() {
 int Dispatch(const std::string& command, const Args& args) {
   if (command == "topo") return CmdTopo(args);
   if (command == "distance") return CmdDistance(args);
-  if (command == "schedule") return CmdSchedule(args);
-  if (command == "simulate") return CmdSimulate(args);
+  if (command == "schedule" || command == "simulate") return CmdRequest(command, args);
   if (command == "experiment") return CmdExperiment(args);
   if (command == "report") return CmdReport(args);
   if (command == "serve") return CmdServe(args);
@@ -691,7 +585,6 @@ int main(int argc, char** argv) {
     }
     if (rc == 0 && args.Has("metrics-out")) {
       const std::string path = args.Get("metrics-out", "");
-      if (path.empty()) throw ConfigError("--metrics-out requires a file path");
       std::ofstream out(path);
       if (!out) throw ConfigError("cannot open metrics file '" + path + "'");
       out << obs::Registry::Global().ToJson() << "\n";
