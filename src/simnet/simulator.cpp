@@ -109,11 +109,8 @@ std::size_t NetworkSimulator::DeliveryPort(std::size_t host) const {
 void NetworkSimulator::ResetState() {
   const std::size_t buffer_count = LinkVcCount() + graph_->host_count();
   buffers_.assign(buffer_count, Buffer{});
-  for (Buffer& buffer : buffers_) {
-    buffer.capacity = config_.input_buffer_flits;
-  }
+  flits_.assign(buffer_count * config_.input_buffer_flits, Flit{});
   outputs_.assign(LinkVcCount() + graph_->host_count(), OutputPort{});
-  pool_.Clear();
   arrival_queue_.Clear();
   messages_.clear();
   source_queue_.assign(graph_->host_count(), {});
@@ -171,29 +168,15 @@ void NetworkSimulator::ResetState() {
   vc_occupancy_counts_.assign(config_.input_buffer_flits + 1, 0);
 }
 
-void NetworkSimulator::PushFlit(Buffer& buffer, std::size_t index, std::uint32_t id) {
-  pool_.set_next(id, FlitPool::kNil);
-  if (buffer.tail == FlitPool::kNil) {
-    buffer.head = id;
-  } else {
-    pool_.set_next(buffer.tail, id);
-  }
-  buffer.tail = id;
+void NetworkSimulator::PushFlit(std::size_t index, Flit flit) {
+  Buffer& buffer = buffers_[index];
+  CS_DCHECK(HasSpace(buffer), "push into a full buffer");
+  flits_[SlotOf(index, buffer.size)] = flit;
   ++buffer.size;
   if (!touched_set_.Contains(index)) {
     touched_set_.Add(index);
     touched_buffers_.push_back(index);
   }
-}
-
-std::uint32_t NetworkSimulator::PopFlit(Buffer& buffer) {
-  const std::uint32_t id = buffer.head;
-  CS_DCHECK(id != FlitPool::kNil, "pop from an empty buffer");
-  buffer.head = pool_.next(id);
-  if (buffer.head == FlitPool::kNil) buffer.tail = FlitPool::kNil;
-  --buffer.size;
-  --buffer.ready;
-  return id;
 }
 
 void NetworkSimulator::SampleTelemetry() {
@@ -204,8 +187,7 @@ void NetworkSimulator::SampleTelemetry() {
   // input_buffer_flits); flushed into the net.vc.occupancy histogram after
   // the run.
   for (std::size_t b = 0; b < LinkVcCount(); ++b) {
-    const std::size_t occupancy = std::min(buffers_[b].size, config_.input_buffer_flits);
-    ++vc_occupancy_counts_[occupancy];
+    ++vc_occupancy_counts_[buffers_[b].size];
   }
 
   // Windowed per-link utilization since the previous sample: flits moved on
@@ -316,9 +298,9 @@ bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
 bool NetworkSimulator::GrantHeader(std::size_t b) {
   Buffer& buffer = buffers_[b];
   CS_DCHECK(buffer.FrontReady() && buffer.granted_output == Buffer::kNone &&
-                IsHeadFlit(buffer.head),
+                IsHeadFlit(FlitAt(b, 0)),
             "ineligible input in the arbitration mask");
-  const std::size_t msg_id = pool_.msg(buffer.head);
+  const std::size_t msg_id = FlitAt(b, 0).msg;
   const Message& m = messages_[msg_id];
 
   if (m.current_switch == m.dst_switch) {
@@ -352,7 +334,7 @@ bool NetworkSimulator::GrantHeader(std::size_t b) {
 void NetworkSimulator::MarkIfEligible(std::size_t b) {
   const Buffer& buffer = buffers_[b];
   if (!buffer.FrontReady() || buffer.granted_output != Buffer::kNone ||
-      !IsHeadFlit(buffer.head)) {
+      !IsHeadFlit(FlitAt(b, 0))) {
     return;
   }
   const std::size_t bit = eligible_bit_[b];
@@ -370,18 +352,16 @@ bool NetworkSimulator::TryMoveThroughOutput(std::size_t o) {
   const std::size_t src_index = port.source_buffer;
   Buffer& src = buffers_[src_index];
   if (!src.FrontReady()) return false;  // bubble: upstream stalled
-  const std::uint32_t flit = src.head;
-  CS_DCHECK(pool_.msg(flit) == port.owner, "foreign flit at the front of a held buffer");
-  const std::size_t msg_id = pool_.msg(flit);
+  const bool is_delivery = o >= LinkVcCount();
+  if (!is_delivery && !HasSpace(buffers_[o])) return false;  // no credit downstream
+  const Flit flit = PopFlit(src_index);
+  CS_DCHECK(flit.msg == port.owner, "foreign flit at the front of a held buffer");
+  const std::size_t msg_id = flit.msg;
   const bool head = IsHeadFlit(flit);
   const bool tail = IsTailFlit(flit);
 
-  const bool is_delivery = o >= LinkVcCount();
   if (!is_delivery) {
-    Buffer& dst = buffers_[o];
-    if (!dst.HasSpace()) return false;  // no credit downstream
-    (void)PopFlit(src);
-    PushFlit(dst, o, flit);  // becomes ready at end of cycle
+    PushFlit(o, flit);  // becomes ready at end of cycle
     any_movement_this_cycle_ = true;
     if (measuring_) ++port.flits_moved_measured;
     if (head) {
@@ -392,7 +372,6 @@ bool NetworkSimulator::TryMoveThroughOutput(std::size_t o) {
     }
   } else {
     // Delivery port: the host consumes one flit per cycle.
-    (void)PopFlit(src);
     --flits_in_network_;
     ++flits_delivered_total_;
     any_movement_this_cycle_ = true;
@@ -414,7 +393,6 @@ bool NetworkSimulator::TryMoveThroughOutput(std::size_t o) {
         app_latency_sum_[app] += static_cast<long double>(cycle_ - m.inject_cycle);
       }
     }
-    pool_.Free(flit);
   }
   // Credit wake: the pop freed a slot in `src`, so whatever feeds it may
   // move again — the upstream output of a link buffer, or the host's
@@ -467,19 +445,17 @@ bool NetworkSimulator::InjectHost(std::size_t h) {
   if (queue.empty()) return false;
   const std::size_t bi = InjectionBuffer(h);
   Buffer& buffer = buffers_[bi];
-  if (!buffer.HasSpace()) return false;
+  if (!HasSpace(buffer)) return false;
   const std::size_t msg = queue.front();
   Message& m = messages_[msg];
   const std::size_t k = source_flits_pushed_[h];
-  const std::uint32_t flit =
-      pool_.Allocate(static_cast<std::uint32_t>(msg), static_cast<std::uint32_t>(k));
   if (k == 0) {
     m.inject_cycle = cycle_;
     m.current_switch = graph_->SwitchOfHost(h);
     m.phase = Phase::kUp;
     m.on_escape = false;
   }
-  PushFlit(buffer, bi, flit);
+  PushFlit(bi, {static_cast<std::uint32_t>(msg), static_cast<std::uint32_t>(k)});
   ++flits_in_network_;
   ++flits_injected_total_;
   any_movement_this_cycle_ = true;
@@ -489,7 +465,7 @@ bool NetworkSimulator::InjectHost(std::size_t h) {
   } else {
     ++source_flits_pushed_[h];
   }
-  return !queue.empty() && buffer.HasSpace();
+  return !queue.empty() && HasSpace(buffer);
 }
 
 void NetworkSimulator::InjectPhase() {
@@ -670,33 +646,20 @@ void NetworkSimulator::PurgeLostMessages() {
     port.source_buffer = OutputPort::kFree;
   }
 
-  // Purge the flits themselves. A purged buffer's ready prefix is no longer
-  // meaningful; zeroing it stalls the buffer for the one cycle FinalizeCycle
-  // needs to re-establish it.
+  // Purge the flits themselves, compacting the survivors in order towards
+  // the front. A purged buffer's ready prefix is no longer meaningful;
+  // zeroing it stalls the buffer for the one cycle FinalizeCycle needs to
+  // re-establish it.
   for (std::size_t bi = 0; bi < buffers_.size(); ++bi) {
     Buffer& buffer = buffers_[bi];
-    if (buffer.size == 0) continue;
-    std::size_t purged = 0;
-    std::uint32_t prev = FlitPool::kNil;
-    std::uint32_t id = buffer.head;
-    while (id != FlitPool::kNil) {
-      const std::uint32_t next = pool_.next(id);
-      if (messages_[pool_.msg(id)].lost) {
-        if (prev == FlitPool::kNil) {
-          buffer.head = next;
-        } else {
-          pool_.set_next(prev, next);
-        }
-        if (buffer.tail == id) buffer.tail = prev;
-        pool_.Free(id);
-        ++purged;
-      } else {
-        prev = id;
-      }
-      id = next;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < buffer.size; ++k) {
+      const Flit flit = FlitAt(bi, k);
+      if (!messages_[flit.msg].lost) flits_[SlotOf(bi, kept++)] = flit;
     }
+    const std::size_t purged = buffer.size - kept;
     if (purged > 0) {
-      buffer.size -= purged;
+      buffer.size = kept;
       dropped_flits_ += purged;
       flits_in_network_ -= purged;
       buffer.ready = 0;
@@ -729,9 +692,7 @@ void NetworkSimulator::DropDeadTraffic() {
     for (std::size_t dir = 0; dir < 2; ++dir) {
       for (std::size_t vc = 0; vc < vc_count_; ++vc) {
         const std::size_t o = (2 * l + dir) * vc_count_ + vc;
-        for (std::uint32_t f = buffers_[o].head; f != FlitPool::kNil; f = pool_.next(f)) {
-          MarkMessageLost(pool_.msg(f));
-        }
+        for (std::size_t k = 0; k < buffers_[o].size; ++k) MarkMessageLost(FlitAt(o, k).msg);
         // A message streaming across the dead link is truncated even if its
         // remaining flits sit in healthy buffers upstream.
         if (outputs_[o].owner != OutputPort::kFree) MarkMessageLost(outputs_[o].owner);
@@ -741,10 +702,8 @@ void NetworkSimulator::DropDeadTraffic() {
   for (std::size_t h = 0; h < graph_->host_count(); ++h) {
     const std::size_t s = graph_->SwitchOfHost(h);
     if (view_->SwitchAlive(s)) continue;
-    for (std::uint32_t f = buffers_[InjectionBuffer(h)].head; f != FlitPool::kNil;
-         f = pool_.next(f)) {
-      MarkMessageLost(pool_.msg(f));
-    }
+    const std::size_t b = InjectionBuffer(h);
+    for (std::size_t k = 0; k < buffers_[b].size; ++k) MarkMessageLost(FlitAt(b, k).msg);
     if (outputs_[DeliveryPort(h)].owner != OutputPort::kFree) {
       MarkMessageLost(outputs_[DeliveryPort(h)].owner);
     }
@@ -755,11 +714,10 @@ void NetworkSimulator::DropDeadTraffic() {
 
   // In-flight or queued messages destined to a dead switch can never be
   // delivered; drop them now instead of letting them clog VCs.
-  for (const Buffer& buffer : buffers_) {
-    for (std::uint32_t f = buffer.head; f != FlitPool::kNil; f = pool_.next(f)) {
-      if (!view_->SwitchAlive(messages_[pool_.msg(f)].dst_switch)) {
-        MarkMessageLost(pool_.msg(f));
-      }
+  for (std::size_t b = 0; b < buffers_.size(); ++b) {
+    for (std::size_t k = 0; k < buffers_[b].size; ++k) {
+      const std::size_t msg = FlitAt(b, k).msg;
+      if (!view_->SwitchAlive(messages_[msg].dst_switch)) MarkMessageLost(msg);
     }
   }
   for (const auto& queue : source_queue_) {
@@ -792,12 +750,13 @@ void NetworkSimulator::CompleteReconfiguration() {
   // continue (up*/down* legality is never violated, matching Autonet's
   // packet drops during reconfiguration) — are lost.
   for (std::size_t b = 0; b < buffers_.size(); ++b) {
-    for (std::uint32_t f = buffers_[b].head; f != FlitPool::kNil; f = pool_.next(f)) {
+    for (std::size_t k = 0; k < buffers_[b].size; ++k) {
+      const Flit f = FlitAt(b, k);
       if (!IsHeadFlit(f)) continue;
-      Message& m = messages_[pool_.msg(f)];
+      Message& m = messages_[f.msg];
       if (m.lost) continue;
       if (!covered_[m.current_switch] || !covered_[m.dst_switch]) {
-        MarkMessageLost(pool_.msg(f));
+        MarkMessageLost(f.msg);
         continue;
       }
       if (b >= LinkVcCount()) {
@@ -808,7 +767,7 @@ void NetworkSimulator::CompleteReconfiguration() {
       m.on_escape = false;
       if (m.current_switch != m.dst_switch &&
           routing->NextHops(m.current_switch, m.dst_switch, m.phase).empty()) {
-        MarkMessageLost(pool_.msg(f));
+        MarkMessageLost(f.msg);
       }
     }
   }
@@ -821,7 +780,7 @@ void NetworkSimulator::CompleteReconfiguration() {
     OutputPort& port = outputs_[o];
     if (port.owner == OutputPort::kFree || messages_[port.owner].lost) continue;
     Buffer& src = buffers_[port.source_buffer];
-    if (src.size == 0 || !IsHeadFlit(src.head)) continue;
+    if (src.size == 0 || !IsHeadFlit(FlitAt(port.source_buffer, 0))) continue;
     src.granted_output = Buffer::kNone;
     port.owner = OutputPort::kFree;
     port.source_buffer = OutputPort::kFree;
@@ -1117,7 +1076,7 @@ SimTotals NetworkSimulator::Totals() const {
   totals.messages_enqueued = messages_enqueued_total_;
   totals.messages_born_dead = messages_born_dead_;
   totals.messages_lost = messages_lost_;
-  totals.pool_live = pool_.live();
+  for (const Buffer& buffer : buffers_) totals.flits_buffered += buffer.size;
   return totals;
 }
 

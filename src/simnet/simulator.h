@@ -41,7 +41,6 @@
 #include "simnet/arrivals.h"
 #include "simnet/config.h"
 #include "simnet/event_queue.h"
-#include "simnet/flit_pool.h"
 #include "simnet/metrics.h"
 #include "simnet/traffic.h"
 #include "simnet/vc_routing.h"
@@ -54,7 +53,7 @@ using route::Routing;
 /// Whole-run conservation totals (debug/property-test surface; cumulative
 /// over the last Run, warmup included). Invariants after every Run:
 ///   flits_injected == flits_delivered + flits_dropped + flits_in_network
-///   pool_live      == flits_in_network
+///   flits_buffered == flits_in_network
 ///   messages_lost  >= messages_born_dead
 struct SimTotals {
   std::uint64_t flits_injected = 0;
@@ -64,7 +63,7 @@ struct SimTotals {
   std::uint64_t messages_enqueued = 0;
   std::uint64_t messages_born_dead = 0;
   std::uint64_t messages_lost = 0;
-  std::uint64_t pool_live = 0;
+  std::uint64_t flits_buffered = 0;  // summed buffer sizes
 };
 
 /// Per-host message-arrival probability per cycle at an offered load of
@@ -100,17 +99,20 @@ class NetworkSimulator {
 
  private:
   // ---- static structure -------------------------------------------------
-  /// An input FIFO: an intrusive chain of FlitPool slots.
+  /// One flit: its message and its sequence number within the message.
+  struct Flit {
+    std::uint32_t msg = 0;
+    std::uint32_t seq = 0;
+  };
+
+  /// An input FIFO: a ring of config_.input_buffer_flits slots in flits_.
   struct Buffer {
     static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    std::uint32_t head = FlitPool::kNil;  // oldest flit
-    std::uint32_t tail = FlitPool::kNil;  // newest flit
+    std::size_t front = 0;  // ring slot of the oldest flit
     std::size_t size = 0;
-    std::size_t ready = 0;  // prefix of the chain visible to arbitration/transfer
-    std::size_t capacity = 0;
+    std::size_t ready = 0;  // prefix of the ring visible to arbitration/transfer
     /// Output currently pulling from this buffer (wormhole hold), or kNone.
     std::size_t granted_output = kNone;
-    [[nodiscard]] bool HasSpace() const { return size < capacity; }
     [[nodiscard]] bool FrontReady() const { return ready > 0; }
   };
 
@@ -147,10 +149,23 @@ class NetworkSimulator {
   [[nodiscard]] std::size_t InjectionBuffer(std::size_t host) const;
   [[nodiscard]] std::size_t DeliveryPort(std::size_t host) const;
 
-  [[nodiscard]] bool IsHeadFlit(std::uint32_t id) const { return pool_.seq(id) == 0; }
-  [[nodiscard]] bool IsTailFlit(std::uint32_t id) const {
-    return pool_.seq(id) + 1 == messages_[pool_.msg(id)].length;
+  [[nodiscard]] bool IsHeadFlit(Flit flit) const { return flit.seq == 0; }
+  [[nodiscard]] bool IsTailFlit(Flit flit) const {
+    return flit.seq + 1 == messages_[flit.msg].length;
   }
+  [[nodiscard]] bool HasSpace(const Buffer& buffer) const {
+    return buffer.size < config_.input_buffer_flits;
+  }
+  /// Arena index of the k-th oldest slot of buffer b, which owns slots
+  /// [b * input_buffer_flits, (b + 1) * input_buffer_flits).
+  [[nodiscard]] std::size_t SlotOf(std::size_t b, std::size_t k) const {
+    const std::size_t capacity = config_.input_buffer_flits;
+    std::size_t slot = buffers_[b].front + k;
+    if (slot >= capacity) slot -= capacity;
+    return b * capacity + slot;
+  }
+  /// The k-th oldest flit of buffer b (k < its size).
+  [[nodiscard]] Flit FlitAt(std::size_t b, std::size_t k) const { return flits_[SlotOf(b, k)]; }
 
   void Init();
   void ResetState();
@@ -187,8 +202,18 @@ class NetworkSimulator {
   void ScheduleArrival(std::size_t h, std::size_t from_cycle);
 
   // ---- event bookkeeping -------------------------------------------------
-  void PushFlit(Buffer& buffer, std::size_t index, std::uint32_t id);
-  std::uint32_t PopFlit(Buffer& buffer);
+  void PushFlit(std::size_t index, Flit flit);
+  /// Removes and returns the front flit of buffer `index` (defined here so
+  /// that the per-hop path inlines it).
+  Flit PopFlit(std::size_t index) {
+    Buffer& buffer = buffers_[index];
+    CS_DCHECK(buffer.size > 0, "pop from an empty buffer");
+    const Flit flit = FlitAt(index, 0);
+    if (++buffer.front == config_.input_buffer_flits) buffer.front = 0;
+    --buffer.size;
+    --buffer.ready;
+    return flit;
+  }
   /// Rebuilds every active set from the network state; used after fault
   /// purges/reconfigurations invalidate incremental wake tracking.
   void RebuildActiveSets();
@@ -252,10 +277,10 @@ class NetworkSimulator {
   std::vector<std::size_t> eligible_bit_;  // per buffer: its bit in eligible_
 
   // ---- dynamic state -----------------------------------------------------
-  FlitPool pool_;
   ArrivalStreams arrivals_;
   EventQueue arrival_queue_;  // (cycle, host) message-arrival events
   std::vector<Buffer> buffers_;
+  std::vector<Flit> flits_;  // every buffer's ring, input_buffer_flits slots each
   std::vector<OutputPort> outputs_;
   std::vector<Message> messages_;
   std::vector<std::deque<std::size_t>> source_queue_;  // message ids per host

@@ -105,56 +105,42 @@ std::vector<SweepResult> RunSweepsImpl(const SwitchGraph& graph,
   obs::Registry& registry = obs::Registry::Global();
   const obs::Span sweep_span("sweep.run", "points", patterns.size() * rates.size(),
                              &registry.GetTimer("sweep.run"));
-  const std::size_t replicates = std::max<std::size_t>(options.seed_replicates, 1);
   std::vector<SweepResult> results(patterns.size());
   for (SweepResult& result : results) {
     result.points.resize(rates.size());
-    for (std::size_t k = 0; k < rates.size(); ++k) {
-      result.points[k].offered_rate = rates[k];
-      result.points[k].replicates.resize(replicates);
-    }
+    for (std::size_t k = 0; k < rates.size(); ++k) result.points[k].offered_rate = rates[k];
   }
 
-  // Flat point x pattern x replicate work list, highest rates first: they
-  // simulate the most flits, so starting them first keeps the tail short.
-  // Every (point, replicate) pair gets an independent, pre-derived RNG
-  // stream, so neither the order nor the batching changes a result.
-  // Replicate r of point k advances the base seed (k + 1) + r SplitMix64
-  // steps: r == 0 reproduces the single-replicate stream exactly.
+  // Flat point x pattern work list, highest rates first: they simulate the
+  // most flits, so starting them first keeps the tail short. Point k's RNG
+  // stream advances the base seed k + 1 SplitMix64 steps, derived up front,
+  // so neither the order nor the batching changes a result.
   std::vector<std::size_t> by_rate(rates.size());
   std::iota(by_rate.begin(), by_rate.end(), 0);
   std::stable_sort(by_rate.begin(), by_rate.end(),
                    [&](std::size_t a, std::size_t b) { return rates[a] > rates[b]; });
-  const std::size_t per_point = patterns.size() * replicates;
   auto run_job = [&](std::size_t job) {
-    const std::size_t k = by_rate[job / per_point];
-    const std::size_t p = job % per_point / replicates;
-    const std::size_t r = job % replicates;
+    const std::size_t k = by_rate[job / patterns.size()];
+    const std::size_t p = job % patterns.size();
     SimConfig config = options.config;
     std::uint64_t stream = config.rng_seed;
-    for (std::size_t i = 0; i < (k + 1) + r; ++i) (void)SplitMix64(stream);
+    for (std::size_t i = 0; i < k + 1; ++i) (void)SplitMix64(stream);
     config.rng_seed = stream;
     SweepPoint& point = results[p].points[k];
-    if (r == 0) {
-      const obs::Span point_span("sweep.point", "point", k);
-      auto simulator = make_simulator(patterns[p], config);
-      point.replicates[0] = simulator.Run(rates[k]);
-      point.metrics = point.replicates[0];
-      if (obs::Tracer* tracer = obs::ActiveTracer()) {
-        const SimMetrics& m = point.metrics;
-        tracer->Emit(obs::TraceEvent("sweep.point")
-                         .F("point", k)
-                         .F("rate", rates[k])
-                         .F("accepted", m.accepted_flits_per_switch_cycle)
-                         .F("avg_latency", m.avg_latency_cycles)
-                         .F("saturated", m.Saturated()));
-      }
-    } else {
-      auto simulator = make_simulator(patterns[p], config);
-      point.replicates[r] = simulator.Run(rates[k]);
+    const obs::Span point_span("sweep.point", "point", k);
+    auto simulator = make_simulator(patterns[p], config);
+    point.metrics = simulator.Run(rates[k]);
+    if (obs::Tracer* tracer = obs::ActiveTracer()) {
+      const SimMetrics& m = point.metrics;
+      tracer->Emit(obs::TraceEvent("sweep.point")
+                       .F("point", k)
+                       .F("rate", rates[k])
+                       .F("accepted", m.accepted_flits_per_switch_cycle)
+                       .F("avg_latency", m.avg_latency_cycles)
+                       .F("saturated", m.Saturated()));
     }
   };
-  const std::size_t jobs = rates.size() * per_point;
+  const std::size_t jobs = rates.size() * patterns.size();
   if (options.parallel && jobs > 1) {
     ParallelFor(jobs, run_job);
   } else {

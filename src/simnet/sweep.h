@@ -22,20 +22,12 @@ struct SweepOptions {
   /// search engine's parallel_seeds (sched/engine.h): per-point RNG streams
   /// are derived up front, so parallel and sequential sweeps are identical.
   bool parallel = true;
-  /// Independent seeded runs per sweep point (for confidence intervals).
-  /// Replicate 0 uses the same stream as a seed_replicates == 1 sweep, so
-  /// existing results are unchanged; all points x replicates share one
-  /// parallel work list.
-  std::size_t seed_replicates = 1;
   SimConfig config;
 };
 
 struct SweepPoint {
   double offered_rate = 0.0;  // configured injection rate
-  /// Metrics of replicate 0 (the only replicate unless seed_replicates > 1).
   SimMetrics metrics;
-  /// All replicates, indexed by replicate id; replicates[0] == metrics.
-  std::vector<SimMetrics> replicates;
 };
 
 struct SweepResult {
@@ -69,10 +61,10 @@ struct SweepResult {
                                        const SweepOptions& options);
 
 /// Sweeps every pattern on one network as a single work list of pattern x
-/// point x replicate runs, highest-rate points first, so one slow pattern
-/// or point does not leave the pool idle behind a barrier. Result k equals
-/// RunLoadSweep(graph, routing, patterns[k], options), replicates included;
-/// RunLoadSweep is the one-pattern case of this function.
+/// point runs, highest-rate points first, so one slow pattern or point does
+/// not leave the pool idle behind a barrier. Result k equals
+/// RunLoadSweep(graph, routing, patterns[k], options); RunLoadSweep is the
+/// one-pattern case of this function.
 [[nodiscard]] std::vector<SweepResult> RunLoadSweeps(const SwitchGraph& graph,
                                                      const Routing& routing,
                                                      std::span<const TrafficPattern> patterns,

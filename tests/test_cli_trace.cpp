@@ -314,5 +314,63 @@ TEST(CliExperiment, DegenerateKnobsAreConfigErrors) {
   }
 }
 
+/// Runs the CLI with `args` (stdin empty) and expects a typed `error:` exit
+/// 1 whose message contains `message`.
+void ExpectCliError(const std::string& args, const std::string& message) {
+  const std::string out_path = ::testing::TempDir() + "cli_flag_error_" +
+                               ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                               ".txt";
+  // exec: the shell's status is then the CLI's own (a signal stays visible).
+  const std::string command = "exec " + std::string(COMMSCHED_CLI_PATH) + " " + args +
+                              " < /dev/null > " + out_path + " 2>&1";
+  const int status = std::system(command.c_str());
+  const std::string output = ReadFile(out_path);
+  ASSERT_TRUE(WIFEXITED(status)) << args << ": killed by a signal";
+  EXPECT_EQ(WEXITSTATUS(status), 1) << args << ": " << output;
+  EXPECT_EQ(output.rfind("error: " + message, 0), 0u) << args << ": " << output;
+  EXPECT_EQ(NonEmptyLines(output).size(), 1u) << args << ": " << output;
+}
+
+// A number flag must parse whole: no bare library exception text
+// ("error: stoull"), and the error names the flag.
+TEST(CliFlags, NumbersMustParseWhole) {
+  ExpectCliError("experiment --kind mixed --apps x",
+                 "--apps expects a non-negative integer, got 'x'");
+  ExpectCliError("experiment --kind mixed --randoms -1",
+                 "--randoms expects a non-negative integer, got '-1'");
+  ExpectCliError("experiment --kind mixed --warmup 10k",
+                 "--warmup expects a non-negative integer, got '10k'");
+  ExpectCliError("experiment --kind mixed --points", "--points expects a non-negative integer, got ''");
+  ExpectCliError("experiment --kind mixed --min-rate 0.1x",
+                 "--min-rate expects a finite number, got '0.1x'");
+  ExpectCliError("experiment --kind mixed --max-rate inf",
+                 "--max-rate expects a finite number, got 'inf'");
+  ExpectCliError("report --trace missing.jsonl --top 99999999999999999999999",
+                 "--top expects a non-negative integer");
+  ExpectCliError("serve --queue 1.5", "--queue expects a non-negative integer, got '1.5'");
+  ExpectCliError("top --connect 1 --interval-ms fast",
+                 "--interval-ms expects a non-negative integer, got 'fast'");
+}
+
+// Every command rejects a flag it does not read before it does any work:
+// no distance table, no experiment run, no daemon, no connection attempt.
+TEST(CliFlags, UnknownFlagsAreErrorsOnEveryCommand) {
+  ExpectCliError("topo --kind mixed --hops", "unknown flag --hops for topo");
+  ExpectCliError("distance --kind mixed --bogus 1", "unknown flag --bogus for distance");
+  ExpectCliError("experiment --kind random --switches 16 --seeds 3",
+                 "unknown flag --seeds for experiment");
+  ExpectCliError("report --trace missing.jsonl --bogus", "unknown flag --bogus for report");
+  ExpectCliError("serve --worker 2", "unknown flag --worker for serve");
+  ExpectCliError("top --connect 1 --bogus", "unknown flag --bogus for top");
+  ExpectCliError("schedule --kind mixed --bogus 1", "unknown");
+}
+
+// The worker cap is checked before the daemon or its thread pool exists.
+// Only a value just above the cap is tried, so a broken check could not
+// start an unbounded number of threads.
+TEST(CliServe, WorkersAboveCapAreRejected) {
+  ExpectCliError("serve --workers 257", "--workers must be at most 256, got 257");
+}
+
 }  // namespace
 }  // namespace commsched

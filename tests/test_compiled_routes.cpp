@@ -138,7 +138,6 @@ TEST(SharedPolicySweep, ParallelJobsShareOneConstDuatoPolicy) {
   options.points = 6;
   options.min_rate = 0.1;
   options.max_rate = 0.9;
-  options.seed_replicates = 2;
   options.config.virtual_channels = 2;
   options.config.warmup_cycles = 300;
   options.config.measure_cycles = 1200;
@@ -149,13 +148,11 @@ TEST(SharedPolicySweep, ParallelJobsShareOneConstDuatoPolicy) {
 
   ASSERT_EQ(parallel.points.size(), sequential.points.size());
   for (std::size_t k = 0; k < parallel.points.size(); ++k) {
-    for (std::size_t r = 0; r < 2; ++r) {
-      const SimMetrics& a = parallel.points[k].replicates[r];
-      const SimMetrics& b = sequential.points[k].replicates[r];
-      EXPECT_EQ(a.flits_delivered, b.flits_delivered) << "point " << k << " replicate " << r;
-      EXPECT_EQ(a.messages_generated, b.messages_generated);
-      EXPECT_EQ(a.avg_latency_cycles, b.avg_latency_cycles);
-    }
+    const SimMetrics& a = parallel.points[k].metrics;
+    const SimMetrics& b = sequential.points[k].metrics;
+    EXPECT_EQ(a.flits_delivered, b.flits_delivered) << "point " << k;
+    EXPECT_EQ(a.messages_generated, b.messages_generated);
+    EXPECT_EQ(a.avg_latency_cycles, b.avg_latency_cycles);
   }
   EXPECT_GT(parallel.Throughput(), 0.0);
 }

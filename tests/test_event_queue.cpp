@@ -1,7 +1,8 @@
 // Property tests for the event-engine primitives (ISSUE 6 satellite):
-// EventQueue ordering, ActiveSet sweep semantics, FlitPool double-free
-// detection, GeometricGap distribution, and whole-run flit conservation
-// (with and without fault plans, stepping every cycle or skipping idle spans).
+// EventQueue ordering, ActiveSet sweep semantics, GeometricGap distribution,
+// and whole-run flit conservation (with and without fault plans, stepping
+// every cycle or skipping idle spans): the flits the buffers hold, counted
+// from the buffer rings, must equal the network's own in-flight count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +18,6 @@
 #include "routing/updown.h"
 #include "simnet/arrivals.h"
 #include "simnet/event_queue.h"
-#include "simnet/flit_pool.h"
 #include "simnet/simulator.h"
 #include "topology/generator.h"
 #include "workload/workload.h"
@@ -145,37 +145,6 @@ TEST(ActiveSet, SweepDefersActivationsBelowTheCursor) {
   EXPECT_EQ(set.Count(), 1u);
 }
 
-// ---- FlitPool ------------------------------------------------------------
-
-TEST(FlitPool, RecyclesSlotsThroughFreeList) {
-  FlitPool pool;
-  const std::uint32_t a = pool.Allocate(1, 0);
-  const std::uint32_t b = pool.Allocate(1, 1);
-  EXPECT_EQ(pool.live(), 2u);
-  pool.Free(a);
-  EXPECT_EQ(pool.live(), 1u);
-  const std::uint32_t c = pool.Allocate(2, 0);
-  EXPECT_EQ(c, a) << "freed slot should be recycled";
-  EXPECT_EQ(pool.msg(c), 2u);
-  EXPECT_EQ(pool.capacity(), 2u);
-  pool.Free(b);
-  pool.Free(c);
-  EXPECT_EQ(pool.live(), 0u);
-}
-
-TEST(FlitPool, DoubleFreeThrows) {
-  FlitPool pool;
-  const std::uint32_t id = pool.Allocate(0, 0);
-  pool.Free(id);
-  EXPECT_THROW(pool.Free(id), ContractError);
-}
-
-TEST(FlitPool, FreeingUnallocatedSlotThrows) {
-  FlitPool pool;
-  (void)pool.Allocate(0, 0);
-  EXPECT_THROW(pool.Free(7), ContractError);  // outside the pool
-}
-
 // ---- GeometricGap --------------------------------------------------------
 
 TEST(GeometricGap, MeanMatchesOneOverP) {
@@ -247,8 +216,8 @@ void ExpectConserved(const NetworkSimulator& simulator) {
   const SimTotals t = simulator.Totals();
   EXPECT_EQ(t.flits_injected, t.flits_delivered + t.flits_dropped + t.flits_in_network)
       << "flit conservation violated";
-  EXPECT_EQ(t.pool_live, t.flits_in_network)
-      << "pool live count out of sync with the network";
+  EXPECT_EQ(t.flits_buffered, t.flits_in_network)
+      << "buffered flits out of sync with the network count";
   EXPECT_GE(t.messages_lost, t.messages_born_dead);
 }
 

@@ -1,16 +1,19 @@
-// Seeded mutation fuzz of the one JSON codec (common/json.h) and of every
-// reader built on it: protocol requests, fault plans, and the trace/metrics
-// folding behind `commsched_cli report`. A fixed seed corpus is mutated by
+// Seeded mutation fuzz of every reader of outside input: the one JSON codec
+// (common/json.h) and the readers built on it (protocol requests, fault
+// plans, the trace/metrics folding behind `commsched_cli report`), the
+// topology text format (topo::FromText) and the binary model artifact of
+// the store (svc::DecodeModelArtifact). Fixed seed corpora are mutated by
 // random byte overwrites, truncations, insertions of structural bytes and
 // boundary numbers under a fixed budget, so every run feeds the same
 // inputs. Each input must parse or be rejected with a ConfigError (for
 // `report`: be counted as unparseable); anything else — a ContractError, a
-// std::out_of_range, a crash — fails.
+// std::out_of_range, a std::bad_alloc, a crash — fails.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
-#include <iterator>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +25,11 @@
 #include "faults/fault_plan.h"
 #include "obs/report.h"
 #include "service/protocol.h"
+#include "service/service.h"
+#include "service/store.h"
+#include "topology/generator.h"
+#include "topology/library.h"
+#include "topology/serialize.h"
 
 namespace commsched {
 namespace {
@@ -94,13 +102,42 @@ std::string Mutate(std::string text, Rng& rng) {
   return text;
 }
 
-/// Runs `check` on every mutant of every corpus entry.
-void ForEachMutant(const std::function<void(const std::string&)>& check) {
-  Rng rng(kFuzzSeed);
-  for (const std::string& seed : SeedCorpus()) {
-    check(seed);
-    for (std::size_t k = 0; k < kMutantsPerSeed; ++k) check(Mutate(seed, rng));
+/// Mutate, plus an edit for binary payloads: overwrite eight bytes at a
+/// random offset with a boundary count in little-endian order.
+std::string MutateBinary(std::string bytes, Rng& rng) {
+  static constexpr std::uint64_t kCounts[] = {0,           1,          (1ULL << 24) + 1,
+                                              1ULL << 32,  1ULL << 61, ~0ULL};
+  if (bytes.size() >= 8 && rng.NextIndex(2) == 0) {
+    const std::uint64_t count = kCounts[rng.NextIndex(std::size(kCounts))];
+    std::memcpy(bytes.data() + rng.NextIndex(bytes.size() - 7), &count, 8);
+    return bytes;
   }
+  return Mutate(std::move(bytes), rng);
+}
+
+/// Runs `check` on every corpus entry and kMutantsPerSeed mutants of each.
+void ForEachMutant(const std::vector<std::string>& corpus,
+                   const std::function<std::string(std::string, Rng&)>& mutate,
+                   const std::function<void(const std::string&)>& check) {
+  Rng rng(kFuzzSeed);
+  for (const std::string& seed : corpus) {
+    check(seed);
+    for (std::size_t k = 0; k < kMutantsPerSeed; ++k) check(mutate(seed, rng));
+  }
+}
+
+/// ForEachMutant over the JSON corpus.
+void ForEachMutant(const std::function<void(const std::string&)>& check) {
+  ForEachMutant(SeedCorpus(), Mutate, check);
+}
+
+/// Small networks of three kinds: irregular, rings, and a torus.
+std::vector<topo::SwitchGraph> TopologyCorpus() {
+  std::vector<topo::SwitchGraph> graphs;
+  graphs.push_back(topo::GenerateIrregularTopology({16, 4, 3, 1, 1000}));
+  graphs.push_back(topo::MakeFourRingsOfSix());
+  graphs.push_back(topo::MakeTorus2D(3, 4, 2));
+  return graphs;
 }
 
 /// `read` must return or throw ConfigError.
@@ -164,6 +201,25 @@ TEST(JsonFuzz, ReportCountsEveryUnparseableLine) {
     } catch (const std::exception& e) {
       ADD_FAILURE() << "report threw " << e.what() << " on input: " << input;
     }
+  });
+}
+
+TEST(ReaderFuzz, TopologyTextParsesOrThrowsConfigError) {
+  std::vector<std::string> corpus;
+  for (const topo::SwitchGraph& graph : TopologyCorpus()) corpus.push_back(topo::ToText(graph));
+  ForEachMutant(corpus, Mutate, [](const std::string& input) {
+    ExpectParsesOrConfigError(input, [](const std::string& text) { (void)topo::FromText(text); });
+  });
+}
+
+TEST(ReaderFuzz, ModelArtifactsDecodeOrThrowConfigError) {
+  std::vector<std::string> corpus;
+  for (topo::SwitchGraph& graph : TopologyCorpus()) {
+    corpus.push_back(svc::EncodeModelArtifact(svc::NetworkModel(std::move(graph))));
+  }
+  ForEachMutant(corpus, MutateBinary, [](const std::string& input) {
+    ExpectParsesOrConfigError(input,
+                              [](const std::string& bytes) { (void)svc::DecodeModelArtifact(bytes); });
   });
 }
 

@@ -104,27 +104,6 @@ TEST(Sweep, ParallelMatchesSequential) {
   }
 }
 
-TEST(Sweep, SeedReplicatesAreIndependentAndStable) {
-  const Fixture f;
-  SweepOptions options = FastSweep();
-  options.seed_replicates = 3;
-  options.parallel = true;
-  const SweepResult result = RunLoadSweep(f.graph, f.routing, f.pattern, options);
-  // Replicate 0 must be the same stream a single-replicate sweep would use.
-  SweepOptions single = FastSweep();
-  single.parallel = false;
-  const SweepResult base = RunLoadSweep(f.graph, f.routing, f.pattern, single);
-  ASSERT_EQ(result.points.size(), base.points.size());
-  for (std::size_t k = 0; k < result.points.size(); ++k) {
-    const SweepPoint& point = result.points[k];
-    ASSERT_EQ(point.replicates.size(), 3u);
-    EXPECT_EQ(point.replicates[0].flits_delivered, base.points[k].metrics.flits_delivered);
-    EXPECT_EQ(point.metrics.flits_delivered, point.replicates[0].flits_delivered);
-    // Distinct seeds must actually vary the arrival schedule.
-    EXPECT_NE(point.replicates[1].flits_delivered, point.replicates[0].flits_delivered);
-  }
-}
-
 TEST(Sweep, SaturationRateFoundUnderHeavySweep) {
   const Fixture f;
   SweepOptions options = FastSweep();
@@ -166,8 +145,8 @@ void ExpectSameMetrics(const SimMetrics& a, const SimMetrics& b, const std::stri
   }
 }
 
-// One batch over several mappings gives, field for field and replicate for
-// replicate, what separate per-mapping sweeps give, run parallel or not.
+// One batch over several mappings gives, field for field, what separate
+// per-mapping sweeps give, run parallel or not.
 TEST(Sweep, BatchMatchesPerPatternSweeps) {
   const Fixture f;
   std::vector<TrafficPattern> patterns;
@@ -178,7 +157,6 @@ TEST(Sweep, BatchMatchesPerPatternSweeps) {
   }
   SweepOptions options;
   options.rates = {0.4, 0.1, 0.7};  // unsorted: the batch runs high rates first
-  options.seed_replicates = 2;
   options.config.warmup_cycles = 600;
   options.config.measure_cycles = 1500;
   options.config.collect_traffic_matrix = true;
@@ -192,13 +170,8 @@ TEST(Sweep, BatchMatchesPerPatternSweeps) {
       for (std::size_t k = 0; k < single.points.size(); ++k) {
         EXPECT_EQ(batch[p].points[k].offered_rate, single.points[k].offered_rate);
         ExpectSameMetrics(batch[p].points[k].metrics, single.points[k].metrics,
-                          "metrics p" + std::to_string(p) + " k" + std::to_string(k));
-        ASSERT_EQ(batch[p].points[k].replicates.size(), 2u);
-        for (std::size_t r = 0; r < 2; ++r) {
-          ExpectSameMetrics(batch[p].points[k].replicates[r], single.points[k].replicates[r],
-                            "parallel " + std::to_string(parallel) + " p" + std::to_string(p) +
-                                " k" + std::to_string(k) + " r" + std::to_string(r));
-        }
+                          "parallel " + std::to_string(parallel) + " p" + std::to_string(p) +
+                              " k" + std::to_string(k));
       }
     }
   }

@@ -17,7 +17,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -61,19 +63,38 @@ class Args {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// The flag's value, which must be a whole non-negative integer.
   [[nodiscard]] std::size_t GetSize(const std::string& key, std::size_t fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
+    if (it == values_.end()) return fallback;
+    std::size_t value = 0;
+    if (!ParsesWhole(it->second, value)) {
+      throw ConfigError("--" + key + " expects a non-negative integer, got '" + it->second + "'");
+    }
+    return value;
   }
 
+  /// The flag's value, which must be a whole finite number.
   [[nodiscard]] double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    if (it == values_.end()) return fallback;
+    double value = 0.0;
+    if (!ParsesWhole(it->second, value) || !std::isfinite(value)) {
+      throw ConfigError("--" + key + " expects a finite number, got '" + it->second + "'");
+    }
+    return value;
   }
 
   [[nodiscard]] const std::map<std::string, std::string>& values() const { return values_; }
 
  private:
+  template <typename T>
+  static bool ParsesWhole(const std::string& text, T& value) {
+    const char* const end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    return error == std::errc() && stop == end;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -91,9 +112,42 @@ const std::set<std::string> kTopologyFlags = {"kind", "switches", "hosts", "degr
                                               "seed", "rows",     "cols",  "dim",
                                               "x",    "y",        "z",     "k"};
 
-/// Flags the CLI itself handles; they never reach a request.
-const std::set<std::string> kCliFlags = {"trace", "metrics", "metrics-out", "chrome-trace",
-                                         "dot"};
+/// Flags every command takes; they never reach a request.
+const std::set<std::string> kObservabilityFlags = {"trace", "metrics", "metrics-out",
+                                                   "chrome-trace"};
+
+/// The flags each command outside the request path reads, besides the
+/// observability flags (and the topology flags, for the commands that
+/// build a graph). schedule and simulate flags are checked by the
+/// protocol's parser instead.
+const std::map<std::string, std::set<std::string>> kCommandFlags = {
+    {"topo", {"dot"}},
+    {"distance", {"hops"}},
+    {"experiment",
+     {"apps", "randoms", "points", "min-rate", "max-rate", "warmup", "measure",
+      "parallel-seeds"}},
+    {"report", {"metrics-file", "top", "csv"}},
+    {"serve",
+     {"topo-cache", "result-cache", "allow-stats-reset", "store-dir", "workers", "queue",
+      "deadline-ms", "no-windowed-metrics", "slow-ms", "slow-log", "slow-log-capacity",
+      "listen"}},
+    {"top", {"connect", "interval-ms", "once"}},
+};
+
+/// Most worker threads `serve --workers` may ask for.
+constexpr std::size_t kMaxServeWorkers = 256;
+
+/// Throws ConfigError on a flag `command` does not read, before any work.
+void CheckCommandFlags(const std::string& command, const Args& args) {
+  const auto reads = kCommandFlags.find(command);
+  if (reads == kCommandFlags.end()) return;
+  const bool builds_graph = command == "topo" || command == "distance" || command == "experiment";
+  for (const auto& [flag, value] : args.values()) {
+    if (kObservabilityFlags.count(flag) > 0 || reads->second.count(flag) > 0) continue;
+    if (builds_graph && (kTopologyFlags.count(flag) > 0 || flag == "path")) continue;
+    throw ConfigError("unknown flag --" + flag + " for " + command);
+  }
+}
 
 /// A flag's value as a JSON literal: a bare flag is true, numbers and
 /// true/false stay literal, anything else is a string.
@@ -138,7 +192,8 @@ svc::Request ParseArgsRequest(const std::string& op, const Args& args) {
   request.Field("op", op);
   request.Raw("topology", TopologyJson(args));
   for (const auto& [flag, value] : args.values()) {
-    if (kTopologyFlags.count(flag) > 0 || kCliFlags.count(flag) > 0) continue;
+    if (kTopologyFlags.count(flag) > 0 || kObservabilityFlags.count(flag) > 0) continue;
+    if (flag == "dot") continue;
     if (flag == "path" && args.Get("kind", "") == "file") continue;
     std::string key = flag;
     std::replace(key.begin(), key.end(), '-', '_');
@@ -239,6 +294,7 @@ int CmdExperiment(const Args& args) {
 }
 
 int CmdReport(const Args& args) {
+  const std::size_t top = args.GetSize("top", 5);
   const std::string trace_path = args.Get("trace", "");
   if (trace_path.empty()) throw ConfigError("report requires --trace <file>");
   std::ifstream in(trace_path);
@@ -249,7 +305,7 @@ int CmdReport(const Args& args) {
       !obs::LoadMetrics(ReadFile(metrics_path, "metrics file"), summary)) {
     throw ConfigError("metrics file '" + metrics_path + "' is not a registry dump");
   }
-  obs::RenderReport(summary, std::cout, args.GetSize("top", 5));
+  obs::RenderReport(summary, std::cout, top);
   const std::string csv_path = args.Get("csv", "");
   if (!csv_path.empty()) {
     std::ofstream csv(csv_path);
@@ -261,6 +317,12 @@ int CmdReport(const Args& args) {
 }
 
 int CmdServe(const Args& args) {
+  svc::DaemonOptions daemon_options;
+  daemon_options.workers = args.GetSize("workers", 0);
+  if (daemon_options.workers > kMaxServeWorkers) {
+    throw ConfigError("--workers must be at most " + std::to_string(kMaxServeWorkers) +
+                      ", got " + std::to_string(daemon_options.workers));
+  }
   svc::ServiceOptions service_options;
   service_options.topology_cache_capacity = args.GetSize("topo-cache", 32);
   service_options.result_cache_capacity = args.GetSize("result-cache", 1024);
@@ -268,8 +330,6 @@ int CmdServe(const Args& args) {
   service_options.store_dir = args.Get("store-dir", "");
   svc::SchedulingService service(service_options);
 
-  svc::DaemonOptions daemon_options;
-  daemon_options.workers = args.GetSize("workers", 0);
   daemon_options.queue_capacity = args.GetSize("queue", 64);
   daemon_options.default_deadline_ms = args.GetSize("deadline-ms", 0);
   daemon_options.windowed_metrics = !args.Has("no-windowed-metrics");
@@ -278,7 +338,8 @@ int CmdServe(const Args& args) {
   daemon_options.slow_log_capacity = args.GetSize("slow-log-capacity", 32);
 
   if (args.Has("listen")) {
-    const std::size_t port = args.GetSize("listen", 0);
+    // A bare --listen asks for an ephemeral port, like --listen 0.
+    const std::size_t port = args.Get("listen", "").empty() ? 0 : args.GetSize("listen", 0);
     if (port > 65535) throw ConfigError("--listen port must be 0..65535");
     return svc::RunTcpServer(service, daemon_options, static_cast<std::uint16_t>(port),
                              std::cout);
@@ -499,7 +560,7 @@ int Usage() {
       "             replays a JSON schedule of link/switch failures mid-run,\n"
       "             --reconfig-downtime N sets the routing pause after each fault)\n"
       "             schedule and simulate run as one service request (the serve\n"
-      "             protocol's keys, '-' spelled '_'); an unknown flag is an error\n"
+      "             protocol's keys, '-' spelled '_')\n"
       "  experiment full paper experiment: OP vs random mappings (--randoms K,\n"
       "             --parallel-seeds)\n"
       "  report     analyse a JSONL trace: latency percentiles, hottest links,\n"
@@ -523,7 +584,9 @@ int Usage() {
       "  --metrics        print the counter/timer/histogram registry as one JSON\n"
       "                   line at the end\n"
       "  --metrics-out F  write the registry JSON to F (readable by report)\n"
-      "  --chrome-trace F write a Chrome trace-event span profile to F\n";
+      "  --chrome-trace F write a Chrome trace-event span profile to F\n"
+      "every command rejects a flag it does not read and a number that does not\n"
+      "parse whole, with an error that names the flag\n";
   return 2;
 }
 
@@ -556,6 +619,7 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   try {
     const Args args(argc, argv);
+    CheckCommandFlags(command, args);
     std::unique_ptr<obs::Tracer> tracer;
     std::optional<obs::ScopedTracer> scoped_tracer;
     if (args.Has("trace") && command != "report") {
