@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "common/check.h"
+#include "routing/updown.h"
+#include "sched/scheduler.h"
 #include "simnet/traffic.h"
 #include "workload/workload.h"
 
@@ -30,7 +32,7 @@ ExperimentResult RunPaperExperiment(const topo::SwitchGraph& graph,
   CS_CHECK(graph.switch_count() % options.applications == 0,
            "switch count must divide evenly into the applications");
 
-  const route::UpDownRouting routing(graph, options.root_policy);
+  const route::UpDownRouting routing(graph);
   const sched::CommAwareScheduler scheduler(graph, routing);
   const work::Workload workload = work::Workload::Uniform(
       options.applications,
@@ -39,44 +41,30 @@ ExperimentResult RunPaperExperiment(const topo::SwitchGraph& graph,
   ExperimentResult result;
 
   // The scheduler's mapping (OP).
-  sched::ScheduleOutcome op = scheduler.Schedule(workload, options.tabu);
-  result.search = op.search;
-  MappingEvaluation op_eval;
-  op_eval.label = "OP";
-  op_eval.partition = op.partition;
-  op_eval.fg = op.fg;
-  op_eval.dg = op.dg;
-  op_eval.cc = op.cc;
-  result.mappings.push_back(std::move(op_eval));
+  const sched::ScheduleOutcome op = scheduler.Schedule(workload, options.tabu);
+  result.mappings.push_back({"OP", op.partition, op.fg, op.dg, op.cc, {}});
 
   // Random mappings (R1..Rk).
   Rng rng(options.rng_seed);
   for (std::size_t k = 0; k < options.random_mappings; ++k) {
     const work::ProcessMapping mapping = work::ProcessMapping::RandomAligned(graph, workload, rng);
-    sched::ScheduleOutcome eval = scheduler.Evaluate(workload, mapping);
-    MappingEvaluation r;
-    r.label = "R" + std::to_string(k + 1);
-    r.partition = eval.partition;
-    r.fg = eval.fg;
-    r.dg = eval.dg;
-    r.cc = eval.cc;
-    result.mappings.push_back(std::move(r));
+    const sched::ScheduleOutcome eval = scheduler.Evaluate(workload, mapping);
+    result.mappings.push_back(
+        {"R" + std::to_string(k + 1), eval.partition, eval.fg, eval.dg, eval.cc, {}});
   }
 
-  if (options.run_simulation) {
-    // Every mapping's load points go into one parallel work list.
-    std::vector<sim::TrafficPattern> patterns;
-    patterns.reserve(result.mappings.size());
-    for (const MappingEvaluation& eval : result.mappings) {
-      const work::ProcessMapping mapping =
-          work::ProcessMapping::FromPartition(graph, workload, eval.partition);
-      patterns.emplace_back(graph, workload, mapping);
-    }
-    std::vector<sim::SweepResult> sweeps =
-        sim::RunLoadSweeps(graph, routing, patterns, options.sweep);
-    for (std::size_t k = 0; k < sweeps.size(); ++k) {
-      result.mappings[k].sweep = std::move(sweeps[k]);
-    }
+  // Every mapping's load points go into one parallel work list.
+  std::vector<sim::TrafficPattern> patterns;
+  patterns.reserve(result.mappings.size());
+  for (const MappingEvaluation& eval : result.mappings) {
+    const work::ProcessMapping mapping =
+        work::ProcessMapping::FromPartition(graph, workload, eval.partition);
+    patterns.emplace_back(graph, workload, mapping);
+  }
+  std::vector<sim::SweepResult> sweeps =
+      sim::RunLoadSweeps(graph, routing, patterns, options.sweep);
+  for (std::size_t k = 0; k < sweeps.size(); ++k) {
+    result.mappings[k].sweep = std::move(sweeps[k]);
   }
   return result;
 }

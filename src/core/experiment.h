@@ -9,8 +9,7 @@
 #include <vector>
 
 #include "quality/partition.h"
-#include "routing/updown.h"
-#include "sched/scheduler.h"
+#include "sched/tabu.h"
 #include "simnet/sweep.h"
 #include "topology/graph.h"
 
@@ -18,12 +17,10 @@ namespace commsched::core {
 
 struct ExperimentOptions {
   std::size_t applications = 4;  // logical clusters (paper: 4)
-  route::RootPolicy root_policy = route::RootPolicy::kMaxDegree;
   sched::TabuOptions tabu;
   sim::SweepOptions sweep;
   std::size_t random_mappings = 9;  // the paper compares against up to 9 R_i
   std::uint64_t rng_seed = 2000;    // seed for the random mappings
-  bool run_simulation = true;       // false: only partitions + coefficients
 };
 
 /// One mapping's evaluation: quality coefficients plus its load sweep.
@@ -33,14 +30,13 @@ struct MappingEvaluation {
   double fg = 0.0;
   double dg = 0.0;
   double cc = 0.0;
-  sim::SweepResult sweep;   // empty when run_simulation == false
+  sim::SweepResult sweep;
 
   [[nodiscard]] double Throughput() const { return sweep.Throughput(); }
 };
 
 struct ExperimentResult {
   std::vector<MappingEvaluation> mappings;  // mappings[0] is the scheduler's OP
-  sched::SearchResult search;               // Tabu diagnostics for OP
 
   [[nodiscard]] const MappingEvaluation& Scheduled() const { return mappings.front(); }
 

@@ -6,8 +6,8 @@
 //     trace lines of a served request are attributable to it;
 //   * every Span records the request id, so the span tree of one request
 //     can be reassembled from a SpanCollector;
-//   * StageTimer scopes accumulate a per-stage wall-clock breakdown (queue
-//     wait, parse, model materialization, search, serialize) that the
+//   * stage Spans (span.h) accumulate a per-stage wall-clock breakdown
+//     (queue wait, parse, model materialization, search, serialize) that the
 //     daemon returns in the response's optional "timings" field.
 //
 // The context is thread-local: it covers the synchronous execution chain on
@@ -22,7 +22,6 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -89,32 +88,6 @@ class ScopedRequestContext {
 
  private:
   RequestContext* previous_;
-};
-
-/// RAII stage timer: adds its lifetime to `stage` of the current context.
-/// A no-op (no clock reads) when no context is installed.
-class StageTimer {
- public:
-  explicit StageTimer(RequestStage stage)
-      : context_(RequestContext::Current()), stage_(stage) {
-    if (context_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
-  ~StageTimer() {
-    if (context_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    context_->AddStageNanos(
-        stage_, static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-  }
-
- private:
-  RequestContext* context_;
-  RequestStage stage_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace commsched::obs

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/json.h"
-#include "obs/request.h"
 
 namespace commsched::obs {
 
@@ -111,7 +110,7 @@ void SetSpanCollector(SpanCollector* collector) {
 Span::Span(std::string_view name, std::string_view arg_key, std::uint64_t arg,
            Timer* timer)
     : collector_(ActiveSpanCollector()), timer_(timer) {
-  if (timer_ != nullptr) timer_start_ = std::chrono::steady_clock::now();
+  if (timer_ != nullptr) start_ = std::chrono::steady_clock::now();
   if (collector_ == nullptr) return;
   record_.name.assign(name);
   record_.arg_key.assign(arg_key);
@@ -124,17 +123,24 @@ Span::Span(std::string_view name, std::string_view arg_key, std::uint64_t arg,
   record_.start_us = collector_->NowMicros();
 }
 
+Span::Span(std::string_view name, RequestStage stage) : Span(name, {}, 0) {
+  context_ = RequestContext::Current();
+  stage_ = stage;
+  if (context_ != nullptr) start_ = std::chrono::steady_clock::now();
+}
+
 Span::~Span() {
   if (collector_ != nullptr) {
     record_.dur_us = collector_->NowMicros() - record_.start_us;
     --t_span_depth;
     collector_->Record(std::move(record_));
   }
-  if (timer_ != nullptr) {
-    const auto elapsed = std::chrono::steady_clock::now() - timer_start_;
-    timer_->RecordNanos(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-  }
+  if (timer_ == nullptr && context_ == nullptr) return;
+  const auto elapsed = std::chrono::steady_clock::now() - start_;
+  const auto ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+  if (timer_ != nullptr) timer_->RecordNanos(ns);
+  if (context_ != nullptr) context_->AddStageNanos(stage_, ns);
 }
 
 void Span::SetArg(std::string_view arg_key, std::uint64_t arg) {

@@ -21,6 +21,10 @@
 // or not — with one sample of its lifetime in steady_clock nanoseconds:
 //
 //   obs::Span span("sim.run", "horizon", cycles, &registry.GetTimer("sim.run"));
+//
+// A span given a RequestStage also adds its lifetime to that stage of the
+// thread's RequestContext (request.h), which served "timings" report:
+//   obs::Span span("svc.search", obs::RequestStage::kSearch);
 #pragma once
 
 #include <atomic>
@@ -35,6 +39,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "obs/request.h"
 
 namespace commsched::obs {
 
@@ -102,7 +107,8 @@ void SetSpanCollector(SpanCollector* collector);
 }
 
 /// RAII span. Latches the active collector at construction; a disabled span
-/// (no collector) does nothing further beyond feeding its timer, if any.
+/// (no collector) does nothing further beyond feeding its timer or request
+/// stage, if any.
 class Span {
  public:
   explicit Span(std::string_view name) : Span(name, {}, 0) {}
@@ -112,6 +118,10 @@ class Span {
   /// `timer` receives one sample of the span's lifetime on destruction.
   Span(std::string_view name, std::string_view arg_key, std::uint64_t arg,
        Timer* timer = nullptr);
+
+  /// A span that also adds its lifetime to `stage` of the current
+  /// RequestContext; with neither installed it reads no clock.
+  Span(std::string_view name, RequestStage stage);
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -124,8 +134,10 @@ class Span {
 
  private:
   SpanCollector* collector_;  // nullptr = disabled
-  Timer* timer_;              // nullptr = no registry timer
-  std::chrono::steady_clock::time_point timer_start_;
+  Timer* timer_ = nullptr;    // nullptr = no registry timer
+  RequestContext* context_ = nullptr;  // nullptr = no request stage
+  RequestStage stage_ = RequestStage::kOther;
+  std::chrono::steady_clock::time_point start_;  // set when timer_ or context_ is
   SpanRecord record_;
 };
 

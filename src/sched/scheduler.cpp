@@ -36,9 +36,4 @@ ScheduleOutcome CommAwareScheduler::Evaluate(const Workload& workload,
   return outcome;
 }
 
-ml::MultilevelResult CommAwareScheduler::ScheduleProcesses(
-    const qual::CommGraph& processes, const ml::MultilevelOptions& options) const {
-  return ml::MapMultilevel(processes, table_, graph_->hosts_per_switch(), options);
-}
-
 }  // namespace commsched::sched

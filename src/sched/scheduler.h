@@ -10,9 +10,7 @@
 #include <memory>
 
 #include "distance/distance_table.h"
-#include "quality/comm_graph.h"
 #include "routing/routing.h"
-#include "sched/multilevel/multilevel.h"
 #include "sched/tabu.h"
 #include "workload/workload.h"
 
@@ -54,13 +52,6 @@ class CommAwareScheduler {
   /// score random baselines the same way the scheduler's result is scored.
   [[nodiscard]] ScheduleOutcome Evaluate(const Workload& workload,
                                          const ProcessMapping& mapping) const;
-
-  /// Maps a sparse process communication graph through the multilevel
-  /// coarsen/map/uncoarsen pipeline (DESIGN.md §13) — the scalable path for
-  /// workloads far beyond the dense searchers' reach. Each switch hosts at
-  /// most graph().hosts_per_switch() processes.
-  [[nodiscard]] ml::MultilevelResult ScheduleProcesses(
-      const qual::CommGraph& processes, const ml::MultilevelOptions& options = {}) const;
 
  private:
   const topo::SwitchGraph* graph_;

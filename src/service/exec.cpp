@@ -14,12 +14,6 @@
 namespace commsched::svc {
 namespace {
 
-/// The CLI's historical iteration default for the tabu family: a larger
-/// budget on the paper's 24-switch networks than on the 16-switch ones.
-std::size_t DefaultTabuIterations(std::size_t switch_count) {
-  return switch_count >= 20 ? 60 : 20;
-}
-
 /// The values a search runs with: `seeds` are tabu/sd seeds or sa/gsa
 /// restarts, `iterations` are per-seed iterations, sa proposals or gsa
 /// generations, and `samples` are random's draws.
@@ -56,6 +50,10 @@ sched::ml::MultilevelOptions ResolveMultilevelKnobs(const MultilevelKnobs& knobs
 }
 
 }  // namespace
+
+std::size_t DefaultTabuIterations(std::size_t switch_count) {
+  return switch_count >= 20 ? 60 : 20;
+}
 
 std::vector<std::size_t> EvenClusterSizes(std::size_t switch_count, std::size_t apps) {
   if (apps == 0) throw ConfigError("application count must be positive");
@@ -182,6 +180,23 @@ std::string FormatSimulateText(const qual::Partition& partition, const sim::Swee
     }
     out << "faults: " << plan->events().size() << " planned events, dropped flits " << dropped
         << ", messages lost " << lost << ", reconfig cycles/run " << reconfig << "\n";
+  }
+  return out.str();
+}
+
+std::string FormatExperimentText(const core::ExperimentResult& result) {
+  std::ostringstream out;
+  TextTable table({"mapping", "C_c", "throughput", "partition"});
+  table.set_precision(4);
+  for (const core::MappingEvaluation& eval : result.mappings) {
+    table.AddRow({eval.label, eval.cc, eval.Throughput(), eval.partition.ToString()});
+  }
+  out << table;
+  out << "OP / best random throughput: ";
+  if (result.BestRandomThroughput() > 0.0) {
+    out << result.ThroughputImprovement() << "x\n";
+  } else {
+    out << "n/a (no random mapping delivered traffic)\n";
   }
   return out.str();
 }

@@ -1,9 +1,9 @@
 // The execution steps behind the scheduling service's ops (service.h).
 //
-// The one-shot CLI's schedule and simulate run as service requests, so the
-// algorithm dispatch, default resolution (e.g. the switch-count-dependent
-// tabu iteration budget) and result rendering here serve both front ends
-// exactly once. The end-to-end benchmark calls RunMappingSearch directly.
+// The one-shot CLI's schedule, simulate and experiment run as service
+// requests, so the algorithm dispatch, default resolution (e.g. the tabu
+// iteration budget) and result rendering here serve both front ends exactly
+// once. The end-to-end benchmark calls RunMappingSearch directly.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "distance/distance_table.h"
 #include "quality/partition.h"
 #include "sched/multilevel/multilevel.h"
@@ -45,6 +46,10 @@ struct SearchKnobs {
   bool parallel_seeds = false;
 };
 
+/// The tabu family's iteration default: a larger budget on the paper's
+/// 24-switch networks than on the 16-switch ones.
+[[nodiscard]] std::size_t DefaultTabuIterations(std::size_t switch_count);
+
 /// Throws ConfigError when an explicitly-set knob is degenerate (seeds,
 /// iterations, or samples == 0 — formerly a silent no-op search). Called by
 /// the protocol parser and again by RunMappingSearch.
@@ -77,6 +82,11 @@ void ValidateSearchKnobs(const SearchKnobs& knobs);
 [[nodiscard]] std::string FormatSimulateText(const qual::Partition& partition,
                                              const sim::SweepResult& result,
                                              const faults::FaultPlan* plan);
+
+/// The canonical rendering of an experiment: one row per mapping (label,
+/// C_c, throughput, partition), then OP's throughput over the best random
+/// mapping's, or "n/a" when no random mapping delivered traffic.
+[[nodiscard]] std::string FormatExperimentText(const core::ExperimentResult& result);
 
 // ---------------------------------------------------------------------------
 // Multilevel mapping (the schedule op's "multilevel": true; DESIGN.md §13).

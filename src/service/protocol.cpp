@@ -18,12 +18,14 @@ RequestOp ParseOp(const std::string& name) {
   if (name == "schedule") return RequestOp::kSchedule;
   if (name == "quality") return RequestOp::kQuality;
   if (name == "simulate") return RequestOp::kSimulate;
+  if (name == "experiment") return RequestOp::kExperiment;
   if (name == "health") return RequestOp::kHealth;
   if (name == "ready") return RequestOp::kReady;
   if (name == "metrics") return RequestOp::kMetrics;
   if (name == "batch") return RequestOp::kBatch;
   throw ConfigError("unknown op '" + name +
-                    "' (ping|stats|sleep|schedule|quality|simulate|health|ready|metrics|batch)");
+                    "' (ping|stats|sleep|schedule|quality|simulate|experiment|health|ready|"
+                    "metrics|batch)");
 }
 
 }  // namespace
@@ -85,6 +87,7 @@ const char* OpName(RequestOp op) {
     case RequestOp::kSchedule: return "schedule";
     case RequestOp::kQuality: return "quality";
     case RequestOp::kSimulate: return "simulate";
+    case RequestOp::kExperiment: return "experiment";
     case RequestOp::kHealth: return "health";
     case RequestOp::kReady: return "ready";
     case RequestOp::kMetrics: return "metrics";
@@ -257,6 +260,8 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
       request.reconfig_downtime = member.AsUint("reconfig_downtime");
     } else if (key == "fault_plan") {
       request.fault_plan = faults::FaultPlan::FromJson(member);
+    } else if (key == "randoms") {
+      request.randoms = member.AsUint("randoms");
     } else if (key == "ms") {
       request.sleep_ms = member.AsUint("ms");
     } else if (key == "deadline_ms") {

@@ -16,12 +16,14 @@
 //   {"id":"4","op":"simulate","topology":{"kind":"rings"},"duato":true,
 //    "telemetry":1000,"fault_plan":{"events":[{"at":1,"kind":"switch_down",
 //    "switch":3}]}}
-//   {"id":"5","op":"stats"}   {"id":"6","op":"ping"}
+//   {"id":"5","op":"experiment","topology":{"kind":"rings"},"randoms":3,
+//    "points":4,"warmup":1000,"measure":3000}
+//   {"id":"6","op":"stats"}   {"id":"7","op":"ping"}
 //
 // The keys are the one-shot CLI's flag names with '-' spelled '_' (topology
-// flags nest under "topology"), and the CLI's schedule and simulate parse
-// argv into this Request and run it through SchedulingService::Execute, so
-// served text equals CLI stdout by construction.
+// flags nest under "topology"); the CLI's schedule, simulate and experiment
+// parse argv into this Request and run it through SchedulingService::Execute,
+// so served text equals CLI stdout by construction.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +50,7 @@ enum class RequestOp {
   kSchedule,  // mapping search (§4.2) over a cached distance table
   kQuality,   // F_G / D_G / C_c of an explicit partition (§4.1)
   kSimulate,  // flit-level load sweep (§5) for a mapping
+  kExperiment,  // §5's evaluation: OP against random mappings, each swept
   kHealth,    // liveness + drain state of the serving daemon
   kReady,     // readiness: true until the daemon starts draining
   kMetrics,   // Prometheus text exposition of the registry
@@ -111,9 +114,10 @@ struct Request {
   // quality: cluster id per switch.
   std::vector<std::size_t> partition;
 
-  // simulate knobs.
+  // simulate knobs; experiment reads apps, mapping_seed and the sweep's.
   std::string mapping = "op";  // op|random|blocked
   std::uint64_t mapping_seed = 2000;
+  std::size_t randoms = 9;  // experiment: random mappings R1..Rk against OP
   std::size_t points = 9;
   double min_rate = 0.08;
   double max_rate = 1.4;

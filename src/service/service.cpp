@@ -12,9 +12,10 @@
 
 #include "common/json.h"
 #include "common/strings.h"
+#include "core/experiment.h"
 #include "obs/prometheus.h"
-#include "obs/request.h"
 #include "obs/rolling.h"
+#include "obs/span.h"
 #include "quality/quality.h"
 #include "service/store.h"
 #include "simnet/sweep.h"
@@ -48,6 +49,12 @@ obs::Counter& OpCounter(RequestOp op) {
     return counters;
   }();
   return *table[static_cast<std::size_t>(op)];
+}
+
+/// simulate and experiment place processes on hosts, so a network without
+/// any is bad input, not a workload contract violation.
+void RequireHosts(const topo::SwitchGraph& graph) {
+  if (graph.hosts_per_switch() == 0) throw ConfigError("the network has no hosts to simulate");
 }
 
 JsonObjectWriter ResponseHead(const Request& request) {
@@ -153,6 +160,8 @@ std::string SchedulingService::ExecuteOrThrow(const Request& request) {
       return RunQuality(request);
     case RequestOp::kSimulate:
       return RunSimulate(request);
+    case RequestOp::kExperiment:
+      return RunExperiment(request);
     case RequestOp::kHealth:
       return RunHealth(request);
     case RequestOp::kReady:
@@ -349,7 +358,7 @@ std::string SchedulingService::RunSchedule(const Request& request) {
   bool model_hit = false;
   std::shared_ptr<const NetworkModel> model;
   {
-    const obs::StageTimer stage(obs::RequestStage::kModel);
+    const obs::Span stage("svc.model", obs::RequestStage::kModel);
     model = GetModel(request.topology, &model_hash, &model_hit);
   }
   const std::vector<std::size_t> sizes =
@@ -358,11 +367,11 @@ std::string SchedulingService::RunSchedule(const Request& request) {
   bool result_hit = false;
   std::shared_ptr<const ScheduleOutcome> outcome;
   {
-    const obs::StageTimer stage(obs::RequestStage::kSearch);
+    const obs::Span stage("svc.search", obs::RequestStage::kSearch);
     outcome = SearchOutcome(*model, model_hash, sizes, request.search, &result_hit);
   }
 
-  const obs::StageTimer serialize_stage(obs::RequestStage::kSerialize);
+  const obs::Span serialize_stage("svc.serialize", obs::RequestStage::kSerialize);
   JsonObjectWriter writer = ResponseHead(request);
   writer.Field("partition", outcome->result.best.ToString());
   writer.Field("fg", outcome->result.best_fg);
@@ -397,7 +406,7 @@ std::string SchedulingService::RunScheduleMultilevel(const Request& request) {
   std::shared_ptr<const NetworkModel> model;
   std::optional<topo::SwitchGraph> hops_graph;
   {
-    const obs::StageTimer stage(obs::RequestStage::kModel);
+    const obs::Span stage("svc.model", obs::RequestStage::kModel);
     if (hops) {
       hops_graph = BuildTopology(request.topology);
       model_hash = ModelHashOfGraph(*hops_graph);
@@ -410,7 +419,7 @@ std::string SchedulingService::RunScheduleMultilevel(const Request& request) {
   bool result_hit = true;
   std::shared_ptr<const MultilevelOutcome> outcome;
   {
-    const obs::StageTimer stage(obs::RequestStage::kSearch);
+    const obs::Span stage("svc.search", obs::RequestStage::kSearch);
     const std::string key = "model=" + std::to_string(model_hash) + "|" + canonical;
     outcome = ml_results_.GetOrCompute(HashBytes(key), [&]() {
       result_hit = false;
@@ -425,7 +434,7 @@ std::string SchedulingService::RunScheduleMultilevel(const Request& request) {
     });
   }
 
-  const obs::StageTimer serialize_stage(obs::RequestStage::kSerialize);
+  const obs::Span serialize_stage("svc.serialize", obs::RequestStage::kSerialize);
   JsonObjectWriter writer = ResponseHead(request);
   writer.Field("multilevel", true);
   writer.Field("procs", static_cast<std::uint64_t>(outcome->result.switch_of_process.size()));
@@ -444,7 +453,7 @@ std::string SchedulingService::RunQuality(const Request& request) {
   bool model_hit = false;
   std::shared_ptr<const NetworkModel> model;
   {
-    const obs::StageTimer stage(obs::RequestStage::kModel);
+    const obs::Span stage("svc.model", obs::RequestStage::kModel);
     model = GetModel(request.topology, nullptr, &model_hit);
   }
   if (request.partition.size() != model->graph.switch_count()) {
@@ -460,12 +469,12 @@ std::string SchedulingService::RunQuality(const Request& request) {
   double fg = 0.0;
   double dg = 0.0;
   {
-    const obs::StageTimer stage(obs::RequestStage::kSearch);
+    const obs::Span stage("svc.search", obs::RequestStage::kSearch);
     fg = qual::GlobalSimilarity(model->table, partition);
     dg = qual::GlobalDissimilarity(model->table, partition);
   }
 
-  const obs::StageTimer serialize_stage(obs::RequestStage::kSerialize);
+  const obs::Span serialize_stage("svc.serialize", obs::RequestStage::kSerialize);
   JsonObjectWriter writer = ResponseHead(request);
   writer.Field("partition", partition.ToString());
   writer.Field("fg", fg);
@@ -480,11 +489,12 @@ std::string SchedulingService::RunSimulate(const Request& request) {
   bool model_hit = false;
   std::shared_ptr<const NetworkModel> model;
   {
-    const obs::StageTimer stage(obs::RequestStage::kModel);
+    const obs::Span stage("svc.model", obs::RequestStage::kModel);
     model = GetModel(request.topology, &model_hash, &model_hit);
   }
   const topo::SwitchGraph& graph = model->graph;
   const std::vector<std::size_t> sizes = EvenClusterSizes(graph.switch_count(), request.apps);
+  RequireHosts(graph);
   const work::Workload workload =
       work::Workload::Uniform(request.apps, graph.host_count() / request.apps);
   const faults::FaultPlan* plan = request.fault_plan ? &*request.fault_plan : nullptr;
@@ -494,7 +504,7 @@ std::string SchedulingService::RunSimulate(const Request& request) {
   // on a known topology skips both the resistance solve and the search. The
   // search stage covers mapping choice plus the sweep itself.
   const auto [partition, result] = [&] {
-    const obs::StageTimer stage(obs::RequestStage::kSearch);
+    const obs::Span stage("svc.search", obs::RequestStage::kSearch);
     qual::Partition chosen = [&] {
       if (request.mapping == "op") {
         SearchKnobs knobs;
@@ -527,7 +537,7 @@ std::string SchedulingService::RunSimulate(const Request& request) {
     return std::make_pair(std::move(chosen), std::move(swept));
   }();
 
-  const obs::StageTimer serialize_stage(obs::RequestStage::kSerialize);
+  const obs::Span serialize_stage("svc.serialize", obs::RequestStage::kSerialize);
   std::string points;
   for (const sim::SweepPoint& p : result.points) {
     JsonObjectWriter point;
@@ -545,6 +555,49 @@ std::string SchedulingService::RunSimulate(const Request& request) {
   writer.Raw("points", "[" + points + "]");
   writer.Field("model_cache", model_hit ? "hit" : "miss");
   writer.Field("text", FormatSimulateText(partition, result, plan));
+  return writer.Finish();
+}
+
+std::string SchedulingService::RunExperiment(const Request& request) {
+  // RunPaperExperiment solves its own routing and distance table, microseconds
+  // against its sweeps, so like a "hops" request this skips the model cache.
+  const topo::SwitchGraph graph = [&] {
+    const obs::Span stage("svc.model", obs::RequestStage::kModel);
+    return BuildTopology(request.topology);
+  }();
+  // Typed errors for what the experiment would reject as contract violations.
+  RequireHosts(graph);
+  if (request.apps < 2) {
+    throw ConfigError("experiment needs at least two applications, got " +
+                      std::to_string(request.apps));
+  }
+  static_cast<void>(EvenClusterSizes(graph.switch_count(), request.apps));
+  if (request.randoms < 1) {
+    throw ConfigError("experiment needs at least one random mapping, got " +
+                      std::to_string(request.randoms));
+  }
+  core::ExperimentOptions options;
+  options.applications = request.apps;
+  options.random_mappings = request.randoms;
+  options.rng_seed = request.mapping_seed;
+  options.tabu.max_iterations_per_seed = DefaultTabuIterations(graph.switch_count());
+  options.tabu.parallel_seeds = request.search.parallel_seeds;
+  options.sweep.points = request.points;
+  options.sweep.min_rate = request.min_rate;
+  options.sweep.max_rate = request.max_rate;
+  options.sweep.config.warmup_cycles = request.warmup;
+  options.sweep.config.measure_cycles = request.measure;
+  const core::ExperimentResult result = [&] {
+    const obs::Span stage("svc.search", obs::RequestStage::kSearch);
+    return core::RunPaperExperiment(graph, options);
+  }();
+
+  const obs::Span serialize_stage("svc.serialize", obs::RequestStage::kSerialize);
+  JsonObjectWriter writer = ResponseHead(request);
+  if (result.BestRandomThroughput() > 0.0) {
+    writer.Field("improvement", result.ThroughputImprovement());
+  }
+  writer.Field("text", FormatExperimentText(result));
   return writer.Finish();
 }
 

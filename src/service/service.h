@@ -3,10 +3,10 @@
 // SchedulingService is the daemon's brain, independent of any transport:
 // given a parsed Request it materializes (or cache-hits) the network model
 // — up*/down* routing plus the O(N²) equivalent-distance table — executes
-// the op, and renders the response line. The one-shot CLI's schedule and
-// simulate run through Execute too, so both front ends share one path. It is safe to call Execute from
-// many worker threads; the caches memoize concurrent misses so a burst of
-// requests for one topology performs a single resistance solve.
+// the op, and renders the response line. The one-shot CLI's schedule,
+// simulate and experiment run through Execute too. It is safe to call
+// Execute from many worker threads; the caches memoize concurrent misses so
+// a burst of requests for one topology performs a single resistance solve.
 #pragma once
 
 #include <atomic>
@@ -140,6 +140,7 @@ class SchedulingService {
   [[nodiscard]] std::string RunSchedule(const Request& request);
   [[nodiscard]] std::string RunQuality(const Request& request);
   [[nodiscard]] std::string RunSimulate(const Request& request);
+  [[nodiscard]] std::string RunExperiment(const Request& request);
   [[nodiscard]] std::string RunStats(const Request& request);
   [[nodiscard]] std::string RunHealth(const Request& request);
   [[nodiscard]] std::string RunReady(const Request& request);

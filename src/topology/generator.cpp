@@ -96,6 +96,9 @@ SwitchGraph GenerateIrregularTopology(const IrregularTopologyOptions& options) {
   if (n > 1 && options.interswitch_degree < 1) {
     throw ConfigError("interswitch_degree must be >= 1 to connect the network");
   }
+  if (n > 2 && options.interswitch_degree < 2) {
+    throw ConfigError("interswitch_degree must be >= 2 to connect more than two switches");
+  }
   if (n == 1) {
     return SwitchGraph(1, options.hosts_per_switch);
   }

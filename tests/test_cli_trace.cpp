@@ -314,6 +314,25 @@ TEST(CliExperiment, DegenerateKnobsAreConfigErrors) {
   }
 }
 
+// A sweep too short to deliver a flit leaves no random throughput to
+// divide by: the ratio line says so instead of leaking a contract violation.
+TEST(CliExperiment, NoDeliveredTrafficPrintsNoRatio) {
+  const std::string out_path = ::testing::TempDir() + "cli_experiment_na.txt";
+  const std::string command = "exec " + std::string(COMMSCHED_CLI_PATH) +
+                              " experiment --kind random --switches 16 --randoms 1 --points 2"
+                              " --warmup 0 --measure 1 > " +
+                              out_path + " 2>&1";
+  const int status = std::system(command.c_str());
+  const std::string output = ReadFile(out_path);
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << output;
+  EXPECT_NE(output.find("OP / best random throughput: n/a (no random mapping delivered "
+                        "traffic)\n"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("contract violation"), std::string::npos) << output;
+}
+
 /// Runs the CLI with `args` (stdin empty) and expects a typed `error:` exit
 /// 1 whose message contains `message`.
 void ExpectCliError(const std::string& args, const std::string& message) {
@@ -334,22 +353,21 @@ void ExpectCliError(const std::string& args, const std::string& message) {
 // A number flag must parse whole: no bare library exception text
 // ("error: stoull"), and the error names the flag.
 TEST(CliFlags, NumbersMustParseWhole) {
-  ExpectCliError("experiment --kind mixed --apps x",
-                 "--apps expects a non-negative integer, got 'x'");
+  ExpectCliError("experiment --kind mixed --apps x", "apps: expected a non-negative integer");
   ExpectCliError("experiment --kind mixed --randoms -1",
-                 "--randoms expects a non-negative integer, got '-1'");
+                 "randoms: expected a non-negative integer, got -1");
   ExpectCliError("experiment --kind mixed --warmup 10k",
-                 "--warmup expects a non-negative integer, got '10k'");
-  ExpectCliError("experiment --kind mixed --points", "--points expects a non-negative integer, got ''");
-  ExpectCliError("experiment --kind mixed --min-rate 0.1x",
-                 "--min-rate expects a finite number, got '0.1x'");
-  ExpectCliError("experiment --kind mixed --max-rate inf",
-                 "--max-rate expects a finite number, got 'inf'");
+                 "warmup: expected a non-negative integer");
+  ExpectCliError("experiment --kind mixed --points", "points: expected a non-negative integer");
+  ExpectCliError("experiment --kind mixed --min-rate 0.1x", "min_rate: expected a number");
+  ExpectCliError("experiment --kind mixed --max-rate inf", "max_rate: expected a number");
   ExpectCliError("report --trace missing.jsonl --top 99999999999999999999999",
                  "--top expects a non-negative integer");
   ExpectCliError("serve --queue 1.5", "--queue expects a non-negative integer, got '1.5'");
   ExpectCliError("top --connect 1 --interval-ms fast",
                  "--interval-ms expects a non-negative integer, got 'fast'");
+  ExpectCliError("top --connect 127.0.0.1:1x --once",
+                 "bad target '127.0.0.1:1x' (want [HOST:]PORT)");
 }
 
 // Every command rejects a flag it does not read before it does any work:
@@ -357,8 +375,8 @@ TEST(CliFlags, NumbersMustParseWhole) {
 TEST(CliFlags, UnknownFlagsAreErrorsOnEveryCommand) {
   ExpectCliError("topo --kind mixed --hops", "unknown flag --hops for topo");
   ExpectCliError("distance --kind mixed --bogus 1", "unknown flag --bogus for distance");
-  ExpectCliError("experiment --kind random --switches 16 --seeds 3",
-                 "unknown flag --seeds for experiment");
+  ExpectCliError("experiment --kind random --switches 16 --bogus 3",
+                 "unknown request key 'bogus'");
   ExpectCliError("report --trace missing.jsonl --bogus", "unknown flag --bogus for report");
   ExpectCliError("serve --worker 2", "unknown flag --worker for serve");
   ExpectCliError("top --connect 1 --bogus", "unknown flag --bogus for top");

@@ -27,15 +27,12 @@ ExperimentOptions FastOptions() {
   return options;
 }
 
-TEST(Experiment, CoefficientOnlyModeSkipsSimulation) {
+TEST(Experiment, OpCoefficientBeatsEveryRandomMapping) {
   const topo::SwitchGraph g = topo::GenerateIrregularTopology({16, 4, 3, 1, 1000});
-  ExperimentOptions options = FastOptions();
-  options.run_simulation = false;
-  const ExperimentResult result = RunPaperExperiment(g, options);
+  const ExperimentResult result = RunPaperExperiment(g, FastOptions());
   ASSERT_EQ(result.mappings.size(), 3u);
   EXPECT_EQ(result.mappings[0].label, "OP");
   EXPECT_EQ(result.mappings[1].label, "R1");
-  EXPECT_TRUE(result.mappings[0].sweep.points.empty());
   // OP's clustering coefficient beats every random mapping's.
   for (std::size_t k = 1; k < result.mappings.size(); ++k) {
     EXPECT_GE(result.mappings[0].cc, result.mappings[k].cc);
@@ -60,8 +57,7 @@ TEST(Experiment, SwitchCountMustDivide) {
 
 TEST(Experiment, DeterministicAcrossRuns) {
   const topo::SwitchGraph g = topo::GenerateIrregularTopology({16, 4, 3, 5, 1000});
-  ExperimentOptions options = FastOptions();
-  options.run_simulation = false;
+  const ExperimentOptions options = FastOptions();
   const ExperimentResult a = RunPaperExperiment(g, options);
   const ExperimentResult b = RunPaperExperiment(g, options);
   ASSERT_EQ(a.mappings.size(), b.mappings.size());

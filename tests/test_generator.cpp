@@ -93,6 +93,19 @@ TEST(Generator, InfeasibleParametersThrow) {
   EXPECT_THROW((void)GenerateIrregularTopology(options), ConfigError);
 }
 
+// Degree one connects two switches and no more: a larger request is a
+// typed error, not the tree builder's contract violation.
+TEST(Generator, DegreeOneConnectsOnlyTwoSwitches) {
+  IrregularTopologyOptions options;
+  options.switch_count = 2;
+  options.interswitch_degree = 1;
+  EXPECT_TRUE(GenerateIrregularTopology(options).IsConnected());
+  for (const std::size_t switches : {3, 4, 16}) {
+    options.switch_count = switches;
+    EXPECT_THROW((void)GenerateIrregularTopology(options), ConfigError) << switches;
+  }
+}
+
 TEST(Generator, SingleSwitchTrivial) {
   IrregularTopologyOptions options;
   options.switch_count = 1;

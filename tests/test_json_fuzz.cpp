@@ -1,8 +1,9 @@
 // Seeded mutation fuzz of every reader of outside input: the one JSON codec
 // (common/json.h) and the readers built on it (protocol requests, fault
 // plans, the trace/metrics folding behind `commsched_cli report`), the
-// topology text format (topo::FromText) and the binary model artifact of
-// the store (svc::DecodeModelArtifact). Fixed seed corpora are mutated by
+// topology text format (topo::FromText), and the store's binary model
+// artifact (svc::DecodeModelArtifact) and artifact file header check
+// (svc::ArtifactStore::VerifyFile). Fixed seed corpora are mutated by
 // random byte overwrites, truncations, insertions of structural bytes and
 // boundary numbers under a fixed budget, so every run feeds the same
 // inputs. Each input must parse or be rejected with a ConfigError (for
@@ -10,7 +11,11 @@
 // std::out_of_range, a std::bad_alloc, a crash — fails.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -50,8 +55,8 @@ std::string ReadData(const std::string& name) {
 }
 
 /// The checked-in fault plans, metrics text and golden trace lines, plus
-/// the protocol request of DESIGN.md §10 and a simulate request carrying
-/// the simulate-only keys and an inline fault plan.
+/// the protocol request of DESIGN.md §10, a simulate request carrying the
+/// simulate-only keys and an inline fault plan, and an experiment request.
 std::vector<std::string> SeedCorpus() {
   std::vector<std::string> corpus = {
       ReadData("faultplan_diff_links.json"),
@@ -63,6 +68,9 @@ std::vector<std::string> SeedCorpus() {
       R"("mapping":"blocked","points":2,"max_rate":0.4,"warmup":500,"measure":1500,)"
       R"("duato":true,"telemetry":500,"reconfig_downtime":128,"fault_plan":)" +
           ReadData("faultplan_diff_switch.json") + "}",
+      R"({"id":"r3","op":"experiment","topology":{"kind":"random","switches":16},"apps":4,)"
+      R"("randoms":3,"points":4,"min_rate":0.1,"max_rate":0.9,"warmup":1000,)"
+      R"("measure":3000,"mapping_seed":2000,"parallel_seeds":true})",
   };
   std::istringstream trace(ReadData("tabu_trace16.golden.jsonl"));
   for (std::string line; std::getline(trace, line);) corpus.push_back(line);
@@ -221,6 +229,34 @@ TEST(ReaderFuzz, ModelArtifactsDecodeOrThrowConfigError) {
     ExpectParsesOrConfigError(input,
                               [](const std::string& bytes) { (void)svc::DecodeModelArtifact(bytes); });
   });
+}
+
+// Byte mutants of stored artifact files: VerifyFile passes a file only when
+// it is byte for byte one the store wrote, and fails every other with a
+// reason, never with an exception other than ConfigError.
+TEST(ReaderFuzz, ArtifactFilesVerifyOrFail) {
+  const std::string dir = ::testing::TempDir() + "commsched_fuzz_store_" + std::to_string(getpid());
+  svc::ArtifactStore store(dir);
+  std::vector<std::string> corpus;
+  for (topo::SwitchGraph& graph : TopologyCorpus()) {
+    const svc::NetworkModel model(std::move(graph));
+    const std::uint64_t key = svc::ModelHashOfGraph(model.graph);
+    ASSERT_TRUE(store.Put(svc::ArtifactKind::kModel, key, svc::EncodeModelArtifact(model)));
+    std::ifstream in(dir + "/" + svc::ArtifactStore::FileName(svc::ArtifactKind::kModel, key),
+                     std::ios::binary);
+    corpus.emplace_back(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const std::string path = dir + "/mutant.csart";
+  ForEachMutant(corpus, MutateBinary, [&](const std::string& input) {
+    ExpectParsesOrConfigError(input, [&](const std::string& bytes) {
+      std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+      const svc::VerifyResult verdict = svc::ArtifactStore::VerifyFile(path);
+      const bool stored = std::find(corpus.begin(), corpus.end(), bytes) != corpus.end();
+      EXPECT_EQ(verdict.ok, stored) << verdict.error;
+      EXPECT_EQ(verdict.error.empty(), verdict.ok) << verdict.error;
+    });
+  });
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -17,9 +17,7 @@
 
 #include "distance/distance_table.h"
 #include "quality/comm_graph.h"
-#include "routing/updown.h"
 #include "sched/multilevel/coarsen.h"
-#include "sched/scheduler.h"
 #include "topology/library.h"
 #include "workload/procgen.h"
 
@@ -137,19 +135,6 @@ TEST(Multilevel, EngineRefinementImprovesOnGreedy) {
   ASSERT_FALSE(result.level_stats.empty());
   EXPECT_LE(result.level_stats.front().cost_after,
             result.level_stats.front().cost_before + kTol);
-}
-
-TEST(Multilevel, SchedulerFacadeMatchesDirectCall) {
-  const topo::SwitchGraph fabric = topo::MakeMixedDensity16(4);
-  const route::UpDownRouting routing(fabric);
-  const sched::CommAwareScheduler scheduler(fabric, routing);
-  const qual::CommGraph processes = work::MakeGridComm(48);
-
-  const MultilevelResult via_scheduler = scheduler.ScheduleProcesses(processes);
-  const MultilevelResult direct =
-      MapMultilevel(processes, dist::DistanceTable::Build(routing), 4, {});
-  EXPECT_EQ(via_scheduler.switch_of_process, direct.switch_of_process);
-  EXPECT_EQ(via_scheduler.cost, direct.cost);
 }
 
 TEST(Multilevel, RejectsDegenerateConfigurations) {

@@ -25,7 +25,6 @@ namespace {
 using obs::RequestContext;
 using obs::RequestStage;
 using obs::ScopedRequestContext;
-using obs::StageTimer;
 
 TEST(RequestContextTest, NoContextByDefault) {
   EXPECT_EQ(RequestContext::Current(), nullptr);
@@ -63,14 +62,14 @@ TEST(RequestContextTest, StageTimerRecordsIntoCurrentContext) {
   RequestContext context("r");
   const ScopedRequestContext scope(context);
   {
-    const StageTimer timer(RequestStage::kModel);
+    const obs::Span timer("svc.model", RequestStage::kModel);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_GT(context.stage_ns(RequestStage::kModel), 0u);
 }
 
 TEST(RequestContextTest, StageTimerIsNoopWithoutContext) {
-  { const StageTimer timer(RequestStage::kModel); }  // must not crash
+  { const obs::Span timer("svc.model", RequestStage::kModel); }  // must not crash
   SUCCEED();
 }
 

@@ -490,6 +490,37 @@ TEST(ServiceExecute, BadSweepKnobsAreConfigErrors) {
   }
 }
 
+// simulate and experiment place processes on hosts: a network with none is
+// a typed error, not the workload's contract violation.
+TEST(ServiceExecute, NetworksWithoutHostsAreConfigErrors) {
+  svc::SchedulingService service;
+  for (const std::string op : {"simulate", "experiment"}) {
+    const std::string response = service.Execute(svc::ParseRequest(
+        R"({"id":"h","op":")" + op +
+        R"(","topology":{"kind":"random","switches":12,"hosts":0},"points":2,"warmup":10,)"
+        R"("measure":10})"));
+    EXPECT_EQ(response, R"({"id":"h","ok":false,"error":"the network has no hosts to simulate"})")
+        << op;
+  }
+}
+
+// An experiment answers its table, OP's throughput ratio as "improvement",
+// and no model_cache marker: it never reads the model cache.
+TEST(ServiceExecute, ExperimentRendersTableAndImprovement) {
+  svc::SchedulingService service;
+  const JsonValue parsed = ParseJson(service.Execute(svc::ParseRequest(
+      R"({"id":"x","op":"experiment","topology":{"kind":"rings"},"randoms":2,"points":2,)"
+      R"("max_rate":0.8,"warmup":500,"measure":1500})")));
+  ASSERT_TRUE(parsed.Find("ok")->AsBool("ok"));
+  EXPECT_EQ(parsed.Find("op")->AsString("op"), "experiment");
+  EXPECT_EQ(parsed.Find("model_cache"), nullptr);
+  EXPECT_GT(parsed.Find("improvement")->AsDouble("improvement"), 1.0);
+  const std::string text = parsed.Find("text")->AsString("text");
+  EXPECT_NE(text.find("|      R2 |"), std::string::npos) << text;
+  EXPECT_NE(text.find("OP / best random throughput: "), std::string::npos) << text;
+  EXPECT_EQ(service.TopologyCacheStats().misses, 0u);
+}
+
 TEST(ServiceExecute, SimulateRendersSweepPoints) {
   svc::SchedulingService service;
   const std::string response = service.Execute(svc::ParseRequest(

@@ -241,6 +241,39 @@ TEST(ServiceE2E, ServedMultilevelTextMatchesOneShotCli) {
                    "--pattern ring --distance hops"));
 }
 
+// Served experiments print what the one-shot `experiment` prints, with short
+// sweeps: on a 16-switch random net, on the 24-switch rings and with two
+// applications.
+TEST(ServiceE2E, ServedExperimentMatchesOneShotCli) {
+  const std::string sweep = R"("randoms":3,"points":3,"max_rate":0.8,"warmup":500,"measure":1500})";
+  const std::string flags = " --randoms 3 --points 3 --max-rate 0.8 --warmup 500 --measure 1500";
+  ServeProcess serve({"--workers", "2"});
+  serve.Send(R"({"id":"random16","op":"experiment","topology":{"kind":"random","switches":16},)" +
+             sweep);
+  serve.Send(R"({"id":"rings","op":"experiment","topology":{"kind":"rings"},)" + sweep);
+  serve.Send(R"({"id":"apps2","op":"experiment","topology":{"kind":"random","switches":16},)"
+             R"("apps":2,)" +
+             sweep);
+  serve.CloseStdin();
+  const auto responses = ReadResponses(serve, 3);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(serve.Wait(), 0);
+
+  const std::pair<std::string, std::string> cases[] = {
+      {"random16", "experiment --kind random --switches 16"},
+      {"rings", "experiment --kind rings"},
+      {"apps2", "experiment --kind random --switches 16 --apps 2"},
+  };
+  for (const auto& [id, args] : cases) {
+    const JsonValue& served = responses.at(id);
+    ASSERT_TRUE(served.Find("ok")->AsBool("ok")) << id << ": "
+                                                 << served.Find("error")->AsString("error");
+    const std::string text = served.Find("text")->AsString("text");
+    EXPECT_NE(text.find("OP / best random throughput: "), std::string::npos) << text;
+    EXPECT_EQ(text, RunCli(args + flags)) << id;
+  }
+}
+
 // A served simulate with Duato routing, telemetry and an inline fault plan
 // prints what the one-shot run given the plan file prints, `faults:` line
 // included.

@@ -1,9 +1,9 @@
 // commsched command-line interface; run it without arguments for usage.
 //
-// schedule and simulate are service requests: argv becomes one protocol
-// svc::Request (flag --foo-bar is key "foo_bar"; topology flags nest under
-// "topology"; DESIGN.md §10), SchedulingService::Execute runs it, and the
-// response's text is the output. topo, distance and experiment build their
+// schedule, simulate and experiment are service requests: argv becomes one
+// protocol svc::Request (flag --foo-bar is key "foo_bar"; topology flags
+// nest under "topology"; DESIGN.md §10), SchedulingService::Execute runs
+// it, and the response's text is the output. topo and distance build their
 // graph from the same topology flags.
 //
 // Observability (any command): --trace <file> streams structured JSONL
@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -37,6 +36,13 @@
 namespace {
 
 using namespace commsched;
+
+/// Whether all of `text` parses as one integer.
+bool ParsesWhole(const std::string& text, std::size_t& value) {
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  return error == std::errc() && stop == end;
+}
 
 /// Minimal --flag/--flag value argument parser.
 class Args {
@@ -74,27 +80,9 @@ class Args {
     return value;
   }
 
-  /// The flag's value, which must be a whole finite number.
-  [[nodiscard]] double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    double value = 0.0;
-    if (!ParsesWhole(it->second, value) || !std::isfinite(value)) {
-      throw ConfigError("--" + key + " expects a finite number, got '" + it->second + "'");
-    }
-    return value;
-  }
-
   [[nodiscard]] const std::map<std::string, std::string>& values() const { return values_; }
 
  private:
-  template <typename T>
-  static bool ParsesWhole(const std::string& text, T& value) {
-    const char* const end = text.data() + text.size();
-    const auto [stop, error] = std::from_chars(text.data(), end, value);
-    return error == std::errc() && stop == end;
-  }
-
   std::map<std::string, std::string> values_;
 };
 
@@ -118,14 +106,11 @@ const std::set<std::string> kObservabilityFlags = {"trace", "metrics", "metrics-
 
 /// The flags each command outside the request path reads, besides the
 /// observability flags (and the topology flags, for the commands that
-/// build a graph). schedule and simulate flags are checked by the
-/// protocol's parser instead.
+/// build a graph). schedule, simulate and experiment flags are checked by
+/// the protocol's parser instead.
 const std::map<std::string, std::set<std::string>> kCommandFlags = {
     {"topo", {"dot"}},
     {"distance", {"hops"}},
-    {"experiment",
-     {"apps", "randoms", "points", "min-rate", "max-rate", "warmup", "measure",
-      "parallel-seeds"}},
     {"report", {"metrics-file", "top", "csv"}},
     {"serve",
      {"topo-cache", "result-cache", "allow-stats-reset", "store-dir", "workers", "queue",
@@ -141,7 +126,7 @@ constexpr std::size_t kMaxServeWorkers = 256;
 void CheckCommandFlags(const std::string& command, const Args& args) {
   const auto reads = kCommandFlags.find(command);
   if (reads == kCommandFlags.end()) return;
-  const bool builds_graph = command == "topo" || command == "distance" || command == "experiment";
+  const bool builds_graph = command == "topo" || command == "distance";
   for (const auto& [flag, value] : args.values()) {
     if (kObservabilityFlags.count(flag) > 0 || reads->second.count(flag) > 0) continue;
     if (builds_graph && (kTopologyFlags.count(flag) > 0 || flag == "path")) continue;
@@ -193,7 +178,7 @@ svc::Request ParseArgsRequest(const std::string& op, const Args& args) {
   request.Raw("topology", TopologyJson(args));
   for (const auto& [flag, value] : args.values()) {
     if (kTopologyFlags.count(flag) > 0 || kObservabilityFlags.count(flag) > 0) continue;
-    if (flag == "dot") continue;
+    if (flag == "dot" && op == "schedule") continue;
     if (flag == "path" && args.Get("kind", "") == "file") continue;
     std::string key = flag;
     std::replace(key.begin(), key.end(), '-', '_');
@@ -228,7 +213,7 @@ int CmdDistance(const Args& args) {
   return 0;
 }
 
-/// schedule and simulate: one request through the service, whose text is
+/// schedule, simulate and experiment: one service request, whose text is
 /// the output. `schedule --dot` adds the graph coloured by the partition.
 int CmdRequest(const std::string& op, const Args& args) {
   const svc::Request request = ParseArgsRequest(op, args);
@@ -256,40 +241,6 @@ int CmdRequest(const std::string& op, const Args& args) {
     }
     std::cout << topo::ToDot(graph, cluster_of_switch);
   }
-  return 0;
-}
-
-int CmdExperiment(const Args& args) {
-  const topo::SwitchGraph graph = BuildGraph(args);
-  core::ExperimentOptions options;
-  options.applications = args.GetSize("apps", 4);
-  // Typed errors for what the library would reject as contract violations.
-  if (options.applications < 2) {
-    throw ConfigError("experiment needs at least two applications, got " +
-                      std::to_string(options.applications));
-  }
-  static_cast<void>(svc::EvenClusterSizes(graph.switch_count(), options.applications));
-  options.random_mappings = args.GetSize("randoms", 9);
-  if (options.random_mappings < 1) {
-    throw ConfigError("experiment needs at least one random mapping, got " +
-                      std::to_string(options.random_mappings));
-  }
-  options.sweep.points = args.GetSize("points", 9);
-  options.sweep.min_rate = args.GetDouble("min-rate", 0.08);
-  options.sweep.max_rate = args.GetDouble("max-rate", 1.4);
-  options.sweep.config.warmup_cycles = args.GetSize("warmup", 5000);
-  options.sweep.config.measure_cycles = args.GetSize("measure", 15000);
-  options.tabu.max_iterations_per_seed = graph.switch_count() >= 20 ? 60 : 20;
-  options.tabu.parallel_seeds = args.Has("parallel-seeds");
-  const core::ExperimentResult result = core::RunPaperExperiment(graph, options);
-
-  TextTable table({"mapping", "C_c", "throughput", "partition"});
-  table.set_precision(4);
-  for (const core::MappingEvaluation& eval : result.mappings) {
-    table.AddRow({eval.label, eval.cc, eval.Throughput(), eval.partition.ToString()});
-  }
-  std::cout << table;
-  std::cout << "OP / best random throughput: " << result.ThroughputImprovement() << "x\n";
   return 0;
 }
 
@@ -357,13 +308,8 @@ int ConnectTcp(const std::string& target) {
     host = target.substr(0, colon);
     port_text = target.substr(colon + 1);
   }
-  int port = 0;
-  try {
-    port = std::stoi(port_text);
-  } catch (const std::exception&) {
-    port = -1;
-  }
-  if (port <= 0 || port > 65535) {
+  std::size_t port = 0;
+  if (!ParsesWhole(port_text, port) || port == 0 || port > 65535) {
     throw ConfigError("bad target '" + target + "' (want [HOST:]PORT)");
   }
 
@@ -559,10 +505,10 @@ int Usage() {
       "             network telemetry every N measured cycles, --fault-plan F\n"
       "             replays a JSON schedule of link/switch failures mid-run,\n"
       "             --reconfig-downtime N sets the routing pause after each fault)\n"
-      "             schedule and simulate run as one service request (the serve\n"
-      "             protocol's keys, '-' spelled '_')\n"
       "  experiment full paper experiment: OP vs random mappings (--randoms K,\n"
-      "             --parallel-seeds)\n"
+      "             --mapping-seed S, and simulate's --apps and sweep flags)\n"
+      "             schedule, simulate and experiment run as one service request\n"
+      "             (the serve protocol's keys, '-' spelled '_')\n"
       "  report     analyse a JSONL trace: latency percentiles, hottest links,\n"
       "             per-seed convergence (--trace F, --metrics-file F, --csv F,\n"
       "             --top K)\n"
@@ -593,8 +539,9 @@ int Usage() {
 int Dispatch(const std::string& command, const Args& args) {
   if (command == "topo") return CmdTopo(args);
   if (command == "distance") return CmdDistance(args);
-  if (command == "schedule" || command == "simulate") return CmdRequest(command, args);
-  if (command == "experiment") return CmdExperiment(args);
+  if (command == "schedule" || command == "simulate" || command == "experiment") {
+    return CmdRequest(command, args);
+  }
   if (command == "report") return CmdReport(args);
   if (command == "serve") return CmdServe(args);
   if (command == "top") return CmdTop(args);
