@@ -41,8 +41,9 @@ int main() {
   std::cout << "\n";
 
   // Step 3: re-schedule with the measured requirements.
-  const sched::SearchResult weighted =
-      sched::IntensityTabuSearch(table, {4, 4, 4, 4}, intensity);
+  sched::TabuOptions informed;
+  informed.cluster_intensity = intensity;
+  const sched::SearchResult weighted = sched::TabuSearch(table, {4, 4, 4, 4}, informed);
   const auto weighted_mapping =
       work::ProcessMapping::FromPartition(network, workload, weighted.best);
 

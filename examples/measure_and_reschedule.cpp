@@ -54,8 +54,9 @@ int main() {
   }
 
   // --- 4. weighted re-placement -------------------------------------------
-  const sched::SearchResult informed =
-      sched::IntensityTabuSearch(table, {4, 4, 4, 4}, intensity);
+  sched::TabuOptions measured;
+  measured.cluster_intensity = intensity;
+  const sched::SearchResult informed = sched::TabuSearch(table, {4, 4, 4, 4}, measured);
   std::cout << "\ninformed placement:\n";
   for (std::size_t a = 0; a < 4; ++a) {
     std::cout << "  " << workload.applications()[a].name << " -> ("

@@ -9,8 +9,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "linalg/matrix.h"
-
 namespace commsched::linalg {
 
 /// One resistor between nodes `a` and `b` with conductance 1/resistance.
@@ -32,9 +30,6 @@ class ResistorNetwork {
   [[nodiscard]] std::size_t node_count() const { return node_count_; }
   [[nodiscard]] const std::vector<Resistor>& resistors() const { return resistors_; }
 
-  /// Weighted graph Laplacian L (conductance matrix).
-  [[nodiscard]] Matrix Laplacian() const;
-
   /// Effective resistance between s and t.  Requires that s and t are in the
   /// same connected component (checked; throws ContractError otherwise).
   /// Solves the grounded Laplacian system L' v = e_s with node t removed.
@@ -50,11 +45,5 @@ class ResistorNetwork {
   std::size_t node_count_;
   std::vector<Resistor> resistors_;
 };
-
-/// Effective resistance between every pair of a connected network, via one
-/// pseudo-inverse-style solve per node: R(i,j) = M(i,i) + M(j,j) - 2 M(i,j)
-/// where M is the inverse of the Laplacian grounded at node 0, extended with
-/// zero row/column at the ground. Faster than n^2 independent solves.
-[[nodiscard]] Matrix AllPairsEffectiveResistance(const ResistorNetwork& network);
 
 }  // namespace commsched::linalg

@@ -58,6 +58,23 @@ double ClusteringCoefficient(const DistanceTable& table, const Partition& partit
   return GlobalDissimilarity(table, partition) / fg;
 }
 
+double IntensityGlobalSimilarity(const DistanceTable& table, const Partition& partition,
+                                 const std::vector<double>& cluster_intensity) {
+  CS_CHECK(table.size() == partition.switch_count(), "table / partition size mismatch");
+  CS_CHECK(cluster_intensity.size() == partition.cluster_count(),
+           "one intensity per cluster required");
+  double weighted_sum = 0.0;
+  double weighted_pairs = 0.0;
+  for (std::size_t c = 0; c < partition.cluster_count(); ++c) {
+    CS_CHECK(cluster_intensity[c] >= 0.0, "intensities are non-negative");
+    weighted_sum += cluster_intensity[c] * ClusterSimilarity(table, partition, c);
+    const double size = static_cast<double>(partition.ClusterSize(c));
+    weighted_pairs += cluster_intensity[c] * size * (size - 1) / 2.0;
+  }
+  CS_CHECK(weighted_pairs > 0.0, "no weighted intracluster pairs");
+  return (weighted_sum / weighted_pairs) / table.MeanSquaredDistance();
+}
+
 ClusterGainTable::ClusterGainTable(const DistanceTable& table, const Partition& partition)
     : clusters_(partition.cluster_count()),
       gains_(partition.switch_count() * partition.cluster_count(), 0.0) {

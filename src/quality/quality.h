@@ -38,7 +38,23 @@ using dist::DistanceTable;
 /// C_c = D_G / F_G.
 [[nodiscard]] double ClusteringCoefficient(const DistanceTable& table, const Partition& partition);
 
-/// Per-switch cluster gains of the dense swap evaluators:
+/// Eq. (2) under per-application intensities: when application c's
+/// processes all communicate with intensity λ_c (what a traffic monitor
+/// reports under the paper's uniform-within-application model),
+///
+///   F_G^λ = ( Σ_c λ_c F_Ac / Σ_c λ_c m_c ) / ( Σ_all T² / m_all )
+///
+/// with m_c the intracluster pair count of cluster c. The denominator is
+/// invariant under swaps, so SwapEvaluator prices F_G^λ by the same scaled
+/// sum delta as F_G. `cluster_intensity` has one non-negative entry per
+/// cluster and a positive weighted pair count overall. With λ ≡ 1 the same
+/// ClusterSimilarity terms are summed in the same order over an integer
+/// pair count, so the result has the bits of GlobalSimilarity.
+[[nodiscard]] double IntensityGlobalSimilarity(const DistanceTable& table,
+                                               const Partition& partition,
+                                               const std::vector<double>& cluster_intensity);
+
+/// Per-switch cluster gains of the dense swap evaluator:
 ///   G[v][c] = sum over u in cluster c of T_vu^2
 /// (N x M, row-major; the table's zero diagonal keeps v out of its own
 /// cluster's sum). A swap delta is then four reads and a swap an O(N)
@@ -66,8 +82,8 @@ class ClusterGainTable {
 };
 
 /// Incremental evaluator for swap-based search, over the per-cluster
-/// intensity-weighted sum Σ_c λ_c F_Ac (quality/weighted.h's F_G^λ; all
-/// λ = 1, the default, is eq. (2) itself). Maintains that running sum and a
+/// intensity-weighted sum Σ_c λ_c F_Ac (IntensityGlobalSimilarity's F_G^λ;
+/// all λ = 1, the default, is eq. (2) itself). Maintains that running sum and a
 /// ClusterGainTable, so that evaluating a candidate swap is O(1), applying
 /// one is O(N), and F_G is O(1).
 ///

@@ -407,28 +407,6 @@ void TabuObjective::FinalizeSeed(SearchResult& result) const {
   }
 }
 
-WeightedFgObjective::WeightedFgObjective(const DistanceTable& table,
-                                         const qual::WeightMatrix& weights, const Partition& start)
-    : eval_(table, weights, start), table_(&table), weights_(&weights) {}
-
-double WeightedFgObjective::SwapCost(std::size_t a, std::size_t b) {
-  return eval_.FgAfterSwap(a, b) - eval_.Fg();
-}
-
-double WeightedFgObjective::Value() const { return eval_.Fg(); }
-
-double WeightedFgObjective::TraceFg() const { return eval_.Fg(); }
-
-void WeightedFgObjective::Apply(std::size_t a, std::size_t b) { eval_.ApplySwap(a, b); }
-
-const Partition& WeightedFgObjective::partition() const { return eval_.partition(); }
-
-void WeightedFgObjective::FinalizeSeed(SearchResult& result) const {
-  result.best_fg = qual::WeightedGlobalSimilarity(*table_, *weights_, result.best);
-  result.best_dg = qual::WeightedGlobalDissimilarity(*table_, *weights_, result.best);
-  result.best_cc = result.best_dg / result.best_fg;
-}
-
 double IntraSumObjective::SwapCost(std::size_t a, std::size_t b) { return eval_->SwapDelta(a, b); }
 
 bool IntraSumObjective::SwapCostRow(std::size_t a, double* costs) {  // * 1.0 is exact

@@ -53,7 +53,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "quality/weighted.h"
+#include "quality/quality.h"
 #include "sched/search.h"
 
 namespace commsched::sched {
@@ -78,11 +78,10 @@ struct EngineOptions {
 };
 
 /// A search objective over partitions. The engine only ever talks to the
-/// walk through this interface. Three adapters cover every searcher: the
-/// dense F_G family (plain, λ-weighted, anchored, budgeted) is one
-/// TabuObjective over qual::SwapEvaluator, F_G^w wraps the
-/// WeightedSwapEvaluator, and IntraSumObjective gives steepest descent and
-/// the annealing walks their raw sum.
+/// walk through this interface. Two adapters over qual::SwapEvaluator cover
+/// every dense searcher: the F_G family (plain, λ-weighted, anchored,
+/// budgeted) is one TabuObjective, and IntraSumObjective gives steepest
+/// descent and the annealing walks their raw sum.
 class Objective {
  public:
   virtual ~Objective() = default;
@@ -178,8 +177,9 @@ struct MultiStartSpec {
   EngineOptions options;
   SeedRunner run_seed;
   SeedKey combine_key;
-  /// Recompute best_fg/dg/cc of the winner from its partition. Weighted
-  /// objectives set this false and carry their own finalized values.
+  /// Recompute best_fg/dg/cc of the winner from its partition. Searchers
+  /// whose seeds finalize through Objective::FinalizeSeed set this false
+  /// and keep those values (F_G^λ for an intensity-weighted Tabu).
   bool finalize_combined = true;
 };
 
@@ -278,26 +278,6 @@ class TabuObjective final : public Objective {
   double move_cost_ = 0.0;
   double fg_scale_ = 0.0;  // F_G is affine in the intra sum
   std::size_t moved_ = 0;
-};
-
-/// Traffic-weighted F_G^w. The evaluator has no delta form, so SwapCost is
-/// FgAfterSwap minus the current F_G^w.
-class WeightedFgObjective final : public Objective {
- public:
-  WeightedFgObjective(const DistanceTable& table, const qual::WeightMatrix& weights,
-                      const Partition& start);
-
-  double SwapCost(std::size_t a, std::size_t b) override;
-  [[nodiscard]] double Value() const override;
-  [[nodiscard]] double TraceFg() const override;
-  void Apply(std::size_t a, std::size_t b) override;
-  [[nodiscard]] const Partition& partition() const override;
-  void FinalizeSeed(SearchResult& result) const override;
-
- private:
-  qual::WeightedSwapEvaluator eval_;
-  const DistanceTable* table_;
-  const qual::WeightMatrix* weights_;
 };
 
 /// Raw intra-cluster sum over a borrowed SwapEvaluator. Used by steepest

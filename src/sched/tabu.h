@@ -8,6 +8,11 @@
 //     `local_min_repeats` times or after `max_iterations_per_seed` moves.
 // The search restarts from `seeds` random mappings and keeps the best
 // mapping seen anywhere (the paper uses 10 seeds, 3 repeats, 20 iterations).
+//
+// With per-cluster intensities the same search minimizes F_G^λ
+// (qual::IntensityGlobalSimilarity): the applications with higher measured
+// requirements get the highest-bandwidth network regions, the measure →
+// schedule loop of the paper's future work.
 #pragma once
 
 #include "sched/engine.h"
@@ -32,10 +37,14 @@ struct TabuOptions {
   /// used as the first seed. With penalty 0 the anchor only warm-starts.
   const qual::Partition* anchor = nullptr;
   double migration_penalty = 0.0;
+
+  /// λ_c per cluster (e.g. from sim::EstimateAppIntensities): the walk
+  /// minimizes F_G^λ and best_fg reports it; best_dg and best_cc stay the
+  /// unweighted eq. (5) values. Empty means all ones, plain F_G.
+  std::vector<double> cluster_intensity;
 };
 
-/// Engine-level view of the tabu-family knobs (shared by the plain,
-/// weighted, and intensity searchers, which all take TabuOptions).
+/// Engine-level view of the tabu-family knobs.
 [[nodiscard]] inline EngineOptions ToEngineOptions(const TabuOptions& options) {
   EngineOptions engine;
   engine.seeds = options.seeds;

@@ -178,6 +178,16 @@ std::vector<BatchEntry> ParseBatchEntries(const JsonValue& value) {
   return entries;
 }
 
+/// Bit of `op` in the per-key op masks below.
+constexpr std::uint32_t OpBit(RequestOp op) { return 1U << static_cast<unsigned>(op); }
+
+// Which ops read a key (id, deadline_ms and timings: every op).
+constexpr std::uint32_t kSchedule = OpBit(RequestOp::kSchedule);
+constexpr std::uint32_t kSimulate = OpBit(RequestOp::kSimulate);
+constexpr std::uint32_t kSweep = kSimulate | OpBit(RequestOp::kExperiment);
+constexpr std::uint32_t kWorkload = kSchedule | kSweep;  // apps, parallel_seeds
+constexpr std::uint32_t kNetwork = kWorkload | OpBit(RequestOp::kQuality);
+
 Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
   const JsonValue* op = root.Find("op");
   if (!root.is_object() || op == nullptr) {
@@ -188,87 +198,93 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
   if (request.op == RequestOp::kBatch && !allow_batch) {
     throw ConfigError("batch entries must not themselves be batches");
   }
+  const std::uint32_t op_bit = OpBit(request.op);
+  // Each matched key checks its op mask: a key the op never reads would
+  // otherwise be dropped silently.
+  const auto read_by = [&](const std::string& key, std::uint32_t ops) {
+    if ((ops & op_bit) == 0) {
+      throw ConfigError("request key '" + key + "' is not read by op " + OpName(request.op));
+    }
+    return true;
+  };
   bool saw_requests = false;
   for (const auto& [key, member] : root.AsObject("request")) {
     if (key == "op") continue;
-    if (key == "requests") {
-      if (request.op != RequestOp::kBatch) {
-        throw ConfigError("\"requests\" is only valid for op batch");
-      }
+    if (key == "requests" && read_by(key, OpBit(RequestOp::kBatch))) {
       request.batch = ParseBatchEntries(member);
       saw_requests = true;
     } else if (key == "id") {
       request.id = member.AsString("id");
-    } else if (key == "topology") {
+    } else if (key == "topology" && read_by(key, kNetwork)) {
       request.topology = ParseTopology(member);
-    } else if (key == "apps") {
+    } else if (key == "apps" && read_by(key, kWorkload)) {
       request.apps = member.AsUint("apps");
-    } else if (key == "algo") {
+    } else if (key == "algo" && read_by(key, kSchedule)) {
       request.search.algo = member.AsString("algo");
-    } else if (key == "seeds") {
+    } else if (key == "seeds" && read_by(key, kSchedule)) {
       request.search.seeds = member.AsUint("seeds");
       request.multilevel_knobs.seeds = request.search.seeds;
-    } else if (key == "iters") {
+    } else if (key == "iters" && read_by(key, kSchedule)) {
       request.search.iterations = member.AsUint("iters");
       request.multilevel_knobs.iterations = request.search.iterations;
-    } else if (key == "samples") {
+    } else if (key == "samples" && read_by(key, kSchedule)) {
       request.search.samples = member.AsUint("samples");
-    } else if (key == "search_seed") {
+    } else if (key == "search_seed" && read_by(key, kSchedule)) {
       request.search.rng_seed = member.AsUint("search_seed");
       request.multilevel_knobs.rng_seed = request.search.rng_seed;
-    } else if (key == "parallel_seeds") {
+    } else if (key == "parallel_seeds" && read_by(key, kWorkload)) {
       request.search.parallel_seeds = member.AsBool("parallel_seeds");
-    } else if (key == "multilevel") {
+    } else if (key == "multilevel" && read_by(key, kSchedule)) {
       request.multilevel = member.AsBool("multilevel");
-    } else if (key == "procs") {
+    } else if (key == "procs" && read_by(key, kSchedule)) {
       request.multilevel_knobs.processes = member.AsUint("procs");
-    } else if (key == "pattern") {
+    } else if (key == "pattern" && read_by(key, kSchedule)) {
       request.multilevel_knobs.pattern = member.AsString("pattern");
-    } else if (key == "pattern_seed") {
+    } else if (key == "pattern_seed" && read_by(key, kSchedule)) {
       request.multilevel_knobs.pattern_seed = member.AsUint("pattern_seed");
-    } else if (key == "coarsen_target") {
+    } else if (key == "coarsen_target" && read_by(key, kSchedule)) {
       request.multilevel_knobs.coarsen_target = member.AsUint("coarsen_target");
-    } else if (key == "refine_budget") {
+    } else if (key == "refine_budget" && read_by(key, kSchedule)) {
       request.multilevel_knobs.refine_budget = member.AsUint("refine_budget");
-    } else if (key == "distance") {
+    } else if (key == "distance" && read_by(key, kSchedule)) {
       request.multilevel_knobs.distance = member.AsString("distance");
-    } else if (key == "partition") {
+    } else if (key == "partition" && read_by(key, OpBit(RequestOp::kQuality))) {
       request.partition = ParsePartition(member);
-    } else if (key == "mapping") {
+    } else if (key == "mapping" && read_by(key, kSimulate)) {
       request.mapping = member.AsString("mapping");
-    } else if (key == "mapping_seed") {
+    } else if (key == "mapping_seed" && read_by(key, kSweep)) {
       request.mapping_seed = member.AsUint("mapping_seed");
-    } else if (key == "points") {
+    } else if (key == "points" && read_by(key, kSweep)) {
       request.points = member.AsUint("points");
-    } else if (key == "min_rate") {
+    } else if (key == "min_rate" && read_by(key, kSweep)) {
       request.min_rate = member.AsDouble("min_rate");
-    } else if (key == "max_rate") {
+    } else if (key == "max_rate" && read_by(key, kSweep)) {
       request.max_rate = member.AsDouble("max_rate");
-    } else if (key == "warmup") {
+    } else if (key == "warmup" && read_by(key, kSweep)) {
       request.warmup = member.AsUint("warmup");
-    } else if (key == "measure") {
+    } else if (key == "measure" && read_by(key, kSweep)) {
       request.measure = member.AsUint("measure");
-    } else if (key == "vcs") {
+    } else if (key == "vcs" && read_by(key, kSimulate)) {
       request.vcs = member.AsUint("vcs");
-    } else if (key == "adaptive") {
+    } else if (key == "adaptive" && read_by(key, kSimulate)) {
       request.adaptive = member.AsBool("adaptive");
-    } else if (key == "duato") {
+    } else if (key == "duato" && read_by(key, kSimulate)) {
       request.duato = member.AsBool("duato");
-    } else if (key == "telemetry") {
+    } else if (key == "telemetry" && read_by(key, kSimulate)) {
       request.telemetry = member.AsUint("telemetry");
-    } else if (key == "reconfig_downtime") {
+    } else if (key == "reconfig_downtime" && read_by(key, kSimulate)) {
       request.reconfig_downtime = member.AsUint("reconfig_downtime");
-    } else if (key == "fault_plan") {
+    } else if (key == "fault_plan" && read_by(key, kSimulate)) {
       request.fault_plan = faults::FaultPlan::FromJson(member);
-    } else if (key == "randoms") {
+    } else if (key == "randoms" && read_by(key, OpBit(RequestOp::kExperiment))) {
       request.randoms = member.AsUint("randoms");
-    } else if (key == "ms") {
+    } else if (key == "ms" && read_by(key, OpBit(RequestOp::kSleep))) {
       request.sleep_ms = member.AsUint("ms");
     } else if (key == "deadline_ms") {
       request.deadline_ms = member.AsUint("deadline_ms");
     } else if (key == "timings") {
       request.want_timings = member.AsBool("timings");
-    } else if (key == "reset") {
+    } else if (key == "reset" && read_by(key, OpBit(RequestOp::kStats))) {
       request.stats_reset = member.AsBool("reset");
     } else {
       throw ConfigError("unknown request key '" + key + "'");

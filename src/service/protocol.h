@@ -3,8 +3,10 @@
 // One request per line, one response line per request. Every request is a
 // JSON object with an "op" plus op-specific fields; responses echo the
 // request "id" (an opaque client string) and carry either the result fields
-// or {"ok":false,"error":...}. Unknown keys are rejected — a typoed knob
-// silently falling back to a default is worse than an error.
+// or {"ok":false,"error":...}. Unknown keys are rejected, and so is a key
+// the op does not read (id, deadline_ms and timings are valid on every op):
+// a typoed or misplaced knob silently falling back to a default is worse
+// than an error.
 //
 //   {"id":"1","op":"schedule","topology":{"kind":"random","switches":16,
 //    "seed":1},"apps":4,"algo":"tabu","seeds":10,"iters":20,"search_seed":1}

@@ -2,33 +2,9 @@
 
 namespace commsched::sim {
 
-qual::WeightMatrix WeightsFromTrafficMatrix(const std::vector<std::vector<double>>& rates) {
-  const std::size_t n = rates.size();
-  CS_CHECK(n >= 2, "need at least two switches");
-  qual::WeightMatrix weights(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    CS_CHECK(rates[i].size() == n, "rate matrix must be square");
-    for (std::size_t j = i + 1; j < n; ++j) {
-      weights.Set(i, j, rates[i][j] + rates[j][i]);
-    }
-  }
-  weights.Normalize();
-  return weights;
-}
-
-qual::WeightMatrix MeasureSwitchWeights(const SwitchGraph& graph, const Routing& routing,
-                                        const TrafficPattern& pattern, SimConfig config,
-                                        double rate) {
-  config.collect_traffic_matrix = true;
-  NetworkSimulator simulator(graph, routing, pattern, config);
-  const SimMetrics metrics = simulator.Run(rate);
-  CS_CHECK(!metrics.switch_pair_flit_rate.empty(), "traffic collection produced nothing");
-  return WeightsFromTrafficMatrix(metrics.switch_pair_flit_rate);
-}
-
-qual::WeightMatrix AnalyticSwitchWeights(const SwitchGraph& graph,
-                                         const work::Workload& workload,
-                                         const work::ProcessMapping& mapping) {
+std::vector<std::vector<double>> AnalyticSwitchWeights(const SwitchGraph& graph,
+                                                       const work::Workload& workload,
+                                                       const work::ProcessMapping& mapping) {
   const std::size_t n = graph.switch_count();
   CS_CHECK(n >= 2, "need at least two switches");
   CS_CHECK(mapping.host_count() == graph.host_count(), "mapping / graph mismatch");
@@ -71,7 +47,7 @@ qual::WeightMatrix AnalyticSwitchWeights(const SwitchGraph& graph,
       }
     }
   }
-  return WeightsFromTrafficMatrix(rates);
+  return rates;
 }
 
 std::vector<double> EstimateAppIntensities(const std::vector<std::vector<double>>& rates,

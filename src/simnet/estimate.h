@@ -2,46 +2,33 @@
 // "the communication requirements of the applications running on the
 // machine must be measured or estimated".
 //
-// Two paths to a switch-level weight matrix for the weighted quality
-// functions (quality/weighted.h):
-//   * measured  — run the simulator with collect_traffic_matrix and convert
-//     the observed per-pair flit rates (MeasureSwitchWeights /
-//     WeightsFromTrafficMatrix);
-//   * analytic  — expand the workload model (per-application weights,
-//     uniform destinations, intercluster fraction) into expected rates
-//     (AnalyticSwitchWeights), exact in expectation.
+// The simulator measures them (SimConfig::collect_traffic_matrix fills
+// SimMetrics::switch_pair_flit_rate); EstimateAppIntensities turns that
+// ordered rate matrix into one intensity per application for an
+// intensity-weighted TabuSearch (TabuOptions::cluster_intensity).
+// AnalyticSwitchWeights is the reference model the measurement is checked
+// against: the workload model's expected rates, exact in expectation.
 #pragma once
 
-#include "quality/weighted.h"
+#include "quality/partition.h"
 #include "simnet/simulator.h"
 
 namespace commsched::sim {
 
-/// Converts an observed (or modeled) ordered rate matrix into a symmetric,
-/// zero-diagonal, normalized WeightMatrix: w(i,j) = rate(i,j) + rate(j,i).
-/// Same-switch traffic is dropped (it never crosses a link).
-[[nodiscard]] qual::WeightMatrix WeightsFromTrafficMatrix(
-    const std::vector<std::vector<double>>& rates);
-
-/// Runs one simulation at `rate` with traffic collection enabled and
-/// returns the measured weights.
-[[nodiscard]] qual::WeightMatrix MeasureSwitchWeights(const SwitchGraph& graph,
-                                                      const Routing& routing,
-                                                      const TrafficPattern& pattern,
-                                                      SimConfig config, double rate);
-
-/// Expected switch-pair weights implied by the workload model: every
-/// process of application a emits messages at rate ∝ traffic_weight, to a
-/// uniform same-application peer with probability 1 - intercluster_fraction
-/// and a uniform other-application host otherwise. Normalized.
-[[nodiscard]] qual::WeightMatrix AnalyticSwitchWeights(const SwitchGraph& graph,
-                                                       const work::Workload& workload,
-                                                       const work::ProcessMapping& mapping);
+/// Expected ordered switch-pair message rates implied by the workload
+/// model: rates[i][j] sums, over the processes on switch i, what they send
+/// to processes on switch j. Every process of application a emits messages
+/// at rate ∝ traffic_weight, to a uniform same-application peer with
+/// probability 1 - intercluster_fraction and a uniform other-application
+/// host otherwise. Same-switch traffic stays on the diagonal.
+[[nodiscard]] std::vector<std::vector<double>> AnalyticSwitchWeights(
+    const SwitchGraph& graph, const work::Workload& workload,
+    const work::ProcessMapping& mapping);
 
 /// Per-application communication intensities from a measured ordered rate
 /// matrix and the current (switch-aligned) placement: λ_c is the mean flit
 /// rate per intracluster switch pair of cluster c, normalized so the mean
-/// intensity is 1. Feed into sched::IntensityTabuSearch to re-place the
+/// intensity is 1. Feed into TabuOptions::cluster_intensity to re-place the
 /// applications with their measured requirements — the paper's envisioned
 /// measure → schedule loop.
 [[nodiscard]] std::vector<double> EstimateAppIntensities(

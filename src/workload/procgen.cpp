@@ -53,15 +53,6 @@ qual::CommGraph MakeRandomComm(std::size_t processes, std::size_t avg_degree,
   return qual::CommGraph::FromEdges(processes, std::move(edges));
 }
 
-qual::CommGraph MakeCliqueComm(const std::vector<std::size_t>& group_sizes, double weight) {
-  std::vector<std::size_t> group_of_vertex;
-  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
-    for (std::size_t i = 0; i < group_sizes[g]; ++i) group_of_vertex.push_back(g);
-  }
-  if (group_of_vertex.empty()) throw ConfigError("group sizes must cover >= 1 process");
-  return qual::CommGraph::CliqueGroups(group_of_vertex, weight);
-}
-
 qual::CommGraph MakePatternComm(const std::string& pattern, std::size_t processes,
                                 std::uint64_t seed) {
   if (processes == 0) throw ConfigError("process count must be >= 1");

@@ -28,11 +28,6 @@ namespace commsched::work {
 [[nodiscard]] qual::CommGraph MakeRandomComm(std::size_t processes, std::size_t avg_degree,
                                              std::uint64_t seed);
 
-/// Clique per group — the dense model's communication structure as a sparse
-/// graph (used by the sparse-vs-dense parity tests).
-[[nodiscard]] qual::CommGraph MakeCliqueComm(const std::vector<std::size_t>& group_sizes,
-                                             double weight = 1.0);
-
 /// Dispatch by name: "ring" | "grid" | "random" (avg degree 4, seeded).
 /// Throws ConfigError on unknown patterns or processes == 0.
 [[nodiscard]] qual::CommGraph MakePatternComm(const std::string& pattern, std::size_t processes,

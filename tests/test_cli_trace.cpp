@@ -383,6 +383,19 @@ TEST(CliFlags, UnknownFlagsAreErrorsOnEveryCommand) {
   ExpectCliError("schedule --kind mixed --bogus 1", "unknown");
 }
 
+// schedule, simulate and experiment reject a flag their op does not read,
+// before they do any work.
+TEST(CliFlags, FlagsTheOpDoesNotReadAreErrors) {
+  ExpectCliError(
+      "experiment --kind random --switches 16 --vcs 0 --points 2 --warmup 10 --measure 10 "
+      "--randoms 1",
+      "request key 'vcs' is not read by op experiment");
+  ExpectCliError("simulate --algo bogus", "request key 'algo' is not read by op simulate");
+  ExpectCliError("schedule --vcs 0 --warmup 7", "request key 'vcs' is not read by op schedule");
+  ExpectCliError("schedule --kind mixed --randoms 2",
+                 "request key 'randoms' is not read by op schedule");
+}
+
 // The worker cap is checked before the daemon or its thread pool exists.
 // Only a value just above the cap is tried, so a broken check could not
 // start an unbounded number of threads.

@@ -1,6 +1,6 @@
 // Scan-counter golden: the values of search.<algo>.{seeds,moves,evaluations,
 // tabu_hits,aspirations,escapes} that the engine flushes for the
-// test_engine_parity cases (plain, anchored, weighted and intensity Tabu,
+// test_engine_parity cases (plain, anchored and intensity Tabu,
 // steepest descent, anchored repair at 8/16/24 switches), one 128-switch
 // Tabu run whose disabled repeat stop forces escapes, and two long
 // long-tenure walks that reach aspiration. The parity golden pins what a
@@ -24,14 +24,12 @@
 #include "common/rng.h"
 #include "distance/distance_table.h"
 #include "obs/obs.h"
-#include "quality/weighted.h"
 #include "routing/updown.h"
 #include "sched/annealing.h"
 #include "sched/local_search.h"
 #include "sched/multilevel/multilevel.h"
 #include "sched/repair.h"
 #include "sched/tabu.h"
-#include "sched/weighted_tabu.h"
 #include "topology/generator.h"
 #include "topology/library.h"
 #include "workload/procgen.h"
@@ -94,16 +92,6 @@ void RecordNamedCounters(Corpus& corpus, const std::string& key,
   }
 }
 
-qual::WeightMatrix SyntheticWeights(std::size_t n) {
-  qual::WeightMatrix weights(n, 1.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      weights.Set(i, j, 1.0 + static_cast<double>((i * 7 + j * 3) % 5));
-    }
-  }
-  return weights;
-}
-
 std::vector<double> SyntheticIntensity(std::size_t clusters) {
   std::vector<double> intensity(clusters);
   for (std::size_t c = 0; c < clusters; ++c) {
@@ -135,17 +123,12 @@ void RunCases(Corpus& corpus, const std::string& prefix, std::size_t switches,
   RecordCounters(corpus, prefix + ".tabu_from", "tabu", [&] {
     (void)TabuSearchFrom(table, qual::Partition::Blocked(sizes), TabuOptions{});
   });
-  RecordCounters(corpus, prefix + ".wtabu", "wtabu", [&] {
-    TabuOptions options;
-    options.seeds = 3;
-    options.rng_seed = 17;
-    (void)WeightedTabuSearch(table, SyntheticWeights(switches), sizes, options);
-  });
-  RecordCounters(corpus, prefix + ".itabu", "itabu", [&] {
+  RecordCounters(corpus, prefix + ".itabu", "tabu", [&] {
     TabuOptions options;
     options.seeds = 3;
     options.rng_seed = 19;
-    (void)IntensityTabuSearch(table, sizes, SyntheticIntensity(sizes.size()), options);
+    options.cluster_intensity = SyntheticIntensity(sizes.size());
+    (void)TabuSearch(table, sizes, options);
   });
   RecordCounters(corpus, prefix + ".sd", "sd", [&] {
     SteepestDescentOptions options;

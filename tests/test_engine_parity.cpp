@@ -18,8 +18,8 @@
 // place of the evaluator's running sum. Every mapping, count, displaced and
 // refinement_swaps key is unchanged.
 //
-// Coverage: 8/16/24-switch irregular networks × plain/weighted/intensity/
-// anchored tabu, steepest descent, random sampling, simulated annealing,
+// Coverage: 8/16/24-switch irregular networks × plain/intensity/anchored
+// tabu, steepest descent, random sampling, simulated annealing,
 // genetic annealing, and anchored repair. Floats are serialized as hexfloats
 // so the comparison is exact to the last bit.
 //
@@ -38,14 +38,12 @@
 
 #include "common/rng.h"
 #include "distance/distance_table.h"
-#include "quality/weighted.h"
 #include "routing/updown.h"
 #include "sched/annealing.h"
 #include "sched/local_search.h"
 #include "sched/multilevel/multilevel.h"
 #include "sched/repair.h"
 #include "sched/tabu.h"
-#include "sched/weighted_tabu.h"
 #include "topology/generator.h"
 #include "topology/library.h"
 #include "workload/procgen.h"
@@ -96,17 +94,6 @@ void RecordRepair(Corpus& corpus, const std::string& key, const RepairOutcome& o
   corpus[key + ".repaired_cc"] = Hex(outcome.repaired_cc);
 }
 
-/// Deterministic synthetic weight matrix (no RNG: exactly reproducible).
-qual::WeightMatrix SyntheticWeights(std::size_t n) {
-  qual::WeightMatrix weights(n, 1.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      weights.Set(i, j, 1.0 + static_cast<double>((i * 7 + j * 3) % 5));
-    }
-  }
-  return weights;
-}
-
 std::vector<double> SyntheticIntensity(std::size_t clusters) {
   std::vector<double> intensity(clusters);
   for (std::size_t c = 0; c < clusters; ++c) {
@@ -148,16 +135,9 @@ void RunCases(Corpus& corpus, const std::string& prefix, std::size_t switches,
   {
     TabuOptions options;
     options.seeds = 3;
-    options.rng_seed = 17;
-    RecordResult(corpus, prefix + ".wtabu",
-                 WeightedTabuSearch(table, SyntheticWeights(switches), sizes, options));
-  }
-  {
-    TabuOptions options;
-    options.seeds = 3;
     options.rng_seed = 19;
-    RecordResult(corpus, prefix + ".itabu",
-                 IntensityTabuSearch(table, sizes, SyntheticIntensity(sizes.size()), options));
+    options.cluster_intensity = SyntheticIntensity(sizes.size());
+    RecordResult(corpus, prefix + ".itabu", TabuSearch(table, sizes, options));
   }
   {
     SteepestDescentOptions options;
@@ -345,16 +325,10 @@ TEST(EngineParity, ParallelMatchesSequential) {
   both([&](bool parallel) {
     TabuOptions options;
     options.seeds = 5;
-    options.rng_seed = 17;
-    options.parallel_seeds = parallel;
-    return Fingerprint(WeightedTabuSearch(table, SyntheticWeights(16), sizes, options));
-  });
-  both([&](bool parallel) {
-    TabuOptions options;
-    options.seeds = 5;
     options.rng_seed = 19;
     options.parallel_seeds = parallel;
-    return Fingerprint(IntensityTabuSearch(table, sizes, SyntheticIntensity(4), options));
+    options.cluster_intensity = SyntheticIntensity(4);
+    return Fingerprint(TabuSearch(table, sizes, options));
   });
   both([&](bool parallel) {
     SteepestDescentOptions options;

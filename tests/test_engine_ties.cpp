@@ -144,12 +144,6 @@ TEST(EngineObjective, ValuePlusSwapCostIsValueAfterApply) {
     Rng rng(switches);
     const qual::Partition start = qual::Partition::Random(sizes, rng);
     const qual::Partition anchor = qual::Partition::Random(sizes, rng);
-    qual::WeightMatrix weights(switches, 1.0);
-    for (std::size_t i = 0; i < switches; ++i) {
-      for (std::size_t j = i + 1; j < switches; ++j) {
-        weights.Set(i, j, 0.5 + 4.0 * rng.NextDouble());
-      }
-    }
     const std::vector<double> intensity = {1.0, 1.5, 2.0, 3.5};
     const std::string net = std::to_string(switches) + "-switch ";
 
@@ -159,8 +153,6 @@ TEST(EngineObjective, ValuePlusSwapCostIsValueAfterApply) {
     ExpectSwapCostIsValueDelta(anchored, 2, kSwaps, net + "anchored tabu");
     sched::TabuObjective bounded(table, anchor, &anchor, 0.25, 5);
     ExpectSwapCostIsValueDelta(bounded, 6, kSwaps, net + "budget-bounded tabu");
-    sched::WeightedFgObjective weighted(table, weights, start);
-    ExpectSwapCostIsValueDelta(weighted, 3, kSwaps, net + "weighted");
     sched::TabuObjective intensity_fg(table, start, nullptr, 0.0, SIZE_MAX, intensity);
     ExpectSwapCostIsValueDelta(intensity_fg, 4, kSwaps, net + "intensity");
     qual::SwapEvaluator eval(table, start);

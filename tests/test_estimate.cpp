@@ -28,21 +28,32 @@ struct Fixture {
   }
 };
 
-TEST(Estimate, WeightsFromTrafficMatrixSymmetrizes) {
-  std::vector<std::vector<double>> rates{{0.0, 1.0, 0.0},
-                                         {3.0, 0.0, 2.0},
-                                         {0.0, 0.0, 5.0}};  // diagonal dropped
-  const qual::WeightMatrix w = WeightsFromTrafficMatrix(rates);
-  EXPECT_EQ(w.size(), 3u);
-  // Before normalization: w01 = 4, w12 = 2, w02 = 0. Ratios preserved.
-  EXPECT_NEAR(w(0, 1) / w(1, 2), 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(w(0, 2), 0.0);
-  EXPECT_DOUBLE_EQ(w(0, 0), 0.0);
+using Rates = std::vector<std::vector<double>>;
+
+/// Switch-pair weight w(i,j) = rate(i,j) + rate(j,i): the traffic between
+/// two switches in either direction.
+double PairWeight(const Rates& rates, std::size_t i, std::size_t j) {
+  return rates[i][j] + rates[j][i];
+}
+
+/// Pair weights scaled to sum to 1 over the unordered off-diagonal pairs,
+/// so a measured and a modelled matrix compare regardless of their units.
+Rates NormalizedPairWeights(const Rates& rates) {
+  const std::size_t n = rates.size();
+  Rates weights(n, std::vector<double>(n, 0.0));
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) total += PairWeight(rates, i, j);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) weights[i][j] = PairWeight(rates, i, j) / total;
+  }
+  return weights;
 }
 
 TEST(Estimate, AnalyticWeightsMatchIntraclusterStructure) {
   const Fixture f;
-  const qual::WeightMatrix w = sim::AnalyticSwitchWeights(f.graph, f.workload, f.mapping);
+  const Rates w = sim::AnalyticSwitchWeights(f.graph, f.workload, f.mapping);
   const qual::Partition p = f.mapping.InducedPartition(f.graph);
   // With pure intracluster traffic, weight is nonzero exactly for
   // same-cluster switch pairs, and uniform across them.
@@ -50,11 +61,11 @@ TEST(Estimate, AnalyticWeightsMatchIntraclusterStructure) {
   for (std::size_t i = 0; i < 16; ++i) {
     for (std::size_t j = i + 1; j < 16; ++j) {
       if (p.ClusterOf(i) == p.ClusterOf(j)) {
-        if (intra_value < 0) intra_value = w(i, j);
-        EXPECT_NEAR(w(i, j), intra_value, 1e-9);
-        EXPECT_GT(w(i, j), 0.0);
+        if (intra_value < 0) intra_value = PairWeight(w, i, j);
+        EXPECT_NEAR(PairWeight(w, i, j), intra_value, 1e-9);
+        EXPECT_GT(PairWeight(w, i, j), 0.0);
       } else {
-        EXPECT_DOUBLE_EQ(w(i, j), 0.0);
+        EXPECT_DOUBLE_EQ(PairWeight(w, i, j), 0.0);
       }
     }
   }
@@ -65,7 +76,7 @@ TEST(Estimate, AnalyticWeightsScaleWithAppIntensity) {
   std::vector<work::ApplicationSpec> apps = f.workload.applications();
   apps[0].traffic_weight = 5.0;
   const work::Workload workload(apps);
-  const qual::WeightMatrix w = sim::AnalyticSwitchWeights(f.graph, workload, f.mapping);
+  const Rates w = sim::AnalyticSwitchWeights(f.graph, workload, f.mapping);
   const qual::Partition p = f.mapping.InducedPartition(f.graph);
   // Pick one intra pair of app 0 and one of app 1: ratio must be 5.
   double w0 = -1.0;
@@ -73,8 +84,8 @@ TEST(Estimate, AnalyticWeightsScaleWithAppIntensity) {
   for (std::size_t i = 0; i < 16 && (w0 < 0 || w1 < 0); ++i) {
     for (std::size_t j = i + 1; j < 16; ++j) {
       if (p.ClusterOf(i) != p.ClusterOf(j)) continue;
-      if (p.ClusterOf(i) == 0 && w0 < 0) w0 = w(i, j);
-      if (p.ClusterOf(i) == 1 && w1 < 0) w1 = w(i, j);
+      if (p.ClusterOf(i) == 0 && w0 < 0) w0 = PairWeight(w, i, j);
+      if (p.ClusterOf(i) == 1 && w1 < 0) w1 = PairWeight(w, i, j);
     }
   }
   ASSERT_GT(w0, 0.0);
@@ -90,19 +101,22 @@ TEST(Estimate, MeasuredWeightsApproximateAnalytic) {
   SimConfig config;
   config.warmup_cycles = 2000;
   config.measure_cycles = 30000;
-  const qual::WeightMatrix measured =
-      MeasureSwitchWeights(f.graph, f.routing, f.pattern, config, 0.2);
-  const qual::WeightMatrix analytic =
-      AnalyticSwitchWeights(f.graph, f.workload, f.mapping);
+  config.collect_traffic_matrix = true;
+  NetworkSimulator simulator(f.graph, f.routing, f.pattern, config);
+  const SimMetrics metrics = simulator.Run(0.2);
+  ASSERT_FALSE(metrics.switch_pair_flit_rate.empty());
+  const Rates measured = NormalizedPairWeights(metrics.switch_pair_flit_rate);
+  const Rates analytic =
+      NormalizedPairWeights(AnalyticSwitchWeights(f.graph, f.workload, f.mapping));
   // Compare normalized matrices entrywise with a generous statistical
   // tolerance; also check zero-structure agreement.
   double worst = 0.0;
   for (std::size_t i = 0; i < 16; ++i) {
     for (std::size_t j = i + 1; j < 16; ++j) {
-      if (analytic(i, j) == 0.0) {
-        EXPECT_NEAR(measured(i, j), 0.0, 1e-9) << i << "," << j;
+      if (analytic[i][j] == 0.0) {
+        EXPECT_NEAR(measured[i][j], 0.0, 1e-9) << i << "," << j;
       } else {
-        worst = std::max(worst, std::abs(measured(i, j) - analytic(i, j)) / analytic(i, j));
+        worst = std::max(worst, std::abs(measured[i][j] - analytic[i][j]) / analytic[i][j]);
       }
     }
   }
@@ -114,13 +128,13 @@ TEST(Estimate, InterclusterFractionShowsUpInAnalyticWeights) {
   std::vector<work::ApplicationSpec> apps = f.workload.applications();
   for (auto& app : apps) app.intercluster_fraction = 0.5;
   const work::Workload workload(apps);
-  const qual::WeightMatrix w = sim::AnalyticSwitchWeights(f.graph, workload, f.mapping);
+  const Rates w = sim::AnalyticSwitchWeights(f.graph, workload, f.mapping);
   const qual::Partition p = f.mapping.InducedPartition(f.graph);
   // Cross-cluster pairs now carry weight.
   bool any_cross = false;
   for (std::size_t i = 0; i < 16 && !any_cross; ++i) {
     for (std::size_t j = i + 1; j < 16; ++j) {
-      if (p.ClusterOf(i) != p.ClusterOf(j) && w(i, j) > 0.0) {
+      if (p.ClusterOf(i) != p.ClusterOf(j) && PairWeight(w, i, j) > 0.0) {
         any_cross = true;
         break;
       }
@@ -130,10 +144,13 @@ TEST(Estimate, InterclusterFractionShowsUpInAnalyticWeights) {
 }
 
 TEST(Estimate, RateMatrixValidation) {
-  std::vector<std::vector<double>> ragged{{0.0, 1.0}, {1.0}};
-  EXPECT_THROW((void)WeightsFromTrafficMatrix(ragged), commsched::ContractError);
-  std::vector<std::vector<double>> tiny{{0.0}};
-  EXPECT_THROW((void)WeightsFromTrafficMatrix(tiny), commsched::ContractError);
+  const qual::Partition p = qual::Partition::Blocked({2, 2});
+  const Rates ragged{{0.0, 1.0, 0.0, 0.0}, {1.0}, {0.0, 0.0, 0.0, 1.0}, {0.0, 0.0, 1.0, 0.0}};
+  EXPECT_THROW((void)EstimateAppIntensities(ragged, p), commsched::ContractError);
+  const Rates tiny{{0.0}};
+  EXPECT_THROW((void)EstimateAppIntensities(tiny, p), commsched::ContractError);
+  const Rates silent(4, std::vector<double>(4, 0.0));  // no intracluster traffic
+  EXPECT_THROW((void)EstimateAppIntensities(silent, p), commsched::ContractError);
 }
 
 }  // namespace

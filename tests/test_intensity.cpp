@@ -1,11 +1,12 @@
 // Application-intensity weighting: F_G^λ and the measure → schedule loop.
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "quality/quality.h"
-#include "quality/weighted.h"
 #include "routing/updown.h"
 #include "sched/tabu.h"
-#include "sched/weighted_tabu.h"
 #include "simnet/estimate.h"
 #include "topology/generator.h"
 
@@ -86,20 +87,27 @@ TEST(Intensity, ValidationErrors) {
 }
 
 TEST(IntensityTabu, EqualIntensitiesMatchPlainTabu) {
+  // One driver either way: λ ≡ 1 walks, combines and reports plain Tabu's
+  // bytes, F_G to the last bit included.
   const dist::DistanceTable t = PaperTable(16, 1);
   sched::TabuOptions options;
   options.rng_seed = 3;
-  const auto weighted =
-      sched::IntensityTabuSearch(t, {4, 4, 4, 4}, {1.0, 1.0, 1.0, 1.0}, options);
   const auto plain = sched::TabuSearch(t, {4, 4, 4, 4}, options);
-  EXPECT_NEAR(weighted.best_fg, plain.best_fg, 1e-9);
+  options.cluster_intensity = {1.0, 1.0, 1.0, 1.0};
+  const auto weighted = sched::TabuSearch(t, {4, 4, 4, 4}, options);
+  EXPECT_EQ(sched::FormatSearchResult(weighted), sched::FormatSearchResult(plain));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(weighted.best_fg),
+            std::bit_cast<std::uint64_t>(plain.best_fg));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.best_fg),
+            std::bit_cast<std::uint64_t>(qual::GlobalSimilarity(t, plain.best)));
 }
 
 TEST(IntensityTabu, HotAppGetsTheTightestCluster) {
   const dist::DistanceTable t = PaperTable(16, 1);
   const std::vector<double> intensity{8.0, 1.0, 1.0, 1.0};
   sched::TabuOptions options;
-  const auto result = sched::IntensityTabuSearch(t, {4, 4, 4, 4}, intensity, options);
+  options.cluster_intensity = intensity;
+  const auto result = sched::TabuSearch(t, {4, 4, 4, 4}, options);
   // Cluster 0 (the hot application) has the smallest mean intra distance of
   // the four clusters in the chosen mapping.
   double hot = qual::ClusterSimilarity(t, result.best, 0);
@@ -107,7 +115,7 @@ TEST(IntensityTabu, HotAppGetsTheTightestCluster) {
     EXPECT_LE(hot, qual::ClusterSimilarity(t, result.best, c) + 1e-9);
   }
   // And its weighted score beats the plain mapping's weighted score.
-  const auto plain = sched::TabuSearch(t, {4, 4, 4, 4}, options);
+  const auto plain = sched::TabuSearch(t, {4, 4, 4, 4});
   EXPECT_LE(result.best_fg,
             qual::IntensityGlobalSimilarity(t, plain.best, intensity) + 1e-9);
 }

@@ -273,7 +273,53 @@ TEST(ServiceProtocol, RejectsUnknownKeysAndOps) {
   EXPECT_THROW(svc::ParseRequest(R"({"op":"ping","bogus":1})"), ConfigError);
   EXPECT_THROW(svc::ParseRequest(R"({"op":"launch"})"), ConfigError);
   EXPECT_THROW(svc::ParseRequest(R"({"id":"x"})"), ConfigError);  // no op
-  EXPECT_THROW(svc::ParseRequest(R"({"op":"ping","topology":{"sides":3}})"), ConfigError);
+  EXPECT_THROW(svc::ParseRequest(R"({"op":"schedule","topology":{"sides":3}})"), ConfigError);
+}
+
+/// The ConfigError message ParseRequest throws for `line` ("" if none).
+std::string ParseError(const std::string& line) {
+  try {
+    (void)svc::ParseRequest(line);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ServiceProtocol, RejectsKeysTheOpDoesNotRead) {
+  EXPECT_EQ(ParseError(R"({"op":"experiment","topology":{"kind":"mixed"},"vcs":0})"),
+            "request key 'vcs' is not read by op experiment");
+  EXPECT_EQ(ParseError(R"({"op":"simulate","algo":"bogus"})"),
+            "request key 'algo' is not read by op simulate");
+  EXPECT_EQ(ParseError(R"({"op":"schedule","warmup":7})"),
+            "request key 'warmup' is not read by op schedule");
+  EXPECT_EQ(ParseError(R"({"op":"quality","apps":2})"),
+            "request key 'apps' is not read by op quality");
+  EXPECT_EQ(ParseError(R"({"op":"ping","topology":{"kind":"mixed"}})"),
+            "request key 'topology' is not read by op ping");
+  EXPECT_EQ(ParseError(R"({"op":"ping","requests":[{"op":"ping"}]})"),
+            "request key 'requests' is not read by op ping");
+  EXPECT_EQ(ParseError(R"({"op":"stats","ms":5})"), "request key 'ms' is not read by op stats");
+  EXPECT_EQ(ParseError(R"({"op":"sleep","reset":true})"),
+            "request key 'reset' is not read by op sleep");
+  // Keys every op reads, and each op's own keys, still parse.
+  for (const char* op : {"ping", "stats", "sleep", "schedule", "quality", "simulate",
+                         "experiment", "health", "ready", "metrics"}) {
+    EXPECT_EQ(ParseError(std::string(R"({"op":")") + op +
+                         R"(","id":"x","deadline_ms":5,"timings":true})"),
+              "")
+        << op;
+  }
+  EXPECT_EQ(ParseError(R"({"op":"batch","id":"f","deadline_ms":5,"timings":true,)"
+                       R"("requests":[{"op":"ping"}]})"),
+            "");
+  EXPECT_EQ(ParseError(R"({"op":"experiment","apps":2,"randoms":1,"mapping_seed":3,)"
+                       R"("parallel_seeds":true,"points":2,"min_rate":0.1,"max_rate":0.2,)"
+                       R"("warmup":10,"measure":10})"),
+            "");
+  EXPECT_EQ(ParseError(R"({"op":"simulate","mapping":"blocked","vcs":2,"duato":true,)"
+                       R"("adaptive":false,"telemetry":5,"reconfig_downtime":3})"),
+            "");
 }
 
 TEST(ServiceProtocol, SalvagesRequestIdFromBrokenRequests) {
@@ -649,6 +695,29 @@ TEST(ServiceBatch, MalformedEntryIsolatedWithBatchIdAndIndex) {
   EXPECT_EQ(error.Find("batch")->AsString("batch"), "frame9");
   EXPECT_EQ(error.Find("index")->AsUint("index"), 1u);
   EXPECT_NE(error.Find("error")->AsString("error").find("bogus_key"), std::string::npos);
+}
+
+TEST(ServiceExecute, StrayKeyFailsItsBatchEntryOnly) {
+  svc::SchedulingService service;
+  const std::string frame =
+      R"({"id":"f","op":"batch","requests":[)"
+      R"({"id":"s","op":"schedule","topology":{"kind":"mixed"},"vcs":2},)"
+      R"({"id":"q","op":"quality","topology":{"kind":"mixed"},)"
+      R"("partition":[0,0,0,0,1,1,1,1,2,2,2,2,3,3,3,3]},)"
+      R"({"id":"p","op":"ping","apps":4}]})";
+  const JsonValue response = ParseJson(service.Execute(svc::ParseRequest(frame)));
+  ASSERT_TRUE(response.Find("ok")->AsBool("ok"));
+  EXPECT_EQ(response.Find("failed")->AsUint("failed"), 2u);
+  const auto& responses = response.Find("responses")->AsArray("responses");
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_FALSE(responses[0].Find("ok")->AsBool("ok"));
+  EXPECT_EQ(responses[0].Find("id")->AsString("id"), "s");
+  EXPECT_EQ(responses[0].Find("error")->AsString("error"),
+            "request key 'vcs' is not read by op schedule");
+  EXPECT_TRUE(responses[1].Find("ok")->AsBool("ok"));  // the sibling still answers
+  EXPECT_EQ(responses[2].Find("error")->AsString("error"),
+            "request key 'apps' is not read by op ping");
+  EXPECT_EQ(responses[2].Find("index")->AsUint("index"), 2u);
 }
 
 TEST(ServiceBatch, SharesModelAcrossEntriesInOneFrame) {

@@ -14,7 +14,6 @@
 #include "distance/distance_table.h"
 #include "quality/partition.h"
 #include "quality/quality.h"
-#include "quality/weighted.h"
 #include "routing/updown.h"
 #include "topology/generator.h"
 
