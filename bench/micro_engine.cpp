@@ -145,6 +145,6 @@ void BM_EngineTabuSeed(benchmark::State& state) {
   state.counters["evals_per_sec"] =
       benchmark::Counter(static_cast<double>(evaluations), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EngineTabuSeed)->Arg(128)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineTabuSeed)->Arg(12)->Arg(16)->Arg(24)->Arg(128)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -1,5 +1,8 @@
 #include "quality/quality.h"
 
+#include <algorithm>
+#include <limits>
+
 namespace commsched::qual {
 
 double ClusterSimilarity(const DistanceTable& table, const Partition& partition,
@@ -75,32 +78,6 @@ double IntensityGlobalSimilarity(const DistanceTable& table, const Partition& pa
   return (weighted_sum / weighted_pairs) / table.MeanSquaredDistance();
 }
 
-ClusterGainTable::ClusterGainTable(const DistanceTable& table, const Partition& partition)
-    : clusters_(partition.cluster_count()),
-      gains_(partition.switch_count() * partition.cluster_count(), 0.0) {
-  const std::vector<std::size_t>& cluster_of = partition.cluster_of_switch();
-  const std::size_t n = partition.switch_count();
-  for (std::size_t v = 0; v < n; ++v) {
-    double* row = &gains_[v * clusters_];
-    for (std::size_t u = 0; u < n; ++u) {
-      const double d = table(v, u);
-      row[cluster_of[u]] += d * d;
-    }
-  }
-}
-
-void ClusterGainTable::ApplySwap(const DistanceTable& table, std::size_t a, std::size_t ca,
-                                 std::size_t b, std::size_t cb) {
-  const std::size_t n = table.size();
-  for (std::size_t v = 0; v < n; ++v) {
-    const double dva = table(v, a);
-    const double dvb = table(v, b);
-    const double change = dvb * dvb - dva * dva;  // ca trades a for b
-    gains_[v * clusters_ + ca] += change;
-    gains_[v * clusters_ + cb] -= change;
-  }
-}
-
 SwapEvaluator::SwapEvaluator(const DistanceTable& table, Partition partition,
                              std::vector<double> cluster_intensity)
     : table_(&table), partition_(std::move(partition)), intensity_(std::move(cluster_intensity)) {
@@ -122,8 +99,63 @@ void SwapEvaluator::Rebuild() {
     pair_count_ += intensity_[c] * size * (size - 1) / 2.0;
   }
   CS_CHECK(pair_count_ > 0.0, "evaluator needs a weighted cluster with two switches");
-  gains_ = ClusterGainTable(*table_, partition_);
+  const std::size_t n = partition_.switch_count();
+  const std::size_t k = intensity_.size();
+  const std::vector<std::size_t>& cluster_of = partition_.cluster_of_switch();
+  gains_.assign(n * k, 0.0);
+  max_squared_.assign(n, 0.0);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t u = 0; u < n; ++u) {
+      const double d = (*table_)(v, u);
+      gains_[v * k + cluster_of[u]] += d * d;
+      max_squared_[v] = std::max(max_squared_[v], d * d);
+    }
+  }
   intra_sum_ = ComputeIntraSum();
+  // No λ·G or λ·T² term of a delta or a bound exceeds max λ · N · max T².
+  bound_slack_ = kRowBoundSlack * static_cast<double>(n) *
+                 *std::max_element(max_squared_.begin(), max_squared_.end()) *
+                 *std::max_element(intensity_.begin(), intensity_.end());
+  // Counting sort by cluster: member_begin_[c + 1] is cluster c's write
+  // cursor, and ends as cluster c + 1's start.
+  member_begin_.assign(k + 1, 0);
+  for (std::size_t c = 1; c < k; ++c) {
+    member_begin_[c + 1] = member_begin_[c] + partition_.ClusterSize(c - 1);
+  }
+  members_.resize(n);
+  for (std::size_t s = 0; s < n; ++s) members_[member_begin_[cluster_of[s] + 1]++] = s;
+}
+
+void SwapEvaluator::PrepareRowBounds() {
+  const std::size_t k = intensity_.size();
+  const double* lambda = intensity_.data();
+  least_gains_.resize(2 * k * k);
+  row_bound_.resize(partition_.switch_count() * k);
+  // Rows (a, q) need, for p = c(a) < q, the least U[b][p] and the least
+  // U[b][p] − (λ_p + λ_q) max T²_b over the members b of q.
+  for (std::size_t q = 0; q < k; ++q) {
+    for (std::size_t p = 0; p < q; ++p) {
+      double least = std::numeric_limits<double>::infinity();
+      double least_far = least;
+      for (const std::size_t b : Members(q)) {
+        const double u = lambda[p] * GainRow(b)[p] - lambda[q] * GainRow(b)[q];
+        least = std::min(least, u);
+        least_far = std::min(least_far, u - (lambda[p] + lambda[q]) * max_squared_[b]);
+      }
+      least_gains_[2 * (q * k + p)] = least;
+      least_gains_[2 * (q * k + p) + 1] = least_far;
+    }
+  }
+  for (std::size_t a = 0; a < partition_.switch_count(); ++a) {
+    const std::size_t p = partition_.cluster_of_switch()[a];
+    for (std::size_t q = p + 1; q < k; ++q) {
+      const double* least = &least_gains_[2 * (q * k + p)];
+      row_bound_[a * k + q] = lambda[q] * GainRow(a)[q] - lambda[p] * GainRow(a)[p] +
+                              std::max(least[0] - (lambda[p] + lambda[q]) * max_squared_[a],
+                                       least[1]) -
+                              bound_slack_;
+    }
+  }
 }
 
 double SwapEvaluator::ComputeIntraSum() const {
@@ -170,9 +202,28 @@ void SwapEvaluator::ApplySwap(std::size_t a, std::size_t b) {
   const std::size_t cb = partition_.ClusterOf(b);
   CS_CHECK(ca != cb, "ApplySwap requires switches in different clusters");
   const double delta = SummedSwapDelta(a, b);
-  gains_.ApplySwap(*table_, a, ca, b, cb);
+  const std::size_t k = intensity_.size();
+  for (std::size_t v = 0; v < n; ++v) {
+    const double dva = (*table_)(v, a);
+    const double dvb = (*table_)(v, b);
+    const double change = dvb * dvb - dva * dva;  // ca trades a for b
+    gains_[v * k + ca] += change;
+    gains_[v * k + cb] -= change;
+  }
   partition_.Swap(a, b);
   intra_sum_ += delta;
+  // Each cluster trades one member: overwrite it and step the newcomer into
+  // its ascending place.
+  const auto trade = [this](std::size_t cluster, std::size_t out, std::size_t in) {
+    std::size_t* first = members_.data() + member_begin_[cluster];
+    std::size_t* last = members_.data() + member_begin_[cluster + 1];
+    std::size_t* at = std::lower_bound(first, last, out);
+    *at = in;
+    for (; at != first && at[-1] > in; --at) std::swap(at[-1], at[0]);
+    for (; at + 1 != last && at[1] < in; ++at) std::swap(at[0], at[1]);
+  };
+  trade(ca, a, b);
+  trade(cb, b, a);
 }
 
 void SwapEvaluator::Reset(Partition partition) {

@@ -10,7 +10,7 @@
 //                 intercluster bandwidth relationship the scheduler maximizes.
 #pragma once
 
-#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -54,38 +54,14 @@ using dist::DistanceTable;
                                                const Partition& partition,
                                                const std::vector<double>& cluster_intensity);
 
-/// Per-switch cluster gains of the dense swap evaluator:
-///   G[v][c] = sum over u in cluster c of T_vu^2
-/// (N x M, row-major; the table's zero diagonal keeps v out of its own
-/// cluster's sum). A swap delta is then four reads and a swap an O(N)
-/// update of the two affected columns, in the manner of the per-vertex gain
-/// caches of Schulz & Traeff's sparse QAP mapping (quality/sparse.h).
-class ClusterGainTable {
- public:
-  ClusterGainTable() = default;
-
-  /// Builds the table from scratch in O(N^2).
-  ClusterGainTable(const DistanceTable& table, const Partition& partition);
-
-  [[nodiscard]] double operator()(std::size_t v, std::size_t cluster) const {
-    return gains_[v * clusters_ + cluster];
-  }
-  [[nodiscard]] const double* Row(std::size_t v) const { return &gains_[v * clusters_]; }
-
-  /// Moves a from cluster ca to cb and b from cb to ca: O(N).
-  void ApplySwap(const DistanceTable& table, std::size_t a, std::size_t ca, std::size_t b,
-                 std::size_t cb);
-
- private:
-  std::size_t clusters_ = 0;
-  std::vector<double> gains_;
-};
-
 /// Incremental evaluator for swap-based search, over the per-cluster
 /// intensity-weighted sum Σ_c λ_c F_Ac (IntensityGlobalSimilarity's F_G^λ;
-/// all λ = 1, the default, is eq. (2) itself). Maintains that running sum and a
-/// ClusterGainTable, so that evaluating a candidate swap is O(1), applying
-/// one is O(N), and F_G is O(1).
+/// all λ = 1, the default, is eq. (2) itself). Maintains that running sum and
+/// the per-switch cluster gains G[v][c] = Σ_{u ∈ c} T²_vu (N × M; the
+/// table's zero diagonal keeps v out of its own cluster's sum), the gain
+/// caches of Schulz & Traeff's sparse QAP mapping (quality/sparse.h). So
+/// evaluating a candidate swap is four reads, applying one is an O(N)
+/// update of two gain columns, and F_G is O(1).
 ///
 /// The running sum is advanced by the exact O(N) re-summed delta, not by
 /// the gain-table delta: the two differ in the last bits, and the running
@@ -121,25 +97,49 @@ class SwapEvaluator {
     const std::size_t cb = cluster_of[b];
     CS_CHECK(ca != cb, "SwapDelta requires switches in different clusters");
     const double dab = (*table_)(a, b);
-    return Delta(intensity_[ca], intensity_[cb], gains_.Row(a), gains_.Row(b), ca, cb, dab * dab);
+    return Delta(intensity_[ca], intensity_[cb], GainRow(a), GainRow(b), ca, cb, dab * dab);
   }
 
-  /// out[b] = SwapDelta(a, b) * scale for every b > a in another cluster,
-  /// +infinity for b in a's cluster: the same Delta expression (same bits)
-  /// over raw table and gain rows, with one range check per row.
-  void SwapDeltaRow(std::size_t a, double scale, double* out) const {
+  /// Members of cluster c, ascending; ApplySwap keeps them in order.
+  [[nodiscard]] std::span<const std::size_t> Members(std::size_t c) const {
+    return {members_.data() + member_begin_[c], member_begin_[c + 1] - member_begin_[c]};
+  }
+  /// Members of clusters c, c+1, ..., cluster by cluster (empty for c = M).
+  [[nodiscard]] std::span<const std::size_t> MembersFrom(std::size_t c) const {
+    return {members_.data() + member_begin_[c], members_.size() - member_begin_[c]};
+  }
+
+  /// Computes every RowBound for the current mapping in O(N·M).
+  void PrepareRowBounds();
+  /// A lower bound, until the next ApplySwap, on SwapDelta(min(a, b),
+  /// max(a, b)) over the members b of a cluster q > c(a), bit for bit. With
+  /// p = c(a) and U[s][c] = λ_c G[s][c] − λ_{c(s)} G[s][c(s)], SwapDelta is
+  /// U[a][q] + U[b][p] − (λ_p + λ_q) T²_ab and T²_ab ≤ min(max T²_a, max T²_b):
+  /// the bound is U[a][q] + max(min_b U[b][p] − (λ_p + λ_q) max T²_a,
+  /// min_b (U[b][p] − (λ_p + λ_q) max T²_b)) less the slack.
+  [[nodiscard]] double RowBound(std::size_t a, std::size_t q) const {
+    return row_bound_[a * intensity_.size() + q];
+  }
+
+  /// out[i] = SwapDelta(min(a, b), max(a, b)) * scale for b = others[i],
+  /// every one outside a's cluster: the per-pair expression and operand
+  /// order, so each entry has the bits of the per-pair call.
+  void SwapDeltaRow(std::size_t a, std::span<const std::size_t> others, double scale,
+                    double* out) const {
     const std::vector<std::size_t>& cluster_of = partition_.cluster_of_switch();
     const std::size_t n = cluster_of.size();
     CS_CHECK(a < n, "switch out of range");
     const std::size_t ca = cluster_of[a];
     const double lambda_a = intensity_[ca];
     const double* dist_a = table_->values().data() + a * n;
-    const double* gain_a = gains_.Row(a);
-    for (std::size_t b = a + 1; b < n; ++b) {
+    const double* gain_a = GainRow(a);
+    for (std::size_t i = 0; i < others.size(); ++i) {
+      const std::size_t b = others[i];
       const std::size_t cb = cluster_of[b];
-      out[b] = cb == ca ? std::numeric_limits<double>::infinity()
-                        : Delta(lambda_a, intensity_[cb], gain_a, gains_.Row(b), ca, cb,
-                                dist_a[b] * dist_a[b]) * scale;
+      const double sq_ab = dist_a[b] * dist_a[b];
+      out[i] = (b < a ? Delta(intensity_[cb], lambda_a, GainRow(b), gain_a, cb, ca, sq_ab)
+                      : Delta(lambda_a, intensity_[cb], gain_a, GainRow(b), ca, cb, sq_ab)) *
+               scale;
     }
   }
 
@@ -153,6 +153,9 @@ class SwapEvaluator {
   [[nodiscard]] double FgAfterDelta(double delta) const;
 
  private:
+  /// RowBound's slack, relative to max λ · N · max T², which bounds every
+  /// term; the rounding of a delta or a bound stays below 1e-14 of it.
+  static constexpr double kRowBoundSlack = 1e-11;
   /// SwapDelta and SwapDeltaRow's one expression. Cluster ca trades a's
   /// partner sum for b's, less the (a,b) pair, which stays intercluster
   /// (G[b][ca] counts it); cb the reverse. Each side scales by its λ.
@@ -162,6 +165,9 @@ class SwapEvaluator {
     return lambda_a * (gain_b[ca] - gain_a[ca] - sq_ab) +
            lambda_b * (gain_a[cb] - gain_b[cb] - sq_ab);
   }
+  [[nodiscard]] const double* GainRow(std::size_t v) const {
+    return &gains_[v * intensity_.size()];
+  }
   /// Recomputes the pair count, gain table and running sum for partition_.
   void Rebuild();
   [[nodiscard]] double ComputeIntraSum() const;
@@ -170,8 +176,14 @@ class SwapEvaluator {
 
   const DistanceTable* table_;
   Partition partition_;
-  ClusterGainTable gains_;
-  std::vector<double> intensity_;   // λ_c, one per cluster
+  std::vector<double> intensity_;          // λ_c, one per cluster
+  std::vector<double> gains_;              // G, row-major
+  std::vector<double> max_squared_;        // max_u T²_vu per switch; no swap changes it
+  std::vector<std::size_t> members_;       // cluster by cluster, each ascending
+  std::vector<std::size_t> member_begin_;  // cluster c is [begin[c], begin[c+1])
+  std::vector<double> least_gains_;  // PrepareRowBounds' two minima per [q][p], p < q
+  std::vector<double> row_bound_;    // [a][q], for q > c(a)
+  double bound_slack_ = 0.0;
   double intra_sum_ = 0.0;          // Σ_c λ_c F_Ac
   double pair_count_ = 0.0;         // Σ_c λ_c m_c (swap-invariant)
   double mean_sq_distance_ = 0.0;   // normalizer of eqs. (2)/(5)

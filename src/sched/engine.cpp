@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <span>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
@@ -14,10 +16,43 @@
 
 namespace commsched::sched {
 
+namespace {
+
+/// The dense scan bounds rows once clusters average this many switches: a
+/// 60-iteration Tabu seed in four clusters took longer with bounds at 12,
+/// 16 and 20 switches and less from 24 on (x86, gcc 12 -O2).
+constexpr std::size_t kBoundedScanMinClusterSize = 6;
+
+/// The scan's tie rule for one kind of move (decrease or increase): among
+/// the offers within kSearchEps of the least, the lexicographically
+/// smallest pair, whatever order the offers come in.
+struct MoveChoice {
+  double least = std::numeric_limits<double>::infinity();
+  std::vector<std::tuple<double, std::size_t, std::size_t>> held;  // offers within Limit()
+
+  void Reset() { least = std::numeric_limits<double>::infinity(); held.clear(); }
+  /// An offer above this can no longer be chosen; it only falls.
+  [[nodiscard]] double Limit() const { return least + kSearchEps; }
+  void Offer(double cost, std::size_t a, std::size_t b) {
+    if (cost > Limit()) return;
+    least = std::min(least, cost);
+    held.emplace_back(cost, a, b);
+  }
+  /// The chosen pair; requires a held offer.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> Move() const {
+    std::pair<std::size_t, std::size_t> chosen{SIZE_MAX, SIZE_MAX};
+    for (const auto& [cost, a, b] : held) {
+      if (cost <= Limit()) chosen = std::min(chosen, {a, b});
+    }
+    return chosen;
+  }
+};
+
+}  // namespace
+
 SearchEngine::SearchEngine(std::string algo, const EngineOptions& options)
     : algo_(std::move(algo)),
       options_(options),
-      timer_name_("search." + algo_ + ".seed"),
       seed_span_name_(algo_ + ".seed"),
       iter_span_name_(algo_ + ".iter") {
   // A zero here used to silently yield an empty no-op search result; callers
@@ -29,12 +64,25 @@ SearchEngine::SearchEngine(std::string algo, const EngineOptions& options)
   if (options.max_iterations_per_seed == 0) {
     throw ConfigError("search iterations per seed must be >= 1 (got 0)");
   }
+  // Registry nodes never move (ResetAll only zeroes them), so each seed
+  // flushes through these pointers without taking the registry's lock.
+  obs::Registry& registry = obs::Registry::Global();
+  const std::string family = "search." + algo_ + ".";
+  seed_timer_ = &registry.GetTimer(family + "seed");
+  const char* const names[] = {"seeds", "moves", "evaluations", "tabu_hits", "aspirations",
+                               "escapes"};
+  for (std::size_t i = 0; i < counters_.size(); ++i) {
+    counters_[i] = &registry.GetCounter(family + names[i]);
+  }
+  seed_iters_ = &registry.GetHistogram(family + "seed_iters");
 }
 
 SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) const {
-  const obs::Span seed_span(seed_span_name_, "seed", seed_index,
-                            &obs::Registry::Global().GetTimer(timer_name_));
+  const obs::Span seed_span(seed_span_name_, "seed", seed_index, seed_timer_);
   const std::size_t n = objective.partition().switch_count();
+  const std::size_t clusters = objective.partition().cluster_count();
+  const Objective::DenseCost dense = objective.Dense();
+  const bool bounded = n >= kBoundedScanMinClusterSize * clusters;
 
   SeedRun run;
   run.result.best = objective.partition();
@@ -51,15 +99,22 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
                      .F("fg", objective.TraceFg()));
   }
 
-  // The tabu list: swap (a, b) is forbidden while iteration < until. An
-  // entry lives `tenure` iterations, so at most `tenure` are active.
+  // The tabu list: swap (a, b), a < b, is forbidden while iteration < until.
+  // An entry lives `tenure` iterations, so at most `tenure` are active.
   struct TabuEntry { std::size_t a, b, until; };
   std::vector<TabuEntry> tabu;
+  const auto is_tabu = [&tabu](std::size_t a, std::size_t b) {
+    return std::any_of(tabu.begin(), tabu.end(),
+                       [a, b](const TabuEntry& e) { return e.a == a && e.b == b; });
+  };
+  const auto touches_tabu = [&tabu](std::size_t a) {
+    return std::any_of(tabu.begin(), tabu.end(),
+                       [a](const TabuEntry& e) { return e.a == a || e.b == a; });
+  };
 
-  // Cluster sizes never change during a walk, so every scan prices the same
-  // number of inter-cluster pairs.
-  const std::size_t cross_pairs = objective.partition().InterPairCountOrdered() / 2;
   std::vector<double> costs(n);  // one scan row
+  MoveChoice down;               // greatest decrease
+  MoveChoice up;                 // smallest increase
 
   // Local-minimum bookkeeping: values quantized to a tolerance so that
   // "the same local minimum" is robust to floating-point noise.
@@ -72,79 +127,97 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
     // profile separates uphill moves from ordinary descent.
     obs::Span iter_span(iter_span_name_, "iter", iteration);
     std::erase_if(tabu, [iteration](const TabuEntry& e) { return e.until <= iteration; });
+    down.Reset();
+    up.Reset();
+    // Nothing above the threshold can be chosen; no increase once a decrease is held.
+    const auto threshold = [&] { return down.held.empty() ? up.Limit() : down.Limit(); };
+    const auto offer = [&](std::size_t a, std::size_t b, double cost) {
+      if (cost < -kSearchEps) down.Offer(cost, a, b);
+      if (cost > kSearchEps) up.Offer(cost, a, b);
+    };
 
-    // Evaluate the whole inter-cluster swap neighbourhood. A challenger must
-    // beat the held candidate (initially 0: no change) by kSearchEps:
-    // gain-table deltas carry last-bit noise, and an exact tie keeps the
-    // first candidate scanned.
-    double best_down = 0.0;  // greatest decrease
-    std::pair<std::size_t, std::size_t> down_move{n, n};
-    double best_up = std::numeric_limits<double>::infinity();  // smallest increase
-    std::pair<std::size_t, std::size_t> up_move{n, n};
-    bool any_decrease_exists = false;  // decreasing swap exists, tabu or not
-
-    run.result.evaluations += cross_pairs;
+    // The tabu pairs first, so tabu_hits, aspirations and the local-minimum
+    // test do not depend on what the scan below skips; it leaves them out.
     const std::vector<std::size_t>& cluster_of = objective.partition().cluster_of_switch();
-    for (std::size_t a = 0; a + 1 < n; ++a) {
-      const bool row_has_tabu =
-          std::any_of(tabu.begin(), tabu.end(), [a](const TabuEntry& e) { return e.a == a; });
-      // The per-pair rule, in scan order.
-      const auto consider = [&](std::size_t b, double cost) {
-        if (!std::isfinite(cost)) return;  // same cluster or inadmissible
-        if (cost < -kSearchEps) any_decrease_exists = true;
+    bool tabu_decrease = false;
+    for (const TabuEntry& e : tabu) {
+      if (cluster_of[e.a] == cluster_of[e.b]) continue;  // no longer a swap
+      const double cost = objective.SwapCost(e.a, e.b);
+      ++run.result.evaluations;
+      if (!std::isfinite(cost)) continue;  // inadmissible
+      tabu_decrease = tabu_decrease || cost < -kSearchEps;
+      // Aspiration: a tabu move that would beat this seed's best is allowed.
+      if (options_.aspiration && current_value + cost < best_value - kSearchEps) {
+        ++run.aspirations;
+        offer(e.a, e.b, cost);
+      } else {
+        ++run.tabu_hits;
+      }
+    }
 
-        if (row_has_tabu && std::any_of(tabu.begin(), tabu.end(), [a, b](const TabuEntry& e) {
-              return e.a == a && e.b == b;
-            })) {
-          // Aspiration: a tabu move may still be taken if it would beat the
-          // best mapping this seed has seen.
-          if (options_.aspiration && current_value + cost < best_value - kSearchEps) {
-            ++run.aspirations;
-          } else {
-            ++run.tabu_hits;
-            return;
-          }
-        }
-        if (cost < best_down - kSearchEps) {
-          best_down = cost;
-          down_move = {a, b};
-        }
-        if (cost > kSearchEps && cost < best_up) {
-          best_up = cost;
-          up_move = {a, b};
+    if (qual::SwapEvaluator* eval = dense.evaluator) {
+      // Prices a against `others` (clusters above a's); offers what may still win.
+      const auto price_row = [&](std::size_t a, std::span<const std::size_t> others) {
+        eval->SwapDeltaRow(a, others, dense.scale, costs.data());
+        run.result.evaluations += others.size();
+        double low = std::numeric_limits<double>::infinity();
+        for (std::size_t i = 0; i < others.size(); ++i) low = costs[i] < low ? costs[i] : low;
+        const double limit = threshold();
+        if (low > limit) return;
+        const bool row_tabu = touches_tabu(a);
+        for (std::size_t i = 0; i < others.size(); ++i) {
+          if (costs[i] > limit) continue;
+          const auto [lo, hi] = std::minmax(a, others[i]);
+          if (!row_tabu || !is_tabu(lo, hi)) offer(lo, hi, costs[i]);
         }
       };
-      if (!objective.SwapCostRow(a, costs.data())) {  // no row kernel: price pair by pair
-        for (std::size_t b = a + 1; b < n; ++b) {
-          if (cluster_of[a] != cluster_of[b]) consider(b, objective.SwapCost(a, b));
+      if (!bounded) {
+        for (std::size_t a = 0; a < n; ++a) {
+          if (cluster_of[a] + 1 < clusters) price_row(a, eval->MembersFrom(cluster_of[a] + 1));
         }
-        continue;
+      } else {
+        // Rows (a, q > c(a)), the lowest-bound one first so the threshold is
+        // tight from the start; a row whose bound is above the threshold
+        // holds nothing that could be chosen. scale > 0 keeps the order.
+        eval->PrepareRowBounds();
+        double lowest = std::numeric_limits<double>::infinity();
+        std::pair<std::size_t, std::size_t> first{n, 0};
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t q = cluster_of[a] + 1; q < clusters; ++q) {
+            if (eval->RowBound(a, q) < lowest) {
+              lowest = eval->RowBound(a, q);
+              first = {a, q};
+            }
+          }
+        }
+        if (first.first < n) price_row(first.first, eval->Members(first.second));
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t q = cluster_of[a] + 1; q < clusters; ++q) {
+            if (std::pair(a, q) != first && !(eval->RowBound(a, q) * dense.scale > threshold())) {
+              price_row(a, eval->Members(q));
+            }
+          }
+        }
       }
-      if (!row_has_tabu) {
-        // Exact skip: best_down and best_up only fall, so a row that cannot beat
-        // either changes no candidate. NaN and +infinity never lower a minimum.
-        double low = std::numeric_limits<double>::infinity();
-        double low_up = std::numeric_limits<double>::infinity();
+    } else {
+      for (std::size_t a = 0; a + 1 < n; ++a) {  // pair by pair
+        const bool row_tabu = touches_tabu(a);
         for (std::size_t b = a + 1; b < n; ++b) {
-          const double cost = costs[b];
-          low = cost < low ? cost : low;
-          low_up = cost > kSearchEps && cost < low_up ? cost : low_up;
-        }
-        if (low >= best_down - kSearchEps && !(low_up < best_up)) {
-          if (low < -kSearchEps) any_decrease_exists = true;
-          continue;
+          if (cluster_of[a] == cluster_of[b] || (row_tabu && is_tabu(a, b))) continue;
+          const double cost = objective.SwapCost(a, b);
+          ++run.result.evaluations;
+          if (std::isfinite(cost)) offer(a, b, cost);  // else inadmissible
         }
       }
-      for (std::size_t b = a + 1; b < n; ++b) consider(b, costs[b]);
     }
 
     std::pair<std::size_t, std::size_t> move{n, n};
     bool escaping = false;
-    if (down_move.first < n) {
-      move = down_move;  // greatest decrease
+    if (!down.held.empty()) {
+      move = down.Move();  // greatest decrease
     } else {
       // Local minimum (no admissible decreasing swap).
-      if (!any_decrease_exists) {
+      if (!tabu_decrease) {  // no decreasing swap at all, tabu or not
         const std::size_t hits = ++local_min_hits[quantize(current_value)];
         if (obs::Tracer* tracer = obs::ActiveTracer()) {
           tracer->Emit(obs::TraceEvent("search.local_min")
@@ -158,10 +231,10 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
           break;  // same local minimum reached `local_min_repeats` times
         }
       }
-      if (up_move.first >= n) {
+      if (up.held.empty()) {
         break;  // nowhere to go (every escape move is tabu)
       }
-      move = up_move;  // smallest increase
+      move = up.Move();  // smallest increase
       escaping = true;
     }
 
@@ -198,17 +271,12 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
   run.trace_span = run.result.iterations + 1;  // +1 for the restart point
   objective.FinalizeSeed(run.result);
 
-  obs::Registry& registry = obs::Registry::Global();
-  const std::string family = "search." + algo_ + ".";
-  registry.GetCounter(family + "seeds").Add(1);
-  registry.GetCounter(family + "moves").Add(run.result.iterations);
-  registry.GetCounter(family + "evaluations").Add(run.result.evaluations);
-  registry.GetCounter(family + "tabu_hits").Add(run.tabu_hits);
-  registry.GetCounter(family + "aspirations").Add(run.aspirations);
-  registry.GetCounter(family + "escapes").Add(run.escapes);
+  const std::uint64_t counts[] = {1,           run.result.iterations, run.result.evaluations,
+                                  run.tabu_hits, run.aspirations,      run.escapes};
+  for (std::size_t i = 0; i < counters_.size(); ++i) counters_[i]->Add(counts[i]);
   // Distribution of per-seed walk lengths: one histogram sample per seed
   // (batched like the counters — nothing lands mid-walk).
-  registry.GetHistogram(family + "seed_iters").Record(run.result.iterations);
+  seed_iters_->Record(run.result.iterations);
   if (obs::Tracer* tracer = obs::ActiveTracer()) {
     tracer->Emit(obs::TraceEvent("search.seed_done")
                      .F("algo", algo_)
@@ -370,7 +438,6 @@ int TabuObjective::SwapDMoved(std::size_t a, std::size_t b) const {
 
 double TabuObjective::SwapCost(std::size_t a, std::size_t b) {
   const double fg_cost = eval_.SwapDelta(a, b) * fg_scale_;
-  // The unanchored scan is the hot loop of every Tabu run: no budget test.
   if (anchor_ == nullptr) return fg_cost;
   const int d_moved = SwapDMoved(a, b);
   // moved_ + d_moved >= 0, so the unsigned wrap of a negative d_moved is exact.
@@ -380,10 +447,9 @@ double TabuObjective::SwapCost(std::size_t a, std::size_t b) {
   return fg_cost + move_cost_ * static_cast<double>(d_moved);
 }
 
-bool TabuObjective::SwapCostRow(std::size_t a, double* costs) {
-  if (anchor_ != nullptr) return false;  // priced per pair, with the budget test
-  eval_.SwapDeltaRow(a, fg_scale_, costs);
-  return true;
+Objective::DenseCost TabuObjective::Dense() {
+  if (anchor_ != nullptr) return {};  // priced per pair, with the budget test
+  return {&eval_, fg_scale_};
 }
 
 double TabuObjective::Value() const {
@@ -408,11 +474,6 @@ void TabuObjective::FinalizeSeed(SearchResult& result) const {
 }
 
 double IntraSumObjective::SwapCost(std::size_t a, std::size_t b) { return eval_->SwapDelta(a, b); }
-
-bool IntraSumObjective::SwapCostRow(std::size_t a, double* costs) {  // * 1.0 is exact
-  eval_->SwapDeltaRow(a, 1.0, costs);
-  return true;
-}
 
 double IntraSumObjective::Value() const { return eval_->IntraSum(); }
 

@@ -1,51 +1,33 @@
-// Unified search core for every mapping searcher (§4.2 and variants).
-//
-// All searchers in this module minimize some objective over the space Ω of
-// fixed-size network partitions by repeated inter-cluster swaps. Before this
-// engine existed each searcher carried its own copy of the neighbourhood
-// scan, tabu/escape bookkeeping, trace emission, and observability flush;
-// now a searcher is just
-//
-//   * an Objective — what the current mapping is worth (Value) and how much
-//     a swap would change it (SwapCost), plus how to finalize a
-//     SearchResult, plus
-//   * a MultiStartSpec — how many seeds, run_seed(k) to run seed k from its
-//     start (derived up front), and how seed results combine.
+// Unified search core for every mapping searcher (§4.2 and variants;
+// DESIGN.md §9). A searcher is an Objective — what the current mapping is
+// worth (Value), what a swap would change (SwapCost), how to finalize a
+// SearchResult — plus a MultiStartSpec: how many seeds, run_seed(k) to run
+// seed k from its start (derived up front), and how seed results combine.
 //
 // Every walk follows the one move rule of §4.2: take the swap with the
 // greatest decrease; at a local minimum take the smallest increase and
 // forbid its inverse for `tenure` iterations; stop once the same minimum
-// has been reached `local_min_repeats` times. Steepest descent is the same
-// rule with local_min_repeats = 1: no swap is tabu before the first escape,
-// so the walk stops at its first local minimum. A challenger must beat the
-// held candidate (and a decrease must beat 0) by kSearchEps, so gain-table
-// noise in the last bits never reorders a tie: the first candidate scanned
-// wins.
+// has been reached `local_min_repeats` times (1: steepest descent). A
+// decrease must be below -kSearchEps and an increase above +kSearchEps.
+// Ties do not depend on scan order: among the candidates within kSearchEps
+// of the least cost, the lexicographically smallest pair (a, b), a < b,
+// wins, so gain-table noise in the last bits never decides a tie.
 //
-// Determinism rules (enforced by tests/test_engine_parity.cpp):
-//   1. All starts and RNG streams are derived *up front*, before any seed
-//      runs, so parallel and sequential execution explore identical walks.
-//   2. A seed's walk never draws randomness shared with another seed; extra
-//      streams come from DeriveSeedStream(base_seed, k).
-//   3. Seed results are combined sequentially in seed order with a strict
-//      kEps margin, so the winner does not depend on thread scheduling.
-// RunSeeds (the one seed loop, sequential or on the thread pool) and
-// BestSeed (the one combine rule) are their only implementation: every
-// multi-start searcher, annealing, repair and the multilevel coarsest level
-// run and combine their seeds through them.
+// The tabu pairs are priced first, every iteration. An objective over a
+// dense evaluator (Objective::Dense) is then scanned a row at a time: a
+// against every cluster above its own or, once the clusters are large
+// enough, against one cluster q > c(a), skipping unpriced a row whose exact
+// lower bound (qual::SwapEvaluator::RowBound) cannot reach the held
+// candidates, so the walk is the one a full scan takes. Other objectives
+// are priced pair by pair.
 //
-// The scan prices a row at a time (SwapCostRow) and skips, after one min
-// pass, a row with no tabu pair that cannot beat either held candidate.
-//
-// To add a new objective: implement Objective over an incremental evaluator
-// (every inter-cluster pair is priced on every iteration, so SwapCost must
-// be O(1) or close to it — the dense evaluator reads a per-switch cluster
-// gain table — never a full recompute; override SwapCostRow when a whole
-// row is cheaper than its pairs) and drive it either through
-// SearchEngine::RunSeed (one walk) or RunMultiStart (seeded restarts on
-// RunSeeds, combined by BestSeed).
+// Determinism (tests/test_engine_parity.cpp): all starts and RNG streams
+// are derived up front, no seed shares randomness with another
+// (DeriveSeedStream), and seeds combine in seed order with a strict
+// kSearchEps margin, only through RunSeeds and BestSeed.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -56,10 +38,16 @@
 #include "quality/quality.h"
 #include "sched/search.h"
 
+namespace commsched::obs {
+class Counter;
+class Histogram;
+class Timer;
+}  // namespace commsched::obs
+
 namespace commsched::sched {
 
 /// Strict-improvement margin shared by every searcher: two objective values
-/// closer than this are "the same" (tie → keep the incumbent).
+/// closer than this are tied.
 inline constexpr double kSearchEps = 1e-12;
 
 /// Engine-level knobs common to all scan searchers. Mirrors the searcher
@@ -92,11 +80,15 @@ class Objective {
   /// (e.g. an anchored TabuObjective's migration budget).
   virtual double SwapCost(std::size_t a, std::size_t b) = 0;
 
-  /// Scan row of switch a: fills costs[b] = SwapCost(a, b) (same bits) for
-  /// every b > a, +infinity when b is in a's cluster, and returns true. The
-  /// default returns false: the engine then prices pair by pair, as fast
-  /// when SwapCost itself is the cost (the multilevel sparse QAP).
-  virtual bool SwapCostRow(std::size_t /*a*/, double* /*costs*/) { return false; }
+  /// The dense evaluator behind SwapCost, when SwapCost(a, b) for a < b is
+  /// exactly evaluator->SwapDelta(a, b) * scale with scale > 0: the engine
+  /// then runs its bound-ordered scan over the evaluator. The default, no
+  /// evaluator, makes the engine price every pair through SwapCost.
+  struct DenseCost {
+    qual::SwapEvaluator* evaluator = nullptr;
+    double scale = 1.0;
+  };
+  [[nodiscard]] virtual DenseCost Dense() { return {}; }
 
   /// Current value of the mapping (used for best-so-far tracking,
   /// aspiration and local-minimum detection).
@@ -149,9 +141,12 @@ class SearchEngine {
  private:
   std::string algo_;
   EngineOptions options_;
-  std::string timer_name_;      // "search.<algo>.seed"
   std::string seed_span_name_;  // "<algo>.seed"
   std::string iter_span_name_;  // "<algo>.iter"
+  // The registry nodes a seed reports into, resolved by the constructor.
+  obs::Timer* seed_timer_;                 // search.<algo>.seed
+  std::array<obs::Counter*, 6> counters_;  // search.<algo>.{seeds,moves,...}
+  obs::Histogram* seed_iters_;             // search.<algo>.seed_iters
 };
 
 /// Runs seed k (usually SearchEngine::RunSeed over a fresh Objective built
@@ -255,7 +250,8 @@ class TabuObjective final : public Objective {
                 std::vector<double> cluster_intensity = {});
 
   double SwapCost(std::size_t a, std::size_t b) override;
-  bool SwapCostRow(std::size_t a, double* costs) override;
+  /// The evaluator and F_G scale; none with an anchor (priced per pair).
+  [[nodiscard]] DenseCost Dense() override;
   [[nodiscard]] double Value() const override;
   [[nodiscard]] double TraceFg() const override;
   void Apply(std::size_t a, std::size_t b) override;
@@ -290,7 +286,7 @@ class IntraSumObjective final : public Objective {
       : eval_(&eval), table_(&table) {}
 
   double SwapCost(std::size_t a, std::size_t b) override;
-  bool SwapCostRow(std::size_t a, double* costs) override;
+  [[nodiscard]] DenseCost Dense() override { return {eval_, 1.0}; }
   [[nodiscard]] double Value() const override;
   [[nodiscard]] double TraceFg() const override;
   void Apply(std::size_t a, std::size_t b) override;

@@ -20,17 +20,4 @@ std::string FormatSearchResult(const SearchResult& result) {
   return out.str();
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> InterClusterPairs(const Partition& partition) {
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  const std::size_t n = partition.switch_count();
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      if (partition.ClusterOf(a) != partition.ClusterOf(b)) {
-        pairs.emplace_back(a, b);
-      }
-    }
-  }
-  return pairs;
-}
-
 }  // namespace commsched::sched

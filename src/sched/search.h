@@ -49,9 +49,4 @@ void FinalizeResult(const DistanceTable& table, SearchResult& result);
 /// e2e test diffs the two).
 [[nodiscard]] std::string FormatSearchResult(const SearchResult& result);
 
-/// All unordered switch pairs (a, b) lying in different clusters — the swap
-/// neighbourhood of §4.2.
-[[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> InterClusterPairs(
-    const Partition& partition);
-
 }  // namespace commsched::sched

@@ -1,6 +1,10 @@
 #include "service/protocol.h"
 
+#include <bit>
+#include <initializer_list>
+#include <iterator>
 #include <set>
+#include <string_view>
 
 #include "common/json.h"
 #include "service/cache.h"
@@ -188,6 +192,50 @@ constexpr std::uint32_t kSweep = kSimulate | OpBit(RequestOp::kExperiment);
 constexpr std::uint32_t kWorkload = kSchedule | kSweep;  // apps, parallel_seeds
 constexpr std::uint32_t kNetwork = kWorkload | OpBit(RequestOp::kQuality);
 
+// Keys that only some modes of their op read, one bit each (CheckModeKeys).
+constexpr std::string_view kModeKeys[] = {"algo",           "apps",          "samples",
+                                          "parallel_seeds", "procs",         "pattern",
+                                          "pattern_seed",   "coarsen_target", "refine_budget",
+                                          "distance",       "mapping_seed"};
+consteval std::uint32_t ModeKeys(std::initializer_list<std::string_view> keys) {
+  std::uint32_t bits = 0;
+  for (const std::string_view key : keys) {
+    for (std::size_t i = 0; i < std::size(kModeKeys); ++i) {
+      if (kModeKeys[i] == key) bits |= 1U << i;
+    }
+  }
+  return bits;
+}
+
+/// The op masks above accept a key for every mode of its op. Once the mode
+/// is known (a schedule's "multilevel", a simulate's "mapping"), a key that
+/// mode does not read is an error too. `sent` has the request's mode keys.
+void CheckModeKeys(std::uint32_t sent, const Request& request) {
+  std::uint32_t unread = 0;
+  const char* mode = "";
+  if (request.op == RequestOp::kSchedule && request.multilevel) {
+    unread = ModeKeys({"algo", "apps", "samples", "parallel_seeds"});
+    mode = "multilevel schedule";
+  } else if (request.op == RequestOp::kSchedule) {
+    unread = ModeKeys({"procs", "pattern", "pattern_seed", "coarsen_target", "refine_budget",
+                       "distance"});
+    mode = "schedule without multilevel";
+  } else if (request.op == RequestOp::kSimulate) {
+    // "op" searches (parallel_seeds) and "random" draws (mapping_seed); an
+    // unknown mapping fails on its own.
+    const bool known = request.mapping == "op" || request.mapping == "random" ||
+                       request.mapping == "blocked";
+    if (known && request.mapping != "random") unread |= ModeKeys({"mapping_seed"});
+    if (known && request.mapping != "op") unread |= ModeKeys({"parallel_seeds"});
+    mode = request.mapping == "op"       ? "simulate with mapping op"
+           : request.mapping == "random" ? "simulate with mapping random"
+                                         : "simulate with mapping blocked";
+  }
+  if ((sent & unread) == 0) return;
+  throw ConfigError("request key '" + std::string(kModeKeys[std::countr_zero(sent & unread)]) +
+                    "' is not read by " + mode);
+}
+
 Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
   const JsonValue* op = root.Find("op");
   if (!root.is_object() || op == nullptr) {
@@ -201,10 +249,12 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
   const std::uint32_t op_bit = OpBit(request.op);
   // Each matched key checks its op mask: a key the op never reads would
   // otherwise be dropped silently.
-  const auto read_by = [&](const std::string& key, std::uint32_t ops) {
+  std::uint32_t mode_keys = 0;  // CheckModeKeys' bits of the keys sent
+  const auto read_by = [&](const std::string& key, std::uint32_t ops, std::uint32_t mode_key = 0) {
     if ((ops & op_bit) == 0) {
       throw ConfigError("request key '" + key + "' is not read by op " + OpName(request.op));
     }
+    mode_keys |= mode_key;
     return true;
   };
   bool saw_requests = false;
@@ -217,9 +267,9 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
       request.id = member.AsString("id");
     } else if (key == "topology" && read_by(key, kNetwork)) {
       request.topology = ParseTopology(member);
-    } else if (key == "apps" && read_by(key, kWorkload)) {
+    } else if (key == "apps" && read_by(key, kWorkload, ModeKeys({"apps"}))) {
       request.apps = member.AsUint("apps");
-    } else if (key == "algo" && read_by(key, kSchedule)) {
+    } else if (key == "algo" && read_by(key, kSchedule, ModeKeys({"algo"}))) {
       request.search.algo = member.AsString("algo");
     } else if (key == "seeds" && read_by(key, kSchedule)) {
       request.search.seeds = member.AsUint("seeds");
@@ -227,32 +277,32 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
     } else if (key == "iters" && read_by(key, kSchedule)) {
       request.search.iterations = member.AsUint("iters");
       request.multilevel_knobs.iterations = request.search.iterations;
-    } else if (key == "samples" && read_by(key, kSchedule)) {
+    } else if (key == "samples" && read_by(key, kSchedule, ModeKeys({"samples"}))) {
       request.search.samples = member.AsUint("samples");
     } else if (key == "search_seed" && read_by(key, kSchedule)) {
       request.search.rng_seed = member.AsUint("search_seed");
       request.multilevel_knobs.rng_seed = request.search.rng_seed;
-    } else if (key == "parallel_seeds" && read_by(key, kWorkload)) {
+    } else if (key == "parallel_seeds" && read_by(key, kWorkload, ModeKeys({"parallel_seeds"}))) {
       request.search.parallel_seeds = member.AsBool("parallel_seeds");
     } else if (key == "multilevel" && read_by(key, kSchedule)) {
       request.multilevel = member.AsBool("multilevel");
-    } else if (key == "procs" && read_by(key, kSchedule)) {
+    } else if (key == "procs" && read_by(key, kSchedule, ModeKeys({"procs"}))) {
       request.multilevel_knobs.processes = member.AsUint("procs");
-    } else if (key == "pattern" && read_by(key, kSchedule)) {
+    } else if (key == "pattern" && read_by(key, kSchedule, ModeKeys({"pattern"}))) {
       request.multilevel_knobs.pattern = member.AsString("pattern");
-    } else if (key == "pattern_seed" && read_by(key, kSchedule)) {
+    } else if (key == "pattern_seed" && read_by(key, kSchedule, ModeKeys({"pattern_seed"}))) {
       request.multilevel_knobs.pattern_seed = member.AsUint("pattern_seed");
-    } else if (key == "coarsen_target" && read_by(key, kSchedule)) {
+    } else if (key == "coarsen_target" && read_by(key, kSchedule, ModeKeys({"coarsen_target"}))) {
       request.multilevel_knobs.coarsen_target = member.AsUint("coarsen_target");
-    } else if (key == "refine_budget" && read_by(key, kSchedule)) {
+    } else if (key == "refine_budget" && read_by(key, kSchedule, ModeKeys({"refine_budget"}))) {
       request.multilevel_knobs.refine_budget = member.AsUint("refine_budget");
-    } else if (key == "distance" && read_by(key, kSchedule)) {
+    } else if (key == "distance" && read_by(key, kSchedule, ModeKeys({"distance"}))) {
       request.multilevel_knobs.distance = member.AsString("distance");
     } else if (key == "partition" && read_by(key, OpBit(RequestOp::kQuality))) {
       request.partition = ParsePartition(member);
     } else if (key == "mapping" && read_by(key, kSimulate)) {
       request.mapping = member.AsString("mapping");
-    } else if (key == "mapping_seed" && read_by(key, kSweep)) {
+    } else if (key == "mapping_seed" && read_by(key, kSweep, ModeKeys({"mapping_seed"}))) {
       request.mapping_seed = member.AsUint("mapping_seed");
     } else if (key == "points" && read_by(key, kSweep)) {
       request.points = member.AsUint("points");
@@ -293,6 +343,7 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
   if (request.op == RequestOp::kBatch && !saw_requests) {
     throw ConfigError("op batch requires a \"requests\" array");
   }
+  CheckModeKeys(mode_keys, request);
   ValidateSearchKnobs(request.search);  // zero seeds/iters/samples
   return request;
 }

@@ -396,6 +396,16 @@ TEST(CliFlags, FlagsTheOpDoesNotReadAreErrors) {
                  "request key 'randoms' is not read by op schedule");
 }
 
+// A flag the op reads only in another mode is an error too, before any work.
+TEST(CliFlags, FlagsTheModeDoesNotReadAreErrors) {
+  ExpectCliError("schedule --kind mixed --multilevel --procs 32 --algo bogus --apps 3 --samples 5",
+                 "request key 'algo' is not read by multilevel schedule");
+  ExpectCliError("schedule --kind mixed --procs 32 --pattern ring --distance hops",
+                 "request key 'procs' is not read by schedule without multilevel");
+  ExpectCliError("simulate --kind mixed --mapping blocked --mapping-seed 3 --points 1",
+                 "request key 'mapping_seed' is not read by simulate with mapping blocked");
+}
+
 // The worker cap is checked before the daemon or its thread pool exists.
 // Only a value just above the cap is tried, so a broken check could not
 // start an unbounded number of threads.

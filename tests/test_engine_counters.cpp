@@ -9,6 +9,12 @@
 // moves. Regenerate with COMMSCHED_UPDATE_GOLDEN=1 only for an intended
 // change of the move rule.
 //
+// Edited once since: the order-free tie rule of the bound-ordered scan
+// moved sixteen lines (the ml.n16_random300 and ml.n16_ring300 walks, the
+// n24 long walks, n8.atabu.escapes and the n8 tabu_hits), which the
+// previous engine with only the tie rule swapped in reproduces, and twelve
+// .evaluations lines now count the pairs the scan priced.
+//
 // The multi-seed keys pin the counters the searchers flush per restart:
 // search.sa.* and search.gsa.* of restarted annealing, search.repair.* and
 // sched.repair.* of four-seed repair, and search.multilevel.* of the

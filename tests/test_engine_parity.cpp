@@ -18,6 +18,18 @@
 // place of the evaluator's running sum. Every mapping, count, displaced and
 // refinement_swaps key is unchanged.
 //
+// Twenty-two more changed when the scan took its order-free tie rule (the
+// lexicographically smallest pair within kSearchEps of the least cost) and
+// started counting only the pairs it prices. The ten
+// n{8,16,24}.{tabu,tabu_from,itabu}.evaluations and n24.sd.evaluations keys
+// count priced pairs: the bound-ordered scan skips rows, and a dense scan
+// prices each tabu pair twice, first on its own and again in its row. The
+// twelve ml.n16_random300.* and ml.n16_ring300.* keys follow the multilevel
+// coarsest-level walk, whose near-tied moves the first scanned candidate or
+// a later one lower by an ulp used to win. The previous engine with only
+// the tie rule swapped in reproduces every changed line but the evaluation
+// counts.
+//
 // Coverage: 8/16/24-switch irregular networks × plain/intensity/anchored
 // tabu, steepest descent, random sampling, simulated annealing,
 // genetic annealing, and anchored repair. Floats are serialized as hexfloats

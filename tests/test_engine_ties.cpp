@@ -1,10 +1,10 @@
 // The engine's one scan rule and the Objective contract it relies on.
 //
-// Tie rule: a challenger must beat the held candidate (initially 0) by
-// kSearchEps. Evaluator deltas carry last-bit noise (the O(1) gain-table
-// deltas differ from a re-summed delta in the last bits), so two candidates
-// closer than kSearchEps are a tie and the first one scanned wins — for the
-// Tabu walk and for pure descent alike.
+// Tie rule: a decrease must be below -kSearchEps. Evaluator deltas carry
+// last-bit noise (the O(1) gain-table deltas differ from a re-summed delta
+// in the last bits), so candidates within kSearchEps of the least cost are
+// tied, and the lexicographically smallest pair among them wins, whatever
+// the scan order — for the Tabu walk and for pure descent alike.
 //
 // Contract: every objective's SwapCost is the change in Value() the swap
 // causes, so the scan, aspiration and best-tracking all work in one space.
@@ -82,7 +82,7 @@ Move FirstMove(std::size_t local_min_repeats, const std::map<Move, double>& firs
   return objective.applied().empty() ? Move{0, 0} : objective.applied().front();
 }
 
-TEST(EngineTieRule, CandidatesWithinEpsKeepTheFirst) {
+TEST(EngineTieRule, CandidatesWithinEpsTakeTheSmallestPair) {
   // (0,3) is lower than (0,2) by less than kSearchEps: a tie.
   const std::map<Move, double> tie = {{{0, 2}, -1.0}, {{0, 3}, -1.0 - 0.5 * sched::kSearchEps}};
   EXPECT_EQ(FirstMove(3, tie), Move(0, 2));
@@ -93,6 +93,17 @@ TEST(EngineTieRule, CandidatesBeyondEpsTakeTheLower) {
   const std::map<Move, double> clear = {{{0, 2}, -1.0}, {{0, 3}, -1.0 - 1e3 * sched::kSearchEps}};
   EXPECT_EQ(FirstMove(3, clear), Move(0, 3));
   EXPECT_EQ(FirstMove(1, clear), Move(0, 3));
+}
+
+// Ties are measured from the least cost, not from whichever candidate was
+// held: (0,3) is within kSearchEps of the least, (1,2), and wins as the
+// smaller pair; (0,2) is not, though it is within kSearchEps of (0,3).
+TEST(EngineTieRule, TiesAreMeasuredFromTheLeastCost) {
+  const std::map<Move, double> chain = {{{0, 2}, -1.0},
+                                        {{0, 3}, -1.0 - 0.6 * sched::kSearchEps},
+                                        {{1, 2}, -1.0 - 1.2 * sched::kSearchEps}};
+  EXPECT_EQ(FirstMove(3, chain), Move(0, 3));
+  EXPECT_EQ(FirstMove(1, chain), Move(0, 3));
 }
 
 TEST(EngineTieRule, DescentStopsAtTheFirstLocalMinimum) {
@@ -161,6 +172,19 @@ TEST(EngineObjective, ValuePlusSwapCostIsValueAfterApply) {
   }
 }
 
+/// All unordered switch pairs (a, b) lying in different clusters — the swap
+/// neighbourhood of §4.2.
+std::vector<std::pair<std::size_t, std::size_t>> InterClusterPairs(
+    const qual::Partition& partition) {
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t a = 0; a < partition.switch_count(); ++a) {
+    for (std::size_t b = a + 1; b < partition.switch_count(); ++b) {
+      if (partition.ClusterOf(a) != partition.ClusterOf(b)) pairs.emplace_back(a, b);
+    }
+  }
+  return pairs;
+}
+
 // An anchored TabuObjective with a migration budget prices a swap at +inf
 // exactly when it would leave more than `budget` switches off their anchor
 // cluster; every other swap keeps its finite F_G + migration cost.
@@ -175,7 +199,7 @@ TEST(EngineObjective, BudgetMakesExactlyTheOverBudgetSwapsInadmissible) {
     const qual::Partition current = objective.partition();
     ASSERT_EQ(objective.moved(), sched::CountMovedFromAnchor(current, anchor));
     ASSERT_LE(objective.moved(), kBudget);
-    for (const auto& [a, b] : sched::InterClusterPairs(current)) {
+    for (const auto& [a, b] : InterClusterPairs(current)) {
       qual::Partition after = current;
       after.Swap(a, b);
       const bool over = sched::CountMovedFromAnchor(after, anchor) > kBudget;

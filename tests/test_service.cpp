@@ -322,6 +322,46 @@ TEST(ServiceProtocol, RejectsKeysTheOpDoesNotRead) {
             "");
 }
 
+// A key the op reads in one mode but not in the request's mode is an error
+// naming the key: multilevel and plain schedules read different knobs, and
+// only a random simulate mapping reads mapping_seed, only "op" parallel_seeds.
+TEST(ServiceProtocol, RejectsKeysTheModeDoesNotRead) {
+  EXPECT_EQ(ParseError(R"({"op":"schedule","multilevel":true,"procs":32,"algo":"bogus"})"),
+            "request key 'algo' is not read by multilevel schedule");
+  EXPECT_EQ(ParseError(R"({"op":"schedule","apps":3,"multilevel":true,"procs":32})"),
+            "request key 'apps' is not read by multilevel schedule");
+  EXPECT_EQ(ParseError(R"({"op":"schedule","multilevel":true,"procs":32,"samples":5})"),
+            "request key 'samples' is not read by multilevel schedule");
+  for (const char* key : {"procs", "pattern", "distance", "coarsen_target", "refine_budget",
+                          "pattern_seed"}) {
+    const std::string value = std::string(key) == "pattern"    ? R"("ring")"
+                              : std::string(key) == "distance" ? R"("hops")"
+                                                               : "32";
+    EXPECT_EQ(ParseError(std::string(R"({"op":"schedule",")") + key + "\":" + value + "}"),
+              std::string("request key '") + key + "' is not read by schedule without multilevel");
+  }
+  EXPECT_EQ(ParseError(R"({"op":"schedule","multilevel":false,"procs":32})"),
+            "request key 'procs' is not read by schedule without multilevel");
+  EXPECT_EQ(ParseError(R"({"op":"simulate","mapping":"blocked","mapping_seed":3})"),
+            "request key 'mapping_seed' is not read by simulate with mapping blocked");
+  EXPECT_EQ(ParseError(R"({"op":"simulate","parallel_seeds":true,"mapping":"blocked"})"),
+            "request key 'parallel_seeds' is not read by simulate with mapping blocked");
+  EXPECT_EQ(ParseError(R"({"op":"simulate","mapping_seed":3})"),
+            "request key 'mapping_seed' is not read by simulate with mapping op");
+  EXPECT_EQ(ParseError(R"({"op":"simulate","mapping":"random","parallel_seeds":true})"),
+            "request key 'parallel_seeds' is not read by simulate with mapping random");
+  // Each mode's own keys still parse.
+  EXPECT_EQ(ParseError(R"({"op":"schedule","multilevel":true,"procs":32,"pattern":"ring",)"
+                       R"("pattern_seed":2,"coarsen_target":8,"refine_budget":4,)"
+                       R"("distance":"hops","seeds":2,"iters":5,"search_seed":3})"),
+            "");
+  EXPECT_EQ(ParseError(R"({"op":"schedule","apps":3,"algo":"random","samples":5,)"
+                       R"("parallel_seeds":true,"seeds":2,"iters":5,"search_seed":3})"),
+            "");
+  EXPECT_EQ(ParseError(R"({"op":"simulate","mapping":"random","mapping_seed":3})"), "");
+  EXPECT_EQ(ParseError(R"({"op":"simulate","mapping":"op","parallel_seeds":true})"), "");
+}
+
 TEST(ServiceProtocol, SalvagesRequestIdFromBrokenRequests) {
   EXPECT_EQ(svc::SalvageRequestId(R"({"id":"r7","op":"nope"})"), "r7");
   EXPECT_EQ(svc::SalvageRequestId("not json at all"), "");

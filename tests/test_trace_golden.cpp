@@ -7,6 +7,10 @@
 // golden after an intentional trace change with:
 //
 //   COMMSCHED_UPDATE_GOLDEN=1 ./build/tests/test_trace_golden
+//
+// Edited once since: the scan's order-free tie rule swapped two pairs of
+// equal-F_G escape moves in seed 1 (four search.move lines, same fg), and
+// the four "evals" fields count only the pairs the scan priced.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
