@@ -27,7 +27,7 @@ int main() {
     const std::size_t m = net.graph.switch_count() / 4;
     const std::vector<std::size_t> sizes(4, m);
     sched::TabuOptions tabu;
-    tabu.max_iterations_per_seed = net.graph.switch_count() >= 20 ? 60 : 20;
+    tabu.max_iterations_per_seed = sched::DefaultTabuIterations(net.graph.switch_count());
 
     const work::Workload workload = work::Workload::Uniform(4, net.graph.host_count() / 4);
     sim::SweepOptions sweep = bench::PaperSweep();

@@ -62,7 +62,7 @@ int main() {
 
     // Paper: Tabu on F_G.
     sched::TabuOptions tabu;
-    tabu.max_iterations_per_seed = net.graph.switch_count() >= 20 ? 60 : 20;
+    tabu.max_iterations_per_seed = sched::DefaultTabuIterations(net.graph.switch_count());
     const sched::SearchResult fg_result = sched::TabuSearch(table, sizes, tabu);
     out.AddRow({net.name, std::string("min F_G (paper)"),
                 qual::GlobalSimilarity(table, fg_result.best),

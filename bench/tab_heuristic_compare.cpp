@@ -58,7 +58,7 @@ int main() {
     // only the time column moves.
     std::vector<Row> rows;
     sched::TabuOptions tabu;
-    tabu.max_iterations_per_seed = net.graph.switch_count() >= 20 ? 60 : 20;
+    tabu.max_iterations_per_seed = sched::DefaultTabuIterations(net.graph.switch_count());
     tabu.parallel_seeds = true;
     rows.push_back(
         Measure("tabu (paper)", [&] { return sched::TabuSearch(table, net.sizes, tabu); }));

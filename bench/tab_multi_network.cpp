@@ -28,7 +28,7 @@ int main() {
     options.random_mappings = 6;
     options.sweep = bench::PaperSweep();
     options.sweep.points = 7;
-    options.tabu.max_iterations_per_seed = net.graph.switch_count() >= 20 ? 60 : 20;
+    options.tabu.max_iterations_per_seed = sched::DefaultTabuIterations(net.graph.switch_count());
     const core::ExperimentResult result = core::RunPaperExperiment(net.graph, options);
 
     std::vector<double> cc;

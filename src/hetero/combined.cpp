@@ -119,7 +119,7 @@ qual::Partition CommOnlyPartition(const HeteroSystem& system,
                                   std::uint64_t seed) {
   sched::TabuOptions options;
   options.rng_seed = seed;
-  options.max_iterations_per_seed = system.graph->switch_count() >= 20 ? 60 : 20;
+  options.max_iterations_per_seed = sched::DefaultTabuIterations(system.graph->switch_count());
   return sched::TabuSearch(*system.table, ClusterSizes(apps), options).best;
 }
 

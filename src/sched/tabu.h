@@ -44,6 +44,12 @@ struct TabuOptions {
   std::vector<double> cluster_intensity;
 };
 
+/// The paper's iteration budget: 60 on its 24-switch network, 20 on the
+/// 16-switch ones. The CLI, the service and the benches default to it.
+[[nodiscard]] constexpr std::size_t DefaultTabuIterations(std::size_t switch_count) {
+  return switch_count >= 20 ? 60 : 20;
+}
+
 /// Engine-level view of the tabu-family knobs.
 [[nodiscard]] inline EngineOptions ToEngineOptions(const TabuOptions& options) {
   EngineOptions engine;

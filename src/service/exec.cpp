@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/rng.h"
 #include "faults/fault_plan.h"
@@ -16,25 +17,39 @@ namespace {
 
 /// The values a search runs with: `seeds` are tabu/sd seeds or sa/gsa
 /// restarts, `iterations` are per-seed iterations, sa proposals or gsa
-/// generations, and `samples` are random's draws.
+/// generations, and `samples` are random's draws (the one sampler).
 struct EffectiveKnobs {
   std::size_t seeds = 0;
   std::size_t iterations = 0;
   std::size_t samples = 0;
 };
 
-/// Each searcher's CLI defaults, written once for both the cache key and
-/// the dispatch. Throws ConfigError for an unknown algorithm.
+/// Each searcher's CLI defaults, written once for the protocol's key check,
+/// the cache key and the dispatch. Tabu's 0 iterations stand for
+/// sched::DefaultTabuIterations of the network.
+constexpr std::pair<std::string_view, EffectiveKnobs> kSearchers[] = {
+    {"tabu", {10, 0, 0}}, {"sd", {10, 1000, 0}}, {"random", {0, 0, 1000}},
+    {"sa", {1, 20000, 0}}, {"gsa", {1, 200, 0}},
+};
+
+const EffectiveKnobs* SearcherDefaults(std::string_view algo) {
+  for (const auto& [name, defaults] : kSearchers) {
+    if (name == algo) return &defaults;
+  }
+  return nullptr;
+}
+
+/// Throws ConfigError for an unknown algorithm.
 EffectiveKnobs ResolveSearchKnobs(const SearchKnobs& knobs, std::size_t switch_count) {
-  const auto walks = [&knobs](std::size_t seeds, std::size_t iterations) {
-    return EffectiveKnobs{knobs.seeds.value_or(seeds), knobs.iterations.value_or(iterations), 0};
-  };
-  if (knobs.algo == "tabu") return walks(10, DefaultTabuIterations(switch_count));
-  if (knobs.algo == "sd") return walks(10, 1000);
-  if (knobs.algo == "random") return EffectiveKnobs{0, 0, knobs.samples.value_or(1000)};
-  if (knobs.algo == "sa") return walks(1, 20000);
-  if (knobs.algo == "gsa") return walks(1, 200);
-  throw ConfigError("unknown algo '" + knobs.algo + "' (tabu|sd|random|sa|gsa)");
+  const EffectiveKnobs* defaults = SearcherDefaults(knobs.algo);
+  if (defaults == nullptr) {
+    throw ConfigError("unknown algo '" + knobs.algo + "' (tabu|sd|random|sa|gsa)");
+  }
+  if (defaults->samples != 0) return {0, 0, knobs.samples.value_or(defaults->samples)};
+  const std::size_t iterations = defaults->iterations != 0
+                                     ? defaults->iterations
+                                     : sched::DefaultTabuIterations(switch_count);
+  return {knobs.seeds.value_or(defaults->seeds), knobs.iterations.value_or(iterations), 0};
 }
 
 /// The multilevel options a request runs with; unset knobs keep the
@@ -51,8 +66,10 @@ sched::ml::MultilevelOptions ResolveMultilevelKnobs(const MultilevelKnobs& knobs
 
 }  // namespace
 
-std::size_t DefaultTabuIterations(std::size_t switch_count) {
-  return switch_count >= 20 ? 60 : 20;
+SearchBudget SearchBudgetOf(std::string_view algo) {
+  const EffectiveKnobs* defaults = SearcherDefaults(algo);
+  if (defaults == nullptr) return SearchBudget::kUnknownAlgo;
+  return defaults->samples != 0 ? SearchBudget::kSamples : SearchBudget::kWalk;
 }
 
 std::vector<std::size_t> EvenClusterSizes(std::size_t switch_count, std::size_t apps) {
@@ -87,7 +104,7 @@ std::string CanonicalSearchKnobs(const SearchKnobs& knobs, std::size_t switch_co
   const EffectiveKnobs effective = ResolveSearchKnobs(knobs, switch_count);
   std::ostringstream key;
   key << "algo=" << knobs.algo;
-  if (knobs.algo == "random") {
+  if (effective.samples != 0) {
     key << ";samples=" << effective.samples;
   } else {
     key << ";seeds=" << effective.seeds << ";iters=" << effective.iterations;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -33,7 +34,7 @@ namespace commsched::svc {
 
 /// Mapping-search knobs, normalized across the five searchers. nullopt
 /// fields resolve to the CLI defaults (seeds 10 for tabu/sd, tabu iteration
-/// budget 60 for >= 20 switches else 20, ...).
+/// budget sched::DefaultTabuIterations, ...).
 struct SearchKnobs {
   std::string algo = "tabu";  // tabu|sd|random|sa|gsa
   std::optional<std::size_t> seeds;
@@ -46,9 +47,10 @@ struct SearchKnobs {
   bool parallel_seeds = false;
 };
 
-/// The tabu family's iteration default: a larger budget on the paper's
-/// 24-switch networks than on the 16-switch ones.
-[[nodiscard]] std::size_t DefaultTabuIterations(std::size_t switch_count);
+/// Whether `algo` walks `seeds` x `iters` (tabu, sd, sa, gsa) or draws
+/// `samples` (random), read from the table of its defaults.
+enum class SearchBudget { kWalk, kSamples, kUnknownAlgo };
+[[nodiscard]] SearchBudget SearchBudgetOf(std::string_view algo);
 
 /// Throws ConfigError when an explicitly-set knob is degenerate (seeds,
 /// iterations, or samples == 0 — formerly a silent no-op search). Called by

@@ -1,10 +1,9 @@
 #include "service/protocol.h"
 
 #include <bit>
-#include <initializer_list>
 #include <iterator>
-#include <set>
 #include <string_view>
+#include <utility>
 
 #include "common/json.h"
 #include "service/cache.h"
@@ -15,89 +14,82 @@
 namespace commsched::svc {
 namespace {
 
+// A request's mode, one bit each: its op, except that a schedule is
+// multilevel, a walk (tabu|sd|sa|gsa) or random sampling, and a simulate is
+// its mapping. A key's row in kKeys lists the modes that read it.
+enum Modes : std::uint32_t {
+  kPing = 1U << 0, kStats = 1U << 1, kSleep = 1U << 2, kQuality = 1U << 3,
+  kExperiment = 1U << 4, kHealth = 1U << 5, kReady = 1U << 6, kMetrics = 1U << 7,
+  kBatch = 1U << 8, kMultilevel = 1U << 9, kWalk = 1U << 10, kSampling = 1U << 11,
+  kMappingOp = 1U << 12, kMappingRandom = 1U << 13, kMappingBlocked = 1U << 14,
+  kPlainSchedule = kWalk | kSampling, kSchedule = kMultilevel | kPlainSchedule,
+  kSimulate = kMappingOp | kMappingRandom | kMappingBlocked, kSweep = kSimulate | kExperiment,
+  kEveryMode = (1U << 15) - 1,
+};
+
+/// Each op's name and modes, in RequestOp order.
+struct OpRow {
+  const char* name;
+  std::uint32_t modes;
+};
+constexpr OpRow kOps[] = {
+    {"ping", kPing}, {"stats", kStats}, {"sleep", kSleep}, {"schedule", kSchedule},
+    {"quality", kQuality}, {"simulate", kSimulate}, {"experiment", kExperiment},
+    {"health", kHealth}, {"ready", kReady}, {"metrics", kMetrics}, {"batch", kBatch},
+};
+static_assert(std::size(kOps) == kRequestOpCount);
+
 RequestOp ParseOp(const std::string& name) {
-  if (name == "ping") return RequestOp::kPing;
-  if (name == "stats") return RequestOp::kStats;
-  if (name == "sleep") return RequestOp::kSleep;
-  if (name == "schedule") return RequestOp::kSchedule;
-  if (name == "quality") return RequestOp::kQuality;
-  if (name == "simulate") return RequestOp::kSimulate;
-  if (name == "experiment") return RequestOp::kExperiment;
-  if (name == "health") return RequestOp::kHealth;
-  if (name == "ready") return RequestOp::kReady;
-  if (name == "metrics") return RequestOp::kMetrics;
-  if (name == "batch") return RequestOp::kBatch;
+  for (std::size_t i = 0; i < std::size(kOps); ++i) {
+    if (name == kOps[i].name) return static_cast<RequestOp>(i);
+  }
   throw ConfigError("unknown op '" + name +
                     "' (ping|stats|sleep|schedule|quality|simulate|experiment|health|ready|"
                     "metrics|batch)");
 }
 
+/// A sent key's value; its name is the error context of every read.
+struct Value {
+  const JsonValue& json;
+  const std::string& key;
+  std::uint64_t Uint() const { return json.AsUint(key); }
+  double Double() const { return json.AsDouble(key); }
+  bool Bool() const { return json.AsBool(key); }
+  const std::string& String() const { return json.AsString(key); }
+};
+
 }  // namespace
 
 TopologyRequest ParseTopology(const JsonValue& value) {
+  using Reader = void (*)(TopologyRequest& t, const Value& v);
+  constexpr std::pair<std::string_view, Reader> kTopologyKeys[] = {
+      {"kind", [](TopologyRequest& t, const Value& v) { t.kind = v.String(); }},
+      {"switches", [](TopologyRequest& t, const Value& v) { t.switches = v.Uint(); }},
+      {"hosts", [](TopologyRequest& t, const Value& v) { t.hosts = v.Uint(); }},
+      {"degree", [](TopologyRequest& t, const Value& v) { t.degree = v.Uint(); }},
+      {"seed", [](TopologyRequest& t, const Value& v) { t.seed = v.Uint(); }},
+      {"rows", [](TopologyRequest& t, const Value& v) { t.rows = v.Uint(); }},
+      {"cols", [](TopologyRequest& t, const Value& v) { t.cols = v.Uint(); }},
+      {"dim", [](TopologyRequest& t, const Value& v) { t.dim = v.Uint(); }},
+      {"x", [](TopologyRequest& t, const Value& v) { t.x = v.Uint(); }},
+      {"y", [](TopologyRequest& t, const Value& v) { t.y = v.Uint(); }},
+      {"z", [](TopologyRequest& t, const Value& v) { t.z = v.Uint(); }},
+      {"k", [](TopologyRequest& t, const Value& v) { t.k = v.Uint(); }},
+      {"text", [](TopologyRequest& t, const Value& v) { t.text = v.String(); }},
+  };
   TopologyRequest topology;
   for (const auto& [key, member] : value.AsObject("topology")) {
-    const std::string context = "topology." + key;
-    if (key == "kind") {
-      topology.kind = member.AsString(context);
-    } else if (key == "switches") {
-      topology.switches = member.AsUint(context);
-    } else if (key == "hosts") {
-      topology.hosts = member.AsUint(context);
-    } else if (key == "degree") {
-      topology.degree = member.AsUint(context);
-    } else if (key == "seed") {
-      topology.seed = member.AsUint(context);
-    } else if (key == "rows") {
-      topology.rows = member.AsUint(context);
-    } else if (key == "cols") {
-      topology.cols = member.AsUint(context);
-    } else if (key == "dim") {
-      topology.dim = member.AsUint(context);
-    } else if (key == "x") {
-      topology.x = member.AsUint(context);
-    } else if (key == "y") {
-      topology.y = member.AsUint(context);
-    } else if (key == "z") {
-      topology.z = member.AsUint(context);
-    } else if (key == "k") {
-      topology.k = member.AsUint(context);
-    } else if (key == "text") {
-      topology.text = member.AsString(context);
-    } else {
-      throw ConfigError("unknown topology key '" + key + "'");
-    }
+    const auto* row = std::begin(kTopologyKeys);
+    while (row != std::end(kTopologyKeys) && row->first != key) ++row;
+    if (row == std::end(kTopologyKeys)) throw ConfigError("unknown topology key '" + key + "'");
+    row->second(topology, Value{member, "topology." + key});
   }
   return topology;
 }
 
-namespace {
-
-std::vector<std::size_t> ParsePartition(const JsonValue& value) {
-  std::vector<std::size_t> clusters;
-  for (const JsonValue& item : value.AsArray("partition")) {
-    clusters.push_back(item.AsUint("partition entry"));
-  }
-  return clusters;
-}
-
-}  // namespace
-
 const char* OpName(RequestOp op) {
-  switch (op) {
-    case RequestOp::kPing: return "ping";
-    case RequestOp::kStats: return "stats";
-    case RequestOp::kSleep: return "sleep";
-    case RequestOp::kSchedule: return "schedule";
-    case RequestOp::kQuality: return "quality";
-    case RequestOp::kSimulate: return "simulate";
-    case RequestOp::kExperiment: return "experiment";
-    case RequestOp::kHealth: return "health";
-    case RequestOp::kReady: return "ready";
-    case RequestOp::kMetrics: return "metrics";
-    case RequestOp::kBatch: return "batch";
-  }
-  CS_UNREACHABLE("bad RequestOp");
+  CS_CHECK(static_cast<std::size_t>(op) < std::size(kOps), "bad RequestOp");
+  return kOps[static_cast<std::size_t>(op)].name;
 }
 
 topo::SwitchGraph BuildTopology(const TopologyRequest& request) {
@@ -182,58 +174,116 @@ std::vector<BatchEntry> ParseBatchEntries(const JsonValue& value) {
   return entries;
 }
 
-/// Bit of `op` in the per-key op masks below.
-constexpr std::uint32_t OpBit(RequestOp op) { return 1U << static_cast<unsigned>(op); }
+/// One request key: the modes that read it and how its value is read.
+struct KeyRow {
+  std::string_view name;
+  std::uint32_t modes;
+  void (*read)(Request& r, const Value& v);
+};
 
-// Which ops read a key (id, deadline_ms and timings: every op).
-constexpr std::uint32_t kSchedule = OpBit(RequestOp::kSchedule);
-constexpr std::uint32_t kSimulate = OpBit(RequestOp::kSimulate);
-constexpr std::uint32_t kSweep = kSimulate | OpBit(RequestOp::kExperiment);
-constexpr std::uint32_t kWorkload = kSchedule | kSweep;  // apps, parallel_seeds
-constexpr std::uint32_t kNetwork = kWorkload | OpBit(RequestOp::kQuality);
+// Where two keys can both be unread by a request's mode, the error names
+// the one listed first.
+constexpr KeyRow kKeys[] = {
+    {"op", kEveryMode, [](Request&, const Value&) {}},  // read by ParseOp
+    {"id", kEveryMode, [](Request& r, const Value& v) { r.id = v.String(); }},
+    {"deadline_ms", kEveryMode, [](Request& r, const Value& v) { r.deadline_ms = v.Uint(); }},
+    {"timings", kEveryMode, [](Request& r, const Value& v) { r.want_timings = v.Bool(); }},
+    {"requests", kBatch, [](Request& r, const Value& v) { r.batch = ParseBatchEntries(v.json); }},
+    {"topology", kSchedule | kQuality | kSweep,
+     [](Request& r, const Value& v) { r.topology = ParseTopology(v.json); }},
+    {"algo", kPlainSchedule, [](Request& r, const Value& v) { r.search.algo = v.String(); }},
+    {"apps", kPlainSchedule | kSweep, [](Request& r, const Value& v) { r.apps = v.Uint(); }},
+    {"samples", kSampling, [](Request& r, const Value& v) { r.search.samples = v.Uint(); }},
+    {"parallel_seeds", kPlainSchedule | kMappingOp | kExperiment,
+     [](Request& r, const Value& v) { r.search.parallel_seeds = v.Bool(); }},
+    {"procs", kMultilevel,
+     [](Request& r, const Value& v) { r.multilevel_knobs.processes = v.Uint(); }},
+    {"pattern", kMultilevel,
+     [](Request& r, const Value& v) { r.multilevel_knobs.pattern = v.String(); }},
+    {"pattern_seed", kMultilevel,
+     [](Request& r, const Value& v) { r.multilevel_knobs.pattern_seed = v.Uint(); }},
+    {"coarsen_target", kMultilevel,
+     [](Request& r, const Value& v) { r.multilevel_knobs.coarsen_target = v.Uint(); }},
+    {"refine_budget", kMultilevel,
+     [](Request& r, const Value& v) { r.multilevel_knobs.refine_budget = v.Uint(); }},
+    {"distance", kMultilevel,
+     [](Request& r, const Value& v) { r.multilevel_knobs.distance = v.String(); }},
+    {"mapping_seed", kMappingRandom | kExperiment,
+     [](Request& r, const Value& v) { r.mapping_seed = v.Uint(); }},
+    {"seeds", kMultilevel | kWalk,
+     [](Request& r, const Value& v) { r.multilevel_knobs.seeds = r.search.seeds = v.Uint(); }},
+    {"iters", kMultilevel | kWalk,
+     [](Request& r, const Value& v) {
+       r.multilevel_knobs.iterations = r.search.iterations = v.Uint();
+     }},
+    {"search_seed", kSchedule,
+     [](Request& r, const Value& v) {
+       r.multilevel_knobs.rng_seed = r.search.rng_seed = v.Uint();
+     }},
+    {"multilevel", kSchedule, [](Request& r, const Value& v) { r.multilevel = v.Bool(); }},
+    {"partition", kQuality,
+     [](Request& r, const Value& v) {
+       for (const JsonValue& item : v.json.AsArray(v.key)) {
+         r.partition.push_back(item.AsUint("partition entry"));
+       }
+     }},
+    {"mapping", kSimulate, [](Request& r, const Value& v) { r.mapping = v.String(); }},
+    {"points", kSweep, [](Request& r, const Value& v) { r.points = v.Uint(); }},
+    {"min_rate", kSweep, [](Request& r, const Value& v) { r.min_rate = v.Double(); }},
+    {"max_rate", kSweep, [](Request& r, const Value& v) { r.max_rate = v.Double(); }},
+    {"warmup", kSweep, [](Request& r, const Value& v) { r.warmup = v.Uint(); }},
+    {"measure", kSweep, [](Request& r, const Value& v) { r.measure = v.Uint(); }},
+    {"vcs", kSimulate, [](Request& r, const Value& v) { r.vcs = v.Uint(); }},
+    {"adaptive", kSimulate, [](Request& r, const Value& v) { r.adaptive = v.Bool(); }},
+    {"duato", kSimulate, [](Request& r, const Value& v) { r.duato = v.Bool(); }},
+    {"telemetry", kSimulate, [](Request& r, const Value& v) { r.telemetry = v.Uint(); }},
+    {"reconfig_downtime", kSimulate,
+     [](Request& r, const Value& v) { r.reconfig_downtime = v.Uint(); }},
+    {"fault_plan", kSimulate,
+     [](Request& r, const Value& v) { r.fault_plan = faults::FaultPlan::FromJson(v.json); }},
+    {"randoms", kExperiment, [](Request& r, const Value& v) { r.randoms = v.Uint(); }},
+    {"ms", kSleep,
+     [](Request& r, const Value& v) {
+       r.sleep_ms = v.Uint();
+       if (r.sleep_ms > kMaxSleepMs) {
+         throw ConfigError(v.key + " must be at most " + std::to_string(kMaxSleepMs) + ", got " +
+                           std::to_string(r.sleep_ms));
+       }
+     }},
+    {"reset", kStats, [](Request& r, const Value& v) { r.stats_reset = v.Bool(); }},
+};
+static_assert(std::size(kKeys) <= 64, "ParseRequestObject keeps one bit per key");
 
-// Keys that only some modes of their op read, one bit each (CheckModeKeys).
-constexpr std::string_view kModeKeys[] = {"algo",           "apps",          "samples",
-                                          "parallel_seeds", "procs",         "pattern",
-                                          "pattern_seed",   "coarsen_target", "refine_budget",
-                                          "distance",       "mapping_seed"};
-consteval std::uint32_t ModeKeys(std::initializer_list<std::string_view> keys) {
-  std::uint32_t bits = 0;
-  for (const std::string_view key : keys) {
-    for (std::size_t i = 0; i < std::size(kModeKeys); ++i) {
-      if (kModeKeys[i] == key) bits |= 1U << i;
-    }
+/// The mode `request` is in once all its keys are read. An unknown algo or
+/// mapping keeps every mode it could have named; it fails at execution.
+std::uint32_t ModeOf(const Request& request) {
+  if (request.op == RequestOp::kSchedule && !request.multilevel) {
+    const SearchBudget budget = SearchBudgetOf(request.search.algo);
+    return budget == SearchBudget::kWalk      ? kWalk
+           : budget == SearchBudget::kSamples ? kSampling
+                                              : kPlainSchedule;
   }
-  return bits;
+  if (request.op == RequestOp::kSchedule) return kMultilevel;
+  if (request.op == RequestOp::kSimulate) {
+    if (request.mapping == "op") return kMappingOp;
+    if (request.mapping == "random") return kMappingRandom;
+    if (request.mapping == "blocked") return kMappingBlocked;
+  }
+  return kOps[static_cast<std::size_t>(request.op)].modes;
 }
 
-/// The op masks above accept a key for every mode of its op. Once the mode
-/// is known (a schedule's "multilevel", a simulate's "mapping"), a key that
-/// mode does not read is an error too. `sent` has the request's mode keys.
-void CheckModeKeys(std::uint32_t sent, const Request& request) {
-  std::uint32_t unread = 0;
-  const char* mode = "";
-  if (request.op == RequestOp::kSchedule && request.multilevel) {
-    unread = ModeKeys({"algo", "apps", "samples", "parallel_seeds"});
-    mode = "multilevel schedule";
-  } else if (request.op == RequestOp::kSchedule) {
-    unread = ModeKeys({"procs", "pattern", "pattern_seed", "coarsen_target", "refine_budget",
-                       "distance"});
-    mode = "schedule without multilevel";
-  } else if (request.op == RequestOp::kSimulate) {
-    // "op" searches (parallel_seeds) and "random" draws (mapping_seed); an
-    // unknown mapping fails on its own.
-    const bool known = request.mapping == "op" || request.mapping == "random" ||
-                       request.mapping == "blocked";
-    if (known && request.mapping != "random") unread |= ModeKeys({"mapping_seed"});
-    if (known && request.mapping != "op") unread |= ModeKeys({"parallel_seeds"});
-    mode = request.mapping == "op"       ? "simulate with mapping op"
-           : request.mapping == "random" ? "simulate with mapping random"
-                                         : "simulate with mapping blocked";
-  }
-  if ((sent & unread) == 0) return;
-  throw ConfigError("request key '" + std::string(kModeKeys[std::countr_zero(sent & unread)]) +
-                    "' is not read by " + mode);
+/// What the error for a key read only in `key_modes` calls the mode of
+/// `request`, a schedule or a simulate: the algo is named only when another
+/// algo reads the key.
+std::string ModeName(const Request& request, std::uint32_t key_modes) {
+  if (request.op == RequestOp::kSimulate) return "simulate with mapping " + request.mapping;
+  if (request.multilevel) return "multilevel schedule";
+  if ((key_modes & kPlainSchedule) == 0) return "schedule without multilevel";
+  return "schedule with algo " + request.search.algo;
+}
+
+[[noreturn]] void ThrowUnread(std::string_view key, const std::string& mode) {
+  throw ConfigError("request key '" + std::string(key) + "' is not read by " + mode);
 }
 
 Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
@@ -246,104 +296,29 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
   if (request.op == RequestOp::kBatch && !allow_batch) {
     throw ConfigError("batch entries must not themselves be batches");
   }
-  const std::uint32_t op_bit = OpBit(request.op);
-  // Each matched key checks its op mask: a key the op never reads would
-  // otherwise be dropped silently.
-  std::uint32_t mode_keys = 0;  // CheckModeKeys' bits of the keys sent
-  const auto read_by = [&](const std::string& key, std::uint32_t ops, std::uint32_t mode_key = 0) {
-    if ((ops & op_bit) == 0) {
-      throw ConfigError("request key '" + key + "' is not read by op " + OpName(request.op));
-    }
-    mode_keys |= mode_key;
-    return true;
-  };
-  bool saw_requests = false;
+  // A key no mode of the op reads fails before its value is read; one the
+  // request's own mode does not read fails once every key is in, since the
+  // mode keys may come in any order.
+  const std::uint32_t op_modes = kOps[static_cast<std::size_t>(request.op)].modes;
+  std::uint64_t sent = 0;  // bit i: kKeys[i]
   for (const auto& [key, member] : root.AsObject("request")) {
-    if (key == "op") continue;
-    if (key == "requests" && read_by(key, OpBit(RequestOp::kBatch))) {
-      request.batch = ParseBatchEntries(member);
-      saw_requests = true;
-    } else if (key == "id") {
-      request.id = member.AsString("id");
-    } else if (key == "topology" && read_by(key, kNetwork)) {
-      request.topology = ParseTopology(member);
-    } else if (key == "apps" && read_by(key, kWorkload, ModeKeys({"apps"}))) {
-      request.apps = member.AsUint("apps");
-    } else if (key == "algo" && read_by(key, kSchedule, ModeKeys({"algo"}))) {
-      request.search.algo = member.AsString("algo");
-    } else if (key == "seeds" && read_by(key, kSchedule)) {
-      request.search.seeds = member.AsUint("seeds");
-      request.multilevel_knobs.seeds = request.search.seeds;
-    } else if (key == "iters" && read_by(key, kSchedule)) {
-      request.search.iterations = member.AsUint("iters");
-      request.multilevel_knobs.iterations = request.search.iterations;
-    } else if (key == "samples" && read_by(key, kSchedule, ModeKeys({"samples"}))) {
-      request.search.samples = member.AsUint("samples");
-    } else if (key == "search_seed" && read_by(key, kSchedule)) {
-      request.search.rng_seed = member.AsUint("search_seed");
-      request.multilevel_knobs.rng_seed = request.search.rng_seed;
-    } else if (key == "parallel_seeds" && read_by(key, kWorkload, ModeKeys({"parallel_seeds"}))) {
-      request.search.parallel_seeds = member.AsBool("parallel_seeds");
-    } else if (key == "multilevel" && read_by(key, kSchedule)) {
-      request.multilevel = member.AsBool("multilevel");
-    } else if (key == "procs" && read_by(key, kSchedule, ModeKeys({"procs"}))) {
-      request.multilevel_knobs.processes = member.AsUint("procs");
-    } else if (key == "pattern" && read_by(key, kSchedule, ModeKeys({"pattern"}))) {
-      request.multilevel_knobs.pattern = member.AsString("pattern");
-    } else if (key == "pattern_seed" && read_by(key, kSchedule, ModeKeys({"pattern_seed"}))) {
-      request.multilevel_knobs.pattern_seed = member.AsUint("pattern_seed");
-    } else if (key == "coarsen_target" && read_by(key, kSchedule, ModeKeys({"coarsen_target"}))) {
-      request.multilevel_knobs.coarsen_target = member.AsUint("coarsen_target");
-    } else if (key == "refine_budget" && read_by(key, kSchedule, ModeKeys({"refine_budget"}))) {
-      request.multilevel_knobs.refine_budget = member.AsUint("refine_budget");
-    } else if (key == "distance" && read_by(key, kSchedule, ModeKeys({"distance"}))) {
-      request.multilevel_knobs.distance = member.AsString("distance");
-    } else if (key == "partition" && read_by(key, OpBit(RequestOp::kQuality))) {
-      request.partition = ParsePartition(member);
-    } else if (key == "mapping" && read_by(key, kSimulate)) {
-      request.mapping = member.AsString("mapping");
-    } else if (key == "mapping_seed" && read_by(key, kSweep, ModeKeys({"mapping_seed"}))) {
-      request.mapping_seed = member.AsUint("mapping_seed");
-    } else if (key == "points" && read_by(key, kSweep)) {
-      request.points = member.AsUint("points");
-    } else if (key == "min_rate" && read_by(key, kSweep)) {
-      request.min_rate = member.AsDouble("min_rate");
-    } else if (key == "max_rate" && read_by(key, kSweep)) {
-      request.max_rate = member.AsDouble("max_rate");
-    } else if (key == "warmup" && read_by(key, kSweep)) {
-      request.warmup = member.AsUint("warmup");
-    } else if (key == "measure" && read_by(key, kSweep)) {
-      request.measure = member.AsUint("measure");
-    } else if (key == "vcs" && read_by(key, kSimulate)) {
-      request.vcs = member.AsUint("vcs");
-    } else if (key == "adaptive" && read_by(key, kSimulate)) {
-      request.adaptive = member.AsBool("adaptive");
-    } else if (key == "duato" && read_by(key, kSimulate)) {
-      request.duato = member.AsBool("duato");
-    } else if (key == "telemetry" && read_by(key, kSimulate)) {
-      request.telemetry = member.AsUint("telemetry");
-    } else if (key == "reconfig_downtime" && read_by(key, kSimulate)) {
-      request.reconfig_downtime = member.AsUint("reconfig_downtime");
-    } else if (key == "fault_plan" && read_by(key, kSimulate)) {
-      request.fault_plan = faults::FaultPlan::FromJson(member);
-    } else if (key == "randoms" && read_by(key, OpBit(RequestOp::kExperiment))) {
-      request.randoms = member.AsUint("randoms");
-    } else if (key == "ms" && read_by(key, OpBit(RequestOp::kSleep))) {
-      request.sleep_ms = member.AsUint("ms");
-    } else if (key == "deadline_ms") {
-      request.deadline_ms = member.AsUint("deadline_ms");
-    } else if (key == "timings") {
-      request.want_timings = member.AsBool("timings");
-    } else if (key == "reset" && read_by(key, OpBit(RequestOp::kStats))) {
-      request.stats_reset = member.AsBool("reset");
-    } else {
-      throw ConfigError("unknown request key '" + key + "'");
+    std::size_t row = 0;
+    while (row < std::size(kKeys) && kKeys[row].name != key) ++row;
+    if (row == std::size(kKeys)) throw ConfigError("unknown request key '" + key + "'");
+    if ((kKeys[row].modes & op_modes) == 0) {
+      ThrowUnread(key, std::string("op ") + OpName(request.op));
     }
+    kKeys[row].read(request, Value{member, key});
+    sent |= std::uint64_t{1} << row;
   }
-  if (request.op == RequestOp::kBatch && !saw_requests) {
+  if (request.op == RequestOp::kBatch && request.batch.empty()) {
     throw ConfigError("op batch requires a \"requests\" array");
   }
-  CheckModeKeys(mode_keys, request);
+  const std::uint32_t mode = ModeOf(request);
+  for (std::uint64_t rows = sent; rows != 0; rows &= rows - 1) {
+    const KeyRow& row = kKeys[std::countr_zero(rows)];
+    if ((row.modes & mode) == 0) ThrowUnread(row.name, ModeName(request, row.modes));
+  }
   ValidateSearchKnobs(request.search);  // zero seeds/iters/samples
   return request;
 }

@@ -4,9 +4,11 @@
 // JSON object with an "op" plus op-specific fields; responses echo the
 // request "id" (an opaque client string) and carry either the result fields
 // or {"ok":false,"error":...}. Unknown keys are rejected, and so is a key
-// the op does not read (id, deadline_ms and timings are valid on every op):
-// a typoed or misplaced knob silently falling back to a default is worse
-// than an error.
+// the request's mode does not read, so a typoed or misplaced knob cannot
+// silently fall back to a default. The mode is the op, except that a
+// schedule is multilevel, a walk (tabu|sd|sa|gsa) or random sampling, and a
+// simulate is its mapping; protocol.cpp's key table lists the modes that
+// read each key (id, deadline_ms and timings: every mode).
 //
 //   {"id":"1","op":"schedule","topology":{"kind":"random","switches":16,
 //    "seed":1},"apps":4,"algo":"tabu","seeds":10,"iters":20,"search_seed":1}
@@ -64,6 +66,9 @@ inline constexpr std::size_t kRequestOpCount =
     static_cast<std::size_t>(RequestOp::kBatch) + 1;
 
 [[nodiscard]] const char* OpName(RequestOp op);
+
+/// The longest a sleep request may hold a worker.
+inline constexpr std::uint64_t kMaxSleepMs = 10000;
 
 /// Topology selector, mirroring the CLI's --kind family. "text" carries an
 /// inline topology in topology/serialize.h's format; all kinds canonicalize
@@ -134,7 +139,7 @@ struct Request {
   /// path), replayed in every sweep point.
   std::optional<faults::FaultPlan> fault_plan;
 
-  // sleep
+  // sleep (at most kMaxSleepMs)
   std::uint64_t sleep_ms = 0;
 
   /// 0 = no deadline. A request still queued when its deadline elapses is

@@ -580,7 +580,7 @@ std::string SchedulingService::RunExperiment(const Request& request) {
   options.applications = request.apps;
   options.random_mappings = request.randoms;
   options.rng_seed = request.mapping_seed;
-  options.tabu.max_iterations_per_seed = DefaultTabuIterations(graph.switch_count());
+  options.tabu.max_iterations_per_seed = sched::DefaultTabuIterations(graph.switch_count());
   options.tabu.parallel_seeds = request.search.parallel_seeds;
   options.sweep.points = request.points;
   options.sweep.min_rate = request.min_rate;

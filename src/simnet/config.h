@@ -62,7 +62,7 @@ struct SimConfig {
   /// Record delivered flits per (source switch, destination switch) during
   /// the measurement window (SimMetrics::switch_pair_flit_rate) — the
   /// "measurement of communication requirements" the paper defers to future
-  /// work; feeds the weighted quality functions.
+  /// work; feeds sim::EstimateAppIntensities (the λ_c of F_G^λ).
   bool collect_traffic_matrix = false;
 
   /// Optional schedule of mid-run link/switch failures (must outlive the

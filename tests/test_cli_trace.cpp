@@ -404,6 +404,10 @@ TEST(CliFlags, FlagsTheModeDoesNotReadAreErrors) {
                  "request key 'procs' is not read by schedule without multilevel");
   ExpectCliError("simulate --kind mixed --mapping blocked --mapping-seed 3 --points 1",
                  "request key 'mapping_seed' is not read by simulate with mapping blocked");
+  ExpectCliError("schedule --kind random --switches 12 --algo tabu --samples 5 --seeds 2",
+                 "request key 'samples' is not read by schedule with algo tabu");
+  ExpectCliError("schedule --kind random --switches 12 --algo random --iters 7 --seeds 3",
+                 "request key 'seeds' is not read by schedule with algo random");
 }
 
 // The worker cap is checked before the daemon or its thread pool exists.

@@ -54,7 +54,8 @@ TEST(EngineOptionsValidation, RunMappingSearchRejectsZeroSeeds) {
 TEST(EngineOptionsValidation, ProtocolParserRejectsZeroKnobs) {
   EXPECT_THROW((void)svc::ParseRequest(R"({"op":"schedule","seeds":0})"), ConfigError);
   EXPECT_THROW((void)svc::ParseRequest(R"({"op":"schedule","iters":0})"), ConfigError);
-  EXPECT_THROW((void)svc::ParseRequest(R"({"op":"schedule","samples":0})"), ConfigError);
+  EXPECT_THROW((void)svc::ParseRequest(R"({"op":"schedule","algo":"random","samples":0})"),
+               ConfigError);
   EXPECT_NO_THROW((void)svc::ParseRequest(R"({"op":"schedule","seeds":3,"iters":5})"));
 }
 

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -350,16 +351,42 @@ TEST(ServiceProtocol, RejectsKeysTheModeDoesNotRead) {
             "request key 'mapping_seed' is not read by simulate with mapping op");
   EXPECT_EQ(ParseError(R"({"op":"simulate","mapping":"random","parallel_seeds":true})"),
             "request key 'parallel_seeds' is not read by simulate with mapping random");
+  // A walk reads seeds and iters, random sampling reads samples.
+  for (const char* algo : {"tabu", "sd", "sa", "gsa"}) {
+    EXPECT_EQ(ParseError(std::string(R"({"op":"schedule","algo":")") + algo + R"(","samples":5})"),
+              std::string("request key 'samples' is not read by schedule with algo ") + algo);
+  }
+  EXPECT_EQ(ParseError(R"({"op":"schedule","algo":"random","seeds":2})"),
+            "request key 'seeds' is not read by schedule with algo random");
+  EXPECT_EQ(ParseError(R"({"op":"schedule","algo":"random","iters":5})"),
+            "request key 'iters' is not read by schedule with algo random");
+  // An unknown algo fails at execution, not here.
+  EXPECT_EQ(ParseError(R"({"op":"schedule","algo":"bogus","samples":5,"seeds":2})"), "");
   // Each mode's own keys still parse.
   EXPECT_EQ(ParseError(R"({"op":"schedule","multilevel":true,"procs":32,"pattern":"ring",)"
                        R"("pattern_seed":2,"coarsen_target":8,"refine_budget":4,)"
                        R"("distance":"hops","seeds":2,"iters":5,"search_seed":3})"),
             "");
   EXPECT_EQ(ParseError(R"({"op":"schedule","apps":3,"algo":"random","samples":5,)"
-                       R"("parallel_seeds":true,"seeds":2,"iters":5,"search_seed":3})"),
+                       R"("parallel_seeds":true,"search_seed":3})"),
             "");
+  EXPECT_EQ(ParseError(R"({"op":"schedule","apps":3,"algo":"tabu","seeds":2,"iters":5})"), "");
   EXPECT_EQ(ParseError(R"({"op":"simulate","mapping":"random","mapping_seed":3})"), "");
   EXPECT_EQ(ParseError(R"({"op":"simulate","mapping":"op","parallel_seeds":true})"), "");
+}
+
+// A sleep longer than the cap fails at parse time: it never holds a worker.
+TEST(ServiceProtocol, SleepMsIsCapped) {
+  EXPECT_EQ(ParseError(R"({"op":"sleep","ms":10000})"), "");
+  EXPECT_EQ(ParseError(R"({"op":"sleep","ms":)" + std::to_string(svc::kMaxSleepMs + 1) + "}"),
+            "ms must be at most 10000, got 10001");
+  // The largest integer a JSON number holds exactly meets the cap; UINT64_MAX
+  // is no exact integer at all.
+  EXPECT_EQ(ParseError(R"({"op":"sleep","ms":9007199254740992})"),
+            "ms must be at most 10000, got 9007199254740992");
+  const std::string max_error = ParseError(
+      R"({"op":"sleep","ms":)" + std::to_string(std::numeric_limits<std::uint64_t>::max()) + "}");
+  EXPECT_EQ(max_error.rfind("ms: ", 0), 0u) << max_error;
 }
 
 TEST(ServiceProtocol, SalvagesRequestIdFromBrokenRequests) {
@@ -758,6 +785,25 @@ TEST(ServiceExecute, StrayKeyFailsItsBatchEntryOnly) {
   EXPECT_EQ(responses[2].Find("error")->AsString("error"),
             "request key 'apps' is not read by op ping");
   EXPECT_EQ(responses[2].Find("index")->AsUint("index"), 2u);
+}
+
+// A key only another algorithm reads fails its own entry too; the same
+// schedule with the algorithm's own knob still answers.
+TEST(ServiceExecute, AlgoStrayKeyFailsItsBatchEntryOnly) {
+  svc::SchedulingService service;
+  const std::string frame =
+      R"({"id":"f","op":"batch","requests":[)"
+      R"({"id":"r","op":"schedule","topology":{"kind":"mixed"},"algo":"random","iters":5},)"
+      R"({"id":"s","op":"schedule","topology":{"kind":"mixed"},"algo":"random","samples":5}]})";
+  const JsonValue response = ParseJson(service.Execute(svc::ParseRequest(frame)));
+  ASSERT_TRUE(response.Find("ok")->AsBool("ok"));
+  EXPECT_EQ(response.Find("failed")->AsUint("failed"), 1u);
+  const auto& responses = response.Find("responses")->AsArray("responses");
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].Find("id")->AsString("id"), "r");
+  EXPECT_EQ(responses[0].Find("error")->AsString("error"),
+            "request key 'iters' is not read by schedule with algo random");
+  EXPECT_TRUE(responses[1].Find("ok")->AsBool("ok"));
 }
 
 TEST(ServiceBatch, SharesModelAcrossEntriesInOneFrame) {

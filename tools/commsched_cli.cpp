@@ -493,8 +493,9 @@ int Usage() {
       "             torus3d|fattree|hypercube|file, --switches N, --seed S,\n"
       "             --x/--y/--z torus3d dims, --k fat-tree arity, --dot)\n"
       "  distance   equivalent-distance table as CSV (--hops for hop counts)\n"
-      "  schedule   search for a mapping + quality coefficients (--apps K, --seeds N,\n"
-      "             --iters N, --algo tabu|sd|random|sa|gsa, --parallel-seeds, --dot);\n"
+      "  schedule   search for a mapping + quality coefficients (--apps K,\n"
+      "             --algo tabu|sd|sa|gsa with --seeds N --iters N, or --algo random\n"
+      "             with --samples N; --search-seed S, --parallel-seeds, --dot);\n"
       "             --multilevel maps a generated process graph instead:\n"
       "             --procs N processes, --pattern ring|grid|random,\n"
       "             --pattern-seed S, --coarsen-target N, --refine-budget B,\n"
