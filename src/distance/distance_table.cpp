@@ -6,6 +6,7 @@
 
 #include "common/parallel.h"
 #include "linalg/solve.h"
+#include "obs/span.h"
 
 namespace commsched::dist {
 
@@ -82,6 +83,7 @@ double PairEquivalentDistance(const Routing& routing, SwitchId i, SwitchId j,
 }  // namespace
 
 DistanceTable DistanceTable::Build(const Routing& routing, bool parallel) {
+  obs::Span span("dist.table");
   const std::size_t n = routing.graph().switch_count();
   DistanceTable table(n, 0.0);
   // Row i solves the pairs (i, j > i). Each row writes distinct entries, so

@@ -178,19 +178,21 @@ std::vector<topo::LinkId> DegradedRouting::LinksOnMinimalPaths(topo::SwitchId s,
   return links;
 }
 
-std::vector<route::NextHop> DegradedRouting::NextHops(topo::SwitchId current, topo::SwitchId dest,
-                                                      route::Phase phase) const {
+void DegradedRouting::NextHopsInto(topo::SwitchId current, topo::SwitchId dest,
+                                   route::Phase phase, std::vector<route::NextHop>& out) const {
   const auto cc = reconfig_.to_compact[current];
   const auto cd = reconfig_.to_compact[dest];
-  if (!cc.has_value() || !cd.has_value()) return {};
-  std::vector<route::NextHop> hops = compact_routing_->NextHops(*cc, *cd, phase);
-  for (route::NextHop& hop : hops) {
+  if (!cc.has_value() || !cd.has_value()) {
+    out.clear();
+    return;
+  }
+  compact_routing_->NextHopsInto(*cc, *cd, phase, out);
+  for (route::NextHop& hop : out) {
     hop.link = reconfig_.link_to_base[hop.link];
     hop.next = reconfig_.to_base[hop.next];
   }
   // Compact link ids are order-preserving over base ids, so the Routing
   // contract's sorted-by-link-id order survives the translation.
-  return hops;
 }
 
 route::Phase DegradedRouting::ArrivalPhase(topo::LinkId link, topo::SwitchId into) const {

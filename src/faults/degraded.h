@@ -119,8 +119,8 @@ class DegradedRouting final : public route::Routing {
   [[nodiscard]] std::size_t MinimalDistance(topo::SwitchId s, topo::SwitchId t) const override;
   [[nodiscard]] std::vector<topo::LinkId> LinksOnMinimalPaths(topo::SwitchId s,
                                                               topo::SwitchId t) const override;
-  [[nodiscard]] std::vector<route::NextHop> NextHops(topo::SwitchId current, topo::SwitchId dest,
-                                                     route::Phase phase) const override;
+  void NextHopsInto(topo::SwitchId current, topo::SwitchId dest, route::Phase phase,
+                    std::vector<route::NextHop>& out) const override;
   [[nodiscard]] route::Phase ArrivalPhase(topo::LinkId link, topo::SwitchId into) const override;
   [[nodiscard]] std::string Name() const override { return "up*/down* (degraded)"; }
 

@@ -59,8 +59,17 @@ class Routing {
   /// current == dest, or when no permitted path exists from this phase
   /// (possible only for states no real message ever reaches; probed by the
   /// deadlock analyzer).
-  [[nodiscard]] virtual std::vector<NextHop> NextHops(SwitchId current, SwitchId dest,
-                                                      Phase phase) const = 0;
+  [[nodiscard]] std::vector<NextHop> NextHops(SwitchId current, SwitchId dest,
+                                              Phase phase) const {
+    std::vector<NextHop> hops;
+    NextHopsInto(current, dest, phase, hops);
+    return hops;
+  }
+
+  /// NextHops written into `out`, replacing its contents, so a caller that
+  /// queries many states (the deadlock analyzer) reuses one buffer.
+  virtual void NextHopsInto(SwitchId current, SwitchId dest, Phase phase,
+                            std::vector<NextHop>& out) const = 0;
 
   /// Phase a message is in right after traversing `link` into `into`.
   /// Phase-free routing functions return kUp.

@@ -22,12 +22,12 @@ std::size_t ShortestPathRouting::MinimalDistance(SwitchId s, SwitchId t) const {
   return dist_[t][s];
 }
 
-std::vector<NextHop> ShortestPathRouting::NextHops(SwitchId current, SwitchId dest,
-                                                   Phase /*phase*/) const {
+void ShortestPathRouting::NextHopsInto(SwitchId current, SwitchId dest, Phase /*phase*/,
+                                       std::vector<NextHop>& hops) const {
   CS_CHECK(current < graph_->switch_count() && dest < graph_->switch_count(),
            "switch out of range");
-  std::vector<NextHop> hops;
-  if (current == dest) return hops;
+  hops.clear();
+  if (current == dest) return;
   const auto& dist = dist_[dest];
   for (LinkId l : graph_->incident_links(current)) {
     const SwitchId v = graph_->OtherEnd(l, current);
@@ -38,7 +38,6 @@ std::vector<NextHop> ShortestPathRouting::NextHops(SwitchId current, SwitchId de
   std::sort(hops.begin(), hops.end(),
             [](const NextHop& x, const NextHop& y) { return x.link < y.link; });
   CS_CHECK(!hops.empty(), "connected graph must yield a next hop");
-  return hops;
 }
 
 std::vector<LinkId> ShortestPathRouting::LinksOnMinimalPaths(SwitchId s, SwitchId t) const {

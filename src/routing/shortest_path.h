@@ -18,8 +18,8 @@ class ShortestPathRouting final : public Routing {
   [[nodiscard]] const SwitchGraph& graph() const override { return *graph_; }
   [[nodiscard]] std::size_t MinimalDistance(SwitchId s, SwitchId t) const override;
   [[nodiscard]] std::vector<LinkId> LinksOnMinimalPaths(SwitchId s, SwitchId t) const override;
-  [[nodiscard]] std::vector<NextHop> NextHops(SwitchId current, SwitchId dest,
-                                              Phase phase) const override;
+  void NextHopsInto(SwitchId current, SwitchId dest, Phase phase,
+                    std::vector<NextHop>& out) const override;
   [[nodiscard]] Phase ArrivalPhase(LinkId link, SwitchId into) const override;
   [[nodiscard]] std::string Name() const override { return "shortest-path"; }
 

@@ -5,6 +5,8 @@
 #include <deque>
 #include <limits>
 
+#include "obs/span.h"
+
 namespace commsched::route {
 
 namespace {
@@ -126,6 +128,7 @@ UpDownState UpDownRouting::ExportState() const {
 }
 
 void UpDownRouting::Build() {
+  obs::Span span("route.updown");
   const SwitchGraph& g = *graph_;
   const std::size_t n = g.switch_count();
 
@@ -201,18 +204,19 @@ std::size_t UpDownRouting::MinimalDistance(SwitchId s, SwitchId t) const {
   return d;
 }
 
-std::vector<NextHop> UpDownRouting::NextHops(SwitchId current, SwitchId dest, Phase phase) const {
+void UpDownRouting::NextHopsInto(SwitchId current, SwitchId dest, Phase phase,
+                                 std::vector<NextHop>& hops) const {
   CS_CHECK(current < graph_->switch_count() && dest < graph_->switch_count(),
            "switch out of range");
-  std::vector<NextHop> hops;
-  if (current == dest) return hops;
+  hops.clear();
+  if (current == dest) return;
   const auto& dist = dist_to_dest_[dest];
   const std::size_t here = dist[StateIndex(current, phase)];
   if (here == kUnreachable) {
     // A message already descending may be unable to reach `dest` at all;
     // such states never occur for real messages (the simulator only follows
     // offered hops) but are probed by the deadlock analyzer.
-    return hops;
+    return;
   }
   for (LinkId l : graph_->incident_links(current)) {
     const SwitchId v = graph_->OtherEnd(l, current);
@@ -227,7 +231,6 @@ std::vector<NextHop> UpDownRouting::NextHops(SwitchId current, SwitchId dest, Ph
   std::sort(hops.begin(), hops.end(),
             [](const NextHop& x, const NextHop& y) { return x.link < y.link; });
   CS_CHECK(!hops.empty(), "minimal legal path must have a next hop");
-  return hops;
 }
 
 std::vector<LinkId> UpDownRouting::LinksOnMinimalPaths(SwitchId s, SwitchId t) const {

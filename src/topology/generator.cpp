@@ -4,6 +4,8 @@
 #include <optional>
 #include <vector>
 
+#include "obs/span.h"
+
 namespace commsched::topo {
 
 namespace {
@@ -19,8 +21,10 @@ std::optional<SwitchGraph> TryGenerate(const IrregularTopologyOptions& options, 
   // Pair up free ports. When n * target is odd one switch must stay exactly
   // one link short; otherwise every switch must reach the target degree.
   const bool odd_ports = (n * target) % 2 == 1;
+  std::vector<SwitchId> open;
+  std::vector<std::size_t> row_pairs;
   for (;;) {
-    std::vector<SwitchId> open;
+    open.clear();
     std::size_t deficit = 0;
     for (SwitchId s = 0; s < n; ++s) {
       if (graph.Degree(s) < target) {
@@ -39,20 +43,37 @@ std::optional<SwitchGraph> TryGenerate(const IrregularTopologyOptions& options, 
     if (open.size() == 1) {
       return std::nullopt;  // one switch still needs >= 2 links: stuck
     }
-    // Collect candidate pairs among open switches that are not yet adjacent.
-    std::vector<std::pair<SwitchId, SwitchId>> candidates;
+    // The candidate pairs are the non-adjacent (open[i], open[j]) with
+    // i < j, listed row by row. Count each row instead of listing it: row i
+    // holds the open switches after open[i] less its open neighbours after
+    // it (open is sorted by id, so those are the open neighbours w >
+    // open[i]). Then walk to the drawn index. One draw over the same count
+    // picks the same pair as indexing the list, at O(open * degree) a link
+    // instead of O(open^2).
+    row_pairs.assign(open.size(), 0);
+    std::size_t total = 0;
     for (std::size_t i = 0; i < open.size(); ++i) {
-      for (std::size_t j = i + 1; j < open.size(); ++j) {
-        if (!graph.HasLink(open[i], open[j])) {
-          candidates.emplace_back(open[i], open[j]);
-        }
+      std::size_t adjacent_after = 0;
+      for (LinkId l : graph.incident_links(open[i])) {
+        const SwitchId w = graph.OtherEnd(l, open[i]);
+        if (w > open[i] && graph.Degree(w) < target) ++adjacent_after;
       }
+      row_pairs[i] = open.size() - i - 1 - adjacent_after;
+      total += row_pairs[i];
     }
-    if (candidates.empty()) {
+    if (total == 0) {
       return std::nullopt;  // stuck: remaining open switches pairwise adjacent
     }
-    const auto [a, b] = candidates[static_cast<std::size_t>(rng.NextIndex(candidates.size()))];
-    graph.AddLink(a, b);
+    auto pick = static_cast<std::size_t>(rng.NextIndex(total));
+    std::size_t i = 0;
+    for (; pick >= row_pairs[i]; ++i) pick -= row_pairs[i];
+    std::size_t j = i + 1;
+    for (;; ++j) {
+      if (graph.HasLink(open[i], open[j])) continue;
+      if (pick == 0) break;
+      --pick;
+    }
+    graph.AddLink(open[i], open[j]);
   }
 }
 
@@ -103,6 +124,7 @@ SwitchGraph GenerateIrregularTopology(const IrregularTopologyOptions& options) {
     return SwitchGraph(1, options.hosts_per_switch);
   }
 
+  obs::Span span("topo.generate", "switches", n);
   Rng rng(options.seed);
   for (std::size_t attempt = 0; attempt < options.max_attempts; ++attempt) {
     Rng attempt_rng = rng.Split();
