@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -201,6 +202,26 @@ TEST(CliTrace, ReportRoundTrip) {
 }
 
 // --metrics without --trace still works (counters only, no tracer).
+// A random schedule's set-up shows in the Chrome trace as one span per
+// layer: generation, up*/down* routing and the distance table.
+TEST(CliTrace, ScheduleChromeTraceHoldsSetUpSpans) {
+  const std::string dir = ::testing::TempDir();
+  const std::string chrome_path = dir + "cli_setup_chrome.json";
+  const std::string stdout_path = dir + "cli_setup_stdout.txt";
+  ASSERT_EQ(RunCli("schedule --kind random --switches 24 --chrome-trace " + chrome_path,
+                   stdout_path),
+            0);
+  std::map<std::string, std::size_t> span_count;
+  for (std::string line : NonEmptyLines(ReadFile(chrome_path))) {
+    if (line == "[" || line == "]") continue;
+    if (line.back() == ',') line.pop_back();
+    ++span_count[testutil::Member(ParseJson(line), "name").AsString("name")];
+  }
+  EXPECT_EQ(span_count["topo.generate"], 1u);
+  EXPECT_EQ(span_count["route.updown"], 1u);
+  EXPECT_EQ(span_count["dist.table"], 1u);
+}
+
 TEST(CliTrace, MetricsWithoutTrace) {
   const std::string dir = ::testing::TempDir();
   const std::string stdout_path = dir + "cli_metrics_stdout.txt";
@@ -408,6 +429,10 @@ TEST(CliFlags, FlagsTheModeDoesNotReadAreErrors) {
                  "request key 'samples' is not read by schedule with algo tabu");
   ExpectCliError("schedule --kind random --switches 12 --algo random --iters 7 --seeds 3",
                  "request key 'seeds' is not read by schedule with algo random");
+  ExpectCliError("schedule --kind mixed --switches 99 --rows 7",
+                 "topology key 'switches' is not read by kind mixed");
+  ExpectCliError("schedule --kind rings --degree 9 --seed 5",
+                 "topology key 'degree' is not read by kind rings");
 }
 
 // The worker cap is checked before the daemon or its thread pool exists.

@@ -375,6 +375,47 @@ TEST(ServiceProtocol, RejectsKeysTheModeDoesNotRead) {
   EXPECT_EQ(ParseError(R"({"op":"simulate","mapping":"op","parallel_seeds":true})"), "");
 }
 
+// A topology key the kind does not read fails once every key is in, even
+// when "kind" comes after it; one case per group of kinds sharing keys.
+TEST(ServiceProtocol, RejectsTopologyKeysTheKindDoesNotRead) {
+  const auto topology_error = [](const std::string& topology) {
+    return ParseError(R"({"op":"schedule","topology":)" + topology + "}");
+  };
+  EXPECT_EQ(topology_error(R"({"kind":"mixed","switches":99})"),
+            "topology key 'switches' is not read by kind mixed");
+  EXPECT_EQ(topology_error(R"({"degree":9,"kind":"rings"})"),
+            "topology key 'degree' is not read by kind rings");
+  EXPECT_EQ(topology_error(R"({"kind":"random","rows":3})"),
+            "topology key 'rows' is not read by kind random");
+  EXPECT_EQ(topology_error(R"({"kind":"torus","rows":3,"cols":4,"dim":9})"),
+            "topology key 'dim' is not read by kind torus");
+  EXPECT_EQ(topology_error(R"({"kind":"mesh","z":3})"),
+            "topology key 'z' is not read by kind mesh");
+  EXPECT_EQ(topology_error(R"({"kind":"hypercube","dim":3,"k":4})"),
+            "topology key 'k' is not read by kind hypercube");
+  EXPECT_EQ(topology_error(R"({"kind":"torus3d","cols":3})"),
+            "topology key 'cols' is not read by kind torus3d");
+  EXPECT_EQ(topology_error(R"({"kind":"fattree","seed":2})"),
+            "topology key 'seed' is not read by kind fattree");
+  EXPECT_EQ(topology_error(R"({"kind":"text","text":"switches 2\n","hosts":4})"),
+            "topology key 'hosts' is not read by kind text");
+  EXPECT_EQ(topology_error(R"({"kind":"random","text":"switches 2\n"})"),
+            "topology key 'text' is not read by kind random");
+  // Each kind's own keys still parse; hosts is read by every kind but text.
+  EXPECT_EQ(topology_error(R"({"kind":"random","switches":8,"degree":3,"seed":2,"hosts":2})"),
+            "");
+  EXPECT_EQ(topology_error(R"({"kind":"rings","hosts":2})"), "");
+  EXPECT_EQ(topology_error(R"({"kind":"mixed","hosts":2})"), "");
+  EXPECT_EQ(topology_error(R"({"kind":"mesh","rows":2,"cols":3,"hosts":2})"), "");
+  EXPECT_EQ(topology_error(R"({"cols":3,"rows":3,"kind":"torus"})"), "");
+  EXPECT_EQ(topology_error(R"({"kind":"torus3d","x":3,"y":3,"z":3})"), "");
+  EXPECT_EQ(topology_error(R"({"kind":"fattree","k":4})"), "");
+  EXPECT_EQ(topology_error(R"({"kind":"hypercube","dim":3})"), "");
+  EXPECT_EQ(topology_error(R"({"kind":"text","text":"switches 2\n"})"), "");
+  // An unknown kind reads every key here and fails when it is built.
+  EXPECT_EQ(topology_error(R"({"kind":"klein-bottle","rows":3,"dim":2})"), "");
+}
+
 // A sleep longer than the cap fails at parse time: it never holds a worker.
 TEST(ServiceProtocol, SleepMsIsCapped) {
   EXPECT_EQ(ParseError(R"({"op":"sleep","ms":10000})"), "");
@@ -803,6 +844,24 @@ TEST(ServiceExecute, AlgoStrayKeyFailsItsBatchEntryOnly) {
   EXPECT_EQ(responses[0].Find("id")->AsString("id"), "r");
   EXPECT_EQ(responses[0].Find("error")->AsString("error"),
             "request key 'iters' is not read by schedule with algo random");
+  EXPECT_TRUE(responses[1].Find("ok")->AsBool("ok"));
+}
+
+// A topology key the entry's kind does not read fails that entry only.
+TEST(ServiceExecute, TopologyStrayKeyFailsItsBatchEntryOnly) {
+  svc::SchedulingService service;
+  const std::string frame =
+      R"({"id":"f","op":"batch","requests":[)"
+      R"({"id":"m","op":"schedule","topology":{"kind":"mixed","rows":7}},)"
+      R"({"id":"t","op":"schedule","topology":{"kind":"torus","rows":3,"cols":4}}]})";
+  const JsonValue response = ParseJson(service.Execute(svc::ParseRequest(frame)));
+  ASSERT_TRUE(response.Find("ok")->AsBool("ok"));
+  EXPECT_EQ(response.Find("failed")->AsUint("failed"), 1u);
+  const auto& responses = response.Find("responses")->AsArray("responses");
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].Find("id")->AsString("id"), "m");
+  EXPECT_EQ(responses[0].Find("error")->AsString("error"),
+            "topology key 'rows' is not read by kind mixed");
   EXPECT_TRUE(responses[1].Find("ok")->AsBool("ok"));
 }
 
