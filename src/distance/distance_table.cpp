@@ -1,8 +1,13 @@
 #include "distance/distance_table.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <sstream>
+#include <thread>
 
 #include "common/parallel.h"
 #include "linalg/solve.h"
@@ -26,59 +31,160 @@ void DistanceTable::Set(std::size_t i, std::size_t j, double value) {
 
 namespace {
 
-/// Scratch for the pair solves of one table row, reused from pair to pair so
-/// that a pair allocates nothing beyond its link list.
-struct PairWorkspace {
-  explicit PairWorkspace(std::size_t switches) : row(switches) {}
+using route::NextHop;
+using route::Phase;
 
-  std::vector<std::size_t> row;  // switch -> grounded row, valid for the pair's nodes
-  std::vector<SwitchId> nodes;   // the pair's switches, ascending
-  std::vector<double> matrix;    // grounded Laplacian, row-major; then its factor
-  std::vector<double> rhs;       // e_i; then the node potentials
-};
+/// Solves whole columns of the table: column j is the pairs (i < j, j).
+/// Holds the scratch of one thread, reused from column to column.
+///
+/// Toward one destination j, every source shares one graph of tight moves:
+/// the routing's next hops, each a step closer to j. So a state's minimal
+/// permitted paths to j cross the links {hop link} ∪ (the next state's
+/// links) over its next hops, and touch its own switch plus the switches
+/// the next states' paths touch. One post-order pass per column builds these
+/// two sets, as bitsets, for every state reachable from a source, and each
+/// pair reads its links and its switches, both ascending, straight from the
+/// bits of (i, kUp).
+class ColumnSolver {
+ public:
+  ColumnSolver(const Routing& routing, std::vector<double>& values)
+      : routing_(routing),
+        graph_(routing.graph()),
+        values_(values),
+        link_words_((graph_.link_count() + 63) / 64),
+        words_(link_words_ + (graph_.switch_count() + 63) / 64),
+        stamp_(2 * graph_.switch_count(), 0),
+        sets_(2 * graph_.switch_count() * words_),
+        row_(graph_.switch_count()) {}
 
-/// Equivalent distance for one pair: restrict to links on minimal permitted
-/// paths, 1 Ω each, effective resistance between the endpoints. The system
-/// holds only the switches those links touch, ascending by id with the
-/// grounded j removed. That is the full-size network's reach-filtered
-/// grounded Laplacian entry for entry (every link lies on an i-j path, so
-/// every switch it touches is reached), and the same Cholesky loops solve
-/// it, so the result is bit-identical, at a few nodes' cost.
-double PairEquivalentDistance(const Routing& routing, SwitchId i, SwitchId j,
-                              PairWorkspace& ws) {
-  const auto links = routing.LinksOnMinimalPaths(i, j);
-  CS_CHECK(!links.empty(), "connected pair must have at least one path link");
-  const topo::SwitchGraph& graph = routing.graph();
-  ws.nodes.clear();
-  for (topo::LinkId l : links) {
-    ws.nodes.push_back(graph.link(l).a);
-    ws.nodes.push_back(graph.link(l).b);
-  }
-  std::sort(ws.nodes.begin(), ws.nodes.end());
-  ws.nodes.erase(std::unique(ws.nodes.begin(), ws.nodes.end()), ws.nodes.end());
-  std::size_t m = 0;
-  for (SwitchId u : ws.nodes) {
-    if (u != j) ws.row[u] = m++;
-  }
-  ws.matrix.assign(m * m, 0.0);
-  for (topo::LinkId l : links) {
-    const topo::Link& link = graph.link(l);
-    const std::size_t ra = ws.row[link.a];
-    const std::size_t rb = ws.row[link.b];
-    if (link.a != j) ws.matrix[ra * m + ra] += 1.0;
-    if (link.b != j) ws.matrix[rb * m + rb] += 1.0;
-    if (link.a != j && link.b != j) {
-      ws.matrix[ra * m + rb] -= 1.0;
-      ws.matrix[rb * m + ra] -= 1.0;
+  void Solve(SwitchId j) {
+    const std::size_t n = graph_.switch_count();
+    ++epoch_;
+    for (SwitchId i = 0; i < j; ++i) {
+      const std::size_t state = 2 * i;  // (i, kUp)
+      if (stamp_[state] != Done()) Visit(state, j);
+      const double d = PairEquivalentDistance(i, j, &sets_[state * words_]);
+      values_[i * n + j] = d;
+      values_[j * n + i] = d;
     }
   }
-  ws.rhs.assign(m, 0.0);
-  ws.rhs[ws.row[i]] = 1.0;
-  CS_CHECK(linalg::CholeskyFactorInPlace(ws.matrix.data(), m),
-           "grounded pair Laplacian must be positive definite");
-  linalg::CholeskySolveInPlace(ws.matrix.data(), m, ws.rhs.data());
-  return ws.rhs[ws.row[i]];
-}
+
+ private:
+  // A state's stamp is Open() while its frame is on the stack and Done()
+  // once its sets are final; anything else is from an earlier column.
+  [[nodiscard]] std::uint32_t Open() const { return 2 * epoch_ - 1; }
+  [[nodiscard]] std::uint32_t Done() const { return 2 * epoch_; }
+
+  struct Frame {
+    std::size_t state;
+    std::size_t first_hop;  // the state's hops are hops_[first_hop, end)
+    std::size_t next_hop;   // the next hop to descend through
+  };
+
+  // Post-order DFS from `root` along the next hops toward j. A state's sets
+  // are filled when its frame pops, after every next state's.
+  void Visit(std::size_t root, SwitchId j) {
+    Push(root, j);
+    while (!stack_.empty()) {
+      Frame& frame = stack_.back();
+      if (frame.next_hop < hops_.size()) {
+        const NextHop& hop = hops_[frame.next_hop++];
+        const std::size_t next = 2 * hop.next + static_cast<std::size_t>(hop.phase);
+        CS_CHECK(stamp_[next] != Open(), "next hops must lead closer to the destination");
+        if (stamp_[next] != Done()) Push(next, j);
+        continue;
+      }
+      std::uint64_t* set = &sets_[frame.state * words_];
+      std::fill(set, set + words_, 0);
+      SetBit(set + link_words_, frame.state / 2);
+      for (std::size_t h = frame.first_hop; h < hops_.size(); ++h) {
+        const NextHop& hop = hops_[h];
+        SetBit(set, hop.link);
+        const std::uint64_t* next =
+            &sets_[(2 * hop.next + static_cast<std::size_t>(hop.phase)) * words_];
+        for (std::size_t w = 0; w < words_; ++w) set[w] |= next[w];
+      }
+      stamp_[frame.state] = Done();
+      hops_.resize(frame.first_hop);
+      stack_.pop_back();
+    }
+  }
+
+  // Opens a frame for `state`, appending its next hops to hops_. Frames are
+  // LIFO, so the open frames' hop ranges are nested and each frame's runs
+  // to the end of hops_ whenever it is on top.
+  void Push(std::size_t state, SwitchId j) {
+    stamp_[state] = Open();
+    routing_.NextHopsInto(state / 2, j, static_cast<Phase>(state % 2), state_hops_);
+    stack_.push_back({state, hops_.size(), hops_.size()});
+    hops_.insert(hops_.end(), state_hops_.begin(), state_hops_.end());
+  }
+
+  static void SetBit(std::uint64_t* bits, std::size_t k) {
+    bits[k / 64] |= std::uint64_t{1} << (k % 64);
+  }
+
+  // Calls f(k) for every set bit k of bits[0, words), ascending.
+  template <typename F>
+  static void ForEachBit(const std::uint64_t* bits, std::size_t words, F&& f) {
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+        f(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+      }
+    }
+  }
+
+  /// Equivalent distance for one pair: restrict to links on minimal
+  /// permitted paths, 1 Ω each, effective resistance between the endpoints.
+  /// The system holds only the switches those links touch, ascending by id
+  /// with the grounded j removed. That is the full-size network's
+  /// reach-filtered grounded Laplacian entry for entry (every link lies on
+  /// an i-j path, so every switch it touches is reached), and the same
+  /// Cholesky loops solve it, so the result is bit-identical, at a few
+  /// nodes' cost.
+  double PairEquivalentDistance(SwitchId i, SwitchId j, const std::uint64_t* set) {
+    const std::uint64_t* switches = set + link_words_;
+    CS_CHECK((switches[j / 64] >> (j % 64)) & 1,
+             "connected pair must have at least one path link");
+    std::size_t m = 0;
+    ForEachBit(switches, words_ - link_words_, [&](std::size_t u) {
+      if (u != j) row_[u] = m++;
+    });
+    matrix_.assign(m * m, 0.0);
+    ForEachBit(set, link_words_, [&](std::size_t l) {
+      const topo::Link& link = graph_.link(l);
+      const std::size_t ra = row_[link.a];
+      const std::size_t rb = row_[link.b];
+      if (link.a != j) matrix_[ra * m + ra] += 1.0;
+      if (link.b != j) matrix_[rb * m + rb] += 1.0;
+      if (link.a != j && link.b != j) {
+        matrix_[ra * m + rb] -= 1.0;
+        matrix_[rb * m + ra] -= 1.0;
+      }
+    });
+    rhs_.assign(m, 0.0);
+    rhs_[row_[i]] = 1.0;
+    CS_CHECK(linalg::CholeskyFactorInPlace(matrix_.data(), m),
+             "grounded pair Laplacian must be positive definite");
+    linalg::CholeskySolveInPlace(matrix_.data(), m, rhs_.data());
+    return rhs_[row_[i]];
+  }
+
+  const Routing& routing_;
+  const topo::SwitchGraph& graph_;
+  std::vector<double>& values_;
+  std::size_t link_words_;  // a state's set: link bits, then switch bits
+  std::size_t words_;
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> stamp_;  // per (switch, phase) state
+  std::vector<std::uint64_t> sets_;   // per state, words_ words
+  std::vector<Frame> stack_;
+  std::vector<NextHop> hops_;        // the open frames' next hops
+  std::vector<NextHop> state_hops_;  // one NextHopsInto answer
+  std::vector<std::size_t> row_;     // switch -> grounded row, valid for the pair's switches
+  std::vector<double> matrix_;       // grounded Laplacian, row-major; then its factor
+  std::vector<double> rhs_;          // e_i; then the node potentials
+};
 
 }  // namespace
 
@@ -86,23 +192,22 @@ DistanceTable DistanceTable::Build(const Routing& routing, bool parallel) {
   obs::Span span("dist.table");
   const std::size_t n = routing.graph().switch_count();
   DistanceTable table(n, 0.0);
-  // Row i solves the pairs (i, j > i). Each row writes distinct entries, so
-  // rows need no synchronization.
-  const auto solve_row = [&](SwitchId i, PairWorkspace& ws) {
-    for (SwitchId j = i + 1; j < n; ++j) {
-      const double d = PairEquivalentDistance(routing, i, j, ws);
-      table.values_[i * n + j] = d;
-      table.values_[j * n + i] = d;
+  // Each column writes distinct entries, so columns need no
+  // synchronization. Every participant claims columns from one counter,
+  // longest (j = n - 1) first, into its own solver.
+  std::atomic<std::size_t> claimed{0};
+  const auto solve_columns = [&] {
+    std::optional<ColumnSolver> solver;
+    for (std::size_t k = claimed++; k + 1 < n; k = claimed++) {
+      if (!solver) solver.emplace(routing, table.values_);
+      solver->Solve(n - 1 - k);
     }
   };
-  if (parallel && n > 4) {
-    ParallelFor(n, [&](std::size_t i) {
-      PairWorkspace ws(n);
-      solve_row(i, ws);
-    });
+  if (parallel && n >= route::kParallelSetupMinSwitches) {
+    ParallelFor(std::max(1u, std::thread::hardware_concurrency()),
+                [&](std::size_t) { solve_columns(); });
   } else {
-    PairWorkspace ws(n);
-    for (SwitchId i = 0; i < n; ++i) solve_row(i, ws);
+    solve_columns();
   }
   return table;
 }

@@ -28,7 +28,9 @@ class DistanceTable {
   DistanceTable(std::size_t n, double fill);
 
   /// Builds the equivalent-distance table for a routing function, optionally
-  /// parallelizing across source rows. Both ways give the same bytes.
+  /// parallelizing across destination columns (inline below
+  /// route::kParallelSetupMinSwitches switches). Both ways give the same
+  /// bytes.
   [[nodiscard]] static DistanceTable Build(const Routing& routing, bool parallel = true);
 
   /// Hop-count table (ablation baseline): T[i][j] = minimal legal hops.

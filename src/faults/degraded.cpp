@@ -167,17 +167,6 @@ std::size_t DegradedRouting::MinimalDistance(topo::SwitchId s, topo::SwitchId t)
   return compact_routing_->MinimalDistance(*cs, *ct);
 }
 
-std::vector<topo::LinkId> DegradedRouting::LinksOnMinimalPaths(topo::SwitchId s,
-                                                               topo::SwitchId t) const {
-  const auto cs = reconfig_.to_compact[s];
-  const auto ct = reconfig_.to_compact[t];
-  if (!cs.has_value() || !ct.has_value()) return {};
-  std::vector<topo::LinkId> links = compact_routing_->LinksOnMinimalPaths(*cs, *ct);
-  for (topo::LinkId& l : links) l = reconfig_.link_to_base[l];
-  std::sort(links.begin(), links.end());
-  return links;
-}
-
 void DegradedRouting::NextHopsInto(topo::SwitchId current, topo::SwitchId dest,
                                    route::Phase phase, std::vector<route::NextHop>& out) const {
   const auto cc = reconfig_.to_compact[current];

@@ -117,8 +117,6 @@ class DegradedRouting final : public route::Routing {
 
   [[nodiscard]] const topo::SwitchGraph& graph() const override { return *base_; }
   [[nodiscard]] std::size_t MinimalDistance(topo::SwitchId s, topo::SwitchId t) const override;
-  [[nodiscard]] std::vector<topo::LinkId> LinksOnMinimalPaths(topo::SwitchId s,
-                                                              topo::SwitchId t) const override;
   void NextHopsInto(topo::SwitchId current, topo::SwitchId dest, route::Phase phase,
                     std::vector<route::NextHop>& out) const override;
   [[nodiscard]] route::Phase ArrivalPhase(topo::LinkId link, topo::SwitchId into) const override;

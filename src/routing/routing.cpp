@@ -1,6 +1,39 @@
 #include "routing/routing.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace commsched::route {
+
+std::vector<LinkId> Routing::LinksOnMinimalPaths(SwitchId s, SwitchId t) const {
+  const std::size_t n = graph().switch_count();
+  CS_CHECK(s < n && t < n, "switch out of range");
+  std::vector<LinkId> links;
+  if (s == t) return links;
+  // Every offered hop is one step closer to t, so the states reached from
+  // (s, kUp) are exactly those on a minimal permitted path, and the hops
+  // taken out of them are exactly its links.
+  std::vector<bool> seen(2 * n, false);
+  std::vector<std::pair<SwitchId, Phase>> stack{{s, Phase::kUp}};
+  seen[2 * s] = true;
+  std::vector<NextHop> hops;
+  while (!stack.empty()) {
+    const auto [u, phase] = stack.back();
+    stack.pop_back();
+    NextHopsInto(u, t, phase, hops);
+    for (const NextHop& hop : hops) {
+      links.push_back(hop.link);
+      const std::size_t next = 2 * hop.next + static_cast<std::size_t>(hop.phase);
+      if (!seen[next]) {
+        seen[next] = true;
+        stack.emplace_back(hop.next, hop.phase);
+      }
+    }
+  }
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+  return links;
+}
 
 std::vector<std::vector<SwitchId>> EnumerateMinimalPaths(const Routing& routing, SwitchId s,
                                                          SwitchId t, std::size_t limit) {

@@ -33,6 +33,12 @@ struct NextHop {
   friend bool operator==(const NextHop&, const NextHop&) = default;
 };
 
+/// Set-up loops that run once per destination switch (the up*/down*
+/// backward BFS, the distance table's columns) run inline on networks of
+/// fewer switches than this: there a whole loop costs less than handing
+/// its work to the thread pool (DESIGN.md §5).
+inline constexpr std::size_t kParallelSetupMinSwitches = 32;
+
 /// Interface implemented by every routing function.
 ///
 /// All paths "supplied by the routing algorithm" between s and t are the
@@ -50,8 +56,10 @@ class Routing {
   [[nodiscard]] virtual std::size_t MinimalDistance(SwitchId s, SwitchId t) const = 0;
 
   /// Union of links on every minimal permitted path from s to t (sorted,
-  /// deduplicated). Empty when s == t.
-  [[nodiscard]] virtual std::vector<LinkId> LinksOnMinimalPaths(SwitchId s, SwitchId t) const = 0;
+  /// deduplicated). Empty when s == t. A walk over NextHopsInto from
+  /// (s, kUp): the per-pair reference that DistanceTable::Build's
+  /// per-destination sets are tested against.
+  [[nodiscard]] std::vector<LinkId> LinksOnMinimalPaths(SwitchId s, SwitchId t) const;
 
   /// Candidate next traversals for a message at `current` heading to `dest`
   /// in phase `phase`, restricted to minimal remaining paths. Sorted by link

@@ -1,13 +1,8 @@
 #include "routing/shortest_path.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace commsched::route {
-
-namespace {
-constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
-}  // namespace
 
 ShortestPathRouting::ShortestPathRouting(const SwitchGraph& graph) : graph_(&graph) {
   CS_CHECK(graph.IsConnected(), "routing requires a connected graph");
@@ -38,24 +33,6 @@ void ShortestPathRouting::NextHopsInto(SwitchId current, SwitchId dest, Phase /*
   std::sort(hops.begin(), hops.end(),
             [](const NextHop& x, const NextHop& y) { return x.link < y.link; });
   CS_CHECK(!hops.empty(), "connected graph must yield a next hop");
-}
-
-std::vector<LinkId> ShortestPathRouting::LinksOnMinimalPaths(SwitchId s, SwitchId t) const {
-  std::vector<LinkId> result;
-  if (s == t) return result;
-  const auto& dist_b = dist_[t];
-  const auto& dist_f = dist_[s];  // symmetric BFS distances
-  const std::size_t total = dist_b[s];
-  CS_CHECK(total != kUnreachable, "unreachable destination");
-  for (LinkId l = 0; l < graph_->link_count(); ++l) {
-    const topo::Link& link = graph_->link(l);
-    const bool forward = dist_f[link.a] + 1 + dist_b[link.b] == total;
-    const bool backward = dist_f[link.b] + 1 + dist_b[link.a] == total;
-    if (forward || backward) {
-      result.push_back(l);
-    }
-  }
-  return result;
 }
 
 Phase ShortestPathRouting::ArrivalPhase(LinkId /*link*/, SwitchId /*into*/) const {

@@ -17,7 +17,6 @@ class ShortestPathRouting final : public Routing {
 
   [[nodiscard]] const SwitchGraph& graph() const override { return *graph_; }
   [[nodiscard]] std::size_t MinimalDistance(SwitchId s, SwitchId t) const override;
-  [[nodiscard]] std::vector<LinkId> LinksOnMinimalPaths(SwitchId s, SwitchId t) const override;
   void NextHopsInto(SwitchId current, SwitchId dest, Phase phase,
                     std::vector<NextHop>& out) const override;
   [[nodiscard]] Phase ArrivalPhase(LinkId link, SwitchId into) const override;

@@ -1,10 +1,9 @@
 #include "routing/updown.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <deque>
 #include <limits>
 
+#include "common/parallel.h"
 #include "obs/span.h"
 
 namespace commsched::route {
@@ -31,32 +30,6 @@ void RequireConnectedFrom(const SwitchGraph& graph, SwitchId source) {
           "} are unreachable from switch " + std::to_string(source),
       std::move(unreachable));
 }
-
-// Per-thread scratch of LinksOnMinimalPaths. A mark equals the current
-// epoch iff it was set during the current call, so a call clears nothing
-// but its own stack and link list.
-struct WalkScratch {
-  std::vector<std::uint32_t> state_mark;  // per (switch, phase) state
-  std::vector<std::uint32_t> link_mark;   // per link
-  std::uint32_t epoch = 0;
-  std::vector<std::size_t> stack;
-  std::vector<LinkId> links;
-
-  // Starts a call over `states` states and `link_count` links; returns its
-  // epoch.
-  std::uint32_t Begin(std::size_t states, std::size_t link_count) {
-    if (state_mark.size() < states) state_mark.resize(states, 0);
-    if (link_mark.size() < link_count) link_mark.resize(link_count, 0);
-    if (++epoch == 0) {  // wrapped: a stale mark could equal the new epoch
-      std::fill(state_mark.begin(), state_mark.end(), 0);
-      std::fill(link_mark.begin(), link_mark.end(), 0);
-      epoch = 1;
-    }
-    stack.clear();
-    links.clear();
-    return epoch;
-  }
-};
 
 }  // namespace
 
@@ -149,51 +122,65 @@ void UpDownRouting::Build() {
   //   (u,kUp)  --up-->   (v,kUp)
   //   (u,kUp)  --down--> (v,kDown)
   //   (u,kDown)--down--> (v,kDown)
-  // so dist_to_dest_[t][(u,p)] = 1 + min over forward moves.
+  // so dist_to_dest_[t][(u,p)] = 1 + min over forward moves. Each
+  // destination writes only its own table, so blocks of destinations run in
+  // parallel, each reusing one flat FIFO queue.
   dist_to_dest_.assign(n, {});
-  for (SwitchId t = 0; t < n; ++t) {
-    auto& dist = dist_to_dest_[t];
-    dist.assign(2 * n, kUnreachable);
-    std::deque<std::size_t> queue;
-    for (Phase p : {Phase::kUp, Phase::kDown}) {
-      dist[StateIndex(t, p)] = 0;
-      queue.push_back(StateIndex(t, p));
-    }
-    while (!queue.empty()) {
-      const std::size_t state = queue.front();
-      queue.pop_front();
-      const SwitchId v = state / 2;
-      const Phase pv = static_cast<Phase>(state % 2);
-      // Find predecessor states (u, pu) with a forward move into (v, pv).
-      for (LinkId l : g.incident_links(v)) {
-        const SwitchId u = g.OtherEnd(l, v);
-        const bool into_v_is_up = (up_end_[l] == v);  // traversal u->v
-        if (into_v_is_up) {
-          // u->v is an up traversal: only allowed from (u,kUp) into (v,kUp).
-          if (pv == Phase::kUp) {
-            const std::size_t prev = StateIndex(u, Phase::kUp);
-            if (dist[prev] == kUnreachable) {
-              dist[prev] = dist[state] + 1;
-              queue.push_back(prev);
-            }
-          }
-        } else {
-          // u->v is a down traversal: allowed from (u,kUp) and (u,kDown),
-          // both arriving in (v,kDown).
-          if (pv == Phase::kDown) {
-            for (Phase pu : {Phase::kUp, Phase::kDown}) {
-              const std::size_t prev = StateIndex(u, pu);
+  const auto solve_block = [&](SwitchId first, SwitchId last) {
+    std::vector<std::size_t> queue;
+    queue.reserve(2 * n);
+    for (SwitchId t = first; t < last; ++t) {
+      auto& dist = dist_to_dest_[t];
+      dist.assign(2 * n, kUnreachable);
+      queue.clear();
+      for (Phase p : {Phase::kUp, Phase::kDown}) {
+        dist[StateIndex(t, p)] = 0;
+        queue.push_back(StateIndex(t, p));
+      }
+      for (std::size_t head = 0; head < queue.size(); ++head) {
+        const std::size_t state = queue[head];
+        const SwitchId v = state / 2;
+        const Phase pv = static_cast<Phase>(state % 2);
+        // Find predecessor states (u, pu) with a forward move into (v, pv).
+        for (LinkId l : g.incident_links(v)) {
+          const SwitchId u = g.OtherEnd(l, v);
+          const bool into_v_is_up = (up_end_[l] == v);  // traversal u->v
+          if (into_v_is_up) {
+            // u->v is an up traversal: only allowed from (u,kUp) into (v,kUp).
+            if (pv == Phase::kUp) {
+              const std::size_t prev = StateIndex(u, Phase::kUp);
               if (dist[prev] == kUnreachable) {
                 dist[prev] = dist[state] + 1;
                 queue.push_back(prev);
               }
             }
+          } else {
+            // u->v is a down traversal: allowed from (u,kUp) and (u,kDown),
+            // both arriving in (v,kDown).
+            if (pv == Phase::kDown) {
+              for (Phase pu : {Phase::kUp, Phase::kDown}) {
+                const std::size_t prev = StateIndex(u, pu);
+                if (dist[prev] == kUnreachable) {
+                  dist[prev] = dist[state] + 1;
+                  queue.push_back(prev);
+                }
+              }
+            }
           }
         }
       }
+      CS_CHECK(dist[StateIndex(t == 0 ? (n > 1 ? 1 : 0) : 0, Phase::kUp)] != kUnreachable,
+               "up*/down* must connect every pair on a connected graph");
     }
-    CS_CHECK(dist[StateIndex(t == 0 ? (n > 1 ? 1 : 0) : 0, Phase::kUp)] != kUnreachable,
-             "up*/down* must connect every pair on a connected graph");
+  };
+  if (n < kParallelSetupMinSwitches) {
+    solve_block(0, n);
+  } else {
+    constexpr std::size_t kDestinationsPerBlock = 8;
+    ParallelFor((n + kDestinationsPerBlock - 1) / kDestinationsPerBlock, [&](std::size_t block) {
+      solve_block(block * kDestinationsPerBlock,
+                  std::min(n, (block + 1) * kDestinationsPerBlock));
+    });
   }
 }
 
@@ -231,54 +218,6 @@ void UpDownRouting::NextHopsInto(SwitchId current, SwitchId dest, Phase phase,
   std::sort(hops.begin(), hops.end(),
             [](const NextHop& x, const NextHop& y) { return x.link < y.link; });
   CS_CHECK(!hops.empty(), "minimal legal path must have a next hop");
-}
-
-std::vector<LinkId> UpDownRouting::LinksOnMinimalPaths(SwitchId s, SwitchId t) const {
-  CS_CHECK(s < graph_->switch_count() && t < graph_->switch_count(), "switch out of range");
-  if (s == t) return {};
-  const SwitchGraph& g = *graph_;
-  const auto& dist = dist_to_dest_[t];
-  const std::size_t start = StateIndex(s, Phase::kUp);
-  CS_CHECK(dist[start] != kUnreachable, "unreachable destination");
-
-  // Walk from (s, kUp) down the backward distances: follow a legal
-  // transition only into a state exactly one hop closer to t. The states
-  // reached are exactly those on a minimal legal path (forward distance df
-  // plus backward distance db equals the total): a state reached after k
-  // steps has db = total - k and, as no path beats the total, df = k;
-  // conversely db falls by one along any shortest path from s to such a
-  // state. So the transitions taken are exactly those with
-  // df(u) + 1 + db(v) == total, at the cost of the subgraph rather than of
-  // every (switch, phase) state. Marks are per-thread epoch stamps, so
-  // nothing is cleared per pair.
-  thread_local WalkScratch scratch;
-  const std::uint32_t epoch = scratch.Begin(2 * g.switch_count(), g.link_count());
-  scratch.state_mark[start] = epoch;
-  scratch.stack.push_back(start);
-  while (!scratch.stack.empty()) {
-    const std::size_t state = scratch.stack.back();
-    scratch.stack.pop_back();
-    const SwitchId u = state / 2;
-    const Phase pu = static_cast<Phase>(state % 2);
-    const std::size_t closer = dist[state] - 1;  // >= 0: t's states are never pushed
-    for (LinkId l : g.incident_links(u)) {
-      const SwitchId v = g.OtherEnd(l, u);
-      const bool up_traversal = (up_end_[l] == v);
-      if (up_traversal && pu == Phase::kDown) continue;
-      const std::size_t next = StateIndex(v, up_traversal ? Phase::kUp : Phase::kDown);
-      if (dist[next] != closer) continue;
-      if (scratch.link_mark[l] != epoch) {
-        scratch.link_mark[l] = epoch;
-        scratch.links.push_back(l);
-      }
-      if (closer > 0 && scratch.state_mark[next] != epoch) {
-        scratch.state_mark[next] = epoch;
-        scratch.stack.push_back(next);
-      }
-    }
-  }
-  std::sort(scratch.links.begin(), scratch.links.end());
-  return scratch.links;
 }
 
 Phase UpDownRouting::ArrivalPhase(LinkId link, SwitchId into) const {

@@ -101,9 +101,6 @@ class RecordingRouting final : public Routing {
   std::size_t MinimalDistance(SwitchId s, SwitchId t) const override {
     return inner_.MinimalDistance(s, t);
   }
-  std::vector<LinkId> LinksOnMinimalPaths(SwitchId s, SwitchId t) const override {
-    return inner_.LinksOnMinimalPaths(s, t);
-  }
   void NextHopsInto(SwitchId current, SwitchId dest, Phase phase,
                     std::vector<NextHop>& out) const override {
     {

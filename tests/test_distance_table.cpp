@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "faults/degraded.h"
 #include "linalg/resistance.h"
 #include "routing/shortest_path.h"
 #include "routing/updown.h"
@@ -43,8 +44,10 @@ TEST(DistanceTable, SymmetricZeroDiagonal) {
 }
 
 TEST(DistanceTable, ParallelEqualsSequential) {
+  // Above route::kParallelSetupMinSwitches, so the parallel build runs its
+  // columns on the pool.
   topo::IrregularTopologyOptions options;
-  options.switch_count = 16;
+  options.switch_count = 2 * route::kParallelSetupMinSwitches;
   options.seed = 6;
   const topo::SwitchGraph g = topo::GenerateIrregularTopology(options);
   const UpDownRouting routing(g);
@@ -65,18 +68,22 @@ double FullSizeReference(const route::Routing& routing, topo::SwitchId i, topo::
   return network.EffectiveResistance(i, j);
 }
 
-void ExpectBuildEqualsFullSizeReference(const topo::SwitchGraph& graph) {
-  const UpDownRouting routing(graph);
+void ExpectBuildEqualsFullSizeReference(const route::Routing& routing) {
   const DistanceTable serial = DistanceTable::Build(routing, /*parallel=*/false);
   const DistanceTable parallel = DistanceTable::Build(routing, /*parallel=*/true);
   EXPECT_EQ(parallel.values(), serial.values());
+  const std::size_t n = routing.graph().switch_count();
   std::size_t mismatches = 0;
-  for (topo::SwitchId i = 0; i < graph.switch_count(); ++i) {
-    for (topo::SwitchId j = i + 1; j < graph.switch_count(); ++j) {
+  for (topo::SwitchId i = 0; i < n; ++i) {
+    for (topo::SwitchId j = i + 1; j < n; ++j) {
       if (serial(i, j) != FullSizeReference(routing, i, j)) ++mismatches;
     }
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+void ExpectBuildEqualsFullSizeReference(const topo::SwitchGraph& graph) {
+  ExpectBuildEqualsFullSizeReference(UpDownRouting(graph));
 }
 
 TEST(DistanceTable, EqualsFullSizeReferenceOnRandomNets) {
@@ -95,6 +102,33 @@ TEST(DistanceTable, EqualsFullSizeReferenceOnRegularNets) {
   ExpectBuildEqualsFullSizeReference(topo::MakeRing(12));
   ExpectBuildEqualsFullSizeReference(topo::MakeMesh2D(4, 5));
   ExpectBuildEqualsFullSizeReference(topo::MakeTorus2D(4, 4));
+}
+
+TEST(DistanceTable, EqualsFullSizeReferenceOnShortestPathRouting) {
+  for (const std::size_t switches : {16, 64}) {
+    SCOPED_TRACE("random " + std::to_string(switches));
+    topo::IrregularTopologyOptions options;
+    options.switch_count = switches;
+    options.seed = 3;
+    const topo::SwitchGraph g = topo::GenerateIrregularTopology(options);
+    ExpectBuildEqualsFullSizeReference(ShortestPathRouting(g));
+  }
+  const topo::SwitchGraph torus = topo::MakeTorus2D(4, 4);
+  ExpectBuildEqualsFullSizeReference(ShortestPathRouting(torus));
+}
+
+TEST(DistanceTable, EqualsFullSizeReferenceOnDegradedRouting) {
+  // One failed link that leaves the net connected: the degraded routing
+  // covers every switch and answers in base ids, with a link id gap.
+  topo::IrregularTopologyOptions options;
+  options.switch_count = 64;
+  options.seed = 4;
+  const topo::SwitchGraph g = topo::GenerateIrregularTopology(options);
+  faults::DegradedView view(g);
+  view.FailLink(g.link(5).a, g.link(5).b);
+  const faults::DegradedRouting routing(g, view.Reconfigure(/*allow_partition=*/false));
+  ASSERT_EQ(routing.reconfig().graph.link_count() + 1, g.link_count());
+  ExpectBuildEqualsFullSizeReference(routing);
 }
 
 // Property sweep: the equivalent distance never exceeds the legal hop count
