@@ -1,5 +1,5 @@
 // A small fixed-size thread pool and the ParallelFor used for embarrassingly
-// parallel loops: distance-table rows, multi-seed heuristic searches and
+// parallel loops: distance-table columns, multi-seed heuristic searches and
 // (mapping × load) simulation campaigns.
 //
 // Design notes (per HPC guidance): parallelism is explicit; tasks must not
