@@ -22,6 +22,9 @@
 //   * boot cold vs warm — service construction + first requests with an
 //              empty artifact store vs one warm-booted from a populated
 //              store (no routing or Laplacian re-solve).
+//   * parse / render — ParseRequest of one 64-entry batch frame, and
+//              Execute of that frame on warm caches: the two protocol
+//              layers of a hot frame, without the daemon.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -260,6 +263,33 @@ void BM_ServiceBatchVsSingles(benchmark::State& state) {
                     : static_cast<double>(singles_ns) / static_cast<double>(batch_ns));
 }
 BENCHMARK(BM_ServiceBatchVsSingles)->Arg(64)->Unit(benchmark::kMillisecond);
+
+/// The protocol side of one hot batch frame, no daemon around it:
+/// ParseRequest of the 64-entry MixedBatch frame (the JSON parse plus the
+/// per-entry Request build).
+void BM_ParseBatchFrame(benchmark::State& state) {
+  const std::string frame = BatchFrame("f", MixedBatch(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(svc::ParseRequest(frame));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_ParseBatchFrame)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+/// The reply side: Execute of the same frame, parsed once, on a warmed
+/// service, so every entry is a cache read and the time is the lookups and
+/// the reply rendering.
+void BM_RenderHotBatch(benchmark::State& state) {
+  const svc::Request frame =
+      svc::ParseRequest(BatchFrame("f", MixedBatch(static_cast<std::size_t>(state.range(0)))));
+  svc::SchedulingService service;
+  benchmark::DoNotOptimize(service.Execute(frame));  // warm the caches
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.Execute(frame));
+  }
+}
+BENCHMARK(BM_RenderHotBatch)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 /// Distinct-topology schedule requests (the boot benches below pay a full
 /// solve per topology when cold and zero when warm).

@@ -1,16 +1,50 @@
 #include "common/json.h"
 
-#include <cctype>
+#include <algorithm>
+#include <cerrno>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <numeric>
 #include <sstream>
 
 namespace commsched {
 namespace {
 
+/// The C locale's std::isspace set.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+bool IsNumberChar(char c) {
+  return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-';
+}
+
+/// Reads `token` as std::stod would read it whole: std::from_chars plus
+/// the one leading '+' strtod also takes, and no result strtod flags as out
+/// of range. That is overflow, every subnormal, and a few tokens that round
+/// up to DBL_MIN; strtod itself settles that boundary.
+bool ReadNumber(std::string_view token, double& value) {
+  const char* first = token.data();
+  const char* const last = first + token.size();
+  if (first != last && *first == '+') {
+    ++first;
+    if (first != last && (*first == '+' || *first == '-')) return false;
+  }
+  const auto [end, error] = std::from_chars(first, last, value);
+  if (error != std::errc() || end != last) return false;
+  if (value == 0.0 || std::fabs(value) > DBL_MIN) return true;
+  const std::string copy(token);
+  errno = 0;
+  static_cast<void>(std::strtod(copy.c_str(), nullptr));
+  return errno != ERANGE;
+}
+
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   JsonValue Parse() {
     JsonValue value = ParseValue();
@@ -25,10 +59,7 @@ class Parser {
   }
 
   void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
   }
 
   [[nodiscard]] char PeekChar() {
@@ -51,7 +82,7 @@ class Parser {
     return false;
   }
 
-  void ExpectWord(const std::string& word) {
+  void ExpectWord(std::string_view word) {
     if (text_.compare(pos_, word.size(), word) != 0) Fail("invalid literal");
     pos_ += word.size();
   }
@@ -84,31 +115,59 @@ class Parser {
     }
   }
 
+  // Members and items collect on the parser's stacks, and each closed
+  // object or array moves its own top run into one vector of exact size.
   JsonValue ParseObject() {
     Enter('{');
-    std::map<std::string, JsonValue> members;
+    const std::size_t base = members_.size();
     if (!Consume('}')) {
       do {
         std::string key = ParseString();
         Expect(':');
-        members[std::move(key)] = ParseValue();
+        JsonValue value = ParseValue();
+        members_.emplace_back(std::move(key), std::move(value));
       } while (Consume(','));
       Expect('}');
     }
     --depth_;
-    return JsonValue::MakeObject(std::move(members));
+    return JsonValue::MakeObject(TakeMembers(base));
+  }
+
+  /// Moves members_[base..] out in ascending key order; of equal keys only
+  /// the last one sent is kept.
+  JsonValue::Members TakeMembers(std::size_t base) {
+    order_.resize(members_.size() - base);
+    std::iota(order_.begin(), order_.end(), base);
+    std::sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
+      const int c = members_[a].first.compare(members_[b].first);
+      return c < 0 || (c == 0 && a < b);
+    });
+    JsonValue::Members members;
+    members.reserve(order_.size());
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+      if (i + 1 < order_.size() && members_[order_[i]].first == members_[order_[i + 1]].first) {
+        continue;  // a later duplicate wins
+      }
+      members.push_back(std::move(members_[order_[i]]));
+    }
+    members_.resize(base);
+    return members;
   }
 
   JsonValue ParseArray() {
     Enter('[');
-    std::vector<JsonValue> items;
+    const std::size_t base = items_.size();
     if (!Consume(']')) {
       do {
-        items.push_back(ParseValue());
+        items_.push_back(ParseValue());
       } while (Consume(','));
       Expect(']');
     }
     --depth_;
+    const auto first = items_.begin() + static_cast<std::ptrdiff_t>(base);
+    std::vector<JsonValue> items(std::make_move_iterator(first),
+                                 std::make_move_iterator(items_.end()));
+    items_.erase(first, items_.end());
     return JsonValue::MakeArray(std::move(items));
   }
 
@@ -116,13 +175,11 @@ class Parser {
     Expect('"');
     std::string out;
     while (true) {
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') ++pos_;
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) Fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) Fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -134,13 +191,13 @@ class Parser {
         case 'n': out.push_back('\n'); break;
         case 'r': out.push_back('\r'); break;
         case 't': out.push_back('\t'); break;
-        case 'u': out += ParseUnicodeEscape(); break;
+        case 'u': AppendUnicodeEscape(out); break;
         default: Fail("unknown escape sequence");
       }
     }
   }
 
-  std::string ParseUnicodeEscape() {
+  void AppendUnicodeEscape(std::string& out) {
     if (pos_ + 4 > text_.size()) Fail("truncated \\u escape");
     unsigned code = 0;
     for (int k = 0; k < 4; ++k) {
@@ -159,7 +216,6 @@ class Parser {
     // UTF-8 encode the BMP code point (surrogate pairs are not needed by
     // the protocol; reject them rather than mis-encode).
     if (code >= 0xD800 && code <= 0xDFFF) Fail("surrogate pairs are not supported");
-    std::string out;
     if (code < 0x80) {
       out.push_back(static_cast<char>(code));
     } else if (code < 0x800) {
@@ -170,38 +226,28 @@ class Parser {
       out.push_back(static_cast<char>(0x80 | ((code >> 6U) & 0x3FU)));
       out.push_back(static_cast<char>(0x80 | (code & 0x3FU)));
     }
-    return out;
   }
 
   JsonValue ParseNumber() {
-    SkipSpace();
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsNumberChar(text_[pos_])) ++pos_;
     if (pos_ == start) Fail("expected a value");
-    const std::string token = text_.substr(start, pos_ - start);
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(token, &used);
-      if (used != token.size()) Fail("malformed number '" + token + "'");
-      return JsonValue::MakeNumber(value);
-    } catch (const std::logic_error&) {
-      Fail("malformed number '" + token + "'");
-    }
+    const std::string_view token = text_.substr(start, pos_ - start);
+    double value = 0.0;
+    if (!ReadNumber(token, value)) Fail("malformed number '" + std::string(token) + "'");
+    return JsonValue::MakeNumber(value);
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;  // open arrays/objects around pos_
+  std::vector<JsonValue::Member> members_;  // members of the open objects
+  std::vector<JsonValue> items_;            // items of the open arrays
+  std::vector<std::size_t> order_;          // TakeMembers' sort scratch
 };
 
-[[noreturn]] void KindError(const std::string& context, const char* wanted) {
-  throw ConfigError(context + ": expected " + wanted);
+[[noreturn]] void KindError(std::string_view context, std::string_view key, const char* wanted) {
+  throw ConfigError(std::string(context) + std::string(key) + ": expected " + wanted);
 }
 
 }  // namespace
@@ -234,53 +280,60 @@ JsonValue JsonValue::MakeArray(std::vector<JsonValue> items) {
   return v;
 }
 
-JsonValue JsonValue::MakeObject(std::map<std::string, JsonValue> members) {
+JsonValue JsonValue::MakeObject(Members members) {
+  CS_CHECK(std::adjacent_find(members.begin(), members.end(),
+                              [](const Member& a, const Member& b) {
+                                return a.first >= b.first;
+                              }) == members.end(),
+           "object members must be in strictly ascending key order");
   JsonValue v;
   v.kind_ = Kind::kObject;
   v.object_ = std::move(members);
   return v;
 }
 
-bool JsonValue::AsBool(const std::string& context) const {
-  if (kind_ != Kind::kBool) KindError(context, "a boolean");
+bool JsonValue::AsBool(std::string_view context, std::string_view key) const {
+  if (kind_ != Kind::kBool) KindError(context, key, "a boolean");
   return bool_;
 }
 
-double JsonValue::AsDouble(const std::string& context) const {
-  if (kind_ != Kind::kNumber) KindError(context, "a number");
+double JsonValue::AsDouble(std::string_view context, std::string_view key) const {
+  if (kind_ != Kind::kNumber) KindError(context, key, "a number");
   return number_;
 }
 
-std::uint64_t JsonValue::AsUint(const std::string& context) const {
-  if (kind_ != Kind::kNumber) KindError(context, "a non-negative integer");
+std::uint64_t JsonValue::AsUint(std::string_view context, std::string_view key) const {
+  if (kind_ != Kind::kNumber) KindError(context, key, "a non-negative integer");
   if (number_ < 0 || std::floor(number_) != number_ ||
       number_ > 9.007199254740992e15) {  // 2^53: exact integer range
-    throw ConfigError(context + ": expected a non-negative integer, got " +
-                      FormatJsonNumber(number_));
+    throw ConfigError(std::string(context) + std::string(key) +
+                      ": expected a non-negative integer, got " + FormatJsonNumber(number_));
   }
   return static_cast<std::uint64_t>(number_);
 }
 
-const std::string& JsonValue::AsString(const std::string& context) const {
-  if (kind_ != Kind::kString) KindError(context, "a string");
+const std::string& JsonValue::AsString(std::string_view context, std::string_view key) const {
+  if (kind_ != Kind::kString) KindError(context, key, "a string");
   return string_;
 }
 
-const std::vector<JsonValue>& JsonValue::AsArray(const std::string& context) const {
-  if (kind_ != Kind::kArray) KindError(context, "an array");
+const std::vector<JsonValue>& JsonValue::AsArray(std::string_view context,
+                                                 std::string_view key) const {
+  if (kind_ != Kind::kArray) KindError(context, key, "an array");
   return array_;
 }
 
-const std::map<std::string, JsonValue>& JsonValue::AsObject(
-    const std::string& context) const {
-  if (kind_ != Kind::kObject) KindError(context, "an object");
+const JsonValue::Members& JsonValue::AsObject(std::string_view context) const {
+  if (kind_ != Kind::kObject) KindError(context, {}, "an object");
   return object_;
 }
 
-const JsonValue* JsonValue::Find(const std::string& key) const {
+const JsonValue* JsonValue::Find(std::string_view key) const {
   if (kind_ != Kind::kObject) return nullptr;
-  auto it = object_.find(key);
-  return it == object_.end() ? nullptr : &it->second;
+  const auto it = std::lower_bound(
+      object_.begin(), object_.end(), key,
+      [](const Member& member, std::string_view k) { return std::string_view(member.first) < k; });
+  return it != object_.end() && it->first == key ? &it->second : nullptr;
 }
 
 JsonValue ParseJson(const std::string& text) { return Parser(text).Parse(); }

@@ -8,23 +8,33 @@
 // strings with escapes, numbers, true/false/null). It is schema-free:
 // callers walk the JsonValue tree and apply their own schema. Malformed
 // input throws ConfigError with a byte offset.
+//
+// Numbers are the tokens std::stod read whole: an optional sign (a '+'
+// too), digits with an optional '.' on either side, an optional exponent
+// ("+5", "01", ".5" and "1." parse; subnormals and overflow do not).
+// Whitespace is the C locale's six bytes. tests/test_json_grammar.cpp pins
+// that language.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 
 namespace commsched {
 
-/// A parsed JSON value. Object member order is not preserved (protocol
-/// semantics never depend on it); duplicate keys keep the last value.
+/// A parsed JSON value. An object keeps its members in one vector sorted
+/// by key (byte order): they iterate in ascending key order, and Find is a
+/// binary search. Of duplicate keys the last one sent wins; the request
+/// parsers name the first unknown key in that ascending order.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  using Member = std::pair<std::string, JsonValue>;
+  using Members = std::vector<Member>;
 
   JsonValue() = default;
 
@@ -32,7 +42,8 @@ class JsonValue {
   [[nodiscard]] static JsonValue MakeNumber(double value);
   [[nodiscard]] static JsonValue MakeString(std::string value);
   [[nodiscard]] static JsonValue MakeArray(std::vector<JsonValue> items);
-  [[nodiscard]] static JsonValue MakeObject(std::map<std::string, JsonValue> members);
+  /// `members` must be in strictly ascending key order (checked).
+  [[nodiscard]] static JsonValue MakeObject(Members members);
 
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
@@ -42,18 +53,20 @@ class JsonValue {
   [[nodiscard]] bool is_number() const { return kind_ == Kind::kNumber; }
   [[nodiscard]] bool is_bool() const { return kind_ == Kind::kBool; }
 
-  /// Typed accessors; throw ConfigError naming `context` on kind mismatch.
-  [[nodiscard]] bool AsBool(const std::string& context) const;
-  [[nodiscard]] double AsDouble(const std::string& context) const;
+  /// Typed accessors; throw ConfigError naming `context` followed by
+  /// `key` on kind mismatch. The name is joined only when a read fails.
+  [[nodiscard]] bool AsBool(std::string_view context, std::string_view key = {}) const;
+  [[nodiscard]] double AsDouble(std::string_view context, std::string_view key = {}) const;
   /// Number that must be a non-negative integer (ids, sizes, cycle counts).
-  [[nodiscard]] std::uint64_t AsUint(const std::string& context) const;
-  [[nodiscard]] const std::string& AsString(const std::string& context) const;
-  [[nodiscard]] const std::vector<JsonValue>& AsArray(const std::string& context) const;
-  [[nodiscard]] const std::map<std::string, JsonValue>& AsObject(
-      const std::string& context) const;
+  [[nodiscard]] std::uint64_t AsUint(std::string_view context, std::string_view key = {}) const;
+  [[nodiscard]] const std::string& AsString(std::string_view context,
+                                            std::string_view key = {}) const;
+  [[nodiscard]] const std::vector<JsonValue>& AsArray(std::string_view context,
+                                                      std::string_view key = {}) const;
+  [[nodiscard]] const Members& AsObject(std::string_view context) const;
 
   /// Object member, or nullptr when absent (requires kObject).
-  [[nodiscard]] const JsonValue* Find(const std::string& key) const;
+  [[nodiscard]] const JsonValue* Find(std::string_view key) const;
 
  private:
   Kind kind_ = Kind::kNull;
@@ -61,7 +74,7 @@ class JsonValue {
   double number_ = 0.0;
   std::string string_;
   std::vector<JsonValue> array_;
-  std::map<std::string, JsonValue> object_;
+  Members object_;
 };
 
 /// Deepest array/object nesting ParseJson accepts. Protocol requests nest a
@@ -86,6 +99,10 @@ void AppendJsonEscaped(std::string& out, std::string_view text);
 /// already be valid JSON (used for nested objects).
 class JsonObjectWriter {
  public:
+  JsonObjectWriter() = default;
+  /// Continues an object whose members `body` already renders, unbraced.
+  explicit JsonObjectWriter(std::string body) : body_(std::move(body)) {}
+
   JsonObjectWriter& Field(const std::string& key, const std::string& value);
   JsonObjectWriter& Field(const std::string& key, const char* value);
   JsonObjectWriter& Field(const std::string& key, bool value);
@@ -95,6 +112,9 @@ class JsonObjectWriter {
 
   /// The finished object, braces included.
   [[nodiscard]] std::string Finish() const { return "{" + body_ + "}"; }
+
+  /// The members rendered so far, without the braces.
+  [[nodiscard]] const std::string& body() const { return body_; }
 
  private:
   JsonObjectWriter& Key(const std::string& key);

@@ -102,15 +102,15 @@ void ValidateSearchKnobs(const SearchKnobs& knobs) {
 std::string CanonicalSearchKnobs(const SearchKnobs& knobs, std::size_t switch_count) {
   ValidateSearchKnobs(knobs);
   const EffectiveKnobs effective = ResolveSearchKnobs(knobs, switch_count);
-  std::ostringstream key;
-  key << "algo=" << knobs.algo;
+  std::string key = "algo=" + knobs.algo;
   if (effective.samples != 0) {
-    key << ";samples=" << effective.samples;
+    key += ";samples=" + std::to_string(effective.samples);
   } else {
-    key << ";seeds=" << effective.seeds << ";iters=" << effective.iterations;
+    key += ";seeds=" + std::to_string(effective.seeds) +
+           ";iters=" + std::to_string(effective.iterations);
   }
-  key << ";rng=" << knobs.rng_seed;
-  return key.str();
+  key += ";rng=" + std::to_string(knobs.rng_seed);
+  return key;
 }
 
 sched::SearchResult RunMappingSearch(const dist::DistanceTable& table,

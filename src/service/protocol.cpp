@@ -48,14 +48,16 @@ RequestOp ParseOp(const std::string& name) {
                     "metrics|batch)");
 }
 
-/// A sent key's value; its name is the error context of every read.
+/// A sent key's value; `prefix` + `key` names it in the error of a failed
+/// read, and is joined only then.
 struct Value {
   const JsonValue& json;
-  const std::string& key;
-  std::uint64_t Uint() const { return json.AsUint(key); }
-  double Double() const { return json.AsDouble(key); }
-  bool Bool() const { return json.AsBool(key); }
-  const std::string& String() const { return json.AsString(key); }
+  std::string_view prefix;
+  std::string_view key;
+  std::uint64_t Uint() const { return json.AsUint(prefix, key); }
+  double Double() const { return json.AsDouble(prefix, key); }
+  bool Bool() const { return json.AsBool(prefix, key); }
+  const std::string& String() const { return json.AsString(prefix, key); }
 };
 
 // A topology kind, one bit each. A key's row in kTopologyKeys lists the
@@ -115,7 +117,7 @@ TopologyRequest ParseTopology(const JsonValue& value) {
     std::size_t row = 0;
     while (row < std::size(kTopologyKeys) && kTopologyKeys[row].name != key) ++row;
     if (row == std::size(kTopologyKeys)) throw ConfigError("unknown topology key '" + key + "'");
-    kTopologyKeys[row].read(topology, Value{member, "topology." + key});
+    kTopologyKeys[row].read(topology, Value{member, "topology.", key});
     sent |= std::uint32_t{1} << row;
   }
   const std::uint32_t kind = KindBit(topology.kind);
@@ -189,24 +191,25 @@ std::string SalvageEntryId(const JsonValue& entry) {
   return "";
 }
 
-Request ParseRequestObject(const JsonValue& root, bool allow_batch);
+void ParseRequestObject(const JsonValue& root, bool allow_batch, Request& request);
 
 /// Parses the batch "requests" array with per-entry error isolation: a
 /// malformed entry becomes a BatchEntry carrying the error (and any
 /// salvageable sub-id) instead of failing the whole frame. Batch-shape
 /// errors — missing/empty array, nested batch — still throw: there is no
-/// meaningful partial response for those.
+/// meaningful partial response for those. Each entry's Request is parsed
+/// in place, never moved.
 std::vector<BatchEntry> ParseBatchEntries(const JsonValue& value) {
-  std::vector<BatchEntry> entries;
-  for (const JsonValue& item : value.AsArray("requests")) {
-    BatchEntry entry;
+  const std::vector<JsonValue>& items = value.AsArray("requests");
+  std::vector<BatchEntry> entries(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
     try {
-      entry.request = ParseRequestObject(item, /*allow_batch=*/false);
+      ParseRequestObject(items[i], /*allow_batch=*/false, entries[i].request);
     } catch (const std::exception& e) {
-      entry.error = e.what();
-      entry.salvaged_id = SalvageEntryId(item);
+      entries[i].request = Request{};
+      entries[i].error = e.what();
+      entries[i].salvaged_id = SalvageEntryId(items[i]);
     }
-    entries.push_back(std::move(entry));
   }
   if (entries.empty()) {
     throw ConfigError("batch \"requests\" must be a non-empty array");
@@ -263,7 +266,7 @@ constexpr KeyRow kKeys[] = {
     {"multilevel", kSchedule, [](Request& r, const Value& v) { r.multilevel = v.Bool(); }},
     {"partition", kQuality,
      [](Request& r, const Value& v) {
-       for (const JsonValue& item : v.json.AsArray(v.key)) {
+       for (const JsonValue& item : v.json.AsArray(v.prefix, v.key)) {
          r.partition.push_back(item.AsUint("partition entry"));
        }
      }},
@@ -286,8 +289,8 @@ constexpr KeyRow kKeys[] = {
      [](Request& r, const Value& v) {
        r.sleep_ms = v.Uint();
        if (r.sleep_ms > kMaxSleepMs) {
-         throw ConfigError(v.key + " must be at most " + std::to_string(kMaxSleepMs) + ", got " +
-                           std::to_string(r.sleep_ms));
+         throw ConfigError(std::string(v.key) + " must be at most " +
+                           std::to_string(kMaxSleepMs) + ", got " + std::to_string(r.sleep_ms));
        }
      }},
     {"reset", kStats, [](Request& r, const Value& v) { r.stats_reset = v.Bool(); }},
@@ -326,12 +329,12 @@ std::string ModeName(const Request& request, std::uint32_t key_modes) {
   throw ConfigError("request key '" + std::string(key) + "' is not read by " + mode);
 }
 
-Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
+/// Fills `request`, a default Request, from one request object.
+void ParseRequestObject(const JsonValue& root, bool allow_batch, Request& request) {
   const JsonValue* op = root.Find("op");
   if (!root.is_object() || op == nullptr) {
     throw ConfigError("request must be a JSON object with an \"op\"");
   }
-  Request request;
   request.op = ParseOp(op->AsString("op"));
   if (request.op == RequestOp::kBatch && !allow_batch) {
     throw ConfigError("batch entries must not themselves be batches");
@@ -348,7 +351,7 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
     if ((kKeys[row].modes & op_modes) == 0) {
       ThrowUnread(key, std::string("op ") + OpName(request.op));
     }
-    kKeys[row].read(request, Value{member, key});
+    kKeys[row].read(request, Value{member, {}, key});
     sent |= std::uint64_t{1} << row;
   }
   if (request.op == RequestOp::kBatch && request.batch.empty()) {
@@ -360,13 +363,14 @@ Request ParseRequestObject(const JsonValue& root, bool allow_batch) {
     if ((row.modes & mode) == 0) ThrowUnread(row.name, ModeName(request, row.modes));
   }
   ValidateSearchKnobs(request.search);  // zero seeds/iters/samples
-  return request;
 }
 
 }  // namespace
 
 Request ParseRequest(const std::string& line) {
-  return ParseRequestObject(ParseJson(line), /*allow_batch=*/true);
+  Request request;
+  ParseRequestObject(ParseJson(line), /*allow_batch=*/true, request);
+  return request;
 }
 
 std::string SalvageRequestId(const std::string& line) {

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -57,12 +57,46 @@ void RequireHosts(const topo::SwitchGraph& graph) {
   if (graph.hosts_per_switch() == 0) throw ConfigError("the network has no hosts to simulate");
 }
 
+/// Appends a response's first members, unbraced: `"id":...,"ok":true,"op":...`
+/// (no id when the request has none).
+void AppendHeadMembers(std::string& out, const Request& request) {
+  if (!request.id.empty()) {
+    out += "\"id\":\"";
+    AppendJsonEscaped(out, request.id);
+    out += "\",";
+  }
+  out += "\"ok\":true,\"op\":\"";
+  out += OpName(request.op);
+  out += '"';
+}
+
 JsonObjectWriter ResponseHead(const Request& request) {
-  JsonObjectWriter writer;
-  if (!request.id.empty()) writer.Field("id", request.id);
-  writer.Field("ok", true);
-  writer.Field("op", OpName(request.op));
-  return writer;
+  std::string body;
+  AppendHeadMembers(body, request);
+  return JsonObjectWriter(std::move(body));
+}
+
+/// Appends the bytes ResponseHead renders, without the closing brace.
+void AppendResponseHead(std::string& out, const Request& request) {
+  out += '{';
+  AppendHeadMembers(out, request);
+}
+
+void AppendUint(std::string& out, std::uint64_t value) {
+  char digits[20];
+  const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out.append(digits, end);
+}
+
+/// A schedule reply: the head, the outcome's rendered fields, the cache
+/// markers and the rendered text.
+void AppendScheduleReply(std::string& out, const Request& request, const ScheduleOutcome& outcome,
+                         bool model_hit, bool result_hit) {
+  AppendResponseHead(out, request);
+  out += outcome.fields;
+  out += model_hit ? R"(,"model_cache":"hit")" : R"(,"model_cache":"miss")";
+  out += result_hit ? R"(,"result_cache":"hit")" : R"(,"result_cache":"miss")";
+  out += outcome.text_field;
 }
 
 }  // namespace
@@ -132,44 +166,46 @@ DaemonStatus SchedulingService::Status() const {
 }
 
 std::string SchedulingService::Execute(const Request& request) {
+  std::string out;
+  ExecuteInto(request, out);
+  return out;
+}
+
+void SchedulingService::ExecuteInto(const Request& request, std::string& out) {
   executed_.fetch_add(1, std::memory_order_relaxed);
   OpCounter(request.op).Add();
+  const std::size_t start = out.size();
   try {
-    return ExecuteOrThrow(request);
+    ExecuteOrThrow(request, out);
   } catch (const std::exception& e) {
+    out.resize(start);
     obs::Registry::Global().GetCounter("svc.errors").Add();
-    return ErrorResponse(request.id, e.what());
+    out += ErrorResponse(request.id, e.what());
   }
 }
 
-std::string SchedulingService::ExecuteOrThrow(const Request& request) {
+void SchedulingService::ExecuteOrThrow(const Request& request, std::string& out) {
   switch (request.op) {
     case RequestOp::kPing:
-      return ResponseHead(request).Finish();
+      AppendResponseHead(out, request);
+      out += '}';
+      return;
     case RequestOp::kSleep: {
       std::this_thread::sleep_for(std::chrono::milliseconds(request.sleep_ms));
       JsonObjectWriter writer = ResponseHead(request);
       writer.Field("slept_ms", request.sleep_ms);
-      return writer.Finish();
+      out += writer.Finish();
+      return;
     }
-    case RequestOp::kStats:
-      return RunStats(request);
-    case RequestOp::kSchedule:
-      return RunSchedule(request);
-    case RequestOp::kQuality:
-      return RunQuality(request);
-    case RequestOp::kSimulate:
-      return RunSimulate(request);
-    case RequestOp::kExperiment:
-      return RunExperiment(request);
-    case RequestOp::kHealth:
-      return RunHealth(request);
-    case RequestOp::kReady:
-      return RunReady(request);
-    case RequestOp::kMetrics:
-      return RunMetrics(request);
-    case RequestOp::kBatch:
-      return RunBatch(request);
+    case RequestOp::kSchedule: return RunSchedule(request, out);
+    case RequestOp::kBatch: return RunBatch(request, out);
+    case RequestOp::kStats: out += RunStats(request); return;
+    case RequestOp::kQuality: out += RunQuality(request); return;
+    case RequestOp::kSimulate: out += RunSimulate(request); return;
+    case RequestOp::kExperiment: out += RunExperiment(request); return;
+    case RequestOp::kHealth: out += RunHealth(request); return;
+    case RequestOp::kReady: out += RunReady(request); return;
+    case RequestOp::kMetrics: out += RunMetrics(request); return;
   }
   CS_UNREACHABLE("bad RequestOp");
 }
@@ -183,93 +219,131 @@ namespace {
 /// Thread-local because a batch runs sequentially on one worker; the memo
 /// dies with the frame, so it never needs eviction or invalidation.
 struct BatchModelMemo {
-  std::map<std::string, std::pair<std::uint64_t, std::shared_ptr<const NetworkModel>>> models;
-  /// Rendered schedule responses minus their id head, keyed by the full
-  /// schedule body (ScheduleBodyKey). Only hit/hit responses land here — see
-  /// RunSchedule — so a memo copy is byte-for-byte what re-executing the
-  /// repeat would render, id aside.
-  std::map<std::string, std::string> schedule_responses;
+  std::map<std::string, std::pair<std::uint64_t, std::shared_ptr<const NetworkModel>>,
+           std::less<>>
+      models;
+  /// Outcomes whose schedule rendered as a pure cache read (model AND
+  /// result hit), keyed by the full schedule body (the topology spec key
+  /// plus AppendScheduleKnobsKey). A repeat renders hit/hit from the
+  /// outcome: byte for byte what re-executing it would render.
+  std::map<std::string, std::shared_ptr<const ScheduleOutcome>, std::less<>> schedules;
 };
 
 thread_local BatchModelMemo* t_batch_memo = nullptr;
 
-std::string TopologySpecKey(const TopologyRequest& t) {
-  std::string key = t.kind;
+/// Arms the frame memo for one RunBatch; nested batches are rejected at
+/// parse time, so it is never re-entered.
+class BatchMemoScope {
+ public:
+  BatchMemoScope() { t_batch_memo = &memo_; }
+  ~BatchMemoScope() { t_batch_memo = nullptr; }
+  BatchMemoScope(const BatchMemoScope&) = delete;
+  BatchMemoScope& operator=(const BatchMemoScope&) = delete;
+
+ private:
+  BatchModelMemo memo_;
+};
+
+/// Appends the topology's raw spelling: the frame memo's model key.
+void AppendTopologySpecKey(std::string& key, const TopologyRequest& t) {
+  key += t.kind;
   key += '|';
   for (const std::size_t v : {t.switches, t.hosts, t.degree, t.rows, t.cols, t.dim, t.x, t.y,
                               t.z, t.k}) {
-    key += std::to_string(v);
+    AppendUint(key, v);
     key += ',';
   }
-  key += std::to_string(t.seed);
+  AppendUint(key, t.seed);
   key += '|';
   key += t.text;
-  return key;
 }
 
-/// Everything RunSchedule's output depends on except the request id.
-std::string ScheduleBodyKey(const Request& r) {
-  std::string key = TopologySpecKey(r.topology);
+/// Completes a topology spec key into the schedule body key: everything
+/// RunSchedule's output depends on except the request id.
+void AppendScheduleKnobsKey(std::string& key, const Request& r) {
+  const auto optional = [&key](const std::optional<std::size_t>& value) {
+    key += '|';
+    if (value) {
+      AppendUint(key, *value);
+    } else {
+      key += '-';
+    }
+  };
   key += '|';
-  key += std::to_string(r.apps);
+  AppendUint(key, r.apps);
   key += '|';
   key += r.search.algo;
+  optional(r.search.seeds);
+  optional(r.search.iterations);
+  optional(r.search.samples);
   key += '|';
-  key += r.search.seeds ? std::to_string(*r.search.seeds) : "-";
-  key += '|';
-  key += r.search.iterations ? std::to_string(*r.search.iterations) : "-";
-  key += '|';
-  key += r.search.samples ? std::to_string(*r.search.samples) : "-";
-  key += '|';
-  key += std::to_string(r.search.rng_seed);
-  return key;
+  AppendUint(key, r.search.rng_seed);
 }
 
-/// The exact bytes ResponseHead renders for a non-empty id.
-std::string ResponseIdHead(const std::string& id) {
-  return "{\"id\":\"" + JsonEscape(id) + "\"";
+/// Renders the reply fields of a computed search (ScheduleOutcome).
+std::shared_ptr<const ScheduleOutcome> RenderOutcome(sched::SearchResult result) {
+  auto outcome = std::make_shared<ScheduleOutcome>();
+  JsonObjectWriter fields;
+  fields.Field("partition", result.best.ToString());
+  fields.Field("fg", result.best_fg);
+  fields.Field("dg", result.best_dg);
+  fields.Field("cc", result.best_cc);
+  fields.Field("moves", static_cast<std::uint64_t>(result.iterations));
+  fields.Field("evaluations", static_cast<std::uint64_t>(result.evaluations));
+  outcome->fields = "," + fields.body();
+  JsonObjectWriter text;
+  text.Field("text", sched::FormatSearchResult(result));
+  outcome->text_field = "," + text.body() + "}";
+  outcome->result = std::move(result);
+  return outcome;
 }
 
 }  // namespace
 
-std::string SchedulingService::RunBatch(const Request& request) {
-  // Arm the frame-scoped model memo for the sub-requests below (nested
-  // batches are rejected at parse time, so the memo is never re-entered).
-  BatchModelMemo memo;
-  t_batch_memo = &memo;
-  std::string responses;
-  std::uint64_t failed = 0;
+void SchedulingService::RunBatch(const Request& request, std::string& out) {
+  const BatchMemoScope memo;
+  const auto failed = static_cast<std::uint64_t>(
+      std::count_if(request.batch.begin(), request.batch.end(),
+                    [](const BatchEntry& entry) { return !entry.error.empty(); }));
+  // A schedule reply on a small network is about 400 bytes. The cap keeps
+  // a 1 MiB frame of tiny entries from reserving far more than it uses.
+  out.reserve(out.size() + 512 * std::min<std::size_t>(request.batch.size(), 256));
+  AppendResponseHead(out, request);
+  out += ",\"count\":";
+  AppendUint(out, request.batch.size());
+  out += ",\"failed\":";
+  AppendUint(out, failed);
+  out += ",\"responses\":[";
   for (std::size_t i = 0; i < request.batch.size(); ++i) {
     const BatchEntry& entry = request.batch[i];
-    std::string line;
+    if (i > 0) out += ',';
     if (!entry.error.empty()) {
-      ++failed;
       obs::Registry::Global().GetCounter("svc.errors").Add();
-      line = BatchEntryErrorResponse(entry.salvaged_id, request.id, i, entry.error);
+      out += BatchEntryErrorResponse(entry.salvaged_id, request.id, i, entry.error);
     } else {
-      // Execute (not ExecuteOrThrow): an entry that fails mid-execution
+      // ExecuteInto (not ExecuteOrThrow): an entry that fails mid-execution
       // becomes its standalone error response, and the batch carries on.
-      line = Execute(entry.request);
+      ExecuteInto(entry.request, out);
     }
-    if (!responses.empty()) responses += ",";
-    responses += line;
   }
-  t_batch_memo = nullptr;
-  JsonObjectWriter writer = ResponseHead(request);
-  writer.Field("count", static_cast<std::uint64_t>(request.batch.size()));
-  writer.Field("failed", failed);
-  writer.Raw("responses", "[" + responses + "]");
-  return writer.Finish();
+  out += "]}";
 }
 
 std::shared_ptr<const NetworkModel> SchedulingService::GetModel(
     const TopologyRequest& topology, std::uint64_t* model_hash, bool* model_hit) {
+  std::string spec_key;
+  if (t_batch_memo != nullptr) AppendTopologySpecKey(spec_key, topology);
+  return ModelOf(topology, spec_key, model_hash, model_hit);
+}
+
+std::shared_ptr<const NetworkModel> SchedulingService::ModelOf(const TopologyRequest& topology,
+                                                               std::string_view spec_key,
+                                                               std::uint64_t* model_hash,
+                                                               bool* model_hit) {
   // Inside a batch frame, repeats of one topology spelling resolve from the
   // frame memo: no graph build, no canonical-text hash, and the marker
   // reads "hit" exactly as the standalone repeat's LRU hit would.
-  std::string spec_key;
   if (t_batch_memo != nullptr) {
-    spec_key = TopologySpecKey(topology);
     const auto memoized = t_batch_memo->models.find(spec_key);
     if (memoized != t_batch_memo->models.end()) {
       if (model_hash != nullptr) *model_hash = memoized->second.first;
@@ -314,7 +388,7 @@ std::shared_ptr<const NetworkModel> SchedulingService::GetModel(
       });
   if (model_hit != nullptr) *model_hit = hit;
   if (t_batch_memo != nullptr) {
-    t_batch_memo->models.emplace(std::move(spec_key), std::make_pair(hash, model));
+    t_batch_memo->models.emplace(spec_key, std::make_pair(hash, model));
   }
   return model;
 }
@@ -323,35 +397,47 @@ std::shared_ptr<const ScheduleOutcome> SchedulingService::SearchOutcome(
     const NetworkModel& model, std::uint64_t model_hash,
     const std::vector<std::size_t>& cluster_sizes, const SearchKnobs& knobs,
     bool* result_hit) {
-  std::ostringstream key;
-  key << "model=" << model_hash << "|sizes=" << Join(cluster_sizes, ",") << "|"
-      << CanonicalSearchKnobs(knobs, model.graph.switch_count());
+  std::string key = "model=";
+  AppendUint(key, model_hash);
+  key += "|sizes=";
+  for (std::size_t i = 0; i < cluster_sizes.size(); ++i) {
+    if (i > 0) key += ',';
+    AppendUint(key, cluster_sizes[i]);
+  }
+  key += '|';
+  key += CanonicalSearchKnobs(knobs, model.graph.switch_count());
   bool hit = true;
-  auto outcome =
-      results_.GetOrCompute(HashBytes(key.str()), [&model, &cluster_sizes, &knobs, &hit]() {
-        hit = false;
-        auto computed = std::make_shared<ScheduleOutcome>();
-        computed->result = RunMappingSearch(model.table, cluster_sizes, knobs);
-        computed->text = sched::FormatSearchResult(computed->result);
-        return std::shared_ptr<const ScheduleOutcome>(std::move(computed));
-      });
+  auto outcome = results_.GetOrCompute(HashBytes(key), [&model, &cluster_sizes, &knobs, &hit]() {
+    hit = false;
+    return RenderOutcome(RunMappingSearch(model.table, cluster_sizes, knobs));
+  });
   if (result_hit != nullptr) *result_hit = hit;
   return outcome;
 }
 
-std::string SchedulingService::RunSchedule(const Request& request) {
-  if (request.multilevel) return RunScheduleMultilevel(request);
-  // Frame-scoped response memo: inside a batch, a repeat of a schedule body
-  // that already rendered as a pure cache read (model AND result hit) only
-  // re-renders the id head. A hit/hit response is a deterministic function
-  // of the body, so the memo copy is byte-identical to re-executing the
-  // repeat — the markers a standalone repeat would render are hit/hit too.
-  std::string memo_key;
-  if (t_batch_memo != nullptr && !request.id.empty() && !request.want_timings) {
-    memo_key = ScheduleBodyKey(request);
-    const auto memoized = t_batch_memo->schedule_responses.find(memo_key);
-    if (memoized != t_batch_memo->schedule_responses.end()) {
-      return ResponseIdHead(request.id) + memoized->second;
+void SchedulingService::RunSchedule(const Request& request, std::string& out) {
+  if (request.multilevel) {
+    out += RunScheduleMultilevel(request);
+    return;
+  }
+  // Inside a batch the frame memo keys are built once: the topology spec
+  // key, then (completed with the knobs) the schedule body key. A repeat of
+  // a body that already rendered as a pure cache read (model AND result
+  // hit) renders from the memoized outcome with no lookup at all; the
+  // markers a standalone repeat would render are hit/hit too.
+  std::string key;
+  std::size_t spec_size = 0;
+  const bool memoize = t_batch_memo != nullptr && !request.want_timings;
+  if (t_batch_memo != nullptr) {
+    AppendTopologySpecKey(key, request.topology);
+    spec_size = key.size();
+  }
+  if (memoize) {
+    AppendScheduleKnobsKey(key, request);
+    const auto memoized = t_batch_memo->schedules.find(key);
+    if (memoized != t_batch_memo->schedules.end()) {
+      AppendScheduleReply(out, request, *memoized->second, true, true);
+      return;
     }
   }
   std::uint64_t model_hash = 0;
@@ -359,7 +445,8 @@ std::string SchedulingService::RunSchedule(const Request& request) {
   std::shared_ptr<const NetworkModel> model;
   {
     const obs::Span stage("svc.model", obs::RequestStage::kModel);
-    model = GetModel(request.topology, &model_hash, &model_hit);
+    model = ModelOf(request.topology, std::string_view(key).substr(0, spec_size), &model_hash,
+                    &model_hit);
   }
   const std::vector<std::size_t> sizes =
       EvenClusterSizes(model->graph.switch_count(), request.apps);
@@ -372,25 +459,10 @@ std::string SchedulingService::RunSchedule(const Request& request) {
   }
 
   const obs::Span serialize_stage("svc.serialize", obs::RequestStage::kSerialize);
-  JsonObjectWriter writer = ResponseHead(request);
-  writer.Field("partition", outcome->result.best.ToString());
-  writer.Field("fg", outcome->result.best_fg);
-  writer.Field("dg", outcome->result.best_dg);
-  writer.Field("cc", outcome->result.best_cc);
-  writer.Field("moves", static_cast<std::uint64_t>(outcome->result.iterations));
-  writer.Field("evaluations", static_cast<std::uint64_t>(outcome->result.evaluations));
-  writer.Field("model_cache", model_hit ? "hit" : "miss");
-  writer.Field("result_cache", result_hit ? "hit" : "miss");
-  writer.Field("text", outcome->text);
-  std::string line = writer.Finish();
-  if (!memo_key.empty() && model_hit && result_hit) {
-    const std::string head = ResponseIdHead(request.id);
-    if (line.compare(0, head.size(), head) == 0) {
-      t_batch_memo->schedule_responses.emplace(std::move(memo_key),
-                                               line.substr(head.size()));
-    }
+  AppendScheduleReply(out, request, *outcome, model_hit, result_hit);
+  if (memoize && model_hit && result_hit) {
+    t_batch_memo->schedules.emplace(std::move(key), std::move(outcome));
   }
-  return line;
 }
 
 std::string SchedulingService::RunScheduleMultilevel(const Request& request) {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "distance/distance_table.h"
@@ -49,11 +50,14 @@ struct NetworkModel {
   dist::DistanceTable table;
 };
 
-/// A memoized finished mapping search: the result plus its canonical CLI
-/// rendering.
+/// A memoized finished mapping search: the result plus its reply fields,
+/// rendered and escaped once, when the result is computed. A schedule
+/// reply is the id head, `fields`, the two cache markers, then
+/// `text_field`, so a cache hit renders no number and escapes no text.
 struct ScheduleOutcome {
   sched::SearchResult result;
-  std::string text;
+  std::string fields;      // ,"partition":...,"evaluations":N
+  std::string text_field;  // ,"text":"<the CLI rendering>"} (closes the reply)
 };
 
 /// A memoized multilevel mapping (schedule with "multilevel": true).
@@ -136,8 +140,11 @@ class SchedulingService {
   [[nodiscard]] std::string MetricsText() const;
 
  private:
-  [[nodiscard]] std::string ExecuteOrThrow(const Request& request);
-  [[nodiscard]] std::string RunSchedule(const Request& request);
+  /// Execute, appending the response line to `out`. On failure the
+  /// request's partial bytes are dropped and its error response appended.
+  void ExecuteInto(const Request& request, std::string& out);
+  void ExecuteOrThrow(const Request& request, std::string& out);
+  void RunSchedule(const Request& request, std::string& out);
   [[nodiscard]] std::string RunQuality(const Request& request);
   [[nodiscard]] std::string RunSimulate(const Request& request);
   [[nodiscard]] std::string RunExperiment(const Request& request);
@@ -151,8 +158,16 @@ class SchedulingService {
   /// batches waiting on their own sub-tasks would deadlock, and the heavy
   /// solves already parallelize internally). OK entries render exactly the
   /// bytes their standalone request would; malformed entries render error
-  /// objects carrying the batch id and entry index.
-  [[nodiscard]] std::string RunBatch(const Request& request);
+  /// objects carrying the batch id and entry index. The reply is written
+  /// entry by entry into `out`.
+  void RunBatch(const Request& request, std::string& out);
+
+  /// GetModel, where `spec_key` is the topology's TopologySpecKey when a
+  /// batch frame's model memo is active (unread otherwise).
+  [[nodiscard]] std::shared_ptr<const NetworkModel> ModelOf(const TopologyRequest& topology,
+                                                            std::string_view spec_key,
+                                                            std::uint64_t* model_hash,
+                                                            bool* model_hit);
 
   /// Decodes every artifact in the store into the topology cache (no
   /// hit/miss counted): the first request for a persisted model is then a

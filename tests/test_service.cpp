@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <optional>
@@ -82,6 +83,67 @@ TEST(ServiceJson, UintRejectsNegativeAndFractional) {
   EXPECT_THROW((void)ParseJson("2.5").AsUint("x"), ConfigError);
   EXPECT_THROW((void)ParseJson("\"7\"").AsUint("x"), ConfigError);
   EXPECT_EQ(ParseJson("12").AsUint("x"), 12u);
+}
+
+/// What the strtod-based reader made of a number token: nullopt when
+/// std::stod threw or did not read the whole token.
+std::optional<double> StodNumber(const std::string& token) {
+  try {
+    std::size_t used = 0;
+    const double value = std::stod(token, &used);
+    if (used == token.size()) return value;
+  } catch (const std::logic_error&) {
+  }
+  return std::nullopt;
+}
+
+TEST(ServiceJson, NumberTokensReadExactlyAsStodDid) {
+  // Random tokens over the number alphabet, digit-heavy tokens with
+  // exponents, and the edges of the double range, where std::stod's
+  // out-of-range verdicts (overflow, subnormals, a few tokens that round up
+  // to DBL_MIN) must hold bit for bit.
+  std::vector<std::string> tokens = {
+      "2.2250738585072011e-308", "2.2250738585072012e-308", "2.22507385850720138e-308",
+      "-2.2250738585072012e-308", "2.2250738585072014e-308", "4.9e-324", "2.4703282292062328e-324",
+      "1.7976931348623157e308", "1.7976931348623159e308", "0e-999", "0.000e99999", "-0.0",
+      "+0", "+.5", "+", "++1", "1e+", "1e-", "00.00", "1_000"};
+  Rng rng(37);
+  const std::string alphabet = "0123456789.eE+-";
+  for (int i = 0; i < 20000; ++i) {
+    std::string token;
+    const std::size_t length = 1 + rng.NextIndex(8);
+    for (std::size_t k = 0; k < length; ++k) token += alphabet[rng.NextIndex(alphabet.size())];
+    tokens.push_back(token);
+    std::string digits = rng.NextIndex(2) == 0 ? "-" : "";
+    for (std::size_t k = 1 + rng.NextIndex(20); k > 0; --k) digits += char('0' + rng.NextIndex(10));
+    if (rng.NextIndex(2) == 0) digits.insert(1 + rng.NextIndex(digits.size()), ".");
+    tokens.push_back(digits + "e" + std::to_string(rng.NextInt(-340, 340)));
+  }
+  for (const std::string& token : tokens) {
+    const std::optional<double> expected = StodNumber(token);
+    std::optional<double> parsed;
+    try {
+      parsed = ParseJson(token).AsDouble("n");
+    } catch (const ConfigError&) {
+    }
+    ASSERT_EQ(parsed.has_value(), expected.has_value()) << token;
+    if (expected) {
+      EXPECT_EQ(std::memcmp(&*parsed, &*expected, sizeof(double)), 0) << token;
+    }
+  }
+}
+
+TEST(ServiceJson, ObjectsNeedAscendingUniqueKeys) {
+  JsonValue::Members members;
+  members.emplace_back("b", JsonValue::MakeBool(true));
+  members.emplace_back("a", JsonValue::MakeBool(false));
+  EXPECT_THROW((void)JsonValue::MakeObject(members), ContractError);
+  std::swap(members[0], members[1]);
+  const JsonValue object = JsonValue::MakeObject(members);
+  EXPECT_TRUE(object.Find("b")->AsBool("b"));
+  EXPECT_EQ(object.Find("c"), nullptr);
+  members[1].first = "a";
+  EXPECT_THROW((void)JsonValue::MakeObject(members), ContractError);
 }
 
 TEST(ServiceJson, WriterPreservesOrderAndEscapes) {
