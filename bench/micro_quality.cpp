@@ -26,7 +26,7 @@ void BM_GlobalSimilarityDirect(benchmark::State& state) {
     benchmark::DoNotOptimize(qual::GlobalSimilarity(table, p));
   }
 }
-BENCHMARK(BM_GlobalSimilarityDirect)->Arg(16)->Arg(24);
+BENCHMARK(BM_GlobalSimilarityDirect)->Arg(16)->Arg(24)->Arg(128);
 
 void BM_SwapDelta(benchmark::State& state) {
   const dist::DistanceTable table = Table(static_cast<std::size_t>(state.range(0)));
@@ -63,14 +63,15 @@ void BM_FullNeighborhoodScan(benchmark::State& state) {
 BENCHMARK(BM_FullNeighborhoodScan)->Arg(16)->Arg(24);
 
 void BM_ClusteringCoefficient(benchmark::State& state) {
-  const dist::DistanceTable table = Table(16);
+  const dist::DistanceTable table = Table(static_cast<std::size_t>(state.range(0)));
   Rng rng(1);
-  const qual::Partition p = qual::Partition::Random({4, 4, 4, 4}, rng);
+  const std::vector<std::size_t> sizes(4, table.size() / 4);
+  const qual::Partition p = qual::Partition::Random(sizes, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(qual::ClusteringCoefficient(table, p));
   }
 }
-BENCHMARK(BM_ClusteringCoefficient);
+BENCHMARK(BM_ClusteringCoefficient)->Arg(16)->Arg(128);
 
 }  // namespace
 

@@ -27,6 +27,12 @@ void DistanceTable::Set(std::size_t i, std::size_t j, double value) {
   CS_CHECK(value >= 0.0, "distances are non-negative");
   values_[i * n_ + j] = value;
   values_[j * n_ + i] = value;
+  sum_squared_fresh_ = false;
+}
+
+void DistanceTable::CacheSumSquared() {
+  sum_squared_ = SumSquaredAllPairs();
+  sum_squared_fresh_ = true;
 }
 
 namespace {
@@ -209,6 +215,7 @@ DistanceTable DistanceTable::Build(const Routing& routing, bool parallel) {
   } else {
     solve_columns();
   }
+  table.CacheSumSquared();
   return table;
 }
 
@@ -220,6 +227,7 @@ DistanceTable DistanceTable::BuildHopCount(const Routing& routing) {
       table.Set(i, j, static_cast<double>(routing.MinimalDistance(i, j)));
     }
   }
+  table.CacheSumSquared();
   return table;
 }
 
@@ -233,6 +241,7 @@ DistanceTable DistanceTable::BuildGraphHops(const topo::SwitchGraph& graph) {
       table.Set(i, j, static_cast<double>(hops[j]));
     }
   }
+  table.CacheSumSquared();
   return table;
 }
 
@@ -244,6 +253,7 @@ DistanceTable DistanceTable::FromValues(std::size_t n, std::vector<double> value
   DistanceTable table;
   table.n_ = n;
   table.values_ = std::move(values);
+  table.CacheSumSquared();
   return table;
 }
 
@@ -260,7 +270,8 @@ double DistanceTable::SumSquaredAllPairs() const {
 
 double DistanceTable::MeanSquaredDistance() const {
   CS_CHECK(n_ >= 2, "need at least two switches");
-  return SumSquaredAllPairs() / (static_cast<double>(n_) * (n_ - 1) / 2.0);
+  const double sum = sum_squared_fresh_ ? sum_squared_ : SumSquaredAllPairs();
+  return sum / (static_cast<double>(n_) * (n_ - 1) / 2.0);
 }
 
 bool DistanceTable::SatisfiesTriangleInequality(double tolerance) const {

@@ -57,13 +57,17 @@ class DistanceTable {
     return values_[i * n_ + j];
   }
 
+  /// Sets T[i][j] = T[j][i]; the cached normalizer goes stale.
   void Set(std::size_t i, std::size_t j, double value);
 
-  /// Sum of squared distances over unordered pairs: sum_{i<j} T[i][j]^2.
+  /// Sum of squared distances over unordered pairs, sum_{i<j} T[i][j]^2,
+  /// summed row by row. O(N^2) on every call.
   [[nodiscard]] double SumSquaredAllPairs() const;
 
   /// Quadratic mean normalizer of eq. (2)/(5): SumSquaredAllPairs() divided
-  /// by N(N-1)/2.
+  /// by N(N-1)/2. Every factory caches the sum, so this is O(1) until a Set;
+  /// a table changed by Set (or made by the fill constructor) sums on each
+  /// call. Never writes the cache, so tables stay safe to share.
   [[nodiscard]] double MeanSquaredDistance() const;
 
   /// True if T[i][j] <= T[i][k] + T[k][j] for all triples (the equivalent
@@ -78,8 +82,13 @@ class DistanceTable {
   [[nodiscard]] std::string ToCsv() const;
 
  private:
+  /// Caches SumSquaredAllPairs(); every factory ends with it.
+  void CacheSumSquared();
+
   std::size_t n_ = 0;
   std::vector<double> values_;
+  double sum_squared_ = 0.0;        // SumSquaredAllPairs(), when fresh
+  bool sum_squared_fresh_ = false;
 };
 
 /// Pearson correlation between the equivalent-distance and hop-count tables

@@ -87,6 +87,15 @@ std::vector<std::size_t> Partition::Members(std::size_t cluster) const {
   return members;
 }
 
+void Partition::SortMembers(std::vector<std::size_t>& members,
+                            std::vector<std::size_t>& begin) const {
+  // begin[c + 1] is cluster c's write cursor, and ends as cluster c + 1's start.
+  begin.assign(sizes_.size() + 1, 0);
+  for (std::size_t c = 1; c < sizes_.size(); ++c) begin[c + 1] = begin[c] + sizes_[c - 1];
+  members.resize(cluster_of_.size());
+  for (std::size_t s = 0; s < cluster_of_.size(); ++s) members[begin[cluster_of_[s] + 1]++] = s;
+}
+
 void Partition::Move(std::size_t s, std::size_t cluster) {
   CS_CHECK(s < cluster_of_.size(), "switch out of range");
   CS_CHECK(cluster < sizes_.size(), "cluster out of range");

@@ -39,6 +39,11 @@ class Partition {
   /// Switches of one cluster, ascending.
   [[nodiscard]] std::vector<std::size_t> Members(std::size_t cluster) const;
 
+  /// Every cluster's members at once, by one counting sort into the
+  /// caller's buffers: cluster c is members[begin[c], begin[c + 1]),
+  /// ascending, clusters in id order. O(N + M).
+  void SortMembers(std::vector<std::size_t>& members, std::vector<std::size_t>& begin) const;
+
   /// Moves switch s into `cluster` (changes cluster sizes).
   void Move(std::size_t s, std::size_t cluster);
 

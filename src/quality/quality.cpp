@@ -32,14 +32,61 @@ double ClusterDissimilarity(const DistanceTable& table, const Partition& partiti
   return sum;
 }
 
-double GlobalSimilarity(const DistanceTable& table, const Partition& partition) {
+std::vector<double> ClusterSimilarities(const DistanceTable& table, const Partition& partition) {
   CS_CHECK(table.size() == partition.switch_count(), "table / partition size mismatch");
+  std::vector<std::size_t> members;
+  std::vector<std::size_t> begin;
+  partition.SortMembers(members, begin);
+  const std::size_t n = table.size();
+  const double* values = table.values().data();
+  std::vector<double> sums(partition.cluster_count());
+  for (std::size_t c = 0; c < sums.size(); ++c) {
+    // ClusterSimilarity's loop over the same ascending members.
+    double sum = 0.0;
+    for (std::size_t k = begin[c]; k < begin[c + 1]; ++k) {
+      const double* row = values + members[k] * n;
+      for (std::size_t j = k + 1; j < begin[c + 1]; ++j) {
+        const double d = row[members[j]];
+        sum += d * d;
+      }
+    }
+    sums[c] = sum;
+  }
+  return sums;
+}
+
+std::vector<double> ClusterDissimilarities(const DistanceTable& table,
+                                           const Partition& partition) {
+  CS_CHECK(table.size() == partition.switch_count(), "table / partition size mismatch");
+  const std::size_t n = table.size();
+  const double* values = table.values().data();
+  const std::size_t* cluster_of = partition.cluster_of_switch().data();
+  std::vector<double> sums(partition.cluster_count(), 0.0);
+  // Rows in ascending switch order visit each cluster's members in
+  // ClusterDissimilarity's order; a same-cluster column adds +0.0, which
+  // leaves a non-negative sum's bits unchanged.
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t c = cluster_of[v];
+    const double* row = values + v * n;
+    double sum = sums[c];
+    for (std::size_t u = 0; u < n; ++u) sum += cluster_of[u] == c ? 0.0 : row[u] * row[u];
+    sums[c] = sum;
+  }
+  return sums;
+}
+
+double GlobalSimilarity(const DistanceTable& table, const Partition& partition) {
+  return GlobalSimilarity(table, partition, ClusterSimilarities(table, partition));
+}
+
+double GlobalSimilarity(const DistanceTable& table, const Partition& partition,
+                        std::span<const double> cluster_similarity) {
+  CS_CHECK(table.size() == partition.switch_count(), "table / partition size mismatch");
+  CS_CHECK(cluster_similarity.size() == partition.cluster_count(), "one F_Ac per cluster required");
   const std::size_t intra_pairs = partition.IntraPairCount();
   CS_CHECK(intra_pairs > 0, "F_G needs at least one cluster with two switches");
   double intra_sum = 0.0;
-  for (std::size_t c = 0; c < partition.cluster_count(); ++c) {
-    intra_sum += ClusterSimilarity(table, partition, c);
-  }
+  for (const double sum : cluster_similarity) intra_sum += sum;
   return (intra_sum / static_cast<double>(intra_pairs)) / table.MeanSquaredDistance();
 }
 
@@ -47,9 +94,7 @@ double GlobalDissimilarity(const DistanceTable& table, const Partition& partitio
   CS_CHECK(table.size() == partition.switch_count(), "table / partition size mismatch");
   CS_CHECK(partition.cluster_count() >= 2, "D_G needs at least two clusters");
   double inter_sum = 0.0;
-  for (std::size_t c = 0; c < partition.cluster_count(); ++c) {
-    inter_sum += ClusterDissimilarity(table, partition, c);
-  }
+  for (const double sum : ClusterDissimilarities(table, partition)) inter_sum += sum;
   const std::size_t inter_pairs = partition.InterPairCountOrdered();
   CS_CHECK(inter_pairs > 0, "no intercluster pairs");
   return (inter_sum / static_cast<double>(inter_pairs)) / table.MeanSquaredDistance();
@@ -63,14 +108,22 @@ double ClusteringCoefficient(const DistanceTable& table, const Partition& partit
 
 double IntensityGlobalSimilarity(const DistanceTable& table, const Partition& partition,
                                  const std::vector<double>& cluster_intensity) {
+  return IntensityGlobalSimilarity(table, partition, cluster_intensity,
+                                   ClusterSimilarities(table, partition));
+}
+
+double IntensityGlobalSimilarity(const DistanceTable& table, const Partition& partition,
+                                 const std::vector<double>& cluster_intensity,
+                                 std::span<const double> cluster_similarity) {
   CS_CHECK(table.size() == partition.switch_count(), "table / partition size mismatch");
   CS_CHECK(cluster_intensity.size() == partition.cluster_count(),
            "one intensity per cluster required");
+  CS_CHECK(cluster_similarity.size() == partition.cluster_count(), "one F_Ac per cluster required");
   double weighted_sum = 0.0;
   double weighted_pairs = 0.0;
   for (std::size_t c = 0; c < partition.cluster_count(); ++c) {
     CS_CHECK(cluster_intensity[c] >= 0.0, "intensities are non-negative");
-    weighted_sum += cluster_intensity[c] * ClusterSimilarity(table, partition, c);
+    weighted_sum += cluster_intensity[c] * cluster_similarity[c];
     const double size = static_cast<double>(partition.ClusterSize(c));
     weighted_pairs += cluster_intensity[c] * size * (size - 1) / 2.0;
   }
@@ -101,29 +154,31 @@ void SwapEvaluator::Rebuild() {
   CS_CHECK(pair_count_ > 0.0, "evaluator needs a weighted cluster with two switches");
   const std::size_t n = partition_.switch_count();
   const std::size_t k = intensity_.size();
-  const std::vector<std::size_t>& cluster_of = partition_.cluster_of_switch();
-  gains_.assign(n * k, 0.0);
-  max_squared_.assign(n, 0.0);
+  partition_.SortMembers(members_, member_begin_);
+  gains_.resize(n * k);
+  max_squared_.resize(n);
+  const double* values = table_->values().data();
   for (std::size_t v = 0; v < n; ++v) {
-    for (std::size_t u = 0; u < n; ++u) {
-      const double d = (*table_)(v, u);
-      gains_[v * k + cluster_of[u]] += d * d;
-      max_squared_[v] = std::max(max_squared_[v], d * d);
+    // G[v][c] adds cluster c's members in ascending order, as one pass
+    // over row v would, but in a register.
+    const double* row = values + v * n;
+    double max_squared = 0.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      double gain = 0.0;
+      for (const std::size_t u : Members(c)) {
+        const double squared = row[u] * row[u];
+        gain += squared;
+        max_squared = std::max(max_squared, squared);
+      }
+      gains_[v * k + c] = gain;
     }
+    max_squared_[v] = max_squared;
   }
   intra_sum_ = ComputeIntraSum();
   // No λ·G or λ·T² term of a delta or a bound exceeds max λ · N · max T².
   bound_slack_ = kRowBoundSlack * static_cast<double>(n) *
                  *std::max_element(max_squared_.begin(), max_squared_.end()) *
                  *std::max_element(intensity_.begin(), intensity_.end());
-  // Counting sort by cluster: member_begin_[c + 1] is cluster c's write
-  // cursor, and ends as cluster c + 1's start.
-  member_begin_.assign(k + 1, 0);
-  for (std::size_t c = 1; c < k; ++c) {
-    member_begin_[c + 1] = member_begin_[c] + partition_.ClusterSize(c - 1);
-  }
-  members_.resize(n);
-  for (std::size_t s = 0; s < n; ++s) members_[member_begin_[cluster_of[s] + 1]++] = s;
 }
 
 void SwapEvaluator::PrepareRowBounds() {
@@ -159,13 +214,18 @@ void SwapEvaluator::PrepareRowBounds() {
 }
 
 double SwapEvaluator::ComputeIntraSum() const {
-  double sum = 0.0;
+  // The all-pairs (i, j > i) order: each switch, ascending, then its later
+  // cluster mates, ascending. next[c] is i's place among cluster c's members.
   const std::size_t n = partition_.switch_count();
+  const std::vector<std::size_t>& cluster_of = partition_.cluster_of_switch();
+  const double* values = table_->values().data();
+  std::vector<std::size_t> next(member_begin_.begin(), member_begin_.end() - 1);
+  double sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const std::size_t c = partition_.ClusterOf(i);
-      if (c != partition_.ClusterOf(j)) continue;
-      const double d = (*table_)(i, j);
+    const std::size_t c = cluster_of[i];
+    const double* row = values + i * n;
+    for (std::size_t m = ++next[c]; m < member_begin_[c + 1]; ++m) {
+      const double d = row[members_[m]];
       sum += intensity_[c] * d * d;
     }
   }

@@ -29,8 +29,25 @@ using dist::DistanceTable;
 [[nodiscard]] double ClusterDissimilarity(const DistanceTable& table, const Partition& partition,
                                           std::size_t cluster);
 
+/// ClusterSimilarity of every cluster, index c, bit for bit: one counting
+/// sort, then each cluster's pairs in ClusterSimilarity's order. O(N²/M)
+/// reads for M clusters of N/M switches.
+[[nodiscard]] std::vector<double> ClusterSimilarities(const DistanceTable& table,
+                                                      const Partition& partition);
+
+/// ClusterDissimilarity of every cluster, index c, bit for bit: one
+/// branch-free pass over the table's rows in ascending order, where a
+/// same-cluster entry adds +0.0 (which leaves a non-negative sum unchanged).
+[[nodiscard]] std::vector<double> ClusterDissimilarities(const DistanceTable& table,
+                                                         const Partition& partition);
+
 /// Eq. (2): F_G. Requires at least one cluster with >= 2 switches.
 [[nodiscard]] double GlobalSimilarity(const DistanceTable& table, const Partition& partition);
+
+/// F_G from ClusterSimilarities(table, partition), for callers that reuse
+/// the per-cluster sums (F_G and F_G^λ of one mapping).
+[[nodiscard]] double GlobalSimilarity(const DistanceTable& table, const Partition& partition,
+                                      std::span<const double> cluster_similarity);
 
 /// Eq. (5): D_G. Requires at least two clusters.
 [[nodiscard]] double GlobalDissimilarity(const DistanceTable& table, const Partition& partition);
@@ -54,6 +71,12 @@ using dist::DistanceTable;
                                                const Partition& partition,
                                                const std::vector<double>& cluster_intensity);
 
+/// F_G^λ from ClusterSimilarities(table, partition).
+[[nodiscard]] double IntensityGlobalSimilarity(const DistanceTable& table,
+                                               const Partition& partition,
+                                               const std::vector<double>& cluster_intensity,
+                                               std::span<const double> cluster_similarity);
+
 /// Incremental evaluator for swap-based search, over the per-cluster
 /// intensity-weighted sum Σ_c λ_c F_Ac (IntensityGlobalSimilarity's F_G^λ;
 /// all λ = 1, the default, is eq. (2) itself). Maintains that running sum and
@@ -62,6 +85,13 @@ using dist::DistanceTable;
 /// caches of Schulz & Traeff's sparse QAP mapping (quality/sparse.h). So
 /// evaluating a candidate swap is four reads, applying one is an O(N)
 /// update of two gain columns, and F_G is O(1).
+///
+/// Set-up (constructor, Reset) counting-sorts the members, then sums each
+/// G[v][c] in a register over Members(c), ascending: N² reads of cached
+/// rows and no scattered writes. The running sum walks each switch's later
+/// cluster mates, O(N²/M); the normalizer is the table's cached one, O(1).
+/// Each sum makes the same additions, in the same order, as a pass over
+/// row v and the all-pairs loop would, so every bit is theirs.
 ///
 /// The running sum is advanced by the exact O(N) re-summed delta, not by
 /// the gain-table delta: the two differ in the last bits, and the running
@@ -146,7 +176,7 @@ class SwapEvaluator {
   /// Applies the swap and updates the running sum and gain table in O(N).
   void ApplySwap(std::size_t a, std::size_t b);
 
-  /// Replaces the partition (full O(N^2) recompute of sum and gain table).
+  /// Replaces the partition (recomputes the sum and gain table, as set-up).
   void Reset(Partition partition);
 
   /// F_G that would result from applying delta to the current intra sum.
@@ -168,8 +198,10 @@ class SwapEvaluator {
   [[nodiscard]] const double* GainRow(std::size_t v) const {
     return &gains_[v * intensity_.size()];
   }
-  /// Recomputes the pair count, gain table and running sum for partition_.
+  /// Recomputes the members, pair count, gain table and running sum for
+  /// partition_.
   void Rebuild();
+  /// Σ λ_c T² over intracluster pairs in all-pairs order; needs members_.
   [[nodiscard]] double ComputeIntraSum() const;
   /// The swap delta re-summed over all N switches; keeps intra_sum_ exact.
   [[nodiscard]] double SummedSwapDelta(std::size_t a, std::size_t b) const;

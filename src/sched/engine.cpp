@@ -54,7 +54,9 @@ SearchEngine::SearchEngine(std::string algo, const EngineOptions& options)
     : algo_(std::move(algo)),
       options_(options),
       seed_span_name_(algo_ + ".seed"),
-      iter_span_name_(algo_ + ".iter") {
+      iter_span_name_(algo_ + ".iter"),
+      setup_span_name_(algo_ + ".seed_setup"),
+      finalize_span_name_(algo_ + ".finalize") {
   // A zero here used to silently yield an empty no-op search result; callers
   // that meant "don't search" invariably meant something else (a typoed
   // flag, an uninitialized knob), so it is a configuration error.
@@ -269,7 +271,10 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
 
   run.best_value = best_value;
   run.trace_span = run.result.iterations + 1;  // +1 for the restart point
-  objective.FinalizeSeed(run.result);
+  {
+    const obs::Span finalize_span(finalize_span_name_, "seed", seed_index);
+    objective.FinalizeSeed(run.result);
+  }
 
   const std::uint64_t counts[] = {1,           run.result.iterations, run.result.evaluations,
                                   run.tabu_hits, run.aspirations,      run.escapes};
@@ -466,8 +471,11 @@ void TabuObjective::Apply(std::size_t a, std::size_t b) {
 const Partition& TabuObjective::partition() const { return eval_.partition(); }
 
 void TabuObjective::FinalizeSeed(SearchResult& result) const {
-  FinalizeResult(*table_, result);
-  result.best_fg = qual::IntensityGlobalSimilarity(*table_, result.best, eval_.cluster_intensity());
+  // F_G (for C_c) and F_G^λ share one set of F_Ac sums.
+  const std::vector<double> similarity = qual::ClusterSimilarities(*table_, result.best);
+  FinalizeResult(*table_, result, similarity);
+  result.best_fg = qual::IntensityGlobalSimilarity(*table_, result.best,
+                                                   eval_.cluster_intensity(), similarity);
   if (anchor_ != nullptr) {
     result.moved_from_anchor = CountMovedFromAnchor(result.best, *anchor_);
   }

@@ -35,14 +35,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/span.h"
 #include "quality/quality.h"
 #include "sched/search.h"
-
-namespace commsched::obs {
-class Counter;
-class Histogram;
-class Timer;
-}  // namespace commsched::obs
 
 namespace commsched::sched {
 
@@ -128,12 +123,23 @@ class SearchEngine {
 
   /// Runs one walk from the objective's current mapping. Emits
   /// search.restart / search.move / search.local_min trace events and
-  /// "<algo>.seed" / "<algo>.iter" spans. At the walk's end it flushes the
+  /// "<algo>.seed" / "<algo>.iter" spans, and a "<algo>.finalize" span
+  /// around Objective::FinalizeSeed. At the walk's end it flushes the
   /// seed's observability in one registry touch, the same for every
   /// searcher: search.<algo>.{seeds,moves,evaluations,tabu_hits,
   /// aspirations,escapes}, the seed_iters histogram and the
   /// search.seed_done trace event.
   SeedRun RunSeed(Objective& objective, std::size_t seed_index) const;
+
+  /// Returns make(), seed `seed_index`'s objective or evaluator, built under
+  /// a "<algo>.seed_setup" span: the start mapping's gain table, which no
+  /// "<algo>.seed" span covers. The span has no registry timer, so an
+  /// untraced run reads no clock.
+  template <typename Make>
+  auto SetUpSeed(std::size_t seed_index, Make&& make) const {
+    const obs::Span span(setup_span_name_, "seed", seed_index);
+    return make();
+  }
 
   [[nodiscard]] const EngineOptions& options() const { return options_; }
   [[nodiscard]] const std::string& algo() const { return algo_; }
@@ -141,8 +147,10 @@ class SearchEngine {
  private:
   std::string algo_;
   EngineOptions options_;
-  std::string seed_span_name_;  // "<algo>.seed"
-  std::string iter_span_name_;  // "<algo>.iter"
+  std::string seed_span_name_;      // "<algo>.seed"
+  std::string iter_span_name_;      // "<algo>.iter"
+  std::string setup_span_name_;     // "<algo>.seed_setup"
+  std::string finalize_span_name_;  // "<algo>.finalize"
   // The registry nodes a seed reports into, resolved by the constructor.
   obs::Timer* seed_timer_;                 // search.<algo>.seed
   std::array<obs::Counter*, 6> counters_;  // search.<algo>.{seeds,moves,...}

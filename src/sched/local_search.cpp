@@ -25,12 +25,15 @@ SearchResult SteepestDescent(const DistanceTable& table,
 
   const SearchEngine engine("sd", spec.options);
   spec.run_seed = [&table, &engine, &starts](std::size_t seed) {
-    qual::SwapEvaluator eval(table, starts[seed]);
+    qual::SwapEvaluator eval =
+        engine.SetUpSeed(seed, [&] { return qual::SwapEvaluator(table, starts[seed]); });
     IntraSumObjective objective(table, eval);
     return engine.RunSeed(objective, seed);
   };
   // Restarts are compared on the raw intra-cluster sum, like the walk.
   spec.combine_key = [](const SeedRun& run) { return run.best_value; };
+  // IntraSumObjective::FinalizeSeed already filled the winner's values.
+  spec.finalize_combined = false;
   return RunMultiStart(table, spec);
 }
 

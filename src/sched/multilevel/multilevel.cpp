@@ -325,7 +325,8 @@ MultilevelResult MapMultilevel(const CommGraph& processes, const dist::DistanceT
       // Seed k writes only its own slot (seeds may run on the thread pool).
       std::vector<std::vector<std::size_t>> best_assignments(options.seeds);
       const std::vector<SeedRun> runs = RunSeeds(engine_options, [&](std::size_t k) {
-        SparseQapObjective objective(coarsest, distances, starts[k], capacity);
+        SparseQapObjective objective = engine.SetUpSeed(
+            k, [&] { return SparseQapObjective(coarsest, distances, starts[k], capacity); });
         SeedRun run = engine.RunSeed(objective, k);
         best_assignments[k] = objective.ToAssignment(run.result.best);
         return run;

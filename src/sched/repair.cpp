@@ -109,8 +109,10 @@ RepairOutcome AnchoredRepair(const dist::DistanceTable& table, const qual::Parti
   const std::vector<SeedRun> runs = RunSeeds(engine_options, [&](std::size_t k) {
     // Anchored at the post-forced-move partition: F_G + penalty *
     // displaced / N, and swaps past the hard budget cost +inf.
-    TabuObjective objective(table, starts[k], &partition, options.migration_penalty,
-                            options.migration_budget);
+    TabuObjective objective = engine.SetUpSeed(k, [&] {
+      return TabuObjective(table, starts[k], &partition, options.migration_penalty,
+                           options.migration_budget);
+    });
     return engine.RunSeed(objective, k);
   });
   // Every start is within the budget and the objective never leaves it, so

@@ -4,8 +4,11 @@
 
 namespace commsched::sched {
 
-void FinalizeResult(const DistanceTable& table, SearchResult& result) {
-  result.best_fg = qual::GlobalSimilarity(table, result.best);
+void FinalizeResult(const DistanceTable& table, SearchResult& result,
+                    std::span<const double> cluster_similarity) {
+  result.best_fg = cluster_similarity.empty()
+                       ? qual::GlobalSimilarity(table, result.best)
+                       : qual::GlobalSimilarity(table, result.best, cluster_similarity);
   result.best_dg = qual::GlobalDissimilarity(table, result.best);
   CS_CHECK(result.best_fg > 0.0, "degenerate F_G");
   result.best_cc = result.best_dg / result.best_fg;

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "distance/distance_table.h"
@@ -40,8 +41,12 @@ struct SearchResult {
   std::size_t moved_from_anchor = 0;
 };
 
-/// Fills best_fg / best_dg / best_cc of a result from its partition.
-void FinalizeResult(const DistanceTable& table, SearchResult& result);
+/// Fills best_fg / best_dg / best_cc of a result from its partition: one
+/// O(N²/M) F_G pass and one O(N²) D_G pass. A caller that already holds
+/// qual::ClusterSimilarities of result.best passes them in and skips the
+/// F_G pass.
+void FinalizeResult(const DistanceTable& table, SearchResult& result,
+                    std::span<const double> cluster_similarity = {});
 
 /// The canonical human-readable rendering of a search result — exactly what
 /// `commsched_cli schedule` prints. Shared with the scheduling service so a

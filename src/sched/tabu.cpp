@@ -9,8 +9,10 @@ namespace commsched::sched {
 SearchResult TabuSearchFrom(const DistanceTable& table, const Partition& start,
                             const TabuOptions& options) {
   const SearchEngine engine("tabu", ToEngineOptions(options));
-  TabuObjective objective(table, start, options.anchor, options.migration_penalty, SIZE_MAX,
-                          options.cluster_intensity);
+  TabuObjective objective = engine.SetUpSeed(0, [&] {
+    return TabuObjective(table, start, options.anchor, options.migration_penalty, SIZE_MAX,
+                         options.cluster_intensity);
+  });
   return engine.RunSeed(objective, 0).result;
 }
 
@@ -43,8 +45,10 @@ SearchResult TabuSearch(const DistanceTable& table, const std::vector<std::size_
 
   const SearchEngine engine("tabu", spec.options);
   spec.run_seed = [&table, &options, &engine, &starts](std::size_t seed) {
-    TabuObjective objective(table, starts[seed], options.anchor, options.migration_penalty,
-                            SIZE_MAX, options.cluster_intensity);
+    TabuObjective objective = engine.SetUpSeed(seed, [&] {
+      return TabuObjective(table, starts[seed], options.anchor, options.migration_penalty,
+                           SIZE_MAX, options.cluster_intensity);
+    });
     return engine.RunSeed(objective, seed);
   };
 

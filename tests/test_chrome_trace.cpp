@@ -249,9 +249,13 @@ TEST(ChromeTraceTest, SeededRunProducesAStableSpanSequence) {
   std::vector<std::string> first = SeededTabuSpanSequence();
   std::vector<std::string> second = SeededTabuSpanSequence();
   ASSERT_FALSE(first.empty());
-  // The run profiles seeds and iterations, seed 0 opening first.
-  EXPECT_EQ(first[0], "tabu.seed/seed=0");
-  EXPECT_NE(std::find(first.begin(), first.end(), "tabu.iter/iter=0"), first.end());
+  // The run profiles each seed's set-up, walk, iterations and
+  // finalisation, seed 0's set-up opening first.
+  EXPECT_EQ(first[0], "tabu.seed_setup/seed=0");
+  for (const char* span : {"tabu.seed/seed=0", "tabu.iter/iter=0", "tabu.finalize/seed=0",
+                           "tabu.seed_setup/seed=2", "tabu.finalize/seed=2"}) {
+    EXPECT_NE(std::find(first.begin(), first.end(), span), first.end()) << span;
+  }
   // Identical seeded runs must produce the same spans with the same args
   // (compared as sorted multisets: sub-microsecond sibling spans may tie on
   // start time, making their relative order timing noise).
